@@ -5,11 +5,13 @@ unipotent automorphisms.
 A ``LieAlgebra`` stores the bracket table densely over index pairs i < j;
 antisymmetry is reconstructed, and the Jacobi identity is validated on every
 basis triple at construction time.  All values are immutable and every
-operation is a pure function.
+operation is a pure function; ``memoized`` keeps the results of the costly
+structural ones on the algebra they were computed for.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,7 +55,7 @@ class LieAlgebra:
     missing pairs are zero.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "table", "_nonzero_pairs")
+    __slots__ = ("field", "dim", "basis_names", "table", "_nonzero_pairs", "_memo")
 
     def __init__(self, field: Field, dim: int, table: dict, basis_names=None, validate=True):
         self.field = field
@@ -74,6 +76,7 @@ class LieAlgebra:
                 tab[(i, j)] = w
         self.table = tab
         self._nonzero_pairs = tuple(sorted(tab.keys()))
+        self._memo = {}
         if validate:
             self._validate_jacobi()
 
@@ -136,6 +139,38 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, field={self.field!r})"
+
+
+_MISSING = object()
+
+
+def memoized(fn):
+    """Compute ``fn`` once per algebra and argument values.
+
+    The first argument is a ``LieAlgebra`` or carries one as ``.algebra``
+    (a chief factor).  Results live in that algebra's ``_memo`` dict, keyed
+    by ``fn`` and the other arguments compared by value, so a cache lives
+    and dies with its ``LieAlgebra`` instance; an exception is not cached.
+    Applied to ``socle_and_minimal_ideals``, ``factor_module`` and
+    ``split_abelian_extension`` in ``modules``, ``connected`` in ``chief``
+    and ``denominator_intersection`` in ``crowns``.  A cached function must
+    be pure and return an immutable value, because every caller shares it;
+    module budget constants such as ``modules.VECTOR_ENUM_BUDGET`` are read
+    at the first computation only.
+    """
+
+    @functools.wraps(fn)
+    def cached(first, *args):
+        if isinstance(first, LieAlgebra):
+            memo, key = first._memo, (fn, *args)
+        else:
+            memo, key = first.algebra._memo, (fn, first, *args)
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(first, *args)
+        return value
+
+    return cached
 
 
 def validate_algebra(field: Field, dim: int, sc_table) -> LieAlgebra:

@@ -24,6 +24,7 @@ from .algebra import (
     centralizer,
     factor_centralizer,
     is_ideal,
+    memoized,
     quotient_algebra,
     semidirect_sum,
 )
@@ -220,6 +221,7 @@ class ConnectionWitness:
     quotient_witness: Optional[PrimitiveWitness] = None
 
 
+@memoized
 def connected(F1: ChiefFactor, F2: ChiefFactor):
     """The connectedness test: (verdict, witness, status).
 

@@ -23,6 +23,7 @@ from .algebra import (
     is_ideal,
     is_solvable,
     is_subalgebra,
+    memoized,
 )
 from .chief import ChiefFactor, ChiefSeries, chief_series, classify_factor, connected
 from .fields import PrimeField
@@ -35,7 +36,7 @@ from .modules import (
     socle_and_minimal_ideals,
     split_abelian_extension,
 )
-from .status import CertificationFailure, worst
+from .status import CertificationFailure, Status, worst
 
 COVERS = "covers"
 AVOIDS = "avoids"
@@ -90,6 +91,7 @@ def _abelian_denominator_data(F: ChiefFactor):
     return N0, fm, n0_c, a_c, homs
 
 
+@memoized
 def denominator_intersection(F: ChiefFactor) -> Subspace:
     """Exact intersection of all ideal denominators attached to a
     supplemented factor (the whole family at once, even when infinite)."""

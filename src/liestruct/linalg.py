@@ -381,9 +381,9 @@ class QuotientMap:
         # that die in the quotient, the complementary W-coordinates survive.
         ucoord_rows = [W.coords(u) for u in U.basis]
         self._ucoords = Subspace.from_vectors(F, W.dim, ucoord_rows)
-        self._free = [j for j in range(W.dim) if j not in self._ucoords.pivots]
+        self._free = tuple(j for j in range(W.dim) if j not in self._ucoords.pivots)
         self.dim = len(self._free)
-        self._lift_vecs = [W.basis[j] for j in self._free]
+        self._lift_vecs = tuple(W.basis[j] for j in self._free)
 
     def project(self, v: Vector) -> Vector:
         c = self.W.coords(v)

@@ -29,6 +29,7 @@ from .algebra import (
     LieAlgebra,
     bracket_spaces,
     is_ideal,
+    memoized,
     quotient_algebra,
 )
 from .fields import Field, PrimeField, Rationals
@@ -158,6 +159,7 @@ def adjoint_module(L: LieAlgebra) -> LModule:
     return LModule(L, mats, validate=False)  # the Jacobi identity is the law here
 
 
+@memoized
 def factor_module(L: LieAlgebra, A: Subspace, B: Subspace) -> FactorModule:
     if not is_ideal(L, A) or not is_ideal(L, B):
         raise AlgebraError("factor module requires a pair of ideals")
@@ -392,11 +394,29 @@ def enveloping_basis(M: LModule) -> list[Matrix]:
     return basis_mats
 
 
+def _trace_gram(F: Field, env: list[Matrix]) -> list[tuple]:
+    """Gram matrix of the trace form, tr(AB) = sum of A_ij * B_ji: each
+    matrix is flattened and transposed once, and zero entries are skipped."""
+    flat = [[x for row in A.entries for x in row] for A in env]
+    flat_t = [[x for row in A.transpose().entries for x in row] for A in env]
+    nonzero = [[(k, x) for k, x in enumerate(a) if not F.is_zero(x)] for a in flat]
+    rows = []
+    for nz in nonzero:
+        row = []
+        for bt in flat_t:
+            s = F.zero()
+            for k, x in nz:
+                y = bt[k]
+                if not F.is_zero(y):
+                    s = F.add(s, F.mul(x, y))
+            row.append(s)
+        rows.append(tuple(row))
+    return rows
+
+
 def _trace_form_radical(F: Field, env: list[Matrix]) -> list[Matrix]:
     """Radical of the enveloping algebra via the trace form (char 0 exact)."""
-    rows = []
-    for A in env:
-        rows.append(tuple(A.matmul(B).trace() for B in env))
+    rows = _trace_gram(F, env)
     _, _, _, null = rref_solve(Matrix(F, rows))
     rad = []
     for coeffs in null.basis:
@@ -538,12 +558,13 @@ def socle_decomposition(M: LModule):
 class SocleInfo:
     """Minimal ideals of L/I lifted to L, their sum, and the abelian part."""
 
-    minimals: list
+    minimals: tuple
     soc: Subspace
     asoc: Subspace
     status: Status
 
 
+@memoized
 def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
     qa = quotient_algebra(L, I)
     Q = qa.algebra
@@ -557,7 +578,7 @@ def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
         minimals.append(qa.lift_space(W))
     soc = qa.lift_space(soc_q)
     asoc = qa.lift_space(asoc_q)  # the lift of the zero space is I itself
-    return SocleInfo(minimals, soc, asoc, status)
+    return SocleInfo(tuple(minimals), soc, asoc, status)
 
 
 def hom_space(M1: LModule, M2: LModule) -> list[ModuleMap]:
@@ -743,6 +764,7 @@ class SplittingCertificate:
     cochain: Matrix
 
 
+@memoized
 def split_abelian_extension(
     L: LieAlgebra, A: Subspace, B: Subspace
 ) -> Optional[SplittingCertificate]:

@@ -1,0 +1,116 @@
+"""The per-algebra memo: each structural object is computed once per
+algebra instance, cached values are shared and immutable, and the direct
+trace form agrees with the matrix-product definition."""
+
+import json
+import sys
+import typing
+
+import pytest
+
+from liestruct import builtin, modules
+from liestruct.algebra import AlgebraError
+from liestruct.cli import build_report
+from liestruct.crowns import Crown
+from liestruct.fields import GF, QQ
+from liestruct.modules import (
+    adjoint_module,
+    enveloping_basis,
+    factor_module,
+    socle_and_minimal_ideals,
+)
+from liestruct.status import Status
+
+from conftest import CORPUS_Q
+
+
+class TestCachedValues:
+    def test_second_call_returns_the_same_object(self):
+        L = builtin("h3_plus_r2", QQ)
+        info = socle_and_minimal_ideals(L, L.zero_space())
+        assert socle_and_minimal_ideals(L, L.zero_space()) is info
+        assert isinstance(info.minimals, tuple)
+
+    def test_arguments_are_compared_by_value(self):
+        H = builtin("heis", QQ)
+        fm = factor_module(H, H.span([(0, 0, 1)]), H.zero_space())
+        assert factor_module(H, H.span([(0, 0, 1)]), H.zero_space()) is fm
+        assert isinstance(fm.coords._free, tuple)
+        assert isinstance(fm.coords._lift_vecs, tuple)
+
+    def test_each_instance_has_its_own_cache(self):
+        L1, L2 = builtin("sl2", QQ), builtin("sl2", QQ)
+        info1 = socle_and_minimal_ideals(L1, L1.zero_space())
+        info2 = socle_and_minimal_ideals(L2, L2.zero_space())
+        assert info1 is not info2 and info1 == info2
+
+    def test_exceptions_are_not_cached(self):
+        H = builtin("heis", QQ)
+        for _ in range(2):
+            with pytest.raises(AlgebraError):
+                factor_module(H, H.span([(1, 0, 0)]), H.zero_space())
+        assert not H._memo
+
+
+def test_crown_type_hints_resolve():
+    assert typing.get_type_hints(Crown)["status"] is Status
+
+
+def _rebind(monkeypatch, orig, replacement):
+    """Replace ``orig`` in every liestruct namespace that binds it by name."""
+    for key, mod in list(sys.modules.items()):
+        if key == "liestruct" or key.startswith("liestruct."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+@pytest.mark.parametrize("name", ["sl2_plus_sl2", "h3_plus_r2"])
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "gf3"])
+def test_report_computes_each_socle_once(monkeypatch, name, field):
+    """socle_space runs once per distinct (algebra instance, ideal) passed to
+    socle_and_minimal_ideals; calls that certify_irreducible makes on its own
+    modules are not socles of ideals and are not counted."""
+    asked = {}  # (id of the algebra, ideal) -> algebra, which stays alive
+    socles = []
+    inside_certify = [0]
+    orig_socles = modules.socle_and_minimal_ideals
+    orig_space = modules.socle_space
+    orig_certify = modules.certify_irreducible
+
+    def noted(L, I):
+        asked[(id(L), I)] = L
+        return orig_socles(L, I)
+
+    def counted(M):
+        if not inside_certify[0]:
+            socles.append(M)
+        return orig_space(M)
+
+    def certify(M):
+        inside_certify[0] += 1
+        try:
+            return orig_certify(M)
+        finally:
+            inside_certify[0] -= 1
+
+    _rebind(monkeypatch, orig_socles, noted)
+    monkeypatch.setattr(modules, "socle_space", counted)
+    _rebind(monkeypatch, orig_certify, certify)
+
+    def report_json(L):  # as ``liestruct report --json`` prints it
+        return json.dumps(build_report(L, name), sort_keys=True, indent=2)
+
+    L = builtin(name, field)
+    first = report_json(L)
+    assert len(socles) == len(asked) > 0
+    assert report_json(L) == first
+    assert len(socles) == len(asked)
+    assert report_json(builtin(name, field)) == first
+
+
+def test_trace_gram_matches_the_matrix_product_trace():
+    for name in CORPUS_Q:
+        env = enveloping_basis(adjoint_module(builtin(name, QQ)))
+        reference = [tuple(A.matmul(B).trace() for B in env) for A in env]
+        assert modules._trace_gram(QQ, env) == reference, name
