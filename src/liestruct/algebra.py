@@ -148,10 +148,11 @@ def memoized(fn):
     """Compute ``fn`` once per algebra and argument values.
 
     The first argument is a ``LieAlgebra`` or carries one as ``.algebra``
-    (a chief factor).  Results live in that algebra's ``_memo`` dict, keyed
-    by ``fn`` and the other arguments compared by value, so a cache lives
-    and dies with its ``LieAlgebra`` instance; an exception is not cached.
-    Applied to ``socle_and_minimal_ideals``, ``factor_module`` and
+    (a chief factor or a module).  Results live in that algebra's ``_memo``
+    dict, keyed by ``fn`` and the arguments other than the algebra compared
+    by value, so a cache lives and dies with its ``LieAlgebra`` instance; an
+    exception is not cached.  Applied to ``quotient_algebra`` here, to
+    ``socle_space``, ``socle_and_minimal_ideals``, ``factor_module`` and
     ``split_abelian_extension`` in ``modules``, ``connected`` in ``chief``
     and ``denominator_intersection`` in ``crowns``.  A cached function must
     be pure and return an immutable value, because every caller shares it;
@@ -369,13 +370,18 @@ class QuotientAlgebra:
         return self.qmap.lift_space(Xq)
 
 
+@memoized
 def quotient_algebra(L: LieAlgebra, I: Subspace) -> QuotientAlgebra:
-    """The quotient L/I with its projection/section; Jacobi is re-validated."""
+    """The quotient L/I with its projection/section; Jacobi is re-validated
+    on every new quotient table.  L/I reached twice is one instance, and L/0
+    is L itself, so value-equal quotients share one memo."""
     _check_ambient(L, I)
     if not is_ideal(L, I):
         raise AlgebraError("quotient requires an ideal")
     F = L.field
     qm = QuotientMap(L.full_space(), I)
+    if I.is_zero():
+        return QuotientAlgebra(L, qm)
     q = qm.dim
     lifts = [qm.lift(unit_vec(F, q, i)) for i in range(q)]
     table = {}

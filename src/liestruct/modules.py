@@ -4,17 +4,19 @@ splitting test.
 
 Minimality of submodules is *certified*, never assumed:
 
-* over GF(p) with p^dim within budget, by exhausting spins of all nonzero
-  vectors;
+* over GF(p) with p^dim within budget, by spinning one vector per
+  projective point;
 * over the rationals, by an irreducible characteristic polynomial of an
   action element when one exists, and otherwise by the one-vector singular
   element criterion (a kernel vector of minimal nullity must spin to the
   whole module on both the module and its dual); every failed attempt yields
   an explicit proper submodule, so the search either certifies or splits.
 
-Socles are exact: over GF(p) by vector enumeration, in characteristic zero
-as the annihilator of the trace-form radical of the unital enveloping
-algebra of the action.
+Socles are exact: over GF(p) as the sum of the images of all module maps
+from the composition factors (chopped off with ``certify_irreducible``), in
+characteristic zero as the annihilator of the trace-form radical of the
+unital enveloping algebra of the action.  The projective-point enumeration
+of a socle is kept in the oracle as ground truth (``oracle.socle_bf``).
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ GRID_BUDGET = 4096
 
 class LModule:
     """A finite-dimensional module over a Lie algebra, one action matrix per
-    algebra basis element; the commutator law is validated at construction."""
+    algebra basis element; the commutator law is validated at construction.
+    Two modules are equal when their algebras and action matrices are."""
 
-    __slots__ = ("algebra", "dim", "mats")
+    __slots__ = ("algebra", "dim", "mats", "_hash", "_nonzero", "_full")
 
     def __init__(self, algebra: LieAlgebra, mats: Sequence[Matrix], validate=True):
         if len(mats) != algebra.dim:
@@ -68,8 +71,39 @@ class LModule:
         self.algebra = algebra
         self.dim = d
         self.mats = tuple(mats)
+        self._hash = None
+        self._nonzero = None
+        self._full = None
         if validate:
             self._validate()
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LModule)
+            and self.algebra == other.algebra
+            and self.mats == other.mats
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.algebra, self.mats))
+        return self._hash
+
+    def nonzero_entries(self) -> tuple:
+        """The action for ``spin``: for each nonzero action matrix, the
+        (row, value) pairs of each column's nonzero entries; built on first
+        use and kept on the instance."""
+        if self._nonzero is None:
+            action = []
+            for rho in self.mats:
+                cols = tuple(
+                    tuple((i, a) for i, a in enumerate(col) if a)
+                    for col in zip(*rho.entries)
+                )
+                if any(cols):
+                    action.append(cols)
+            self._nonzero = tuple(action)
+        return self._nonzero
 
     def _validate(self):
         L = self.algebra
@@ -102,7 +136,9 @@ class LModule:
         return out
 
     def full_space(self) -> Subspace:
-        return Subspace.full(self.field, self.dim)
+        if self._full is None:
+            self._full = Subspace.full(self.field, self.dim)
+        return self._full
 
     def kernel_of_action(self) -> Subspace:
         """Elements of the algebra acting as zero."""
@@ -188,49 +224,85 @@ def restrict_module(M: LModule, W: Subspace) -> LModule:
     return LModule(M.algebra, mats, validate=False)
 
 
+def quotient_module(M: LModule, W: Subspace) -> LModule:
+    """The module structure on M/W for an invariant subspace W, in the
+    coordinates of ``QuotientMap(M.full_space(), W)``."""
+    F = M.field
+    qm = QuotientMap(M.full_space(), W)
+    lifts = [qm.lift(unit_vec(F, qm.dim, j)) for j in range(qm.dim)]
+    mats = []
+    for rho in M.mats:
+        cols = [qm.project(rho.apply(w)) for w in lifts]
+        mats.append(Matrix.from_columns(F, cols) if qm.dim else Matrix(F, []))
+    return LModule(M.algebra, mats, validate=False)
+
+
 def spin(M: LModule, v: Vector) -> Subspace:
-    """Smallest action-invariant subspace containing v."""
-    F = M.field
-    space = Subspace.from_vectors(F, M.dim, [v])
-    queue = list(space.basis)
-    while queue:
-        w = queue.pop()
-        for rho in M.mats:
-            cand = rho.apply(w)
-            if not space.contains(cand):
-                space = space.sum(Subspace.from_vectors(F, M.dim, [cand]))
-                queue.append(cand)
-    return space
+    """Smallest action-invariant subspace containing v.
 
-
-def spin_space(M: LModule, seed: Subspace) -> Subspace:
-    space = seed
-    queue = list(space.basis)
+    The span grows in semi-echelon form on plain scalars, with no ``Field``
+    call per scalar (over GF(p) each row operation ends in one ``% p``):
+    each new image is reduced against the rows in insertion order and
+    normalised at its pivot.  Images are formed from the nonzero entries of
+    the action, one at a time, and the loop stops once the span is full."""
     F = M.field
-    while queue:
+    d = M.dim
+    p = F.p if isinstance(F, PrimeField) else 0
+    zero = F.zero()
+    rows: list = []
+    pivots: list = []
+    queue: list = []  # rows whose images are still to be inserted
+
+    def reduce(w, rows, pivots):
+        for row, c in zip(rows, pivots):
+            a = w[c]
+            if a:
+                if p:
+                    w = [(x - a * y) % p for x, y in zip(w, row)]
+                else:
+                    w = [x - a * y for x, y in zip(w, row)]
+        return w
+
+    def insert(w):
+        w = reduce(w, rows, pivots)
+        c = next((j for j, x in enumerate(w) if x), None)
+        if c is not None:
+            if p:
+                a = pow(w[c], -1, p)
+                w = [x * a % p for x in w]
+            else:
+                a = w[c]
+                w = [x / a for x in w]
+            rows.append(w)
+            pivots.append(c)
+            queue.append(w)
+
+    insert(list(vec(F, v)))
+    action = M.nonzero_entries()
+    while queue and len(rows) < d:
         w = queue.pop()
-        for rho in M.mats:
-            cand = rho.apply(w)
-            if not space.contains(cand):
-                space = space.sum(Subspace.from_vectors(F, M.dim, [cand]))
-                queue.append(cand)
-    return space
+        for cols in action:
+            image = [zero] * d
+            for j, x in enumerate(w):
+                if x:
+                    for i, a in cols[j]:
+                        image[i] += a * x
+            insert([x % p for x in image] if p else image)
+            if len(rows) == d:
+                return M.full_space()
+    # back-substitution, last row first, gives the canonical RREF basis
+    for k in range(len(rows) - 2, -1, -1):
+        rows[k] = reduce(rows[k], rows[k + 1 :], pivots[k + 1 :])
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return Subspace(
+        F, d, tuple(tuple(rows[k]) for k in order), tuple(pivots[k] for k in order)
+    )
 
 
 def _spin_transposed(M: LModule, u: Vector) -> Subspace:
     """Spin in the dual module (invariance under the transposed action)."""
-    F = M.field
     trans = [rho.transpose() for rho in M.mats]
-    space = Subspace.from_vectors(F, M.dim, [u])
-    queue = list(space.basis)
-    while queue:
-        w = queue.pop()
-        for rho in trans:
-            cand = rho.apply(w)
-            if not space.contains(cand):
-                space = space.sum(Subspace.from_vectors(F, M.dim, [cand]))
-                queue.append(cand)
-    return space
+    return spin(LModule(M.algebra, trans, validate=False), u)
 
 
 def _annihilator(F: Field, dual_space: Subspace) -> Subspace:
@@ -242,12 +314,14 @@ def _annihilator(F: Field, dual_space: Subspace) -> Subspace:
 
 
 def _nonzero_vectors(field: PrimeField, dim: int):
-    """One representative per projective point (first nonzero entry is 1)."""
+    """One representative per projective point (first nonzero entry is 1),
+    in lexicographic order: leading position from last to first, then every
+    tail after the leading 1."""
     p = field.p
-    for pattern in itertools.product(range(p), repeat=dim):
-        first = next((x for x in pattern if x != 0), None)
-        if first == 1:
-            yield pattern
+    for lead in range(dim - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(p), repeat=dim - 1 - lead):
+            yield head + tail
 
 
 def _candidate_operators(M: LModule):
@@ -307,10 +381,9 @@ def certify_irreducible(M: LModule):
     if d == 1:
         return True, None, CERTIFIED
     if isinstance(F, PrimeField) and F.p**d <= VECTOR_ENUM_BUDGET:
-        full = M.full_space()
         for v in _nonzero_vectors(F, d):
-            W = spin(M, vec(F, v))
-            if W != full:
+            W = spin(M, v)
+            if W.dim < d:
                 return False, W, CERTIFIED
         return True, None, CERTIFIED
     if isinstance(F, Rationals):
@@ -428,6 +501,26 @@ def _trace_form_radical(F: Field, env: list[Matrix]) -> list[Matrix]:
     return rad
 
 
+def _composition_factors(M: LModule):
+    """``(factors, status)``: the composition factors of M, chopped along the
+    proper submodules that ``certify_irreducible`` exhibits, and the worst
+    status met; ``factors`` is None when some piece is undecided."""
+    verdict, W, status = certify_irreducible(M)
+    if verdict is None:
+        return None, status
+    if verdict:
+        return [M], status
+    factors = []
+    for piece in (restrict_module(M, W), quotient_module(M, W)):
+        sub, st = _composition_factors(piece)
+        if sub is None:
+            return None, st
+        factors += sub
+        status = worst(status, st)
+    return factors, status
+
+
+@memoized
 def socle_space(M: LModule):
     """The sum of all minimal submodules, with a certification status."""
     F = M.field
@@ -435,25 +528,18 @@ def socle_space(M: LModule):
     if d == 0:
         return Subspace.zero(F, 0), CERTIFIED
     if isinstance(F, PrimeField):
-        if F.p**d <= VECTOR_ENUM_BUDGET:
-            spins: dict = {}
-            for pattern in _nonzero_vectors(F, d):
-                W = spin(M, vec(F, pattern))
-                spins[W.basis] = W
-            mins = [
-                W
-                for W in spins.values()
-                if not any(
-                    V.dim < W.dim and W.contains_space(V) for V in spins.values()
-                )
-            ]
-            soc = Subspace.zero(F, d)
-            for W in mins:
-                soc = soc.sum(W)
-            return soc, CERTIFIED
-        return M.full_space(), heuristic(
-            f"field order {F.p}^{d} exceeds the vector enumeration budget"
-        )
+        # every minimal submodule is the image of a map from an isomorphic
+        # composition factor, and every nonzero such image is simple
+        factors, status = _composition_factors(M)
+        if factors is None:
+            return M.full_space(), status
+        images = [
+            phi.matrix.col(j)
+            for S in dict.fromkeys(factors)
+            for phi in hom_space(S, M)
+            for j in range(S.dim)
+        ]
+        return Subspace.from_vectors(F, d, images), status
     env = enveloping_basis(M)
     rad = _trace_form_radical(F, env)
     soc = M.full_space()

@@ -1,7 +1,8 @@
 """Ground truth by exhaustive enumeration over small prime fields: all
 subspaces by echelon pattern, hence all subalgebras, ideals and maximal
 subalgebras, Frattini objects, definition-based primitivity and prefrattini
-subalgebras, and the agreement checks against the analytic paths.
+subalgebras, module socles from the spins of all projective points, and the
+agreement checks against the analytic paths.
 
 The enumeration cost is predicted exactly by Gaussian binomials before any
 work starts; exceeding the budget is a hard error, never a truncation.
@@ -19,6 +20,7 @@ from .fields import PrimeField
 from .linalg import Subspace, intersect_many, unit_vec
 if TYPE_CHECKING:  # pragma: no cover
     from .chief import ChiefSeries
+    from .modules import LModule
 
 
 class BudgetExceeded(RuntimeError):
@@ -82,6 +84,25 @@ def iter_subspaces(F: PrimeField, n: int):
                     rows[r][c] = val
                 basis = tuple(tuple(x % p for x in row) for row in rows)
                 yield Subspace(F, n, basis, tuple(pivots))
+
+
+def socle_bf(M: "LModule", budget: EnumBudget = EnumBudget()) -> Subspace:
+    """The socle of a module over GF(p) from the definition: the sum of the
+    minimal ones among the spins of all projective points."""
+    from .modules import _nonzero_vectors, spin
+
+    F = M.field
+    if not isinstance(F, PrimeField):
+        raise BudgetExceeded(0, 0, "enumeration requires a finite field")
+    points = (F.p**M.dim - 1) // (F.p - 1)
+    if points > budget.max_subspaces:
+        raise BudgetExceeded(points, budget.max_subspaces, "vectors")
+    spins = {spin(M, v) for v in _nonzero_vectors(F, M.dim)}
+    soc = Subspace.zero(F, M.dim)
+    for W in spins:
+        if not any(V.dim < W.dim and W.contains_space(V) for V in spins):
+            soc = soc.sum(W)
+    return soc
 
 
 @dataclass(frozen=True)

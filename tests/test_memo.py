@@ -9,7 +9,7 @@ import typing
 import pytest
 
 from liestruct import builtin, modules
-from liestruct.algebra import AlgebraError
+from liestruct.algebra import AlgebraError, quotient_algebra
 from liestruct.cli import build_report
 from liestruct.crowns import Crown
 from liestruct.fields import GF, QQ
@@ -43,6 +43,12 @@ class TestCachedValues:
         info1 = socle_and_minimal_ideals(L1, L1.zero_space())
         info2 = socle_and_minimal_ideals(L2, L2.zero_space())
         assert info1 is not info2 and info1 == info2
+
+    def test_a_quotient_reached_twice_is_one_instance(self):
+        H = builtin("heis", QQ)
+        Z = H.span([(0, 0, 1)])
+        assert quotient_algebra(H, Z) is quotient_algebra(H, H.span([(0, 0, 1)]))
+        assert quotient_algebra(H, H.zero_space()).algebra is H
 
     def test_exceptions_are_not_cached(self):
         H = builtin("heis", QQ)
@@ -107,6 +113,30 @@ def test_report_computes_each_socle_once(monkeypatch, name, field):
     assert report_json(L) == first
     assert len(socles) == len(asked)
     assert report_json(builtin(name, field)) == first
+
+
+def test_report_runs_each_module_socle_once(monkeypatch):
+    """socle_space is cached per module value: over Q its body calls
+    enveloping_basis once, and no module reaches that body twice although
+    certify_irreducible asks again for socles just computed."""
+    bodies = []
+    calls = [0]
+    orig_env = modules.enveloping_basis
+    orig_space = modules.socle_space
+
+    def env(M):
+        bodies.append(M)
+        return orig_env(M)
+
+    def space(M):
+        calls[0] += 1
+        return orig_space(M)
+
+    monkeypatch.setattr(modules, "enveloping_basis", env)
+    monkeypatch.setattr(modules, "socle_space", space)
+    build_report(builtin("sl2_plus_sl2", QQ), "sl2_plus_sl2")
+    assert len(bodies) == len(set(bodies)) > 0
+    assert calls[0] > len(bodies)
 
 
 def test_trace_gram_matches_the_matrix_product_trace():
