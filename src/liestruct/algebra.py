@@ -152,9 +152,11 @@ def memoized(fn):
     dict, keyed by ``fn`` and the arguments other than the algebra compared
     by value, so a cache lives and dies with its ``LieAlgebra`` instance; an
     exception is not cached.  Applied to ``quotient_algebra`` here, to
-    ``socle_space``, ``socle_and_minimal_ideals``, ``factor_module`` and
-    ``split_abelian_extension`` in ``modules``, ``connected`` in ``chief``
-    and ``denominator_intersection`` in ``crowns``.  A cached function must
+    ``socle_space``, ``certify_irreducible``, ``socle_and_minimal_ideals``,
+    ``factor_module`` and ``split_abelian_extension`` in ``modules``,
+    ``connected`` in ``chief``, ``denominator_intersection`` in ``crowns``
+    and ``classify_primitive`` (through a positional inner function keyed on
+    ``use_oracle``) in ``primitive``.  A cached function must
     be pure and return an immutable value, because every caller shares it;
     module budget constants such as ``modules.VECTOR_ENUM_BUDGET`` are read
     at the first computation only.

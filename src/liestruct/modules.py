@@ -366,6 +366,7 @@ def _norton_attempt(M: LModule, theta: Matrix, nullity_needed: int):
     return "irr", None
 
 
+@memoized
 def certify_irreducible(M: LModule):
     """Decide irreducibility of a module exactly where possible.
 

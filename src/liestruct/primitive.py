@@ -7,6 +7,13 @@ three mutually exclusive shapes are: a unique abelian minimal ideal that is
 complemented (type 1), a unique nonabelian minimal ideal (type 2), and
 exactly two minimal ideals, necessarily nonabelian and centralizing each
 other, with a common complement (type 3).
+
+Type 3 is decided without the oracle when the two minimal ideals are
+simple and complementary: such an algebra is primitive exactly when they
+are isomorphic, and ``isomorphism_search`` looks for an isomorphism among
+the images of a generating set, exhaustively over GF(p) within
+``modules.VECTOR_ENUM_BUDGET``.  A found isomorphism is verified, and its
+graph is verified as the common complement.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .algebra import (
     core,
     is_solvable,
     is_subalgebra,
+    memoized,
     quotient_algebra,
     semidirect_sum,
     sub_algebra,
@@ -29,6 +37,7 @@ from .algebra import (
 from .fields import PrimeField
 from .linalg import Matrix, Subspace, invert_matrix, rref_solve, unit_vec, vec_add, vec_scale, zero_vec
 from .modules import (
+    VECTOR_ENUM_BUDGET,
     LModule,
     certify_irreducible,
     socle_and_minimal_ideals,
@@ -60,52 +69,149 @@ class PrimitiveWitness:
         return self.verdict != NOT_PRIMITIVE
 
 
-def algebra_isomorphism(A: LieAlgebra, B: LieAlgebra) -> Optional[Matrix]:
-    """A bounded search for an algebra isomorphism A -> B.
+def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], bool]:
+    """Search for an algebra isomorphism A -> B over the images of a
+    generating set of A; returns ``(T, complete)``.
 
-    Covers identical tables and tables that agree up to one global scaling
-    (a map c.id intertwines tables differing by the factor 1/c); anything
-    beyond that is left undecided by returning None.
+    The identity, or one global scaling where the tables differ by a factor
+    (a map c.id intertwines tables differing by the factor 1/c), is tried
+    first.  Then each generator g of A (a pair of basis vectors when one
+    generates, else a greedy set) is sent to every nonzero y of B whose rank
+    profile rank((ad y)^k), k = 1, 2, ..., equals that of ad g, as any
+    isomorphism must; y ranges over all of B over GF(p) and over the
+    coefficient vectors in {-1, 0, 1} over Q.  A
+    tuple of images fixes T through the bracket words that span A, and T is
+    kept only when it is invertible and a homomorphism on every basis pair.
+    ``complete`` is True when no isomorphism exists beyond doubt: a
+    dimension mismatch, or an exhaustive GF(p) search that found none.  The
+    vectors scanned and the tuples of images tried are each held to
+    ``modules.VECTOR_ENUM_BUDGET`` before the search starts; over budget,
+    or over Q, a miss returns ``(None, False)``.
     """
+    import itertools
+
     if A.field != B.field or A.dim != B.dim:
-        return None
+        return None, True
     F = A.field
     n = A.dim
+    # identical tables (lam = 1 or all zero) or tables scaled by lam
+    lam = _table_ratio(A, B)
+    T = Matrix.identity(F, n)
+    if lam is not None:
+        T = T.scale(F.inv(lam))
+    if _check_algebra_iso(A, B, T):
+        return T, True
+    exhaustive = isinstance(F, PrimeField)
+    scalars = F.elements() if exhaustive else [F.coerce(c) for c in (-1, 0, 1)]
+    if len(scalars) ** n > VECTOR_ENUM_BUDGET:
+        return None, False
+    by_profile: dict = {}
+    for y in itertools.product(scalars, repeat=n):
+        if any(not F.is_zero(c) for c in y):
+            by_profile.setdefault(_rank_profile(B, y), []).append(y)
+    gens, words, values = _generating_words(A)
+    candidates = [by_profile.get(_rank_profile(A, g), []) for g in gens]
+    tuples = 1
+    for c in candidates:
+        tuples *= len(c)
+    if tuples > VECTOR_ENUM_BUDGET:
+        return None, False
+    basis_inv = invert_matrix(Matrix.from_columns(F, values))
+    for images in itertools.product(*candidates):
+        T = Matrix.from_columns(F, _evaluate_words(B, words, images)).matmul(basis_inv)
+        if _check_algebra_iso(A, B, T):
+            return T, True
+    return None, exhaustive
 
-    def check(T: Matrix) -> bool:
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = T.apply(A.basis_bracket(i, j))
-                rhs = B.bracket(T.apply(unit_vec(F, n, i)), T.apply(unit_vec(F, n, j)))
-                if lhs != rhs:
-                    return False
-        return True
 
-    ident = Matrix.identity(F, n)
-    if check(ident):
-        return ident
-    # one global scaling: table_B = lam * table_A  =>  T = (1/lam) id
+def algebra_isomorphism(A: LieAlgebra, B: LieAlgebra) -> Optional[Matrix]:
+    """A verified algebra isomorphism A -> B found by ``isomorphism_search``,
+    or None when it finds none."""
+    return isomorphism_search(A, B)[0]
+
+
+def _table_ratio(A: LieAlgebra, B: LieAlgebra):
+    """The scalar lam with table_B = lam * table_A, or None when there is
+    none or both tables are zero."""
+    F = A.field
     lam = None
-    ok = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            va = A.basis_bracket(i, j)
-            vb = B.basis_bracket(i, j)
-            for x, y in zip(va, vb):
-                za, zb = F.is_zero(x), F.is_zero(y)
-                if za != zb:
-                    ok = False
-                elif not za:
+    for i in range(A.dim):
+        for j in range(i + 1, A.dim):
+            for x, y in zip(A.basis_bracket(i, j), B.basis_bracket(i, j)):
+                if F.is_zero(x) != F.is_zero(y):
+                    return None
+                if not F.is_zero(x):
                     r = F.div(y, x)
-                    if lam is None:
-                        lam = r
-                    elif lam != r:
-                        ok = False
-    if ok and lam is not None and not F.is_zero(lam):
-        T = ident.scale(F.inv(lam))
-        if check(T):
-            return T
-    return None
+                    if lam not in (None, r):
+                        return None
+                    lam = r
+    return lam
+
+
+def _rank_profile(L: LieAlgebra, y) -> tuple:
+    """rank((ad y)^k) for k = 1, 2, ... up to the first repeat or zero."""
+    ad = L.ad(y)
+    power, ranks = ad, []
+    while True:
+        r = rref_solve(power)[1]
+        if ranks and ranks[-1] == r:
+            return tuple(ranks)
+        ranks.append(r)
+        if r == 0:
+            return tuple(ranks)
+        power = power.matmul(ad)
+
+
+def _spanning_words(A: LieAlgebra, gens: list):
+    """Bracket words whose values form a basis of the subalgebra generated by
+    ``gens``: a word is a generator index k or a pair (a, b) of earlier word
+    indices standing for [w_a, w_b].  Returns ``(words, values)``."""
+    words, values = [], []
+    span = A.zero_space()
+
+    def add(word, v):
+        nonlocal span
+        if not span.contains(v):
+            span = span.sum(A.span([v]))
+            words.append(word)
+            values.append(v)
+
+    for k, g in enumerate(gens):
+        add(k, g)
+    i = 0
+    while i < len(values):
+        for j in range(i):
+            add((j, i), A.bracket(values[j], values[i]))
+        i += 1
+    return words, values
+
+
+def _generating_words(A: LieAlgebra):
+    """``(generators, words, values)``: a pair of basis vectors that generates
+    A when there is one, else basis vectors taken greedily, with the words of
+    ``_spanning_words`` over them."""
+    import itertools
+
+    F, n = A.field, A.dim
+    basis = [unit_vec(F, n, i) for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        words, values = _spanning_words(A, [basis[i], basis[j]])
+        if len(values) == n:
+            return [basis[i], basis[j]], words, values
+    gens, words, values = [], [], []
+    for e in basis:
+        if not A.span(values).contains(e):
+            gens.append(e)
+            words, values = _spanning_words(A, gens)
+    return gens, words, values
+
+
+def _evaluate_words(B: LieAlgebra, words: list, images) -> list:
+    """The values of the words in B when generator k takes ``images[k]``."""
+    values = []
+    for w in words:
+        values.append(images[w] if isinstance(w, int) else B.bracket(values[w[0]], values[w[1]]))
+    return values
 
 
 def _is_abelian_space(L: LieAlgebra, W: Subspace) -> bool:
@@ -129,10 +235,16 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
     """Decide primitivity and type with certified witnesses.
 
     The analytic routes are field-independent where the theory is; the
-    characteristic-zero shortcuts (type 2 means simple, type 3 means a sum
-    of two isomorphic simples) close the nonabelian cases, and small finite
-    fields fall back to the exhaustive oracle when analysis cannot decide.
+    characteristic-zero shortcuts (type 2 means simple) and the isomorphism
+    search between two simple minimal ideals (type 3) close the nonabelian
+    cases, and small finite fields fall back to the exhaustive oracle when
+    analysis cannot decide.  Computed once per algebra and ``use_oracle``.
     """
+    return _classify_primitive(L, use_oracle)
+
+
+@memoized
+def _classify_primitive(L: LieAlgebra, use_oracle: bool) -> PrimitiveWitness:
     F = L.field
     if L.dim == 0:
         return PrimitiveWitness(NOT_PRIMITIVE, reason="the zero algebra has no maximal subalgebra")
@@ -162,7 +274,10 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
                 reason="the two minimal ideals do not centralize each other exactly",
             )
         if M1.sum(M2).is_full():
-            iso = algebra_isomorphism(sub_algebra(L, M1), sub_algebra(L, M2))
+            # L = M1 (+) M2 with simple summands is primitive exactly when
+            # they are isomorphic: the graph of an isomorphism is a core-free
+            # maximal subalgebra, and a common complement is such a graph
+            iso, complete = isomorphism_search(sub_algebra(L, M1), sub_algebra(L, M2))
             if iso is not None:
                 U = _diagonal_complement(L, M1, M2, iso)
                 _verify_common_complement(L, U, M1, M2)
@@ -171,6 +286,12 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
                     minimal_ideals=mins,
                     core_free_maximal=U,
                     common_complement=U,
+                )
+            if complete:
+                return PrimitiveWitness(
+                    NOT_PRIMITIVE,
+                    minimal_ideals=mins,
+                    reason="the two simple minimal ideals are not isomorphic",
                 )
             if F.characteristic() == 0:
                 return PrimitiveWitness(

@@ -144,3 +144,58 @@ def test_trace_gram_matches_the_matrix_product_trace():
         env = enveloping_basis(adjoint_module(builtin(name, QQ)))
         reference = [tuple(A.matmul(B).trace() for B in env) for A in env]
         assert modules._trace_gram(QQ, env) == reference, name
+
+
+def gl3_over_gf3():
+    """gl(3) over GF(3) on the matrix units, as the commutator closure of
+    all nine of them."""
+    from test_socle import natural_module
+
+    units = [tuple(int(k == m) for k in range(9)) for m in range(9)]
+    return natural_module(3, 3, units).algebra
+
+
+def test_report_certifies_each_module_once(monkeypatch):
+    """certify_irreducible is cached per module value: during the gl3/GF(3)
+    report its body, which enumerates projective points from
+    ``_nonzero_vectors`` for every module of dimension at least 2, runs once
+    per distinct module although the function is called more often."""
+    asked = []
+    current = []
+    bodies = []
+    orig_certify = modules.certify_irreducible
+    orig_points = modules._nonzero_vectors
+
+    def certify(M):
+        asked.append(M)
+        current.append(M)
+        try:
+            return orig_certify(M)
+        finally:
+            current.pop()
+
+    def points(field, dim):
+        if current:
+            bodies.append(current[-1])
+        return orig_points(field, dim)
+
+    _rebind(monkeypatch, orig_certify, certify)
+    monkeypatch.setattr(modules, "_nonzero_vectors", points)
+    L = gl3_over_gf3()
+    assert L.dim == 9
+    build_report(L, "gl3")
+    distinct = {M for M in asked if M.dim >= 2}
+    assert len(bodies) == len(set(bodies)) == len(distinct) > 0
+    assert len(asked) > len(set(asked))
+
+
+def test_classify_primitive_is_cached_per_oracle_flag():
+    from liestruct.primitive import classify_primitive
+
+    L = builtin("sl2_plus_sl2", GF(3))
+    w = classify_primitive(L)
+    assert classify_primitive(L) is w
+    assert classify_primitive(L, use_oracle=True) is w
+    analytic = classify_primitive(L, use_oracle=False)
+    assert classify_primitive(L, False) is analytic
+    assert analytic is not w and analytic == w
