@@ -4,9 +4,10 @@ unipotent automorphisms.
 
 A ``LieAlgebra`` stores the bracket table densely over index pairs i < j;
 antisymmetry is reconstructed, and the Jacobi identity is validated on every
-basis triple at construction time.  All values are immutable and every
-operation is a pure function; ``memoized`` keeps the results of the costly
-structural ones on the algebra they were computed for.
+basis triple at construction time.  Brackets are computed from a sparse copy
+of the table built once per algebra (see ``LieAlgebra``).  All values are
+immutable and every operation is a pure function; ``memoized`` keeps the
+results of the costly structural ones on the algebra they were computed for.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .linalg import (
     QuotientMap,
     Subspace,
     Vector,
+    _modulus,
+    _nonzeros,
+    lin_comb,
     rref_solve,
     unit_vec,
     vec,
@@ -52,10 +56,17 @@ class LieAlgebra:
     """A finite-dimensional Lie algebra given by structure constants.
 
     ``table[(i, j)]`` for i < j holds the coordinate vector of [e_i, e_j];
-    missing pairs are zero.
+    missing pairs are zero.  Brackets use a sparse copy built once in the
+    constructor: ``_sparse[i][j]`` holds the (k, c) pairs of the nonzero
+    coordinates of [e_i, e_j] for both orders, the sign already applied, so
+    ``bracket(u, v)`` sums u_i v_j [e_i, e_j] over supp(u) x supp(v) only.
+    Every ``ad``, ``centralizer`` and Jacobi check brackets with a unit
+    vector and so costs one column's nonzeros.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "table", "_nonzero_pairs", "_memo")
+    __slots__ = (
+        "field", "dim", "basis_names", "table", "_nonzero_pairs", "_sparse", "_memo"
+    )
 
     def __init__(self, field: Field, dim: int, table: dict, basis_names=None, validate=True):
         self.field = field
@@ -76,6 +87,13 @@ class LieAlgebra:
                 tab[(i, j)] = w
         self.table = tab
         self._nonzero_pairs = tuple(sorted(tab.keys()))
+        p = _modulus(field)
+        sparse = [[()] * dim for _ in range(dim)]
+        for (i, j), w in tab.items():
+            nz = _nonzeros(w)
+            sparse[i][j] = nz
+            sparse[j][i] = tuple((k, -c % p if p else -c) for k, c in nz)
+        self._sparse = tuple(map(tuple, sparse))
         self._memo = {}
         if validate:
             self._validate_jacobi()
@@ -93,24 +111,28 @@ class LieAlgebra:
                         raise JacobiViolation(i, j, k)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
-        F = self.field
-        if i == j:
-            return zero_vec(F, self.dim)
-        if i < j:
-            return self.table.get((i, j), zero_vec(F, self.dim))
-        w = self.table.get((j, i))
-        if w is None:
-            return zero_vec(F, self.dim)
-        return tuple(F.neg(x) for x in w)
+        out = [self.field.zero()] * self.dim
+        for k, c in self._sparse[i][j]:
+            out[k] = c
+        return tuple(out)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         F = self.field
-        out = zero_vec(F, self.dim)
-        for (i, j), w in self.table.items():
-            c = F.sub(F.mul(u[i], v[j]), F.mul(u[j], v[i]))
-            if not F.is_zero(c):
-                out = vec_add(F, out, vec_scale(F, c, w))
-        return out
+        p = _modulus(F)
+        out = [F.zero()] * self.dim
+        supp_v = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if a:
+                row = self._sparse[i]
+                for j, b in supp_v:
+                    nz = row[j]
+                    if nz:
+                        ab = a * b
+                        for k, c in nz:
+                            out[k] += ab * c
+        if p:
+            return tuple(x % p for x in out)
+        return tuple(out)
 
     def ad(self, a: Vector) -> Matrix:
         """Matrix of x -> [a, x] (columns are brackets with basis vectors)."""
@@ -290,12 +312,7 @@ def core(L: LieAlgebra, U: Subspace) -> Subspace:
             M = Matrix.from_columns(F, cols)
             rows.extend(M.entries)
         _, _, _, null = rref_solve(Matrix(F, rows))
-        vecs = []
-        for coeffs in null.basis:
-            w = zero_vec(F, L.dim)
-            for c, b in zip(coeffs, current.basis):
-                w = vec_add(F, w, vec_scale(F, c, b))
-            vecs.append(w)
+        vecs = [lin_comb(F, coeffs, current.basis) for coeffs in null.basis]
         nxt = Subspace.from_vectors(F, L.dim, vecs)
         if nxt == current:
             return current
@@ -393,7 +410,7 @@ def quotient_algebra(L: LieAlgebra, I: Subspace) -> QuotientAlgebra:
             table[(i, j)] = w
     names = []
     for v in lifts:
-        nz = [k for k, x in enumerate(v) if not F.is_zero(x)]
+        nz = [k for k, x in enumerate(v) if x]
         names.append(L.basis_names[nz[0]] + "~" if len(nz) == 1 else f"q{len(names)}")
     Q = LieAlgebra(F, q, table, basis_names=names)
     return QuotientAlgebra(Q, qm)
@@ -430,7 +447,7 @@ def semidirect_sum(B: LieAlgebra, Q: LieAlgebra, action: Sequence[Matrix]) -> Li
             w = Q.basis_bracket(i, j)
             lhs = Matrix.zero(F, B.dim, B.dim)
             for k, c in enumerate(w):
-                if not F.is_zero(c):
+                if c:
                     lhs = lhs.add(action[k].scale(c))
             rhs = action[i].matmul(action[j]).sub(action[j].matmul(action[i]))
             if lhs != rhs:
@@ -453,7 +470,7 @@ def semidirect_sum(B: LieAlgebra, Q: LieAlgebra, action: Sequence[Matrix]) -> Li
         for b in range(B.dim):
             w = action[i].apply(unit_vec(F, B.dim, b))
             # pair (b, B.dim + i) with b < B.dim + i: [e_b, q_i] = -q_i . e_b
-            table[(b, B.dim + i)] = emb_b(tuple(F.neg(x) for x in w))
+            table[(b, B.dim + i)] = emb_b(vec_scale(F, -1, w))
     for i in range(Q.dim):
         for j in range(i + 1, Q.dim):
             table[(B.dim + i, B.dim + j)] = emb_q(Q.basis_bracket(i, j))

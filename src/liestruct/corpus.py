@@ -269,31 +269,52 @@ def save(L: LieAlgebra) -> str:
     return json.dumps(to_doc(L), sort_keys=True, indent=2) + "\n"
 
 
+def _index(x, what: str, bound: int) -> int:
+    """A JSON integer (not a boolean) in [0, bound), else ``ParseError``;
+    a string of digits is accepted, as coefficient keys are strings."""
+    if isinstance(x, str) and x.isdecimal():
+        x = int(x)
+    if type(x) is not int or not 0 <= x < bound:
+        raise ParseError(f"{what} {x!r} is not an integer in [0, {bound})")
+    return x
+
+
 def from_doc(doc: dict) -> LieAlgebra:
+    """The algebra of a document; any malformed document raises
+    ``ParseError``, and a table that is not antisymmetric or fails Jacobi
+    raises ``AntisymmetryViolation`` or ``JacobiViolation``."""
+    if not isinstance(doc, dict):
+        raise ParseError("an algebra document is a JSON object")
     try:
         F = field_from_doc(doc["field"])
-        dim = int(doc["dim"])
-        basis = doc.get("basis") or [f"e{i}" for i in range(dim)]
-        entries = doc.get("brackets", [])
-    except (KeyError, TypeError, FieldError) as exc:
+        dim = doc["dim"]
+    except (KeyError, FieldError) as exc:
         raise ParseError(f"malformed algebra document: {exc}") from exc
+    if type(dim) is not int or dim < 0:
+        raise ParseError(f"dim {dim!r} is not a non-negative integer")
+    basis = doc.get("basis") or [f"e{i}" for i in range(dim)]
+    entries = doc.get("brackets", [])
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise ParseError("basis is not a list of names")
     if len(basis) != dim:
         raise ParseError("basis name count differs from dim")
+    if not isinstance(entries, list):
+        raise ParseError("brackets is not a list")
     full = [[list(zero_vec(F, dim)) for _ in range(dim)] for _ in range(dim)]
     given = set()
     for entry in entries:
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-            coeffs = entry.get("coeffs", {})
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed bracket entry {entry!r}") from exc
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ParseError(f"bracket indices ({i}, {j}) out of range")
+        if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
+            raise ParseError(f"malformed bracket entry {entry!r}")
+        i = _index(entry["i"], "bracket index", dim)
+        j = _index(entry["j"], "bracket index", dim)
+        coeffs = entry.get("coeffs", {})
+        if not isinstance(coeffs, dict):
+            raise ParseError(f"coefficients of bracket ({i}, {j}) are not an object")
         v = list(zero_vec(F, dim))
         for k, s in coeffs.items():
-            ki = int(k)
-            if not (0 <= ki < dim):
-                raise ParseError(f"coefficient index {ki} out of range")
+            ki = _index(k, "coefficient index", dim)
+            if not isinstance(s, (str, int)) or isinstance(s, bool):
+                raise ParseError(f"bad coefficient {s!r}: not a string or an integer")
             try:
                 v[ki] = F.scalar_from_str(s)
             except (ValueError, FieldError, ZeroDivisionError) as exc:
@@ -308,7 +329,7 @@ def from_doc(doc: dict) -> LieAlgebra:
                 full[j][i] = [F.neg(x) for x in full[i][j]]
     # validate_algebra reports antisymmetry and Jacobi violations with indices
     L = validate_algebra(F, dim, full)
-    return LieAlgebra(F, dim, L.table, basis_names=basis)
+    return LieAlgebra(F, dim, L.table, basis_names=basis, validate=False)
 
 
 def load(text: str) -> LieAlgebra:
@@ -316,4 +337,6 @@ def load(text: str) -> LieAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     return from_doc(doc)

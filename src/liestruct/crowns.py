@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .chief import ChiefFactor, ChiefSeries, chief_series, classify_factor, connected
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, rref_solve, unit_vec, vec_add, vec_scale, zero_vec
+from .linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec, vec_add, vec_scale, zero_vec
 from .modules import (
     VECTOR_ENUM_BUDGET,
     factor_module,
@@ -107,12 +107,7 @@ def denominator_intersection(F: ChiefFactor) -> Subspace:
         _, _, _, ker = rref_solve(h.matrix)
         common = common.intersect(ker)
     # back to C/B coordinates, then to the ambient, plus B
-    vecs = []
-    for cv in common.basis:
-        w = zero_vec(FLD, n0_c.ambient_dim)
-        for c, bvec in zip(cv, n0_c.basis):
-            w = vec_add(FLD, w, vec_scale(FLD, c, bvec))
-        vecs.append(fm.coords.lift(w))
+    vecs = [fm.coords.lift(lin_comb(FLD, cv, n0_c.basis)) for cv in common.basis]
     return Subspace.from_vectors(FLD, L.dim, vecs + list(F.B.basis))
 
 
@@ -138,21 +133,15 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
     if isinstance(FLD, PrimeField) and FLD.p ** max(len(homs), 1) <= VECTOR_ENUM_BUDGET:
         import itertools
 
+        # per basis vector b_i of N0/B: b_i and its images under the homs
+        graphs = [
+            [n0_c.basis[i]]
+            + [lin_comb(FLD, h.matrix.apply(unit_vec(FLD, n0_c.dim, i)), a_c.basis) for h in homs]
+            for i in range(n0_c.dim)
+        ]
         denominators = []
         for coeffs in itertools.product(range(FLD.p), repeat=len(homs)):
-            vecs = []
-            for i in range(n0_c.dim):
-                base = n0_c.basis[i]
-                img = zero_vec(FLD, a_c.dim)
-                for c, h in zip(coeffs, homs):
-                    if c:
-                        img = vec_add(
-                            FLD, img, vec_scale(FLD, c, h.matrix.apply(unit_vec(FLD, n0_c.dim, i)))
-                        )
-                w = base
-                for cc, avec in zip(img, a_c.basis):
-                    w = vec_add(FLD, w, vec_scale(FLD, cc, avec))
-                vecs.append(fm.coords.lift(w))
+            vecs = [fm.coords.lift(lin_comb(FLD, (1,) + coeffs, g)) for g in graphs]
             N = Subspace.from_vectors(FLD, L.dim, vecs + list(F.B.basis))
             if N in denominators:
                 continue
@@ -277,25 +266,17 @@ def complement_conjugator(L: LieAlgebra, crown: Crown, K1: Subspace, K2: Subspac
         cols = [qm.project(L.bracket(cb, k)) for cb in C.basis]
         for t in range(qm.dim):
             rows.append(tuple(col[t] for col in cols))
-            rhs.append(F.neg(qm.project(k)[t]))
+            rhs.append(-qm.project(k)[t])
     _, _, particular, null = rref_solve(Matrix(F, rows), tuple(rhs))
     if particular is None:
         raise CertificationFailure("no conjugating element; solvable hypothesis violated?")
 
-    def build(coeffs):
-        a = zero_vec(F, L.dim)
-        for c, bvec in zip(coeffs, C.basis):
-            a = vec_add(F, a, vec_scale(F, c, bvec))
-        return a
-
     candidates = [particular]
     for nv in null.basis:
         for scale in (1, -1, 2, -2):
-            candidates.append(
-                tuple(F.add(p, F.mul(F.coerce(scale), x)) for p, x in zip(particular, nv))
-            )
+            candidates.append(vec_add(F, particular, vec_scale(F, scale, nv)))
     for coeffs in candidates:
-        a = build(coeffs)
+        a = lin_comb(F, coeffs, C.basis)
         ada = L.ad(a)
         if not ada.matmul(ada).is_zero():
             continue

@@ -78,16 +78,20 @@ class Field:
         raise NotImplementedError
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class Rationals(Field):
     """The field of rational numbers with arbitrary-precision arithmetic."""
 
     kind = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -226,9 +230,14 @@ def field_to_doc(field: Field) -> dict:
 
 
 def field_from_doc(doc: dict) -> Field:
-    kind = doc.get("kind")
+    """The field a document describes; ``FieldError`` on anything else (the
+    prime must be a JSON integer)."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "Q":
         return QQ
     if kind == "GF":
-        return GF(int(doc["p"]))
+        p = doc.get("p")
+        if type(p) is not int:
+            raise FieldError(f"field modulus {p!r} is not an integer")
+        return GF(p)
     raise FieldError(f"unknown field document {doc!r}")

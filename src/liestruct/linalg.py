@@ -4,11 +4,36 @@ Subspaces are the universal currency of the library.  They are stored as
 canonical RREF bases, so two subspaces are equal exactly when their basis
 tuples are identical; that structural equality is the only equality notion
 used downstream.
+
+The scalar inner loops (elimination, row reduction, matrix products and
+linear combinations) make no ``Field`` method call per scalar.  Each
+dispatches once on ``field.kind`` to a kernel for its field, and scalars
+stay ``Fraction`` (over Q) or ``int`` residues (over GF(p)) at every
+boundary:
+
+* GF(p): rows of plain ``int``, with one ``% p`` per entry of a row
+  operation, or one at the end of an accumulation (``Subspace.reduce``,
+  ``Matrix.apply``, ``Matrix.matmul``, ``lin_comb``).
+* Q: ``_rref`` is fraction-free (after Bareiss, Math. Comp. 22, 1968).
+  Each row is scaled by the lcm of its denominators to an integer row;
+  elimination cross-multiplies by gcd-reduced factors and divides each new
+  row by its content; ``Fraction(x, pivot)`` is built only when the final
+  rows are emitted.  The other Q kernels apply ``Fraction`` operators
+  directly and touch only nonzero entries.
+
+The reduced row echelon form of a row space is unique: whatever pivot rows
+and row scalings lead to it, the normalised rows are the same.  So the
+kernels return exactly the values of the textbook Gauss-Jordan loop, and
+``Subspace`` bases, ``rref_solve`` and ``invert_matrix`` (hence every report)
+do not depend on how a kernel gets there.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from bisect import bisect
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .fields import Field, Scalar
 
@@ -20,8 +45,16 @@ class DimensionMismatch(ValueError):
 Vector = tuple
 
 
+def _modulus(field: Field) -> int:
+    """p for GF(p), 0 for Q: the one dispatch a kernel makes."""
+    return field.p if field.kind == "GF" else 0
+
+
 def vec(field: Field, entries: Iterable) -> Vector:
-    return tuple(field.coerce(x) for x in entries)
+    if field.kind == "GF":
+        p = field.p
+        return tuple(x % p if type(x) is int else field.coerce(x) for x in entries)
+    return tuple(x if type(x) is Fraction else field.coerce(x) for x in entries)
 
 
 def zero_vec(field: Field, n: int) -> Vector:
@@ -30,29 +63,89 @@ def zero_vec(field: Field, n: int) -> Vector:
 
 
 def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+    p = _modulus(field)
+    if p:
+        return tuple((a + b) % p for a, b in zip(u, v))
+    return tuple(a + b for a, b in zip(u, v))
+
 
 def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
+    p = _modulus(field)
+    if p:
+        return tuple((a - b) % p for a, b in zip(u, v))
+    return tuple(a - b for a, b in zip(u, v))
+
 
 def vec_scale(field: Field, c: Scalar, u: Vector) -> Vector:
-    return tuple(field.mul(c, a) for a in u)
+    p = _modulus(field)
+    if p:
+        return tuple(c * a % p for a in u)
+    return tuple(c * a for a in u)
+
 
 def vec_is_zero(field: Field, u: Vector) -> bool:
-    return all(field.is_zero(a) for a in u)
+    p = _modulus(field)
+    if p:
+        return not any(a % p for a in u)
+    return not any(u)
 
 
 def unit_vec(field: Field, n: int, i: int) -> Vector:
-    return tuple(field.one() if j == i else field.zero() for j in range(n))
+    zero, one = field.zero(), field.one()
+    return tuple(one if j == i else zero for j in range(n))
+
+
+def lin_comb(field: Field, coeffs: Iterable, vecs: Sequence[Vector]) -> Vector:
+    """The vector sum of c * v over the pairs of ``coeffs`` and ``vecs``,
+    touching only nonzero coefficients and entries.  ``vecs`` must not be
+    empty: its first vector gives the length."""
+    p = _modulus(field)
+    out = [field.zero()] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    out[j] += c * x
+    if p:
+        return tuple(x % p for x in out)
+    return tuple(out)
+
+
+def _nonzeros(row) -> tuple:
+    """The (index, value) pairs of a row's nonzero entries."""
+    return tuple((j, x) for j, x in enumerate(row) if x)
+
+
+def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
+    """Subtract from the list ``w`` its components along semi-echelon rows.
+
+    Each row is given by its nonzero (index, value) pairs and is 1 at its
+    pivot; a row has zeros at the pivots of the rows before it.  ``w`` is
+    changed in place; over GF(p) (``p > 0``) the result is reduced mod p
+    once, at the end.  This is the one row-reduction loop of the library:
+    ``Subspace.reduce``, ``Subspace.extend`` and ``modules.spin`` use it."""
+    if p:
+        for nz, c in zip(rows, pivots):
+            a = w[c] % p
+            if a:
+                for j, y in nz:
+                    w[j] -= a * y
+        return [x % p for x in w]
+    for nz, c in zip(rows, pivots):
+        a = w[c]
+        if a:
+            for j, y in nz:
+                w[j] -= a * y
+    return w
 
 
 class Matrix:
     """Immutable rectangular matrix over an exact field."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "entries", "_nz")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
-        rows = tuple(tuple(field.coerce(x) for x in row) for row in entries)
+        rows = tuple(vec(field, row) for row in entries)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -63,21 +156,40 @@ class Matrix:
         self.rows = len(rows)
         self.cols = w if rows else 0
         self.entries = rows
+        self._nz = None
+
+    @classmethod
+    def _of(cls, field: Field, rows: Sequence, cols: int) -> "Matrix":
+        """A matrix on rows of field scalars already in canonical form
+        (Fractions, or residues in [0, p)), with no coercion."""
+        M = object.__new__(cls)
+        M.field = field
+        M.entries = tuple(tuple(r) for r in rows)
+        M.rows = len(M.entries)
+        M.cols = cols if M.entries else 0
+        M._nz = None
+        return M
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [unit_vec(field, n, i) for i in range(n)])
+        return cls._of(field, [unit_vec(field, n, i) for i in range(n)], n)
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, [zero_vec(field, cols)] * rows)
+        return cls._of(field, [zero_vec(field, cols)] * rows, cols)
 
     @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Vector]) -> "Matrix":
         if not columns:
             return cls(field, [])
-        n = len(columns[0])
-        return cls(field, [[col[i] for col in columns] for i in range(n)])
+        return cls(field, list(zip(*columns)))
+
+    def _nonzero_rows(self) -> tuple:
+        """Per row, the (column, value) pairs of its nonzero entries; built
+        on first use and kept on the instance."""
+        if self._nz is None:
+            self._nz = tuple(_nonzeros(r) for r in self.entries)
+        return self._nz
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -86,66 +198,75 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.cols)])
+        return Matrix._of(self.field, list(zip(*self.entries)), self.rows)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product (columns act on coordinates)."""
         F = self.field
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
+        p = _modulus(F)
+        zero = F.zero()
         out = []
-        for r in self.entries:
-            s = F.zero()
-            for a, b in zip(r, v):
-                if not F.is_zero(a) and not F.is_zero(b):
-                    s = F.add(s, F.mul(a, b))
+        for nz in self._nonzero_rows():
+            s = zero
+            for j, a in nz:
+                b = v[j]
+                if b:
+                    s += a * b
             out.append(s)
+        if p:
+            return tuple(x % p for x in out)
         return tuple(out)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions disagree")
         F = self.field
-        ocols = [other.col(j) for j in range(other.cols)]
+        p = _modulus(F)
+        zero = F.zero()
+        n = other.cols
+        other_nz = other._nonzero_rows()
         out = []
-        for r in self.entries:
-            row = []
-            for c in ocols:
-                s = F.zero()
-                for a, b in zip(r, c):
-                    if not F.is_zero(a) and not F.is_zero(b):
-                        s = F.add(s, F.mul(a, b))
-                row.append(s)
-            out.append(row)
-        return Matrix(F, out)
+        for nz in self._nonzero_rows():
+            acc = [zero] * n
+            for k, a in nz:
+                for j, b in other_nz[k]:
+                    acc[j] += a * b
+            out.append([x % p for x in acc] if p else acc)
+        return Matrix._of(F, out, n)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch")
         F = self.field
-        return Matrix(F, [vec_add(F, a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(
+            F, [vec_add(F, a, b) for a, b in zip(self.entries, other.entries)], self.cols
+        )
 
     def sub(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch")
         F = self.field
-        return Matrix(F, [vec_sub(F, a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(
+            F, [vec_sub(F, a, b) for a, b in zip(self.entries, other.entries)], self.cols
+        )
 
     def scale(self, c) -> "Matrix":
         F = self.field
         c = F.coerce(c)
-        return Matrix(F, [vec_scale(F, c, r) for r in self.entries])
+        return Matrix._of(F, [vec_scale(F, c, r) for r in self.entries], self.cols)
 
     def is_zero(self) -> bool:
-        F = self.field
-        return all(vec_is_zero(F, r) for r in self.entries)
+        return not any(map(any, self.entries))
 
     def trace(self):
         F = self.field
         s = F.zero()
         for i in range(min(self.rows, self.cols)):
-            s = F.add(s, self.entries[i][i])
-        return s
+            s += self.entries[i][i]
+        p = _modulus(F)
+        return s % p if p else s
 
     def __eq__(self, other):
         return (
@@ -162,9 +283,17 @@ class Matrix:
 
 
 def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
-    """In-place Gauss-Jordan; returns (rref rows, pivot column list)."""
-    F = field
-    rows = [list(r) for r in rows]
+    """Gauss-Jordan elimination: ``(rows, pivots)``, the nonzero rows of the
+    reduced row echelon form (lists of field scalars, in pivot order) and
+    their pivot columns.  Dispatches once to the kernel of the field."""
+    p = _modulus(field)
+    if p:
+        return _rref_gf(p, rows)
+    return _rref_q(rows)
+
+
+def _rref_gf(p: int, rows) -> tuple[list, list[int]]:
+    rows = [[x % p for x in r] for r in rows]
     m = len(rows)
     n = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -172,19 +301,70 @@ def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
     for c in range(n):
         if r == m:
             break
-        pr = next((i for i in range(r, m) if not F.is_zero(rows[i][c])), None)
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        # rows r.. are zero left of column c, so row operations start there
+        tail = rows[r][c:]
+        if tail[0] != 1:
+            inv = pow(tail[0], -1, p)
+            tail = [x * inv % p for x in tail]
+            rows[r] = rows[r][:c] + tail
         for i in range(m):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return rows[:r], pivots
+
+
+def _rref_q(rows) -> tuple[list, list[int]]:
+    ints = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    m = len(ints)
+    n = len(ints[0]) if ints else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        # any nonzero pivot gives the same RREF; the smallest keeps the
+        # cross-multipliers small
+        pr = None
+        for i in range(r, m):
+            x = ints[i][c]
+            if x and (pr is None or abs(x) < abs(ints[pr][c])):
+                pr = i
+        if pr is None:
+            continue
+        ints[r], ints[pr] = ints[pr], ints[r]
+        tail = ints[r][c:]
+        a = tail[0]
+        for i in range(m):
+            row = ints[i]
+            b = row[c]
+            if b and i != r:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                head = row[:c] if ag == 1 else [ag * x for x in row[:c]]
+                new = head + [ag * x - bg * y for x, y in zip(row[c:], tail)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                ints[i] = new
+        pivots.append(c)
+        r += 1
+    zero, one = Fraction(0), Fraction(1)
+    out = []
+    for row, c in zip(ints, pivots):
+        a = row[c]
+        out.append([zero if not x else one if x == a else Fraction(x, a) for x in row])
+    return out, pivots
 
 
 def rref_solve(A: Matrix, b: Optional[Vector] = None):
@@ -200,9 +380,9 @@ def rref_solve(A: Matrix, b: Optional[Vector] = None):
         raise DimensionMismatch("right-hand side length does not match row count")
     n = A.cols
     if b is None:
-        work = [list(r) for r in A.entries]
+        work = A.entries
     else:
-        work = [list(r) + [bv] for r, bv in zip(A.entries, b)]
+        work = [r + (bv,) for r, bv in zip(A.entries, vec(F, b))]
     red, pivots = _rref(F, work)
     if b is not None:
         aug_col = n
@@ -219,18 +399,21 @@ def rref_solve(A: Matrix, b: Optional[Vector] = None):
     else:
         pivots_a = pivots
         rank = len(pivots)
-        rref_rows = [tuple(row) for row in red[:rank]]
+        rref_rows = [tuple(row) for row in red]
         particular = None
-    rref_mat = Matrix(F, rref_rows) if rref_rows else Matrix.zero(F, 0, n)
+    rref_mat = Matrix._of(F, rref_rows, n) if rref_rows else Matrix.zero(F, 0, n)
 
     # Kernel basis: one vector per free column, unit at the free column.
-    free = [c for c in range(n) if c not in pivots_a]
+    p = _modulus(F)
+    pivot_set = set(pivots_a)
+    free = [c for c in range(n) if c not in pivot_set]
     null_rows = []
     for fc in free:
         v = [F.zero()] * n
         v[fc] = F.one()
         for i, pc in enumerate(pivots_a):
-            v[pc] = F.neg(rref_rows[i][fc] if i < len(rref_rows) else F.zero())
+            x = rref_rows[i][fc]
+            v[pc] = -x % p if p else -x
         null_rows.append(tuple(v))
     nullspace = Subspace.from_vectors(F, n, null_rows)
     return rref_mat, rank, particular, nullspace
@@ -239,13 +422,15 @@ def rref_solve(A: Matrix, b: Optional[Vector] = None):
 class Subspace:
     """A subspace of F^n held as a canonical RREF basis without zero rows."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_nz", "_hash")
 
     def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._nz = None
+        self._hash = None
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors: Iterable) -> "Subspace":
@@ -256,8 +441,7 @@ class Subspace:
         if not vs:
             return cls(field, ambient_dim, (), ())
         red, pivots = _rref(field, vs)
-        basis = tuple(tuple(r) for r in red[: len(pivots)])
-        return cls(field, ambient_dim, basis, tuple(pivots))
+        return cls(field, ambient_dim, tuple(map(tuple, red)), tuple(pivots))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -278,26 +462,57 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
+    def _nonzero_rows(self) -> tuple:
+        """The basis rows as the (column, value) pairs of their nonzero
+        entries, for ``_reduce``; built on first use."""
+        if self._nz is None:
+            self._nz = tuple(_nonzeros(r) for r in self.basis)
+        return self._nz
+
     def reduce(self, v: Vector) -> Vector:
         """Residue of v after elimination by the basis (zero iff v is inside)."""
+        return tuple(_reduce(_modulus(self.field), list(v), self._nonzero_rows(), self.pivots))
+
+    def extend(self, v: Vector) -> "Subspace":
+        """The span of this subspace and v, by one reduction and one
+        insertion; ``self`` itself when v is already inside."""
         F = self.field
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if not F.is_zero(c):
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector length differs from ambient dimension")
+        p = _modulus(F)
+        w = _reduce(p, list(vec(F, v)), self._nonzero_rows(), self.pivots)
+        c = next((j for j, x in enumerate(w) if x), None)
+        if c is None:
+            return self
+        a = w[c]
+        if p:
+            inv = pow(a, -1, p)
+            w = tuple(x * inv % p for x in w)
+        else:
+            w = tuple(x / a for x in w)
+        # clear the new pivot column from the rows, then insert in pivot order
+        basis = []
+        for row in self.basis:
+            f = row[c]
+            if f and p:
+                row = tuple((x - f * y) % p for x, y in zip(row, w))
+            elif f:
+                row = tuple(x - f * y for x, y in zip(row, w))
+            basis.append(row)
+        k = bisect(self.pivots, c)
+        basis.insert(k, w)
+        pivots = self.pivots[:k] + (c,) + self.pivots[k:]
+        return Subspace(F, self.ambient_dim, tuple(basis), pivots)
 
     def coords(self, v: Vector) -> Vector:
         """Coefficients of v on the RREF basis; raises if v is outside."""
-        F = self.field
         cs = tuple(v[p] for p in self.pivots)
-        if not vec_is_zero(F, self.reduce(v)):
+        if not self.contains(v):
             raise ValueError("vector not contained in the subspace")
         return cs
 
     def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -323,17 +538,10 @@ class Subspace:
             return other
         if other.is_full():
             return self
-        cols = [list(v) for v in self.basis] + [
-            [F.neg(x) for x in v] for v in other.basis
-        ]
-        M = Matrix.from_columns(F, [tuple(c) for c in cols])
-        _, _, _, null = rref_solve(M)
-        vecs = []
-        for coeffs in null.basis:
-            w = zero_vec(F, self.ambient_dim)
-            for c, bvec in zip(coeffs[: self.dim], self.basis):
-                w = vec_add(F, w, vec_scale(F, c, bvec))
-            vecs.append(w)
+        minus_one = F.neg(F.one())
+        cols = list(self.basis) + [vec_scale(F, minus_one, v) for v in other.basis]
+        _, _, _, null = rref_solve(Matrix.from_columns(F, cols))
+        vecs = [lin_comb(F, coeffs[: self.dim], self.basis) for coeffs in null.basis]
         return Subspace.from_vectors(F, self.ambient_dim, vecs)
 
     def __eq__(self, other):
@@ -345,7 +553,9 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        if self._hash is None:
+            self._hash = hash((self.field, self.ambient_dim, self.basis))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -391,13 +601,11 @@ class QuotientMap:
         return tuple(red[j] for j in self._free)
 
     def lift(self, coords: Vector) -> Vector:
-        F = self.field
         if len(coords) != self.dim:
             raise DimensionMismatch("coordinate length mismatch")
-        w = zero_vec(F, self.W.ambient_dim)
-        for c, bvec in zip(coords, self._lift_vecs):
-            w = vec_add(F, w, vec_scale(F, c, bvec))
-        return w
+        if not self.dim:
+            return zero_vec(self.field, self.W.ambient_dim)
+        return lin_comb(self.field, coords, self._lift_vecs)
 
     def project_space(self, X: Subspace) -> Subspace:
         """Image of a subspace of W in quotient coordinates."""
@@ -423,11 +631,11 @@ def invert_matrix(M: Matrix) -> Optional[Matrix]:
         raise DimensionMismatch("inverse needs a square matrix")
     if n == 0:
         return Matrix(F, [])
-    aug = [list(r) + list(unit_vec(F, n, i)) for i, r in enumerate(M.entries)]
+    aug = [r + unit_vec(F, n, i) for i, r in enumerate(M.entries)]
     red, pivots = _rref(F, aug)
     if pivots != list(range(n)):
         return None
-    return Matrix(F, [row[n:] for row in red[:n]])
+    return Matrix._of(F, [row[n:] for row in red], n)
 
 
 def solve_linear(field: Field, rows: list, rhs: list):

@@ -40,11 +40,14 @@ from .linalg import (
     QuotientMap,
     Subspace,
     Vector,
+    _modulus,
+    _nonzeros,
+    _reduce,
+    lin_comb,
     rref_solve,
     unit_vec,
     vec,
-    vec_add,
-    vec_scale,
+    vec_sub,
     zero_vec,
 )
 from .polys import charpoly, is_irreducible, linear_factors, poly_at_matrix, roots_in_field
@@ -96,10 +99,7 @@ class LModule:
         if self._nonzero is None:
             action = []
             for rho in self.mats:
-                cols = tuple(
-                    tuple((i, a) for i, a in enumerate(col) if a)
-                    for col in zip(*rho.entries)
-                )
+                cols = tuple(_nonzeros(col) for col in zip(*rho.entries))
                 if any(cols):
                     action.append(cols)
             self._nonzero = tuple(action)
@@ -113,7 +113,7 @@ class LModule:
                 w = L.basis_bracket(i, j)
                 lhs = Matrix.zero(F, self.dim, self.dim)
                 for k, c in enumerate(w):
-                    if not F.is_zero(c):
+                    if c:
                         lhs = lhs.add(self.mats[k].scale(c))
                 rhs = self.mats[i].matmul(self.mats[j]).sub(
                     self.mats[j].matmul(self.mats[i])
@@ -128,12 +128,9 @@ class LModule:
         return self.algebra.field
 
     def act(self, x: Vector, v: Vector) -> Vector:
-        F = self.field
-        out = zero_vec(F, self.dim)
-        for c, M in zip(x, self.mats):
-            if not F.is_zero(c):
-                out = vec_add(F, out, vec_scale(F, c, M.apply(v)))
-        return out
+        if not any(x):
+            return zero_vec(self.field, self.dim)
+        return lin_comb(self.field, x, [M.apply(v) for M in self.mats])
 
     def full_space(self) -> Subspace:
         if self._full is None:
@@ -241,30 +238,21 @@ def spin(M: LModule, v: Vector) -> Subspace:
     """Smallest action-invariant subspace containing v.
 
     The span grows in semi-echelon form on plain scalars, with no ``Field``
-    call per scalar (over GF(p) each row operation ends in one ``% p``):
-    each new image is reduced against the rows in insertion order and
-    normalised at its pivot.  Images are formed from the nonzero entries of
-    the action, one at a time, and the loop stops once the span is full."""
+    call per scalar: each new image is reduced against the rows in insertion
+    order by the kernel row reduction (``linalg._reduce``) and normalised at
+    its pivot.  Images are formed from the nonzero entries of the action,
+    one at a time, and the loop stops once the span is full."""
     F = M.field
     d = M.dim
-    p = F.p if isinstance(F, PrimeField) else 0
+    p = _modulus(F)
     zero = F.zero()
     rows: list = []
+    nzs: list = []  # the rows' nonzero (index, value) pairs, for _reduce
     pivots: list = []
     queue: list = []  # rows whose images are still to be inserted
 
-    def reduce(w, rows, pivots):
-        for row, c in zip(rows, pivots):
-            a = w[c]
-            if a:
-                if p:
-                    w = [(x - a * y) % p for x, y in zip(w, row)]
-                else:
-                    w = [x - a * y for x, y in zip(w, row)]
-        return w
-
     def insert(w):
-        w = reduce(w, rows, pivots)
+        w = _reduce(p, w, nzs, pivots)
         c = next((j for j, x in enumerate(w) if x), None)
         if c is not None:
             if p:
@@ -274,6 +262,7 @@ def spin(M: LModule, v: Vector) -> Subspace:
                 a = w[c]
                 w = [x / a for x in w]
             rows.append(w)
+            nzs.append(_nonzeros(w))
             pivots.append(c)
             queue.append(w)
 
@@ -287,12 +276,13 @@ def spin(M: LModule, v: Vector) -> Subspace:
                 if x:
                     for i, a in cols[j]:
                         image[i] += a * x
-            insert([x % p for x in image] if p else image)
+            insert(image)
             if len(rows) == d:
                 return M.full_space()
     # back-substitution, last row first, gives the canonical RREF basis
     for k in range(len(rows) - 2, -1, -1):
-        rows[k] = reduce(rows[k], rows[k + 1 :], pivots[k + 1 :])
+        rows[k] = _reduce(p, rows[k], nzs[k + 1 :], pivots[k + 1 :])
+        nzs[k] = _nonzeros(rows[k])
     order = sorted(range(len(rows)), key=pivots.__getitem__)
     return Subspace(
         F, d, tuple(tuple(rows[k]) for k in order), tuple(pivots[k] for k in order)
@@ -446,10 +436,10 @@ def enveloping_basis(M: LModule) -> list[Matrix]:
 
     def push(mat: Matrix) -> bool:
         nonlocal span
-        fv = flat(mat)
-        if span.contains(fv):
+        grown = span.extend(flat(mat))
+        if grown is span:
             return False
-        span = span.sum(Subspace.from_vectors(F, d * d, [fv]))
+        span = grown
         basis_mats.append(mat)
         return True
 
@@ -471,19 +461,20 @@ def enveloping_basis(M: LModule) -> list[Matrix]:
 def _trace_gram(F: Field, env: list[Matrix]) -> list[tuple]:
     """Gram matrix of the trace form, tr(AB) = sum of A_ij * B_ji: each
     matrix is flattened and transposed once, and zero entries are skipped."""
-    flat = [[x for row in A.entries for x in row] for A in env]
     flat_t = [[x for row in A.transpose().entries for x in row] for A in env]
-    nonzero = [[(k, x) for k, x in enumerate(a) if not F.is_zero(x)] for a in flat]
+    nonzero = [_nonzeros(x for row in A.entries for x in row) for A in env]
+    zero = F.zero()
+    p = _modulus(F)
     rows = []
     for nz in nonzero:
         row = []
         for bt in flat_t:
-            s = F.zero()
+            s = zero
             for k, x in nz:
                 y = bt[k]
-                if not F.is_zero(y):
-                    s = F.add(s, F.mul(x, y))
-            row.append(s)
+                if y:
+                    s += x * y
+            row.append(s % p if p else s)
         rows.append(tuple(row))
     return rows
 
@@ -492,13 +483,12 @@ def _trace_form_radical(F: Field, env: list[Matrix]) -> list[Matrix]:
     """Radical of the enveloping algebra via the trace form (char 0 exact)."""
     rows = _trace_gram(F, env)
     _, _, _, null = rref_solve(Matrix(F, rows))
+    d = env[0].rows
+    flat = [tuple(x for row in A.entries for x in row) for A in env]
     rad = []
     for coeffs in null.basis:
-        mat = Matrix.zero(F, env[0].rows, env[0].rows)
-        for c, A in zip(coeffs, env):
-            if not F.is_zero(c):
-                mat = mat.add(A.scale(c))
-        rad.append(mat)
+        fv = lin_comb(F, coeffs, flat)
+        rad.append(Matrix._of(F, [fv[i * d : (i + 1) * d] for i in range(d)], d))
     return rad
 
 
@@ -566,12 +556,10 @@ def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
             for j in range(v):
                 coeff = [F.zero()] * nvar
                 for k in range(v):
-                    coeff[i * v + k] = F.add(coeff[i * v + k], rhoV.entries[k][j])
+                    coeff[i * v + k] += rhoV.entries[k][j]
                 for k in range(u):
-                    coeff[k * v + j] = F.sub(
-                        coeff[k * v + j], rhoU.entries[i][k]
-                    )
-                rows.append(tuple(coeff))
+                    coeff[k * v + j] -= rhoU.entries[i][k]
+                rows.append(coeff)
                 rhs.append(F.zero())
     for bidx, ub in enumerate(U.basis):
         cu = V.coords(ub)
@@ -586,12 +574,7 @@ def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
         raise AlgebraError("no equivariant projection: subspace is not a direct summand")
     X = Matrix(F, [particular[i * v : (i + 1) * v] for i in range(u)])
     _, _, _, kerX = rref_solve(X)
-    comp_vecs = []
-    for coeffs in kerX.basis:
-        w = zero_vec(F, M.dim)
-        for c, bvec in zip(coeffs, V.basis):
-            w = vec_add(F, w, vec_scale(F, c, bvec))
-        comp_vecs.append(w)
+    comp_vecs = [lin_comb(F, coeffs, V.basis) for coeffs in kerX.basis]
     return Subspace.from_vectors(F, M.dim, comp_vecs)
 
 
@@ -611,12 +594,7 @@ def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):
         raise AlgebraError("reducible verdict without a witness")
     # translate the witness back to module coordinates
     F = M.field
-    sub_vecs = []
-    for cv in counterexample.basis:
-        w = zero_vec(F, M.dim)
-        for c, bvec in zip(cv, V.basis):
-            w = vec_add(F, w, vec_scale(F, c, bvec))
-        sub_vecs.append(w)
+    sub_vecs = [lin_comb(F, cv, V.basis) for cv in counterexample.basis]
     U = Subspace.from_vectors(F, M.dim, sub_vecs)
     Uc = complement_in_semisimple(M, V, U)
     if not avoid.contains_space(U):
@@ -683,10 +661,10 @@ def hom_space(M1: LModule, M2: LModule) -> list[ModuleMap]:
             for j in range(s):
                 coeff = [F.zero()] * nvar
                 for k in range(s):
-                    coeff[i * s + k] = F.add(coeff[i * s + k], r1.entries[k][j])
+                    coeff[i * s + k] += r1.entries[k][j]
                 for k in range(t):
-                    coeff[k * s + j] = F.sub(coeff[k * s + j], r2.entries[i][k])
-                rows.append(tuple(coeff))
+                    coeff[k * s + j] -= r2.entries[i][k]
+                rows.append(coeff)
     _, _, _, null = rref_solve(Matrix(F, rows))
     out = []
     for flatv in null.basis:
@@ -883,10 +861,7 @@ def split_abelian_extension(
 
     # action of Q on Abar in Abar-coordinates
     def act(x: Vector, acoords: Vector) -> Vector:
-        w = zero_vec(F, Q.dim)
-        for c, bvec in zip(acoords, Abar.basis):
-            w = vec_add(F, w, vec_scale(F, c, bvec))
-        return Abar.coords(Q.bracket(x, w))
+        return Abar.coords(Q.bracket(x, lin_comb(F, acoords, Abar.basis)))
 
     nvar = a * q  # cochain phi: q-coords -> Abar-coords
     rows, rhs = [], []
@@ -895,22 +870,20 @@ def split_abelian_extension(
             br = Q.bracket(section[i], section[j])
             br_q = qm.project(br)
             s_br = qm.lift(br_q)
-            g = Abar.coords(
-                tuple(F.sub(x, y) for x, y in zip(br, s_br))
-            )  # the 2-cocycle value
+            g = Abar.coords(vec_sub(F, br, s_br))  # the 2-cocycle value
             # closure of {s + phi} forces
             #   x_i . phi(x_j) - x_j . phi(x_i) - phi([x_i, x_j]) = -g(i, j)
+            ei = [act(section[i], unit_vec(F, a, k)) for k in range(a)]
+            ej = [act(section[j], unit_vec(F, a, k)) for k in range(a)]
             for t in range(a):
                 coeff = [F.zero()] * nvar
                 for k in range(a):
-                    ei = act(section[i], unit_vec(F, a, k))
-                    coeff[k * q + j] = F.add(coeff[k * q + j], ei[t])
-                    ej = act(section[j], unit_vec(F, a, k))
-                    coeff[k * q + i] = F.sub(coeff[k * q + i], ej[t])
+                    coeff[k * q + j] += ei[k][t]
+                    coeff[k * q + i] -= ej[k][t]
                 for k in range(q):
-                    coeff[t * q + k] = F.sub(coeff[t * q + k], br_q[k])
-                rows.append(tuple(coeff))
-                rhs.append(F.neg(g[t]))
+                    coeff[t * q + k] -= br_q[k]
+                rows.append(coeff)
+                rhs.append(-g[t])
     if rows:
         _, _, particular, _ = rref_solve(Matrix(F, rows), tuple(rhs))
         if particular is None:
@@ -921,9 +894,7 @@ def split_abelian_extension(
     comp_vecs = []
     for i in range(q):
         corr = phi.apply(unit_vec(F, q, i))
-        w = section[i]
-        for c, bvec in zip(corr, Abar.basis):
-            w = vec_add(F, w, vec_scale(F, c, bvec))
+        w = lin_comb(F, (F.one(),) + corr, (section[i],) + Abar.basis)
         comp_vecs.append(qa.lift(w))
     K = Subspace.from_vectors(F, L.dim, comp_vecs + list(B.basis))
     # hard postcondition

@@ -35,7 +35,17 @@ from .algebra import (
     sub_algebra,
 )
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, invert_matrix, rref_solve, unit_vec, vec_add, vec_scale, zero_vec
+from .linalg import (
+    Matrix,
+    Subspace,
+    invert_matrix,
+    lin_comb,
+    rref_solve,
+    unit_vec,
+    vec_add,
+    vec_sub,
+    zero_vec,
+)
 from .modules import (
     VECTOR_ENUM_BUDGET,
     LModule,
@@ -107,7 +117,7 @@ def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], 
         return None, False
     by_profile: dict = {}
     for y in itertools.product(scalars, repeat=n):
-        if any(not F.is_zero(c) for c in y):
+        if any(y):
             by_profile.setdefault(_rank_profile(B, y), []).append(y)
     gens, words, values = _generating_words(A)
     candidates = [by_profile.get(_rank_profile(A, g), []) for g in gens]
@@ -171,8 +181,9 @@ def _spanning_words(A: LieAlgebra, gens: list):
 
     def add(word, v):
         nonlocal span
-        if not span.contains(v):
-            span = span.sum(A.span([v]))
+        grown = span.extend(v)
+        if grown is not span:
+            span = grown
             words.append(word)
             values.append(v)
 
@@ -224,10 +235,7 @@ def _diagonal_complement(L: LieAlgebra, M1: Subspace, M2: Subspace, iso: Matrix)
     vecs = []
     for i in range(M1.dim):
         img = iso.apply(unit_vec(F, M1.dim, i))
-        w = M1.basis[i]
-        for c, bvec in zip(img, M2.basis):
-            w = vec_add(F, w, vec_scale(F, c, bvec))
-        vecs.append(w)
+        vecs.append(lin_comb(F, (F.one(),) + img, (M1.basis[i],) + M2.basis))
     return Subspace.from_vectors(F, L.dim, vecs)
 
 
@@ -463,13 +471,11 @@ def core_free_conjugator(L: LieAlgebra, U1: Subspace, U2: Subspace):
         cols = [qm.project(L.bracket(a_b, u)) for a_b in A.basis]
         for t in range(qm.dim):
             rows.append(tuple(col[t] for col in cols))
-            rhs.append(F.neg(qm.project(u)[t]))
+            rhs.append(-qm.project(u)[t])
     _, _, particular, _ = rref_solve(Matrix(F, rows), tuple(rhs))
     if particular is None:
         raise CertificationFailure("no conjugating element exists; hypothesis violated")
-    a = zero_vec(F, L.dim)
-    for c, bvec in zip(particular, A.basis):
-        a = vec_add(F, a, vec_scale(F, c, bvec))
+    a = lin_comb(F, particular, A.basis)
     ada = L.ad(a)
     if not ada.matmul(ada).is_zero():
         raise CertificationFailure("conjugating element is not square-nilpotent")
@@ -500,13 +506,8 @@ def _decompose(L: LieAlgebra, B: Subspace, U: Subspace, v):
     _, _, sol, _ = rref_solve(M, v)
     if sol is None:
         raise CertificationFailure("vector does not decompose along the complement")
-    b = zero_vec(F, L.dim)
-    for c, bvec in zip(sol[: B.dim], B.basis):
-        b = vec_add(F, b, vec_scale(F, c, bvec))
-    u = zero_vec(F, L.dim)
-    for c, uvec in zip(sol[B.dim :], U.basis):
-        u = vec_add(F, u, vec_scale(F, c, uvec))
-    return b, u
+    b = lin_comb(F, sol[: B.dim], B.basis) if B.dim else zero_vec(F, L.dim)
+    return b, vec_sub(F, v, b)
 
 
 def _check_algebra_iso(A: LieAlgebra, B: LieAlgebra, T: Matrix) -> bool:

@@ -48,6 +48,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", "--input", str(f))
         assert code == EXIT_PARSE and "invalid input" in err
 
+    @pytest.mark.parametrize(
+        "doc", [{"field": 3, "dim": 1}, {"field": {"kind": "GF", "p": "x"}, "dim": 1},
+                {"field": {"kind": "Q"}, "dim": 2.5}]
+    )
+    def test_malformed_document_exits_with_parse_code(self, capsys, tmp_path, doc):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "report", "--input", str(f))
+        assert code == EXIT_PARSE and "invalid input" in err
+
     def test_validation_error(self, capsys, tmp_path):
         doc = {
             "field": {"kind": "Q"},

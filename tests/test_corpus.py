@@ -195,6 +195,61 @@ class TestSerialization:
         with pytest.raises(ParseError):
             from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"field": 3, "dim": 1},
+            {"field": {"kind": "GF", "p": "x"}, "dim": 1},
+            {"field": {"kind": "GF", "p": 3.0}, "dim": 1},
+            {"field": {"kind": "GF", "p": True}, "dim": 1},
+            {"field": {"kind": "GF", "p": 4}, "dim": 1},
+            {"field": {"kind": "R"}, "dim": 1},
+            {"field": {"kind": "Q"}, "dim": 2.5},
+            {"field": {"kind": "Q"}, "dim": True},
+            {"field": {"kind": "Q"}, "dim": 1e9},
+            {"field": {"kind": "Q"}, "dim": -1},
+            {"field": {"kind": "Q"}, "dim": "2"},
+            {"field": {"kind": "Q"}},
+            {"dim": 1},
+            [],
+            "text",
+            None,
+            {"field": {"kind": "Q"}, "dim": 2, "basis": "xy"},
+            {"field": {"kind": "Q"}, "dim": 2, "basis": [0, 1]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": 5},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [5]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": "x", "j": 1}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0.5, "j": 1}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": False, "j": 1}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [1]}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"x": "1"}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"-1": "1"}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": [1]}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": 0.5}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1/0"}}]},
+            {"field": {"kind": "GF", "p": 3}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1/3"}}]},
+        ],
+    )
+    def test_malformed_document_is_a_parse_error(self, doc):
+        with pytest.raises(ParseError):
+            from_doc(doc)
+        with pytest.raises(ParseError):
+            load(json.dumps(doc))
+
+    def test_non_finite_and_deep_json_are_parse_errors(self):
+        with pytest.raises(ParseError):
+            load('{"field": {"kind": "Q"}, "dim": 2, "brackets": '
+                 '[{"i": 0, "j": 1, "coeffs": {"0": Infinity}}]}')
+        with pytest.raises(ParseError):
+            load("[" * 100_000 + "]" * 100_000)
+
+    def test_integer_coefficients_and_digit_keys_load(self):
+        L = from_doc(
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": "0", "j": 1, "coeffs": {"1": 1}}]}
+        )
+        assert L.table == builtin("r2").table
+
     def test_gf_coefficients_normalized(self):
         L = builtin("heis", GF(3))
         doc = json.loads(save(L))
