@@ -173,13 +173,15 @@ def memoized(fn):
     (a chief factor or a module).  Results live in that algebra's ``_memo``
     dict, keyed by ``fn`` and the arguments other than the algebra compared
     by value, so a cache lives and dies with its ``LieAlgebra`` instance; an
-    exception is not cached.  Applied to ``quotient_algebra`` here, to
-    ``socle_space``, ``certify_irreducible``, ``socle_and_minimal_ideals``,
-    ``factor_module`` and ``split_abelian_extension`` in ``modules``,
-    ``connected`` in ``chief``, ``denominator_intersection`` in ``crowns``
-    and ``classify_primitive`` (through a positional inner function keyed on
-    ``use_oracle``) in ``primitive``.  A cached function must
-    be pure and return an immutable value, because every caller shares it;
+    exception is not cached.  Applied to ``quotient_algebra`` and ``core``
+    here, to ``socle_space``, ``certify_irreducible``,
+    ``socle_and_minimal_ideals``, ``factor_module`` and
+    ``split_abelian_extension`` in ``modules``, ``connected`` in ``chief``,
+    ``denominator_intersection`` in ``crowns``, ``classify_primitive``
+    (through a positional inner function keyed on ``use_oracle``) in
+    ``primitive`` and ``_maximal_cores`` (the per-maximal data of
+    ``four_core_intersections``) in ``oracle``.  A cached function must be
+    pure and return an immutable value, because every caller shares it;
     module budget constants such as ``modules.VECTOR_ENUM_BUDGET`` are read
     at the first computation only.
     """
@@ -289,6 +291,7 @@ def factor_centralizer(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     return null
 
 
+@memoized
 def core(L: LieAlgebra, U: Subspace) -> Subspace:
     """Largest ideal of L inside the subalgebra U, by descending stabilization:
     U_{k+1} = {u in U_k : [L, u] <= U_k}."""

@@ -7,6 +7,7 @@ arithmetic.  Everything is exact, hashable and immutable.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -31,6 +32,22 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _fraction_from_str(s) -> Fraction:
+    """``Fraction(s)`` for a string or an integer, with a string's decimal
+    exponent bounded by the integer-string digit limit
+    ``sys.get_int_max_str_digits()`` (0: no limit), because ``Fraction``
+    expands ``"1e10000000"`` into a ten-million-digit integer."""
+    if isinstance(s, str) and "e" in s.lower():
+        limit = sys.get_int_max_str_digits()
+        try:
+            size = abs(int(s.lower().rpartition("e")[2]))
+        except ValueError:  # malformed, or more digits than the limit
+            size = None
+        if size is None or (limit and size > limit):
+            raise FieldError(f"exponent in {s!r} is malformed or exceeds {limit}")
+    return Fraction(s)
 
 
 class Field:
@@ -99,7 +116,7 @@ class Rationals(Field):
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _fraction_from_str(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
@@ -130,7 +147,7 @@ class Rationals(Field):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def scalar_from_str(self, s):
-        return Fraction(s)
+        return _fraction_from_str(s)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -169,7 +186,7 @@ class PrimeField(Field):
                 raise FieldError(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(den, -1, self.p) % self.p
         if isinstance(x, str):
-            return self.coerce(Fraction(x))
+            return self.coerce(_fraction_from_str(x))
         raise FieldError(f"cannot coerce {x!r} into GF({self.p})")
 
     def add(self, a, b):
@@ -202,7 +219,7 @@ class PrimeField(Field):
         return str(a % self.p)
 
     def scalar_from_str(self, s):
-        return self.coerce(Fraction(s))
+        return self.coerce(_fraction_from_str(s))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

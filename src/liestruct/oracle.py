@@ -6,6 +6,12 @@ agreement checks against the analytic paths.
 
 The enumeration cost is predicted exactly by Gaussian binomials before any
 work starts; exceeding the budget is a hard error, never a truncation.
+
+Maximal subalgebras are found by walking the proper subalgebras in
+decreasing dimension and testing each one only against the maximal ones
+already found; minimal ideals and the minimal spins of a socle by the dual
+walk in increasing dimension.  Complements and supplements of a factor A/B
+are filtered by dimension and by containing B before any sum is formed.
 """
 
 from __future__ import annotations
@@ -15,7 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .algebra import LieAlgebra, bracket_spaces, core, is_solvable, quotient_algebra
+from .algebra import (
+    LieAlgebra,
+    bracket_spaces,
+    core,
+    is_solvable,
+    memoized,
+    quotient_algebra,
+)
 from .fields import PrimeField
 from .linalg import Subspace, intersect_many, unit_vec
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,10 +112,27 @@ def socle_bf(M: "LModule", budget: EnumBudget = EnumBudget()) -> Subspace:
         raise BudgetExceeded(points, budget.max_subspaces, "vectors")
     spins = {spin(M, v) for v in _nonzero_vectors(F, M.dim)}
     soc = Subspace.zero(F, M.dim)
-    for W in spins:
-        if not any(V.dim < W.dim and W.contains_space(V) for V in spins):
-            soc = soc.sum(W)
+    for W in _extremal(spins, largest=False):
+        soc = soc.sum(W)
     return soc
+
+
+def _extremal(spaces, largest: bool) -> tuple:
+    """The maximal members of ``spaces`` under inclusion in order of
+    decreasing dimension (``largest``), or the minimal ones in order of
+    increasing dimension, each dimension in the given order.  Each space is
+    tested only against the extremal ones already found: a space that is not
+    maximal lies in a larger member, hence in a maximal one, which the walk
+    has met already; dually for minimal ones."""
+    found = []
+    for U in sorted(spaces, key=lambda U: -U.dim if largest else U.dim):
+        if largest:
+            covered = any(V.dim > U.dim and V.contains_space(U) for V in found)
+        else:
+            covered = any(V.dim < U.dim and U.contains_space(V) for V in found)
+        if not covered:
+            found.append(U)
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -121,7 +151,6 @@ def _enum_structures_cached(L: LieAlgebra, budget: EnumBudget) -> EnumeratedStru
     F = _check_budget(L, budget)
     subalgebras = []
     ideals = []
-    full = L.full_space()
     for U in iter_subspaces(F, L.dim):
         closed = True
         for i in range(U.dim):
@@ -144,13 +173,8 @@ def _enum_structures_cached(L: LieAlgebra, budget: EnumBudget) -> EnumeratedStru
                 break
         if ideal:
             ideals.append(U)
-    proper = [U for U in subalgebras if U.dim < L.dim]
-    by_dim = sorted(proper, key=lambda U: -U.dim)
-    maximals = []
-    for U in by_dim:
-        if not any(V.dim > U.dim and V.contains_space(U) for V in proper):
-            maximals.append(U)
-    return EnumeratedStructures(tuple(subalgebras), tuple(ideals), tuple(maximals))
+    maximals = _extremal((U for U in subalgebras if U.dim < L.dim), largest=True)
+    return EnumeratedStructures(tuple(subalgebras), tuple(ideals), maximals)
 
 
 def maximal_subalgebras_of(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> tuple:
@@ -159,12 +183,7 @@ def maximal_subalgebras_of(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> 
 
 def minimal_ideals_bf(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> tuple:
     ideals = enum_structures(L, budget).ideals
-    nonzero = [I for I in ideals if I.dim > 0]
-    return tuple(
-        I
-        for I in nonzero
-        if not any(J.dim < I.dim and I.contains_space(J) for J in nonzero)
-    )
+    return _extremal((I for I in ideals if I.dim > 0), largest=False)
 
 
 def frattini_objects(L: LieAlgebra, budget: EnumBudget = EnumBudget()):
@@ -192,11 +211,20 @@ def factor_is_frattini_bf(
 def complements_bf(
     L: LieAlgebra, A: Subspace, B: Subspace, budget: EnumBudget = EnumBudget()
 ) -> tuple:
-    """All subalgebras K with K + A = L and K cap A = B."""
+    """All subalgebras K with K + A = L and K cap A = B, for B inside A.
+
+    A subalgebra K of dimension dim L - dim A + dim B that contains B and
+    has K + A = L meets A in a space of dimension dim B containing B, that
+    is in B itself; so the dimension and containment tests go first and
+    only the survivors pay for a sum."""
+    if not A.contains_space(B):
+        raise ValueError("complements are defined for B inside A")
     subs = enum_structures(L, budget).subalgebras
-    full = L.full_space()
+    dim = L.dim - A.dim + B.dim
     return tuple(
-        K for K in subs if K.sum(A) == full and K.intersect(A) == B
+        K
+        for K in subs
+        if K.dim == dim and K.contains_space(B) and K.sum(A).is_full()
     )
 
 
@@ -205,11 +233,10 @@ def supplements_bf(
 ) -> tuple:
     """All proper subalgebras M with L = A + M and B inside M."""
     subs = enum_structures(L, budget).subalgebras
-    full = L.full_space()
     return tuple(
         M
         for M in subs
-        if M.dim < L.dim and M.sum(A) == full and M.contains_space(B)
+        if M.dim < L.dim and M.contains_space(B) and M.sum(A).is_full()
     )
 
 
@@ -291,6 +318,25 @@ def prefrattini_bf(
     return tuple(sorted(results, key=lambda S: (S.dim, S.basis))), tuple(choice_sets)
 
 
+@memoized
+def _maximal_cores(L: LieAlgebra, budget: EnumBudget) -> tuple:
+    """(M, core of M, socle factor or None) for each maximal subalgebra M:
+    the socle factor is the chief factor of L that the one minimal ideal of
+    L/core(M) lifts to when that quotient is monolithic, else None."""
+    from .chief import classify_factor
+
+    out = []
+    for M in enum_structures(L, budget).maximal_subalgebras:
+        ML = core(L, M)
+        qa = quotient_algebra(L, ML)
+        qmins = minimal_ideals_bf(qa.algebra, budget)
+        socle_factor = (
+            classify_factor(L, qa.lift_space(qmins[0]), ML) if len(qmins) == 1 else None
+        )
+        out.append((M, ML, socle_factor))
+    return tuple(out)
+
+
 def four_core_intersections(
     L: LieAlgebra, ref, series: "ChiefSeries", budget: EnumBudget = EnumBudget()
 ):
@@ -302,24 +348,12 @@ def four_core_intersections(
     precrown denominators); cores of all maximal supplements of class
     members; cores of all maximal supplements of module-isomorphic factors.
     """
-    from .chief import classify_factor, connected, module_isomorphic
+    from .chief import connected, module_isomorphic
 
-    structures = enum_structures(L, budget)
     full = L.full_space()
     j0, j1, j2, j3 = [], [], [], []
-    cores = {}
-    monolithic = {}
-    socle_factor = {}
-    for M in structures.maximal_subalgebras:
-        ML = core(L, M)
-        cores[M] = ML
-        qa = quotient_algebra(L, ML)
-        qmins = minimal_ideals_bf(qa.algebra, budget)
-        monolithic[M] = len(qmins) == 1
-        if monolithic[M]:
-            socle_factor[M] = classify_factor(L, qa.lift_space(qmins[0]), ML)
-    for M in structures.maximal_subalgebras:
-        ML = cores[M]
+    for M, ML, socle_factor in _maximal_cores(L, budget):
+        monolithic = socle_factor is not None
         supplemented = [
             f
             for f in series.factors
@@ -327,9 +361,9 @@ def four_core_intersections(
         ]
         conn = [f for f in supplemented if connected(f, ref)[0]]
         isom = [f for f in supplemented if module_isomorphic(f, ref)[0]]
-        if monolithic[M] and connected(socle_factor[M], ref)[0]:
+        if monolithic and connected(socle_factor, ref)[0]:
             j0.append(ML)
-        if monolithic[M] and conn:
+        if monolithic and conn:
             j1.append(ML)
         if conn:
             j2.append(ML)

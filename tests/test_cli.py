@@ -50,7 +50,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "doc", [{"field": 3, "dim": 1}, {"field": {"kind": "GF", "p": "x"}, "dim": 1},
-                {"field": {"kind": "Q"}, "dim": 2.5}]
+                {"field": {"kind": "Q"}, "dim": 2.5},
+                {"field": {"kind": "Q"}, "dim": 2,
+                 "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e10000000"}}]}]
     )
     def test_malformed_document_exits_with_parse_code(self, capsys, tmp_path, doc):
         f = tmp_path / "bad.json"

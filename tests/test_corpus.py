@@ -229,6 +229,9 @@ class TestSerialization:
             {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": 0.5}}]},
             {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1/0"}}]},
             {"field": {"kind": "GF", "p": 3}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1/3"}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e10000000"}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1E-10000000"}}]},
+            {"field": {"kind": "GF", "p": 3}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e10000000"}}]},
         ],
     )
     def test_malformed_document_is_a_parse_error(self, doc):
@@ -249,6 +252,12 @@ class TestSerialization:
             {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": "0", "j": 1, "coeffs": {"1": 1}}]}
         )
         assert L.table == builtin("r2").table
+
+    def test_exponent_notation_within_the_digit_limit_loads(self):
+        doc = {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "2.5e3"}}]}
+        assert from_doc(doc).bracket((1, 0), (0, 1)) == (0, 2500)
+        doc["brackets"][0]["coeffs"]["1"] = "1E5"
+        assert from_doc(doc).bracket((1, 0), (0, 1)) == (0, 100000)
 
     def test_gf_coefficients_normalized(self):
         L = builtin("heis", GF(3))

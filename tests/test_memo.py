@@ -8,7 +8,7 @@ import typing
 
 import pytest
 
-from liestruct import builtin, modules
+from liestruct import algebra, builtin, modules, oracle
 from liestruct.algebra import AlgebraError, quotient_algebra
 from liestruct.cli import build_report
 from liestruct.crowns import Crown
@@ -199,3 +199,55 @@ def test_classify_primitive_is_cached_per_oracle_flag():
     analytic = classify_primitive(L, use_oracle=False)
     assert classify_primitive(L, False) is analytic
     assert analytic is not w and analytic == w
+
+
+def _calls_from_body(monkeypatch, module, name, cached):
+    """Record the arguments of every call of ``module.name`` made directly
+    from the body of the memoized function ``cached``."""
+    body = cached.__wrapped__.__code__
+    orig = getattr(module, name)
+    seen = []
+
+    def noted(*args):
+        if sys._getframe(1).f_code is body:
+            seen.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, noted)
+    return seen
+
+
+def _counted(monkeypatch, fn):
+    """Count the calls of ``fn`` from every liestruct namespace."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    _rebind(monkeypatch, fn, counting)
+    return calls
+
+
+def test_oracle_computes_each_core_once(monkeypatch):
+    """During ``oracle_check`` the body of ``core``, which starts by testing
+    ``is_subalgebra``, runs once per distinct (algebra instance, subspace),
+    although ``core`` is called more often."""
+    bodies = _calls_from_body(monkeypatch, algebra, "is_subalgebra", algebra.core)
+    calls = _counted(monkeypatch, algebra.core)
+    assert oracle.oracle_check(builtin("h3_plus_r2", GF(3))) == []
+    distinct = {(id(L), U) for L, U in bodies}  # each L stays alive in bodies
+    assert len(bodies) == len(distinct) > 0
+    assert calls[0] > len(bodies)
+
+
+def test_oracle_builds_the_maximal_cores_once_per_algebra(monkeypatch):
+    """``four_core_intersections`` runs once per crown, and the per-maximal
+    cores, quotients and socle factors behind it are built once per
+    algebra."""
+    bodies = _calls_from_body(monkeypatch, oracle, "enum_structures", oracle._maximal_cores)
+    calls = _counted(monkeypatch, oracle.four_core_intersections)
+    L = builtin("h3_plus_r2", GF(3))
+    assert oracle.oracle_check(L) == []
+    assert calls[0] == 2  # the two crowns of h3_plus_r2
+    assert [args[0] for args in bodies] == [L]
