@@ -176,7 +176,8 @@ def memoized(fn):
     exception is not cached.  Applied to ``quotient_algebra`` and ``core``
     here, to ``socle_space``, ``certify_irreducible``,
     ``socle_and_minimal_ideals``, ``factor_module`` and
-    ``split_abelian_extension`` in ``modules``, ``connected`` in ``chief``,
+    ``split_abelian_extension`` in ``modules``, ``connected`` and
+    ``module_isomorphic`` in ``chief``,
     ``denominator_intersection`` in ``crowns``, ``classify_primitive``
     (through a positional inner function keyed on ``use_oracle``) in
     ``primitive`` and ``_maximal_cores`` (the per-maximal data of

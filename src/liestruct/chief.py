@@ -165,6 +165,7 @@ def chief_series_variants(L: LieAlgebra, limit: int = 6) -> list[ChiefSeries]:
     return list(seen.values())
 
 
+@memoized
 def module_isomorphic(F1: ChiefFactor, F2: ChiefFactor):
     """Module isomorphism of chief factors: (verdict, witness, status).
 

@@ -1,9 +1,12 @@
 """Command-line interface: structure reports for Lie algebras given by
 structure constants, in human-readable or JSON form.
 
-Exit codes: 0 success, 1 usage, 2 parse/validation, 3 certification failure
-or analytic/oracle mismatch, 4 enumeration budget exceeded, 5 an undecided
-or heuristic verdict was reached under --strict.
+Exit codes: 0 success, 1 usage, 2 parse/validation (errors raised while
+loading the algebra, or an algebra outside a command's hypotheses), 3
+internal failure (an error raised during the analysis of a loaded algebra:
+a certification failure, an analytic/oracle mismatch or any other error), 4
+enumeration budget exceeded, 5 an undecided or heuristic verdict was reached
+under --strict.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import sys
 from typing import Optional
 
 from .algebra import (
-    AlgebraError,
-    AntisymmetryViolation,
-    JacobiViolation,
     LieAlgebra,
     center,
     derived_series,
@@ -26,7 +26,7 @@ from .algebra import (
     lower_central_series,
 )
 from .chief import chief_series, connected, solvable_radical
-from .corpus import ParseError, builtin, load
+from .corpus import builtin, load
 from .crowns import all_crowns, prefrattini
 from .fields import GF, QQ, Field, FieldError, field_to_doc
 from .linalg import Subspace
@@ -202,19 +202,29 @@ def _chain_str(L: LieAlgebra, report: dict, i: int) -> str:
 
 
 def _load_algebra(args) -> tuple[LieAlgebra, Optional[str]]:
+    """The algebra and its builtin name; every error met while reading,
+    parsing or validating it is raised as ``InvalidInput``."""
     if args.builtin and args.input:
         raise UsageError("give either --builtin or --input, not both")
-    if args.builtin:
-        field = parse_field(args.field) if args.field else QQ
-        return builtin(args.builtin, field), args.builtin
-    if args.input:
+    if not (args.builtin or args.input):
+        raise UsageError("an algebra is required: --builtin NAME or --input FILE")
+    try:
+        if args.builtin:
+            field = parse_field(args.field) if args.field else QQ
+            return builtin(args.builtin, field), args.builtin
         with open(args.input) as fh:
             return load(fh.read()), None
-    raise UsageError("an algebra is required: --builtin NAME or --input FILE")
+    except (OSError, ValueError) as exc:  # ParseError, FieldError, AlgebraError among them
+        raise InvalidInput(str(exc)) from exc
 
 
 class UsageError(ValueError):
     pass
+
+
+class InvalidInput(ValueError):
+    """A document or builtin that does not load, or an algebra outside the
+    hypotheses of the command asked for."""
 
 
 def _budget(args) -> EnumBudget:
@@ -270,14 +280,12 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _dispatch(args)
+        L, name = _load_algebra(args)
+        return _dispatch(args, L, name)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FieldError, AntisymmetryViolation, JacobiViolation) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AlgebraError as exc:
+    except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceeded as exc:
@@ -286,11 +294,13 @@ def main(argv: Optional[list] = None) -> int:
     except CertificationFailure as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERT
+    except Exception as exc:
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CERT
 
 
-def _dispatch(args) -> int:
+def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
     cmd = args.command
-    L, name = _load_algebra(args)
     if cmd == "validate":
         _emit(args, {"schema_version": SCHEMA_VERSION, "valid": True,
                      "dim": L.dim, "field": field_to_doc(L.field)},
@@ -358,7 +368,7 @@ def _dispatch(args) -> int:
         return _strict_gate(args, *(c.status for c in crowns))
     if cmd == "prefrattini":
         if not is_solvable(L):
-            raise AlgebraError("prefrattini subalgebras require a solvable algebra")
+            raise InvalidInput("prefrattini subalgebras require a solvable algebra")
         P = prefrattini(L)
         _emit(args, {"schema_version": SCHEMA_VERSION, "prefrattini": space_doc(P)},
               f"prefrattini: {space_str(L, P)}")

@@ -35,19 +35,32 @@ def _is_prime(n: int) -> bool:
 
 
 def _fraction_from_str(s) -> Fraction:
-    """``Fraction(s)`` for a string or an integer, with a string's decimal
-    exponent bounded by the integer-string digit limit
-    ``sys.get_int_max_str_digits()`` (0: no limit), because ``Fraction``
-    expands ``"1e10000000"`` into a ten-million-digit integer."""
-    if isinstance(s, str) and "e" in s.lower():
-        limit = sys.get_int_max_str_digits()
+    """``Fraction(s)`` for a string or an integer.  A string is refused when
+    the numerator or the denominator it gives has more digits than the
+    integer-string limit ``sys.get_int_max_str_digits()`` (0: no limit), so
+    that every coefficient loaded can be printed back; its decimal exponent
+    is bounded by that limit before ``Fraction`` sees it, because
+    ``Fraction`` expands ``"1e10000000"`` into a ten-million-digit integer."""
+    if not isinstance(s, str):
+        return Fraction(s)
+    limit = sys.get_int_max_str_digits()
+    if "e" in s.lower():
         try:
             size = abs(int(s.lower().rpartition("e")[2]))
         except ValueError:  # malformed, or more digits than the limit
             size = None
         if size is None or (limit and size > limit):
             raise FieldError(f"exponent in {s!r} is malformed or exceeds {limit}")
-    return Fraction(s)
+    x = Fraction(s)
+    if limit and any(_has_more_digits(n, limit) for n in (x.numerator, x.denominator)):
+        raise FieldError(f"coefficient {s!r} has more than {limit} digits")
+    return x
+
+
+def _has_more_digits(n: int, limit: int) -> bool:
+    """Whether |n| has more than ``limit`` decimal digits; 10^limit has more
+    than 3 * limit bits, so the power is built only for very long n."""
+    return n.bit_length() > 3 * limit and abs(n) >= 10**limit
 
 
 class Field:

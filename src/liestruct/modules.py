@@ -4,8 +4,15 @@ splitting test.
 
 Minimality of submodules is *certified*, never assumed:
 
-* over GF(p) with p^dim within budget, by spinning one vector per
-  projective point;
+* over GF(p), by a proper spin of a unit vector when there is one, and
+  otherwise by Norton's criterion on the element theta = rho - lambda of
+  least positive nullity k over the action matrices rho and the scalars
+  lambda: M is irreducible iff every nonzero vector of ker theta spins to M
+  and one nonzero vector of ker theta^T spins to the dual module.  (A
+  proper submodule U meeting ker theta only in 0 has theta(U) = U, so
+  ker theta^T lies in the annihilator of U.)  That is (p^k - 1)/(p - 1)
+  spins plus one, within budget; when no rho - lambda is singular, every
+  projective point of M is spun while p^dim is within budget;
 * over the rationals, by an irreducible characteristic polynomial of an
   action element when one exists, and otherwise by the one-vector singular
   element criterion (a kernel vector of minimal nullity must spin to the
@@ -43,6 +50,7 @@ from .linalg import (
     _modulus,
     _nonzeros,
     _reduce,
+    _rref_gf,
     lin_comb,
     rref_solve,
     unit_vec,
@@ -338,22 +346,71 @@ def _candidate_operators(M: LModule):
                 yield singles[i].matmul(singles[j])
 
 
+def _norton(M: LModule, theta: Matrix, kernel_vectors):
+    """Norton's test of a singular element theta of the enveloping algebra,
+    given nonzero vectors of ker theta that represent all of it: ``('irr' |
+    'red', submodule)``.  A proper spin of one of them is the witness, and
+    otherwise one vector of ker theta^T is spun in the dual module, where a
+    proper spin gives the witness as its annihilator."""
+    for v in kernel_vectors:
+        W = spin(M, v)
+        if W.dim < M.dim:
+            return "red", W
+    _, _, _, kert = rref_solve(theta.transpose())
+    Wd = _spin_transposed(M, kert.basis[0])
+    if Wd.dim < M.dim:
+        return "red", _annihilator(M.field, Wd)
+    return "irr", None
+
+
 def _norton_attempt(M: LModule, theta: Matrix, nullity_needed: int):
-    """One singular-element test; returns ('irr' | 'red' | 'skip', submodule)."""
-    F = M.field
+    """One singular-element test whose kernel is spanned, as a module over
+    the element, by its first vector; returns ('irr' | 'red' | 'skip',
+    submodule)."""
     _, rank, _, ker = rref_solve(theta)
     if M.dim - rank != nullity_needed or ker.is_zero():
         return "skip", None
-    v = ker.basis[0]
-    W = spin(M, v)
-    if W.dim < M.dim:
-        return "red", W
-    _, _, _, kert = rref_solve(theta.transpose())
-    u = kert.basis[0]
-    Wd = _spin_transposed(M, u)
-    if Wd.dim < M.dim:
-        return "red", _annihilator(F, Wd)
-    return "irr", None
+    return _norton(M, theta, ker.basis[:1])
+
+
+def _norton_kernel(M: LModule):
+    """Norton's criterion over GF(p) on the element theta = rho - lambda of
+    least positive nullity k < d, over the action matrices rho and the
+    scalars lambda (lambda = 0 first, stopping at the first nullity 1):
+    ``('irr' | 'red', submodule)``, or None when every rho - lambda is
+    invertible or p^k exceeds ``VECTOR_ENUM_BUDGET``.  The (p^k - 1)/(p - 1)
+    projective points of ker theta are spun, then one dual vector."""
+    F = M.field
+    p, d = F.p, M.dim
+    actions = dict.fromkeys(rho.entries for rho in M.mats if not rho.is_zero())
+    candidates = (
+        [[(x - lam) % p if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        for lam in range(p)
+        for rows in actions
+    )
+    k, theta = d, None
+    for rows in candidates:
+        nullity = d - len(_rref_gf(p, rows)[1])
+        if 0 < nullity < k:
+            k, theta = nullity, rows
+            if k == 1:
+                break
+    if theta is None or p**k > VECTOR_ENUM_BUDGET:
+        return None
+    theta = Matrix._of(F, theta, d)
+    ker = rref_solve(theta)[3]
+    points = (lin_comb(F, c, ker.basis) for c in _nonzero_vectors(F, k))
+    return _norton(M, theta, points)
+
+
+def _first_proper_spin(M: LModule) -> Optional[Subspace]:
+    """The spin of the first projective point, in ``_nonzero_vectors``
+    order, that is a proper submodule; None when every point spins to M."""
+    for v in _nonzero_vectors(M.field, M.dim):
+        W = spin(M, v)
+        if W.dim < M.dim:
+            return W
+    return None
 
 
 @memoized
@@ -364,6 +421,17 @@ def certify_irreducible(M: LModule):
     certified status, or None with a heuristic status when every implemented
     certificate is out of reach.  A False verdict always carries a proper
     nonzero submodule.
+
+    Over GF(p) the unit vectors are spun first, since any proper spin is a
+    witness.  Then comes Norton's criterion (``_norton_kernel``): for the
+    singular theta = rho - lambda of least nullity k, M is
+    irreducible iff every projective point of ker theta spins to M and one
+    vector of ker theta^T spins to the dual, since a proper submodule U
+    with U cap ker theta = 0 has theta(U) = U and so ker theta^T inside its
+    annihilator.  It needs p^k within ``VECTOR_ENUM_BUDGET``.  When every
+    rho - lambda is invertible, the projective points of M itself are spun
+    while p^dim is within budget.  Then come the generic candidates, as
+    over the rationals.
     """
     F = M.field
     d = M.dim
@@ -371,12 +439,20 @@ def certify_irreducible(M: LModule):
         return False, None, CERTIFIED
     if d == 1:
         return True, None, CERTIFIED
-    if isinstance(F, PrimeField) and F.p**d <= VECTOR_ENUM_BUDGET:
-        for v in _nonzero_vectors(F, d):
-            W = spin(M, v)
+    if isinstance(F, PrimeField):
+        # the d unit vectors split most reducible modules met here for less
+        # than the search for a singular element costs
+        for i in range(d - 1, -1, -1):
+            W = spin(M, unit_vec(F, d, i))
             if W.dim < d:
                 return False, W, CERTIFIED
-        return True, None, CERTIFIED
+        found = _norton_kernel(M)
+        if found is not None:
+            verdict, W = found
+            return verdict == "irr", W, CERTIFIED
+        if F.p**d <= VECTOR_ENUM_BUDGET:
+            W = _first_proper_spin(M)
+            return W is None, W, CERTIFIED
     if isinstance(F, Rationals):
         # a proper socle is a reducibility witness; a full socle means the
         # module is semisimple, where the endomorphism ring decides
@@ -586,14 +662,16 @@ def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):
     """
     R = restrict_module(M, V)
     verdict, counterexample, status = certify_irreducible(R)
-    if verdict is True:
+    if verdict is not False:
         return V, status
-    if verdict is None:
-        return V, status
+    F = M.field
+    if isinstance(F, PrimeField) and F.p**R.dim <= VECTOR_ENUM_BUDGET:
+        # the witness decides which minimal submodules are chosen, so it is
+        # the first proper spin whatever route certified the verdict
+        counterexample = _first_proper_spin(R)
     if counterexample is None or counterexample.is_zero():
         raise AlgebraError("reducible verdict without a witness")
     # translate the witness back to module coordinates
-    F = M.field
     sub_vecs = [lin_comb(F, cv, V.basis) for cv in counterexample.basis]
     U = Subspace.from_vectors(F, M.dim, sub_vecs)
     Uc = complement_in_semisimple(M, V, U)

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from liestruct import cli
+from liestruct.algebra import AlgebraError
 from liestruct.cli import (
     EXIT_BUDGET,
+    EXIT_CERT,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -13,6 +16,7 @@ from liestruct.cli import (
 from liestruct.corpus import save
 from liestruct import builtin
 from liestruct.fields import GF, QQ, FieldError
+from liestruct.linalg import DimensionMismatch
 
 
 def run(capsys, *argv):
@@ -52,7 +56,9 @@ class TestExitCodes:
         "doc", [{"field": 3, "dim": 1}, {"field": {"kind": "GF", "p": "x"}, "dim": 1},
                 {"field": {"kind": "Q"}, "dim": 2.5},
                 {"field": {"kind": "Q"}, "dim": 2,
-                 "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e10000000"}}]}]
+                 "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e10000000"}}]},
+                {"field": {"kind": "Q"}, "dim": 2,
+                 "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e4300"}}]}]
     )
     def test_malformed_document_exits_with_parse_code(self, capsys, tmp_path, doc):
         f = tmp_path / "bad.json"
@@ -91,6 +97,36 @@ class TestExitCodes:
     def test_prefrattini_needs_solvable(self, capsys):
         code, _, err = run(capsys, "prefrattini", "--builtin", "sl2")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("error", [AlgebraError("no equivariant projection"),
+                                       DimensionMismatch("inverse needs a square matrix")])
+    def test_an_error_during_analysis_is_an_internal_failure(self, capsys, monkeypatch, error):
+        """Raised after the algebra loaded, an error is the program's
+        failure, not the input's: one line on stderr and exit code 3."""
+        def failing(L, name):
+            raise error
+
+        monkeypatch.setattr(cli, "build_report", failing)
+        code, out, err = run(capsys, "report", "--builtin", "heis", "--field", "gf3")
+        assert code == EXIT_CERT and out == ""
+        assert err.startswith("internal failure:") and str(error) in err
+        assert err.count("\n") == 1
+
+    def test_an_unreadable_input_is_invalid_input(self, capsys, tmp_path):
+        code, _, err = run(capsys, "report", "--input", str(tmp_path / "missing.json"))
+        assert code == EXIT_PARSE and err.startswith("invalid input:")
+        f = tmp_path / "binary.json"
+        f.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(capsys, "report", "--input", str(f))
+        assert code == EXIT_PARSE and err.startswith("invalid input:")
+
+    def test_an_error_while_loading_stays_invalid_input(self, capsys, monkeypatch):
+        def failing(text):
+            raise AlgebraError("no such algebra")
+
+        monkeypatch.setattr(cli, "load", failing)
+        code, _, err = run(capsys, "report", "--input", __file__)
+        assert code == EXIT_PARSE and err == "invalid input: no such algebra\n"
 
     def test_strict_passes_on_certified_corpus(self, capsys):
         code, _, _ = run(capsys, "report", "--builtin", "heis", "--field", "gf3", "--strict")

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -232,6 +233,8 @@ class TestSerialization:
             {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e10000000"}}]},
             {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1E-10000000"}}]},
             {"field": {"kind": "GF", "p": 3}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e10000000"}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e4300"}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e-4300"}}]},
         ],
     )
     def test_malformed_document_is_a_parse_error(self, doc):
@@ -258,6 +261,13 @@ class TestSerialization:
         assert from_doc(doc).bracket((1, 0), (0, 1)) == (0, 2500)
         doc["brackets"][0]["coeffs"]["1"] = "1E5"
         assert from_doc(doc).bracket((1, 0), (0, 1)) == (0, 100000)
+
+    def test_a_coefficient_within_the_digit_limit_saves_back(self):
+        digits = sys.get_int_max_str_digits() or 4300
+        coeff = f"1e{digits - 1}"  # exactly ``digits`` digits
+        doc = {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": coeff}}]}
+        L = from_doc(doc)
+        assert load(save(L)) == L
 
     def test_gf_coefficients_normalized(self):
         L = builtin("heis", GF(3))

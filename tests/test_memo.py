@@ -8,7 +8,7 @@ import typing
 
 import pytest
 
-from liestruct import algebra, builtin, modules, oracle
+from liestruct import algebra, builtin, chief, modules, oracle
 from liestruct.algebra import AlgebraError, quotient_algebra
 from liestruct.cli import build_report
 from liestruct.crowns import Crown
@@ -157,35 +157,34 @@ def gl3_over_gf3():
 
 def test_report_certifies_each_module_once(monkeypatch):
     """certify_irreducible is cached per module value: during the gl3/GF(3)
-    report its body, which enumerates projective points from
-    ``_nonzero_vectors`` for every module of dimension at least 2, runs once
-    per distinct module although the function is called more often."""
+    report its body, which spins vectors of every module of dimension at
+    least 2, runs once per distinct module although the function is called
+    more often.  A run of the body is told by its frame, kept alive here so
+    that no two runs share an id."""
     asked = []
-    current = []
-    bodies = []
+    bodies = {}  # id of a body frame -> (frame, module)
     orig_certify = modules.certify_irreducible
-    orig_points = modules._nonzero_vectors
+    orig_spin = modules.spin
+    body = orig_certify.__wrapped__.__code__
 
     def certify(M):
         asked.append(M)
-        current.append(M)
-        try:
-            return orig_certify(M)
-        finally:
-            current.pop()
+        return orig_certify(M)
 
-    def points(field, dim):
-        if current:
-            bodies.append(current[-1])
-        return orig_points(field, dim)
+    def spin(M, v):
+        frame = sys._getframe(1)
+        if frame.f_code is body:
+            bodies.setdefault(id(frame), (frame, M))
+        return orig_spin(M, v)
 
     _rebind(monkeypatch, orig_certify, certify)
-    monkeypatch.setattr(modules, "_nonzero_vectors", points)
+    monkeypatch.setattr(modules, "spin", spin)
     L = gl3_over_gf3()
     assert L.dim == 9
     build_report(L, "gl3")
+    certified = [M for _, M in bodies.values()]
     distinct = {M for M in asked if M.dim >= 2}
-    assert len(bodies) == len(set(bodies)) == len(distinct) > 0
+    assert len(certified) == len(set(certified)) == len(distinct) > 0
     assert len(asked) > len(set(asked))
 
 
@@ -251,3 +250,33 @@ def test_oracle_builds_the_maximal_cores_once_per_algebra(monkeypatch):
     assert oracle.oracle_check(L) == []
     assert calls[0] == 2  # the two crowns of h3_plus_r2
     assert [args[0] for args in bodies] == [L]
+
+
+def test_oracle_decides_each_factor_pair_once(monkeypatch):
+    """During ``oracle_check`` the body of ``module_isomorphic`` runs once
+    per distinct (algebra instance, factor pair), although the function is
+    called more often.  Every chief factor of h3_plus_r2 is abelian and
+    one-dimensional, so every run of the body asks ``module_isomorphism``."""
+    body = chief.module_isomorphic.__wrapped__.__code__
+    orig_isomorphism = chief.module_isomorphism
+    orig_isomorphic = chief.module_isomorphic
+    asked, bodies = [], []
+
+    def isomorphism(M1, M2):
+        frame = sys._getframe(1)
+        if frame.f_code is body:
+            F1, F2 = frame.f_locals["F1"], frame.f_locals["F2"]
+            bodies.append((id(F1.algebra), F1, F2))
+        return orig_isomorphism(M1, M2)
+
+    def isomorphic(F1, F2):
+        asked.append((F1, F2))
+        return orig_isomorphic(F1, F2)
+
+    monkeypatch.setattr(chief, "module_isomorphism", isomorphism)
+    _rebind(monkeypatch, orig_isomorphic, isomorphic)
+    assert oracle.oracle_check(builtin("h3_plus_r2", GF(3))) == []
+    assert all(F.abelian and F.dim == 1 for pair in asked for F in pair)
+    distinct = {(id(F1.algebra), F1, F2) for F1, F2 in asked}  # asked keeps each alive
+    assert len(bodies) == len(set(bodies)) == len(distinct) > 0
+    assert len(asked) > len(distinct)
