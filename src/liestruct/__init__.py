@@ -22,6 +22,7 @@ from .algebra import (
     LieAlgebra,
     NilpotentAutomorphism,
     bracket_spaces,
+    brackets_inside,
     center,
     centralizer,
     characteristic_series,

@@ -13,6 +13,7 @@ results of the costly structural ones on the algebra they were computed for.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,22 +174,30 @@ def memoized(fn):
     (a chief factor or a module).  Results live in that algebra's ``_memo``
     dict, keyed by ``fn`` and the arguments other than the algebra compared
     by value, so a cache lives and dies with its ``LieAlgebra`` instance; an
-    exception is not cached.  Applied to ``quotient_algebra`` and ``core``
-    here, to ``socle_space``, ``certify_irreducible``,
+    exception is not cached.  Applied to ``quotient_algebra``, ``core`` and
+    ``is_solvable`` here, to ``socle_space``, ``certify_irreducible``,
     ``socle_and_minimal_ideals``, ``factor_module`` and
-    ``split_abelian_extension`` in ``modules``, ``connected`` and
-    ``module_isomorphic`` in ``chief``,
-    ``denominator_intersection`` in ``crowns``, ``classify_primitive``
+    ``split_abelian_extension`` in ``modules``, ``connected``,
+    ``module_isomorphic`` and ``_classify_section`` (the status-free part of
+    ``classify_factor``) in ``chief``, ``denominator_intersection``,
+    ``crown_of_factor`` and ``all_crowns`` in ``crowns``, ``classify_primitive``
     (through a positional inner function keyed on ``use_oracle``) in
     ``primitive`` and ``_maximal_cores`` (the per-maximal data of
     ``four_core_intersections``) in ``oracle``.  A cached function must be
     pure and return an immutable value, because every caller shares it;
     module budget constants such as ``modules.VECTOR_ENUM_BUDGET`` are read
-    at the first computation only.
+    at the first computation only.  An argument passed by keyword is keyed
+    as if passed by position, with the defaults after it filled in.
     """
 
+    sig = inspect.signature(fn)
+
     @functools.wraps(fn)
-    def cached(first, *args):
+    def cached(first, *args, **kwargs):
+        if kwargs:  # key a keyword call as its positional form
+            bound = sig.bind(first, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
         if isinstance(first, LieAlgebra):
             memo, key = first._memo, (fn, *args)
         else:
@@ -234,12 +243,30 @@ def _check_ambient(L: LieAlgebra, U: Subspace):
         raise DimensionMismatch("subspace does not live in the algebra")
 
 
+def brackets_inside(L: LieAlgebra, U: Subspace, V: Subspace, W: Subspace) -> bool:
+    """Whether [u, v] lies in W for all u in U and v in V.
+
+    Each bracket of basis vectors is reduced against W's RREF basis, and the
+    test stops at the first one outside W; when U == V only the pairs a < b
+    are bracketed ([u, u] = 0 and [v, u] = -[u, v]).  No span is built: use
+    ``bracket_spaces`` when the span itself is needed."""
+    _check_ambient(L, U)
+    _check_ambient(L, V)
+    _check_ambient(L, W)
+    same = U == V
+    for a, u in enumerate(U.basis):
+        for v in V.basis[a + 1 :] if same else V.basis:
+            if not W.contains(L.bracket(u, v)):
+                return False
+    return True
+
+
 def is_subalgebra(L: LieAlgebra, U: Subspace) -> bool:
-    return U.contains_space(bracket_spaces(L, U, U))
+    return brackets_inside(L, U, U, U)
 
 
 def is_ideal(L: LieAlgebra, U: Subspace) -> bool:
-    return U.contains_space(bracket_spaces(L, L.full_space(), U))
+    return brackets_inside(L, L.full_space(), U, U)
 
 
 @dataclass(frozen=True)
@@ -355,6 +382,7 @@ def characteristic_series(L: LieAlgebra):
     return derived_series(L), lower_central_series(L), center(L)
 
 
+@memoized
 def is_solvable(L: LieAlgebra) -> bool:
     return derived_series(L)[-1].is_zero()
 

@@ -14,13 +14,13 @@ epimorphic image with two cross-centralizing nonabelian minimal ideals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .algebra import (
     AlgebraError,
     LieAlgebra,
-    bracket_spaces,
+    brackets_inside,
     centralizer,
     factor_centralizer,
     is_ideal,
@@ -101,16 +101,24 @@ def classify_factor(L: LieAlgebra, A: Subspace, B: Subspace, status: Status = CE
     factors are always supplemented and never Frattini: a Frattini factor
     would sit inside the Frattini ideal of L/B, whose chief factors are
     abelian.  Their complement flag is taken from cheap exact witnesses
-    (the top of the algebra, or the centralizer when it complements).
+    (the top of the algebra, or the centralizer when it complements).  The
+    classification is computed once per section; ``status`` is attached
+    afterwards.
     """
-    abelian = B.contains_space(bracket_spaces(L, A, A))
+    f = _classify_section(L, A, B)
+    return f if status == f.status else replace(f, status=status)
+
+
+@memoized
+def _classify_section(L: LieAlgebra, A: Subspace, B: Subspace) -> ChiefFactor:
+    abelian = brackets_inside(L, A, A, B)
     cent = factor_centralizer(L, A, B)
     if abelian:
         cert = split_abelian_extension(L, A, B)
         complemented = cert is not None
         witness = cert.complement if cert else None
         return ChiefFactor(
-            L, A, B, True, cent, complemented, complemented, not complemented, witness, status
+            L, A, B, True, cent, complemented, complemented, not complemented, witness
         )
     witness = None
     complemented: Optional[bool] = None
@@ -118,7 +126,7 @@ def classify_factor(L: LieAlgebra, A: Subspace, B: Subspace, status: Status = CE
         complemented, witness = True, B
     elif cent.sum(A).is_full() and cent.intersect(A) == B:
         complemented, witness = True, cent
-    return ChiefFactor(L, A, B, False, cent, True, complemented, False, witness, status)
+    return ChiefFactor(L, A, B, False, cent, True, complemented, False, witness)
 
 
 def chief_series(L: LieAlgebra, choices: tuple = ()) -> ChiefSeries:

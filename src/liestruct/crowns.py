@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .algebra import (
     AlgebraError,
     LieAlgebra,
-    bracket_spaces,
+    brackets_inside,
     is_ideal,
     is_solvable,
     is_subalgebra,
@@ -153,11 +153,12 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
     return PrecrownFamily((Precrown(C, N0, F),), inter, False)
 
 
+@memoized
 def crown_of_factor(F: ChiefFactor, series: Optional[ChiefSeries] = None) -> Crown:
     """The crown of the connectedness class of a supplemented factor, with
     full certification: the socle of L/R is exactly C/R, each of its minimal
     ideals is connected to the class, and the section length matches the
-    class multiplicity in the series."""
+    class multiplicity in the series.  Computed once per factor and series."""
     if not F.supplemented:
         raise AlgebraError("crowns exist only for supplemented factors")
     L = F.algebra
@@ -200,9 +201,11 @@ def _certify_crown(crown: Crown, series: ChiefSeries):
             raise CertificationFailure("a minimal ideal of the crown quotient leaves the class")
 
 
-def all_crowns(L: LieAlgebra, series: Optional[ChiefSeries] = None) -> list[Crown]:
+@memoized
+def all_crowns(L: LieAlgebra, series: Optional[ChiefSeries] = None) -> tuple[Crown, ...]:
     """One crown per connectedness class of supplemented factors, asserting
-    that classes and crowns determine one another."""
+    that classes and crowns determine one another; a tuple, computed once
+    per algebra and series."""
     if series is None:
         series = chief_series(L)
     crowns: list[Crown] = []
@@ -228,14 +231,14 @@ def all_crowns(L: LieAlgebra, series: Optional[ChiefSeries] = None) -> list[Crow
     keys = [c.key for c in crowns]
     if len(set(keys)) != len(keys):
         raise CertificationFailure("distinct classes share a crown")
-    return crowns
+    return tuple(crowns)
 
 
 def crown_complement(L: LieAlgebra, crown: Crown) -> Subspace:
     """A subalgebra K with K + C = L and K cap C = R (solvable algebras)."""
     if not is_solvable(L):
         raise AlgebraError("crown complements are computed for solvable algebras only")
-    if not crown.R.contains_space(bracket_spaces(L, crown.C, crown.C)):
+    if not brackets_inside(L, crown.C, crown.C, crown.R):
         raise CertificationFailure("crown section of a solvable algebra must be abelian")
     cert = split_abelian_extension(L, crown.C, crown.R)
     if cert is None:

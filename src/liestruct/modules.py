@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .algebra import (
     AlgebraError,
     LieAlgebra,
-    bracket_spaces,
+    brackets_inside,
     is_ideal,
     memoized,
     quotient_algebra,
@@ -70,7 +70,7 @@ class LModule:
     algebra basis element; the commutator law is validated at construction.
     Two modules are equal when their algebras and action matrices are."""
 
-    __slots__ = ("algebra", "dim", "mats", "_hash", "_nonzero", "_full")
+    __slots__ = ("algebra", "dim", "mats", "_hash", "_nonzero", "_full", "_dual")
 
     def __init__(self, algebra: LieAlgebra, mats: Sequence[Matrix], validate=True):
         if len(mats) != algebra.dim:
@@ -85,6 +85,7 @@ class LModule:
         self._hash = None
         self._nonzero = None
         self._full = None
+        self._dual = None
         if validate:
             self._validate()
 
@@ -144,6 +145,15 @@ class LModule:
         if self._full is None:
             self._full = Subspace.full(self.field, self.dim)
         return self._full
+
+    def dual(self) -> "LModule":
+        """The module on the transposed action matrices, which has the
+        invariant subspaces of the dual module (whose action is -rho^T);
+        built on first use and kept on the instance."""
+        if self._dual is None:
+            trans = [rho.transpose() for rho in self.mats]
+            self._dual = LModule(self.algebra, trans, validate=False)
+        return self._dual
 
     def kernel_of_action(self) -> Subspace:
         """Elements of the algebra acting as zero."""
@@ -299,8 +309,7 @@ def spin(M: LModule, v: Vector) -> Subspace:
 
 def _spin_transposed(M: LModule, u: Vector) -> Subspace:
     """Spin in the dual module (invariance under the transposed action)."""
-    trans = [rho.transpose() for rho in M.mats]
-    return spin(LModule(M.algebra, trans, validate=False), u)
+    return spin(M.dual(), u)
 
 
 def _annihilator(F: Field, dual_space: Subspace) -> Subspace:
@@ -716,7 +725,7 @@ def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
     minimals = []
     asoc_q = Subspace.zero(Q.field, Q.dim)
     for W in summands:
-        if bracket_spaces(Q, W, W).is_zero():
+        if brackets_inside(Q, W, W, Q.zero_space()):
             asoc_q = asoc_q.sum(W)
         minimals.append(qa.lift_space(W))
     soc = qa.lift_space(soc_q)
@@ -921,7 +930,7 @@ def split_abelian_extension(
         raise AlgebraError("splitting test requires ideals")
     if not A.contains_space(B):
         raise AlgebraError("denominator must sit inside the numerator")
-    if not B.contains_space(bracket_spaces(L, A, A)):
+    if not brackets_inside(L, A, A, B):
         raise AlgebraError("the section is not abelian")
     F = L.field
     qa = quotient_algebra(L, B)

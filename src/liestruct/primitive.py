@@ -24,7 +24,7 @@ from typing import Optional
 from .algebra import (
     AlgebraError,
     LieAlgebra,
-    bracket_spaces,
+    brackets_inside,
     centralizer,
     core,
     is_solvable,
@@ -226,7 +226,7 @@ def _evaluate_words(B: LieAlgebra, words: list, images) -> list:
 
 
 def _is_abelian_space(L: LieAlgebra, W: Subspace) -> bool:
-    return bracket_spaces(L, W, W).is_zero()
+    return brackets_inside(L, W, W, L.zero_space())
 
 
 def _diagonal_complement(L: LieAlgebra, M1: Subspace, M2: Subspace, iso: Matrix) -> Subspace:

@@ -8,10 +8,11 @@ import typing
 
 import pytest
 
-from liestruct import algebra, builtin, chief, modules, oracle
+from liestruct import algebra, builtin, chief, crowns, modules, oracle
 from liestruct.algebra import AlgebraError, quotient_algebra
+from liestruct.chief import chief_series
 from liestruct.cli import build_report
-from liestruct.crowns import Crown
+from liestruct.crowns import Crown, all_crowns, prefrattini
 from liestruct.fields import GF, QQ
 from liestruct.modules import (
     adjoint_module,
@@ -49,6 +50,14 @@ class TestCachedValues:
         Z = H.span([(0, 0, 1)])
         assert quotient_algebra(H, Z) is quotient_algebra(H, H.span([(0, 0, 1)]))
         assert quotient_algebra(H, H.zero_space()).algebra is H
+
+    def test_a_keyword_argument_is_keyed_as_a_positional_one(self):
+        L = builtin("r2", QQ)
+        S = chief_series(L)
+        found = all_crowns(L, S)
+        assert all_crowns(L, series=S) is found
+        f = S.factors[0]
+        assert crowns.crown_of_factor(f, series=S) is crowns.crown_of_factor(f, S)
 
     def test_exceptions_are_not_cached(self):
         H = builtin("heis", QQ)
@@ -152,6 +161,15 @@ def gl3_over_gf3():
     from test_socle import natural_module
 
     units = [tuple(int(k == m) for k in range(9)) for m in range(9)]
+    return natural_module(3, 3, units).algebra
+
+
+def borel3_over_gf3():
+    """The upper-triangular 3 x 3 matrices over GF(3), as the commutator
+    closure of the six matrix units E_ij with i <= j."""
+    from test_socle import natural_module
+
+    units = [tuple(int(k == 3 * i + j) for k in range(9)) for i in range(3) for j in range(i, 3)]
     return natural_module(3, 3, units).algebra
 
 
@@ -280,3 +298,49 @@ def test_oracle_decides_each_factor_pair_once(monkeypatch):
     distinct = {(id(F1.algebra), F1, F2) for F1, F2 in asked}  # asked keeps each alive
     assert len(bodies) == len(set(bodies)) == len(distinct) > 0
     assert len(asked) > len(distinct)
+
+
+@pytest.mark.parametrize(
+    "name,build",
+    [("h3_plus_r2", lambda: builtin("h3_plus_r2", QQ)), ("borel3", borel3_over_gf3)],
+    ids=["h3_plus_r2-q", "borel3-gf3"],
+)
+def test_report_classifies_each_section_once(monkeypatch, name, build):
+    """During ``build_report`` the body of the section classification, which
+    computes the factor centralizer, runs once per distinct (algebra
+    instance, A, B), although ``chief_series`` and the crown certificates
+    call ``classify_factor`` more often."""
+    bodies = _calls_from_body(monkeypatch, chief, "factor_centralizer", chief._classify_section)
+    calls = _counted(monkeypatch, chief.classify_factor)
+    L = build()
+    build_report(L, name)
+    distinct = {(id(M), A, B) for M, A, B in bodies}  # each M stays alive in bodies
+    assert len(bodies) == len(distinct) > 0
+    assert calls[0] > len(bodies)
+
+
+@pytest.mark.parametrize("name", ["r2", "ex22", "h3_plus_r2"])
+def test_prefrattini_reuses_the_certified_crowns(monkeypatch, name):
+    """``all_crowns`` runs the body of ``crown_of_factor``, and so its
+    certificate, once for every supplemented factor of the series (the
+    "constant on classes" check included); ``prefrattini`` on the same
+    series then runs it no more."""
+    bodies = _calls_from_body(monkeypatch, crowns, "_certify_crown", crowns.crown_of_factor)
+    L = builtin(name, QQ)
+    series = chief_series(L)
+    found = all_crowns(L, series)
+    assert isinstance(found, tuple) and found
+    assert len(bodies) == sum(f.supplemented for f in series.factors)
+    ran = len(bodies)
+    prefrattini(L, series=series)
+    assert len(bodies) == ran
+    assert all_crowns(L, series) is found
+
+
+def test_the_dual_module_is_built_once():
+    """Norton's dual spin works on the module's transposed action, which is
+    built on first use and kept, together with its nonzero entries."""
+    M = adjoint_module(builtin("sl2", GF(3)))
+    D = M.dual()
+    assert D.mats == tuple(rho.transpose() for rho in M.mats)
+    assert M.dual() is D and D.nonzero_entries() is D.nonzero_entries()
