@@ -178,8 +178,8 @@ def module_isomorphic(F1: ChiefFactor, F2: ChiefFactor):
     """Module isomorphism of chief factors: (verdict, witness, status).
 
     Nonabelian pairs are decided by centralizer equality (with an explicit
-    witness built through the common quotient); abelian pairs go through the
-    hom-space isomorphism search; mixed pairs are never isomorphic.
+    witness built through the common quotient); abelian pairs go through
+    Schur: the first hom-space map; mixed pairs are never isomorphic.
     """
     L = F1.algebra
     if L != F2.algebra:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -62,7 +61,6 @@ from .polys import charpoly, is_irreducible, linear_factors, poly_at_matrix, roo
 from .status import CERTIFIED, Status, heuristic, worst
 
 VECTOR_ENUM_BUDGET = 1_000_000
-GRID_BUDGET = 4096
 
 
 class LModule:
@@ -377,7 +375,7 @@ def _norton_attempt(M: LModule, theta: Matrix, nullity_needed: int):
     the element, by its first vector; returns ('irr' | 'red' | 'skip',
     submodule)."""
     _, rank, _, ker = rref_solve(theta)
-    if M.dim - rank != nullity_needed or ker.is_zero():
+    if M.dim - rank != nullity_needed:
         return "skip", None
     return _norton(M, theta, ker.basis[:1])
 
@@ -760,154 +758,32 @@ def hom_space(M1: LModule, M2: LModule) -> list[ModuleMap]:
     return out
 
 
-class _MPoly:
-    """Tiny exact multivariate polynomial for symbolic determinants."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Optional[dict] = None):
-        self.nvars = nvars
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def const(cls, nvars: int, c: Fraction):
-        return cls(nvars, {(0,) * nvars: Fraction(c)} if c else {})
-
-    @classmethod
-    def var(cls, nvars: int, i: int, coeff: Fraction):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(coeff)} if coeff else {})
-
-    def add(self, other: "_MPoly") -> "_MPoly":
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + v
-        return _MPoly(self.nvars, t)
-
-    def mul(self, other: "_MPoly") -> "_MPoly":
-        t: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                t[k] = t.get(k, Fraction(0)) + v1 * v2
-        return _MPoly(self.nvars, t)
-
-    def neg(self) -> "_MPoly":
-        return _MPoly(self.nvars, {k: -v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def eval(self, point) -> Fraction:
-        out = Fraction(0)
-        for k, v in self.terms.items():
-            term = v
-            for e, x in zip(k, point):
-                term *= Fraction(x) ** e
-            out += term
-        return out
-
-
-def _symbolic_det(polys: list[list[_MPoly]]) -> _MPoly:
-    n = len(polys)
-    nvars = polys[0][0].nvars if n else 0
-    if n == 0:
-        return _MPoly.const(nvars, Fraction(1))
-    if n == 1:
-        return polys[0][0]
-    acc = _MPoly(nvars)
-    for j in range(n):
-        minor = [[polys[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = polys[0][j].mul(_symbolic_det(minor))
-        acc = acc.add(term if j % 2 == 0 else term.neg())
-    return acc
-
-
 def module_isomorphism(M1: LModule, M2: LModule):
-    """An invertible equivariant map when one exists.
+    """An isomorphism between two irreducible modules, by Schur's lemma.
 
-    Returns ``(map_or_None, status)``; a None with certified status means no
-    isomorphism exists, a heuristic status means the invertibility search was
-    inconclusive.
+    Precondition: both modules are irreducible (every caller passes the
+    modules of chief factors, and a chief factor A/B is a minimal ideal of
+    L/B).  Then every nonzero module map between modules of equal dimension
+    is invertible, so the first basis map of the hom space is the witness;
+    its ``is_isomorphism`` is checked as the postcondition.
+
+    Returns ``(map_or_None, status)``: a map with certified status is an
+    isomorphism, and None with certified status means none exists.  None
+    with a heuristic status means the precondition is broken: a nonzero
+    module map is not invertible, so a module is reducible.
     """
     if M1.algebra != M2.algebra:
         raise AlgebraError("isomorphism test requires a common base algebra")
-    F = M1.field
     if M1.dim != M2.dim:
         return None, CERTIFIED
     if M1.dim == 0:
-        return ModuleMap(M1, M2, Matrix(F, [])), CERTIFIED
+        return ModuleMap(M1, M2, Matrix(M1.field, [])), CERTIFIED
     homs = hom_space(M1, M2)
     if not homs:
         return None, CERTIFIED
-    for h in homs:
-        if h.is_isomorphism():
-            return h, CERTIFIED
-    m = len(homs)
-    d = M1.dim
-    if isinstance(F, PrimeField):
-        if F.p**m <= VECTOR_ENUM_BUDGET:
-            for coeffs in itertools.product(range(F.p), repeat=m):
-                mat = Matrix.zero(F, d, d)
-                for c, h in zip(coeffs, homs):
-                    if c:
-                        mat = mat.add(h.matrix.scale(c))
-                _, rank, _, _ = rref_solve(mat)
-                if rank == d:
-                    return ModuleMap(M1, M2, mat), CERTIFIED
-            return None, CERTIFIED
-        return None, heuristic("hom-space enumeration over GF(p) exceeds budget")
-    if m <= 3:
-        entries = [
-            [
-                _MPoly(
-                    m,
-                    {
-                        tuple(1 if t == k else 0 for t in range(m)): Fraction(
-                            homs[k].matrix.entries[i][j]
-                        )
-                        for k in range(m)
-                        if homs[k].matrix.entries[i][j] != 0
-                    },
-                )
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        det = _symbolic_det(entries)
-        if det.is_zero():
-            return None, CERTIFIED
-        for point in itertools.product(range(d + 1), repeat=m):
-            if det.eval(point) != 0:
-                mat = Matrix.zero(F, d, d)
-                for c, h in zip(point, homs):
-                    if c:
-                        mat = mat.add(h.matrix.scale(F.coerce(c)))
-                return ModuleMap(M1, M2, mat), CERTIFIED
-        raise AlgebraError("nonzero determinant with no witness on the grid")
-    # wide hom spaces: deterministic grid sampling, certified only if the
-    # grid is exhaustive for the determinant's degree
-    grid = (d + 1) ** m
-    if grid <= GRID_BUDGET:
-        points = itertools.product(range(d + 1), repeat=m)
-        exhaustive = True
-    else:
-        points = itertools.islice(
-            itertools.product(range(d + 1), repeat=m), GRID_BUDGET
-        )
-        exhaustive = False
-    for point in points:
-        mat = Matrix.zero(F, d, d)
-        for c, h in zip(point, homs):
-            if c:
-                mat = mat.add(h.matrix.scale(F.coerce(c)))
-        _, rank, _, _ = rref_solve(mat)
-        if rank == d:
-            return ModuleMap(M1, M2, mat), CERTIFIED
-    if exhaustive:
-        return None, CERTIFIED
-    return None, heuristic("determinant sampling budget exhausted")
+    if homs[0].is_isomorphism():
+        return homs[0], CERTIFIED
+    return None, heuristic("a nonzero module map is not invertible: a module is reducible")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 from liestruct import builtin
 from liestruct.algebra import AlgebraError, is_ideal, is_subalgebra
+from liestruct.chief import chief_series, module_isomorphic
 from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix, unit_vec, vec
 from liestruct.modules import (
@@ -18,6 +19,8 @@ from liestruct.modules import (
     spin,
     split_abelian_extension,
 )
+
+from conftest import CORPUS_GF2, CORPUS_Q
 
 
 class TestFactorModule:
@@ -187,8 +190,9 @@ class TestModuleIsomorphism:
         iso, status = module_isomorphism(line, plane)
         assert iso is None and status.certified
 
-    def test_heis_trivial_factors_isomorphic(self):
-        H = builtin("heis")
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+    def test_heis_trivial_factors_isomorphic(self, field):
+        H = builtin("heis", field)
         z = H.span([(0, 0, 1)])
         zy = H.span([(0, 0, 1), (0, 1, 0)])
         M1 = factor_module(H, zy, z).module
@@ -215,14 +219,43 @@ class TestModuleIsomorphism:
         inv = invert_matrix(iso.matrix)
         assert inv.matmul(iso.matrix) == Matrix.identity(QQ, 1)
 
-    def test_gf_enumeration_route(self):
-        H = builtin("heis", GF(3))
-        z = H.span([(0, 0, 1)])
-        zy = H.span([(0, 0, 1), (0, 1, 0)])
-        M1 = factor_module(H, zy, z).module
-        M2 = factor_module(H, H.full_space(), zy).module
-        iso, status = module_isomorphism(M1, M2)
-        assert iso is not None and status.certified
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+    def test_reducible_module_is_reported_not_searched(self, field):
+        # the trivial plane of ab(3) is reducible: End is all 2x2 matrices,
+        # its basis the four singular matrix units, so the Schur precondition
+        # is broken and the answer is heuristic, not an exception
+        L = builtin("ab(3)", field)
+        M = LModule(L, [Matrix.zero(field, 2, 2)] * 3)
+        homs = hom_space(M, M)
+        assert len(homs) == 4
+        for h in homs:
+            assert sorted(x for row in h.matrix.entries for x in row) == [0, 0, 0, 1]
+            assert not h.is_isomorphism()
+        iso, status = module_isomorphism(M, M)
+        assert iso is None and status.level == "heuristic"
+
+
+CORPORA = (
+    [(name, QQ) for name in CORPUS_Q]
+    + [(name, GF(3)) for name in CORPUS_Q]
+    + [(name, GF(2)) for name in CORPUS_GF2]
+    + [(name, GF(5)) for name in CORPUS_Q if name != "ex22"]  # t^2+1 splits mod 5
+)
+
+
+@pytest.mark.parametrize("name, field", CORPORA, ids=[f"{n}-{F}" for n, F in CORPORA])
+def test_schur_holds_on_chief_factor_modules(name, field):
+    # the fact module_isomorphism rests on: chief-factor modules are
+    # irreducible, so every nonzero map between two of equal dimension is
+    # invertible and every isomorphism verdict is certified
+    S = chief_series(builtin(name, field))
+    for f1 in S.factors:
+        for f2 in S.factors:
+            if f1.dim != f2.dim:
+                continue
+            for h in hom_space(f1.module(), f2.module()):
+                assert h.is_isomorphism(), (name, field)
+            assert module_isomorphic(f1, f2)[2].certified, (name, field)
 
 
 class TestSplitting:
