@@ -403,20 +403,25 @@ def rref_solve(A: Matrix, b: Optional[Vector] = None):
         particular = None
     rref_mat = Matrix._of(F, rref_rows, n) if rref_rows else Matrix.zero(F, 0, n)
 
-    # Kernel basis: one vector per free column, unit at the free column.
+    return rref_mat, rank, particular, _nullspace(F, n, rref_rows, pivots_a)
+
+
+def _nullspace(F: Field, n: int, rref_rows: Sequence, pivots: Sequence[int]) -> "Subspace":
+    """The kernel of a matrix with n columns, from the nonzero rows of its
+    reduced row echelon form and their pivots: one vector per free column,
+    unit at the free column."""
     p = _modulus(F)
-    pivot_set = set(pivots_a)
+    pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     null_rows = []
     for fc in free:
         v = [F.zero()] * n
         v[fc] = F.one()
-        for i, pc in enumerate(pivots_a):
+        for i, pc in enumerate(pivots):
             x = rref_rows[i][fc]
             v[pc] = -x % p if p else -x
         null_rows.append(tuple(v))
-    nullspace = Subspace.from_vectors(F, n, null_rows)
-    return rref_mat, rank, particular, nullspace
+    return Subspace.from_vectors(F, n, null_rows)
 
 
 class Subspace:
@@ -638,26 +643,10 @@ def invert_matrix(M: Matrix) -> Optional[Matrix]:
     return Matrix._of(F, [row[n:] for row in red], n)
 
 
-def solve_linear(field: Field, rows: list, rhs: list):
-    """Solve the stacked system rows . x = rhs; (particular, nullspace)."""
-    if not rows:
-        raise DimensionMismatch("no equations")
-    M = Matrix(field, rows)
-    _, _, particular, null = rref_solve(M, vec(field, rhs))
-    return particular, null
-
-
 def intersect_many(spaces: Sequence[Subspace]) -> Subspace:
     if not spaces:
         raise ValueError("empty intersection")
     acc = spaces[0]
     for s in spaces[1:]:
         acc = acc.intersect(s)
-    return acc
-
-
-def sum_many(field: Field, ambient: int, spaces: Sequence[Subspace]) -> Subspace:
-    acc = Subspace.zero(field, ambient)
-    for s in spaces:
-        acc = acc.sum(s)
     return acc

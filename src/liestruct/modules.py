@@ -11,13 +11,17 @@ Minimality of submodules is *certified*, never assumed:
   and one nonzero vector of ker theta^T spins to the dual module.  (A
   proper submodule U meeting ker theta only in 0 has theta(U) = U, so
   ker theta^T lies in the annihilator of U.)  That is (p^k - 1)/(p - 1)
-  spins plus one, within budget; when no rho - lambda is singular, every
+  spins plus one, within budget.  Where that does not apply (no
+  rho - lambda is singular, or p^k is over budget), an action matrix with
+  an irreducible characteristic polynomial certifies, and otherwise every
   projective point of M is spun while p^dim is within budget;
-* over the rationals, by an irreducible characteristic polynomial of an
-  action element when one exists, and otherwise by the one-vector singular
-  element criterion (a kernel vector of minimal nullity must spin to the
-  whole module on both the module and its dual); every failed attempt yields
-  an explicit proper submodule, so the search either certifies or splits.
+* over the rationals, by a proper socle, which is a witness of
+  reducibility; on a semisimple module by its endomorphism ring, where
+  dim End(M) = 1 certifies irreducibility and a rational eigenvalue of an
+  endomorphism gives a proper kernel as the witness; and otherwise by an
+  action matrix with an irreducible characteristic polynomial.
+
+When no certificate applies, the verdict stays open with a heuristic status.
 
 Socles are exact: over GF(p) as the sum of the images of all module maps
 from the composition factors (chopped off with ``certify_irreducible``), in
@@ -40,7 +44,7 @@ from .algebra import (
     memoized,
     quotient_algebra,
 )
-from .fields import Field, PrimeField, Rationals
+from .fields import Field, PrimeField
 from .linalg import (
     Matrix,
     QuotientMap,
@@ -48,6 +52,7 @@ from .linalg import (
     Vector,
     _modulus,
     _nonzeros,
+    _nullspace,
     _reduce,
     _rref_gf,
     lin_comb,
@@ -55,9 +60,8 @@ from .linalg import (
     unit_vec,
     vec,
     vec_sub,
-    zero_vec,
 )
-from .polys import charpoly, is_irreducible, linear_factors, poly_at_matrix, roots_in_field
+from .polys import charpoly, is_irreducible, rational_roots
 from .status import CERTIFIED, Status, heuristic, worst
 
 VECTOR_ENUM_BUDGET = 1_000_000
@@ -133,11 +137,6 @@ class LModule:
     @property
     def field(self) -> Field:
         return self.algebra.field
-
-    def act(self, x: Vector, v: Vector) -> Vector:
-        if not any(x):
-            return zero_vec(self.field, self.dim)
-        return lin_comb(self.field, x, [M.apply(v) for M in self.mats])
 
     def full_space(self) -> Subspace:
         if self._full is None:
@@ -224,7 +223,9 @@ def factor_module(L: LieAlgebra, A: Subspace, B: Subspace) -> FactorModule:
             for j in range(d)
         ]
         mats.append(Matrix.from_columns(F, cols) if d else Matrix(F, []))
-    return FactorModule(LModule(L, mats), A, B, qm)
+    # A and B are ideals, so the action on A/B is induced by the adjoint
+    # action and obeys the bracket law as ``adjoint_module`` does
+    return FactorModule(LModule(L, mats, validate=False), A, B, qm)
 
 
 def restrict_module(M: LModule, W: Subspace) -> LModule:
@@ -329,64 +330,15 @@ def _nonzero_vectors(field: PrimeField, dim: int):
             yield head + tail
 
 
-def _candidate_operators(M: LModule):
-    """Deterministic generic-element candidates inside the enveloping algebra."""
-    F = M.field
-    d = M.dim
-    singles = [rho for rho in M.mats if not rho.is_zero()]
-    for rho in singles:
-        yield rho
-    if len(singles) > 1:
-        total = Matrix.zero(F, d, d)
-        for rho in singles:
-            total = total.add(rho)
-        yield total
-        for base in (2, 3, 5):
-            mix = Matrix.zero(F, d, d)
-            w = 1
-            for rho in singles:
-                mix = mix.add(rho.scale(F.coerce(w)))
-                w = w * base
-            yield mix
-        for i in range(min(len(singles), 4)):
-            for j in range(i + 1, min(len(singles), 4)):
-                yield singles[i].matmul(singles[j])
-
-
-def _norton(M: LModule, theta: Matrix, kernel_vectors):
-    """Norton's test of a singular element theta of the enveloping algebra,
-    given nonzero vectors of ker theta that represent all of it: ``('irr' |
-    'red', submodule)``.  A proper spin of one of them is the witness, and
-    otherwise one vector of ker theta^T is spun in the dual module, where a
-    proper spin gives the witness as its annihilator."""
-    for v in kernel_vectors:
-        W = spin(M, v)
-        if W.dim < M.dim:
-            return "red", W
-    _, _, _, kert = rref_solve(theta.transpose())
-    Wd = _spin_transposed(M, kert.basis[0])
-    if Wd.dim < M.dim:
-        return "red", _annihilator(M.field, Wd)
-    return "irr", None
-
-
-def _norton_attempt(M: LModule, theta: Matrix, nullity_needed: int):
-    """One singular-element test whose kernel is spanned, as a module over
-    the element, by its first vector; returns ('irr' | 'red' | 'skip',
-    submodule)."""
-    _, rank, _, ker = rref_solve(theta)
-    if M.dim - rank != nullity_needed:
-        return "skip", None
-    return _norton(M, theta, ker.basis[:1])
-
-
 def _norton_kernel(M: LModule):
     """Norton's criterion over GF(p) on the element theta = rho - lambda of
     least positive nullity k < d, over the action matrices rho and the
     scalars lambda (lambda = 0 first, stopping at the first nullity 1):
     ``('irr' | 'red', submodule)``, or None when every rho - lambda is
     invertible or p^k exceeds ``VECTOR_ENUM_BUDGET``.  The (p^k - 1)/(p - 1)
-    projective points of ker theta are spun, then one dual vector."""
+    projective points of ker theta are spun, and a proper spin is the
+    witness; otherwise one vector of ker theta^T is spun in the dual module,
+    where a proper spin gives the witness as its annihilator."""
     F = M.field
     p, d = F.p, M.dim
     actions = dict.fromkeys(rho.entries for rho in M.mats if not rho.is_zero())
@@ -397,17 +349,29 @@ def _norton_kernel(M: LModule):
     )
     k, theta = d, None
     for rows in candidates:
-        nullity = d - len(_rref_gf(p, rows)[1])
-        if 0 < nullity < k:
-            k, theta = nullity, rows
+        red, pivots = _rref_gf(p, rows)
+        if 0 < d - len(pivots) < k:
+            k, theta, echelon = d - len(pivots), rows, (red, pivots)
             if k == 1:
                 break
     if theta is None or p**k > VECTOR_ENUM_BUDGET:
         return None
-    theta = Matrix._of(F, theta, d)
-    ker = rref_solve(theta)[3]
-    points = (lin_comb(F, c, ker.basis) for c in _nonzero_vectors(F, k))
-    return _norton(M, theta, points)
+    ker = _nullspace(F, d, *echelon)  # the kernel from the rank search's echelon form
+    for c in _nonzero_vectors(F, k):
+        W = spin(M, lin_comb(F, c, ker.basis))
+        if W.dim < d:
+            return "red", W
+    kert = _nullspace(F, d, *_rref_gf(p, list(zip(*theta))))
+    Wd = _spin_transposed(M, kert.basis[0])
+    if Wd.dim < d:
+        return "red", _annihilator(F, Wd)
+    return "irr", None
+
+
+def _irreducible_charpoly(M: LModule) -> bool:
+    """Whether some action matrix has an irreducible characteristic
+    polynomial: a proper submodule would give it a factor of lower degree."""
+    return any(is_irreducible(M.field, charpoly(rho)) for rho in M.mats if not rho.is_zero())
 
 
 def _first_proper_spin(M: LModule) -> Optional[Subspace]:
@@ -435,10 +399,15 @@ def certify_irreducible(M: LModule):
     irreducible iff every projective point of ker theta spins to M and one
     vector of ker theta^T spins to the dual, since a proper submodule U
     with U cap ker theta = 0 has theta(U) = U and so ker theta^T inside its
-    annihilator.  It needs p^k within ``VECTOR_ENUM_BUDGET``.  When every
-    rho - lambda is invertible, the projective points of M itself are spun
-    while p^dim is within budget.  Then come the generic candidates, as
-    over the rationals.
+    annihilator.  It needs p^k within ``VECTOR_ENUM_BUDGET``.  Then an
+    action matrix with an irreducible characteristic polynomial certifies
+    irreducibility, and otherwise the projective points of M itself are
+    spun while p^dim is within budget.
+
+    Over the rationals a proper socle is a witness; a full one makes M
+    semisimple, where dim End(M) = 1 certifies irreducibility and a rational
+    eigenvalue of an endomorphism gives a proper kernel as the witness.
+    Then comes the irreducible characteristic polynomial, as over GF(p).
     """
     F = M.field
     d = M.dim
@@ -457,50 +426,33 @@ def certify_irreducible(M: LModule):
         if found is not None:
             verdict, W = found
             return verdict == "irr", W, CERTIFIED
+        if _irreducible_charpoly(M):
+            return True, None, CERTIFIED
         if F.p**d <= VECTOR_ENUM_BUDGET:
             W = _first_proper_spin(M)
             return W is None, W, CERTIFIED
-    if isinstance(F, Rationals):
-        # a proper socle is a reducibility witness; a full socle means the
-        # module is semisimple, where the endomorphism ring decides
-        soc, soc_status = socle_space(M)
-        if soc_status.certified and soc.dim < d:
-            return False, soc, CERTIFIED
-        if soc_status.certified:
-            endos = hom_space(M, M)
-            if len(endos) == 1:
-                return True, None, CERTIFIED  # semisimple with scalar endomorphisms only
-            ident = Matrix.identity(F, d)
-            for h in endos:
-                hm = h.matrix
-                # skip scalars: they never split anything
-                if hm == ident.scale(hm.entries[0][0]):
-                    continue
-                for lam in roots_in_field(F, charpoly(hm)):
-                    _, rank, _, ker = rref_solve(hm.sub(ident.scale(lam)))
-                    if 0 < ker.dim < d:
-                        return False, ker, CERTIFIED
-    for g in _candidate_operators(M):
-        cp = charpoly(g)
-        irr = is_irreducible(F, cp)
-        if irr:
-            return True, None, CERTIFIED
-        roots, cofactor = linear_factors(F, cp)
-        for r in sorted(set(roots), key=str):
-            theta = g.sub(Matrix.identity(F, d).scale(r))
-            verdict, sub = _norton_attempt(M, theta, 1)
-            if verdict == "irr":
-                return True, None, CERTIFIED
-            if verdict == "red":
-                return False, sub, CERTIFIED
-        cdeg = len(cofactor) - 1
-        if 2 <= cdeg <= 4 and is_irreducible(F, cofactor):
-            theta = poly_at_matrix(F, cofactor, g)
-            verdict, sub = _norton_attempt(M, theta, cdeg)
-            if verdict == "irr":
-                return True, None, CERTIFIED
-            if verdict == "red":
-                return False, sub, CERTIFIED
+        return None, None, heuristic("irreducibility certificates exhausted")
+    # a proper socle is a reducibility witness; a full socle means the
+    # module is semisimple, where the endomorphism ring decides
+    soc, soc_status = socle_space(M)
+    if soc_status.certified and soc.dim < d:
+        return False, soc, CERTIFIED
+    if soc_status.certified:
+        endos = hom_space(M, M)
+        if len(endos) == 1:
+            return True, None, CERTIFIED  # semisimple with scalar endomorphisms only
+        ident = Matrix.identity(F, d)
+        for h in endos:
+            hm = h.matrix
+            # skip scalars: they never split anything
+            if hm == ident.scale(hm.entries[0][0]):
+                continue
+            for lam in rational_roots(charpoly(hm)):
+                _, rank, _, ker = rref_solve(hm.sub(ident.scale(lam)))
+                if 0 < ker.dim < d:
+                    return False, ker, CERTIFIED
+    if _irreducible_charpoly(M):
+        return True, None, CERTIFIED
     return None, None, heuristic("irreducibility certificates exhausted")
 
 

@@ -1,8 +1,18 @@
-"""Dense univariate polynomial helpers over the exact fields.
+"""Dense univariate polynomials for the irreducibility certificates.
 
-Only what the irreducibility certificates need: characteristic polynomials,
-root extraction, and full factor detection up to degree four.  Coefficient
-lists run from the constant term upward.
+One algorithm per task, on plain scalars (``int`` residues over GF(p),
+``Fraction`` over Q) like the ``linalg`` kernels:
+
+* ``charpoly``: reduction to upper Hessenberg form by similarity, then the
+  recurrence on the characteristic polynomials of its leading principal
+  blocks (Cohen, *A Course in Computational Algebraic Number Theory*,
+  Alg. 2.2.9), O(n^3) over every field;
+* ``is_irreducible`` over GF(p): Rabin's test at every degree (M. O. Rabin,
+  "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980);
+* ``is_irreducible`` over Q: rational roots, then at degree 4 a search for a
+  splitting into integer quadratics; None above degree 4.
+
+Coefficient lists run from the constant term upward.
 """
 
 from __future__ import annotations
@@ -11,144 +21,118 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .fields import Field, PrimeField, Rationals
-from .linalg import Matrix
+from .fields import Field, _is_prime
+from .linalg import Matrix, _modulus
 
 
-def poly_trim(field: Field, p: list) -> list:
-    while p and field.is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def poly_degree(p: list) -> int:
-    return len(p) - 1
-
-
-def poly_eval(field: Field, p: list, x):
-    acc = field.zero()
-    for c in reversed(p):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-def poly_mul(field: Field, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if field.is_zero(ca):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ca, cb))
-    return out
-
-
-def poly_divmod(field: Field, a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    b = poly_trim(field, list(b))
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [field.zero()] * max(0, len(a) - len(b) + 1)
-    inv_lead = field.inv(b[-1])
-    while len(a) >= len(b) and poly_trim(field, list(a)):
-        a = poly_trim(field, a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        coeff = field.mul(a[-1], inv_lead)
-        q[shift] = coeff
-        for i, cb in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(coeff, cb))
-    return poly_trim(field, q), poly_trim(field, a)
-
-
-def poly_at_matrix(field: Field, p: list, M: Matrix) -> Matrix:
-    n = M.rows
-    acc = Matrix.zero(field, n, n)
-    power = Matrix.identity(field, n)
-    for c in p:
-        if not field.is_zero(c):
-            acc = acc.add(power.scale(c))
-        power = power.matmul(M)
-    return acc
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 def charpoly(M: Matrix) -> list:
-    """Monic characteristic polynomial of a square matrix, low degree first.
-
-    Leverrier's trace recurrence when the characteristic allows dividing by
-    1..n, otherwise the principal-minor expansion (small fields, desk scale).
-    """
+    """Monic characteristic polynomial of a square matrix, low degree first."""
     F = M.field
     n = M.rows
     if n != M.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    if n == 0:
-        return [F.one()]
-    char = F.characteristic()
-    if char == 0 or char > n:
-        coeffs = [F.zero()] * (n + 1)
-        coeffs[n] = F.one()
-        Mk = M
-        ck_list = []
-        for k in range(1, n + 1):
-            if k > 1:
-                Mk = M.matmul(Mk.add(Matrix.identity(F, n).scale(ck_list[-1])))
-            trace = Mk.trace()
-            ck = F.neg(F.div(trace, F.coerce(k)))
-            ck_list.append(ck)
-            coeffs[n - k] = ck
-        return coeffs
-    return _charpoly_minors(M)
+    p = _modulus(F)
+
+    def red(x):
+        return x % p if p else x
+
+    # Hessenberg form: for each column m - 1, a nonzero pivot is moved to
+    # row m and clears the rows below it; each row operation is undone on
+    # the columns, so the matrix stays similar to M
+    H = [list(r) for r in M.entries]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            H[i], H[m] = H[m], H[i]
+            for row in H:
+                row[i], row[m] = row[m], row[i]
+        t = H[m][m - 1]
+        inv = pow(t, -1, p) if p else 1 / t
+        for i in range(m + 1, n):
+            u = red(H[i][m - 1] * inv)
+            if u:
+                H[i] = [red(x - u * y) for x, y in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = red(row[m] + u * row[i])
+    # chars[m] is the characteristic polynomial of the leading m x m block
+    zero, one = F.zero(), F.one()
+    chars = [[one]]
+    for m in range(1, n + 1):
+        prev = chars[-1]
+        h = H[m - 1][m - 1]
+        c = [zero] + prev
+        for k, x in enumerate(prev):
+            c[k] -= h * x
+        t = one
+        for i in range(1, m):
+            t = red(t * H[m - i][m - i - 1])
+            if not t:
+                break
+            a = t * H[m - i - 1][m - 1]
+            for k, x in enumerate(chars[m - i - 1]):
+                c[k] -= a * x
+        chars.append([red(x) for x in c])
+    return chars[n]
 
 
-def _charpoly_minors(M: Matrix) -> list:
-    # coefficient of t^(n-k) is (-1)^k * (sum of k x k principal minors)
-    F = M.field
-    n = M.rows
-    from itertools import combinations
-
-    coeffs = [F.zero()] * (n + 1)
-    coeffs[n] = F.one()
-    for k in range(1, n + 1):
-        s = F.zero()
-        for rows in combinations(range(n), k):
-            s = F.add(s, _det(F, [[M.entries[i][j] for j in rows] for i in rows]))
-        sign = F.one() if k % 2 == 0 else F.neg(F.one())
-        coeffs[n - k] = F.mul(sign, s)
-    return coeffs
+def _rem(p: int, a: list, b: list) -> list:
+    """The remainder of a by b over GF(p); b is trimmed and not zero."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c = a[-1] * inv % p
+        if c:
+            off = len(a) - len(b)
+            for i, y in enumerate(b):
+                a[off + i] = (a[off + i] - c * y) % p
+        a.pop()
+    return _trim(a)
 
 
-def _det(field: Field, a: list) -> object:
-    F = field
-    a = [list(r) for r in a]
-    n = len(a)
-    det = F.one()
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not F.is_zero(a[i][c])), None)
-        if pr is None:
-            return F.zero()
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            det = F.neg(det)
-        det = F.mul(det, a[c][c])
-        inv = F.inv(a[c][c])
-        for i in range(c + 1, n):
-            f = F.mul(a[i][c], inv)
-            if not F.is_zero(f):
-                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[c])]
-    return det
+def _mulmod(p: int, a: list, b: list, f: list) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _rem(p, [x % p for x in out], f)
 
 
-def roots_in_field(field: Field, p: list) -> list:
-    """All roots of p lying in the coefficient field, without multiplicity."""
-    p = poly_trim(field, list(p))
-    if not p or len(p) == 1:
-        return []
-    if isinstance(field, PrimeField):
-        return [x for x in field.elements() if field.is_zero(poly_eval(field, p, x))]
-    return _rational_roots(p)
+def _gf_irreducible(p: int, f: list) -> bool:
+    """Rabin's test of a monic f of degree n >= 2 over GF(p): f is
+    irreducible iff f divides x^(p^n) - x and x^(p^(n/q)) - x is prime to f
+    for each prime q dividing n."""
+    n = len(f) - 1
+    x = [0, 1]
+    frob = [x]  # frob[k] = x^(p^k) mod f, each the p-th power of the last
+    for _ in range(n):
+        acc, base, e = [1], frob[-1], p
+        while e:
+            if e & 1:
+                acc = _mulmod(p, acc, base, f)
+            base = _mulmod(p, base, base, f)
+            e >>= 1
+        frob.append(acc)
+    if frob[n] != x:
+        return False
+    for q in range(2, n + 1):
+        if n % q == 0 and _is_prime(q):
+            b = frob[n // q] + [0, 0]
+            b[1] = (b[1] - 1) % p
+            a, b = f, _trim(b)
+            while b:
+                a, b = b, _rem(p, a, b)
+            if len(a) > 1:
+                return False
+    return True
 
 
 def _divisors(n: int) -> list[int]:
@@ -164,10 +148,12 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_roots(p: list) -> list[Fraction]:
+def rational_roots(p: list) -> list[Fraction]:
+    """All rational roots of a rational polynomial, without multiplicity."""
+    p = _trim([Fraction(c) for c in p])
     # clear denominators -> integer polynomial, then the rational root test
-    den = math.lcm(*[Fraction(c).denominator for c in p])
-    ip = [int(Fraction(c) * den) for c in p]
+    den = math.lcm(*[c.denominator for c in p])
+    ip = [int(c * den) for c in p]
     roots = set()
     while ip and ip[0] == 0:
         roots.add(Fraction(0))
@@ -227,62 +213,26 @@ def _quartic_splits_into_quadratics(ip: list[int]) -> bool:
     return False
 
 
-def _quartic_splits_into_quadratics_gf(field: PrimeField, p: list) -> bool:
-    F = field
-    d0, c, b, a, _ = p
-    for q in F.elements():
-        for s in F.elements():
-            if F.mul(q, s) != d0 % F.p:
-                continue
-            m = F.sub(b, F.add(q, s))
-            # p + r = a, p r = m: p is a root of t^2 - a t + m
-            for pp in F.elements():
-                if F.add(F.mul(pp, pp), F.sub(m, F.mul(a, pp))) != 0:
-                    continue
-                rr = F.sub(a, pp)
-                if F.add(F.mul(pp, s), F.mul(q, rr)) == c % F.p:
-                    return True
-    return False
-
-
 def is_irreducible(field: Field, p: list) -> Optional[bool]:
-    """Exact irreducibility over the coefficient field for degree <= 4.
+    """Exact irreducibility over the coefficient field: over GF(p) at every
+    degree, over Q up to degree 4.
 
-    Returns None when the degree is beyond the implemented criteria.
+    Returns None over Q when the degree is beyond the implemented criteria.
     """
-    p = poly_trim(field, list(p))
-    deg = poly_degree(p)
+    char = _modulus(field)
+    p = _trim([c % char for c in p] if char else [Fraction(c) for c in p])
+    deg = len(p) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
-    if roots_in_field(field, p):
+    if char:
+        inv = pow(p[-1], -1, char)
+        return _gf_irreducible(char, [c * inv % char for c in p])
+    if rational_roots(p):
         return False
     if deg in (2, 3):
         return True
     if deg == 4:
-        lead_inv = field.inv(p[-1])
-        monic = [field.mul(lead_inv, c) for c in p]
-        if isinstance(field, Rationals):
-            ip = _to_monic_integer(monic)
-            return not _quartic_splits_into_quadratics(ip)
-        if isinstance(field, PrimeField):
-            return not _quartic_splits_into_quadratics_gf(field, monic)
+        return not _quartic_splits_into_quadratics(_to_monic_integer([c / p[-1] for c in p]))
     return None
-
-
-def linear_factors(field: Field, p: list) -> tuple[list, list]:
-    """Strip all roots in the field; returns (roots with multiplicity, cofactor)."""
-    p = poly_trim(field, list(p))
-    roots = []
-    progress = True
-    while progress and poly_degree(p) >= 1:
-        progress = False
-        for r in roots_in_field(field, p):
-            q, rem = poly_divmod(field, p, [field.neg(r), field.one()])
-            assert not rem
-            p = q
-            roots.append(r)
-            progress = True
-            break
-    return roots, p

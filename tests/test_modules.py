@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import pytest
 
 from liestruct import builtin
-from liestruct.algebra import AlgebraError, is_ideal, is_subalgebra
+from liestruct.algebra import AlgebraError, is_ideal, is_subalgebra, semidirect_sum
 from liestruct.chief import chief_series, module_isomorphic
 from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix, unit_vec, vec
@@ -21,6 +22,14 @@ from liestruct.modules import (
 )
 
 from conftest import CORPUS_GF2, CORPUS_Q
+
+
+def x_acting_by_companion(F, tail):
+    """F^n + <x>, x acting on the abelian ideal F^n by the companion matrix
+    of the monic polynomial whose lower coefficients are ``tail``."""
+    n = len(tail)
+    C = Matrix(F, [[int(i == j + 1) for j in range(n - 1)] + [-tail[i]] for i in range(n)])
+    return semidirect_sum(builtin(f"ab({n})", F), builtin("ab(1)", F), [C])
 
 
 class TestFactorModule:
@@ -155,6 +164,25 @@ class TestIrreducibility:
         verdict, _, status = certify_irreducible(fm.module)
         assert verdict is True and status.certified
 
+    def test_quartic_over_gf10007_is_certified_by_its_charpoly(self):
+        """t^4 + t + 6 is irreducible over GF(10007): no rho - lambda is
+        singular, 10007^4 vectors are over budget, and Rabin's test of the
+        characteristic polynomial certifies the module in well under the
+        53 s that the old quartic splitting search took."""
+        L = x_acting_by_companion(GF(10007), [6, 1, 0, 0])
+        M = factor_module(L, L.span([unit_vec(L.field, 5, i) for i in range(4)]), L.zero_space()).module
+        start = time.perf_counter()
+        verdict, _, status = certify_irreducible(M)
+        assert verdict is True and status.certified
+        assert time.perf_counter() - start < 10
+
+    def test_quartic_over_q_gets_a_certified_chief_series(self):
+        """t^4 - 2 has no rational root and no integer quadratic factor, so
+        Q^4 is a minimal ideal of x acting by its companion matrix."""
+        series = chief_series(x_acting_by_companion(QQ, [-2, 0, 0, 0]))
+        assert [f.dim for f in series.factors] == [4, 1]
+        assert series.status.certified
+
 
 class TestHomSpace:
     def test_trivial_lines(self):
@@ -256,6 +284,17 @@ def test_schur_holds_on_chief_factor_modules(name, field):
             for h in hom_space(f1.module(), f2.module()):
                 assert h.is_isomorphism(), (name, field)
             assert module_isomorphic(f1, f2)[2].certified, (name, field)
+
+
+VALIDATED = CORPORA[: len(CORPUS_Q) * 2 + len(CORPUS_GF2)]  # Q, GF(3) and GF(2)
+
+
+@pytest.mark.parametrize("name, field", VALIDATED, ids=[f"{n}-{F}" for n, F in VALIDATED])
+def test_chief_factor_modules_obey_the_bracket_law(name, field):
+    # factor_module skips this check, since a section of ideals inherits the
+    # bracket law from the adjoint action; here it is made on every factor
+    for f in chief_series(builtin(name, field)).factors:
+        f.module()._validate()
 
 
 class TestSplitting:

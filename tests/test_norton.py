@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liestruct import builtin
+from liestruct import builtin, modules
 from liestruct.algebra import direct_sum, quotient_algebra
 from liestruct.chief import chief_series
 from liestruct.fields import GF
@@ -24,6 +24,7 @@ from liestruct.modules import (
     adjoint_module,
     certify_irreducible,
     complement_in_semisimple,
+    factor_module,
     restrict_module,
     socle_space,
     spin,
@@ -204,10 +205,16 @@ def test_every_kernel_point_is_spun_when_the_nullity_exceeds_one():
     assert_matches(M)
 
 
-def test_no_singular_element_falls_back_to_enumeration():
+def test_no_singular_element_is_certified_by_the_charpoly(monkeypatch):
     """ex22's two-dimensional factor over GF(3) is a rotation without
-    eigenvalues: no rho - lambda is singular, and the enumeration decides."""
+    eigenvalues: no rho - lambda is singular, and the irreducible t^2 + 1
+    decides without spinning the projective points of the module."""
     L = builtin("ex22", GF(3))
-    (M,) = [f.module() for f in chief_series(L).factors if f.dim == 2]
+    M = factor_module(L, L.span([(0, 1, 0, 0), (0, 0, 1, 0)]), L.zero_space()).module
     assert _norton_kernel(M) is None
-    assert certify_irreducible(M)[0] is True
+    calls = []
+    spin_points = modules._first_proper_spin
+    monkeypatch.setattr(modules, "_first_proper_spin", lambda R: calls.append(R) or spin_points(R))
+    verdict, witness, status = certify_irreducible(M)
+    assert verdict is True and witness is None and status.certified
+    assert calls == []

@@ -1,0 +1,205 @@
+"""The polynomial toolbox diffed against the routines it replaced and against
+brute force: Hessenberg ``charpoly`` against Leverrier's trace recurrence and
+the principal-minor expansion (kept here as the literal old definitions,
+with one ``Field`` call per scalar), and Rabin's irreducibility test over
+GF(p) against a search for a monic divisor of degree at most n/2."""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liestruct.fields import GF, QQ
+from liestruct.linalg import Matrix
+from liestruct.polys import charpoly, is_irreducible
+
+SMALL_PRIMES = (2, 3, 5, 7)
+
+
+# --- reference routines ----------------------------------------------------
+
+
+def ref_leverrier(M: Matrix) -> list:
+    """Leverrier's trace recurrence; needs division by 1..n."""
+    F = M.field
+    n = M.rows
+    coeffs = [F.zero()] * n + [F.one()]
+    Mk = M
+    ck_list = []
+    for k in range(1, n + 1):
+        if k > 1:
+            Mk = M.matmul(Mk.add(Matrix.identity(F, n).scale(ck_list[-1])))
+        ck = F.neg(F.div(Mk.trace(), F.coerce(k)))
+        ck_list.append(ck)
+        coeffs[n - k] = ck
+    return coeffs
+
+
+def ref_det(F, a: list):
+    a = [list(r) for r in a]
+    n = len(a)
+    det = F.one()
+    for c in range(n):
+        pr = next((i for i in range(c, n) if not F.is_zero(a[i][c])), None)
+        if pr is None:
+            return F.zero()
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            det = F.neg(det)
+        det = F.mul(det, a[c][c])
+        inv = F.inv(a[c][c])
+        for i in range(c + 1, n):
+            f = F.mul(a[i][c], inv)
+            if not F.is_zero(f):
+                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[c])]
+    return det
+
+
+def ref_minors(M: Matrix) -> list:
+    """The coefficient of t^(n-k) is (-1)^k times the sum of the k x k
+    principal minors; valid in every characteristic."""
+    F = M.field
+    n = M.rows
+    coeffs = [F.zero()] * n + [F.one()]
+    for k in range(1, n + 1):
+        s = F.zero()
+        for rows in itertools.combinations(range(n), k):
+            s = F.add(s, ref_det(F, [[M.entries[i][j] for j in rows] for i in rows]))
+        sign = F.one() if k % 2 == 0 else F.neg(F.one())
+        coeffs[n - k] = F.mul(sign, s)
+    return coeffs
+
+
+def ref_rem(p: int, a: list, b: list) -> list:
+    """Remainder of a by the monic b over GF(p), by long division."""
+    a = [x % p for x in a]
+    for shift in range(len(a) - len(b), -1, -1):
+        c = a[shift + len(b) - 1]
+        for i, y in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * y) % p
+    return a[: len(b) - 1]
+
+
+def ref_has_divisor(p: int, f: list) -> bool:
+    """Whether the monic f has a monic divisor of degree 1..deg(f)/2."""
+    n = len(f) - 1
+    for k in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            if not any(ref_rem(p, f, list(tail) + [1])):
+                return True
+    return False
+
+
+# --- strategies --------------------------------------------------------------
+
+
+@st.composite
+def square_matrices(draw):
+    """A square matrix over Q or a small prime field, n <= 8, often sparse
+    and sometimes singular by construction (a row repeated or zeroed)."""
+    field = draw(st.sampled_from([QQ] + [GF(p) for p in SMALL_PRIMES]))
+    n = draw(st.integers(0, 8))
+    if field == QQ:
+        scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    entry = st.one_of(st.just(0), scalar)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] = list(rows[j]) if i != j else [0] * n
+    return Matrix(field, rows)
+
+
+def monic(p: int, degree: int):
+    return st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree).map(
+        lambda tail: tail + [1]
+    )
+
+
+# --- charpoly ----------------------------------------------------------------
+
+
+@given(square_matrices())
+@settings(max_examples=250, deadline=None)
+def test_charpoly_matches_the_principal_minors(M):
+    assert charpoly(M) == ref_minors(M)
+
+
+@given(square_matrices())
+@settings(max_examples=250, deadline=None)
+def test_charpoly_matches_leverrier_where_it_is_defined(M):
+    char = M.field.characteristic()
+    if char == 0 or char > M.rows:
+        assert charpoly(M) == ref_leverrier(M)
+
+
+def test_charpoly_of_small_cases():
+    F = GF(2)
+    assert charpoly(Matrix(F, [])) == [1]
+    # a nilpotent Jordan block over GF(2), where Leverrier divides by 2
+    assert charpoly(Matrix(F, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == [0, 0, 0, 1]
+    # the transposed companion matrix of t^3 - 2 over Q: the Hessenberg
+    # reduction swaps a row to find its first pivot
+    C = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [2, 0, 0]])
+    assert charpoly(C) == [-2, 0, 0, 1]
+
+
+# --- irreducibility over GF(p) -----------------------------------------------
+
+
+@given(st.sampled_from(SMALL_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, 8).flatmap(lambda d: monic(p, d)))
+))
+@settings(max_examples=300, deadline=None)
+def test_rabin_matches_a_divisor_search(case):
+    p, f = case
+    verdict = is_irreducible(GF(p), f)
+    assert verdict is (not ref_has_divisor(p, f))
+
+
+@given(
+    st.sampled_from(SMALL_PRIMES + (11, 13, 10007)).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(1, 6).flatmap(lambda d: monic(p, d)),
+            st.integers(1, 6).flatmap(lambda d: monic(p, d)),
+            st.integers(1, p - 1),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_a_product_is_never_irreducible_over_gf(case):
+    p, f, g, lead = case
+    product = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            product[i + j] += lead * x * y
+    assert is_irreducible(GF(p), product) is False
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda t: t + [1]),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda t: t + [1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_product_is_never_irreducible_over_q(f, g):
+    product = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            product[i + j] += x * y
+    verdict = is_irreducible(QQ, product)
+    assert verdict is not True
+    if len(product) <= 5:
+        assert verdict is False
+
+
+def test_irreducibility_at_every_degree_over_gf():
+    F = GF(2)
+    assert is_irreducible(F, [1, 1, 0, 0, 0, 0, 0, 0, 0, 1]) is True  # t^9 + t + 1
+    assert is_irreducible(F, [1, 1, 1]) is True  # t^2 + t + 1
+    assert is_irreducible(F, [1, 0, 1, 0, 1]) is False  # (t^2 + t + 1)^2
+    # t^4 + t + 6 over GF(10007), where the old quartic search took O(p^2)
+    assert is_irreducible(GF(10007), [6, 1, 0, 0, 1]) is True
+    assert is_irreducible(GF(10007), [5, 1, 0, 0, 1]) is False
