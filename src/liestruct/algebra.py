@@ -174,9 +174,9 @@ def memoized(fn):
     (a chief factor or a module).  Results live in that algebra's ``_memo``
     dict, keyed by ``fn`` and the arguments other than the algebra compared
     by value, so a cache lives and dies with its ``LieAlgebra`` instance; an
-    exception is not cached.  Applied to ``quotient_algebra``, ``core`` and
-    ``is_solvable`` here, to ``socle_space``, ``certify_irreducible``,
-    ``socle_and_minimal_ideals``, ``factor_module`` and
+    exception is not cached.  Applied to ``quotient_algebra``, ``core``,
+    ``killing_radical`` and ``is_solvable`` here, to ``socle_space``,
+    ``certify_irreducible``, ``socle_and_minimal_ideals``, ``factor_module`` and
     ``split_abelian_extension`` in ``modules``, ``connected``,
     ``module_isomorphic`` and ``_classify_section`` (the status-free part of
     ``classify_factor``) in ``chief``, ``denominator_intersection``,
@@ -348,6 +348,25 @@ def core(L: LieAlgebra, U: Subspace) -> Subspace:
         if nxt == current:
             return current
         current = nxt
+
+
+@memoized
+def killing_radical(L: LieAlgebra) -> tuple[Subspace, Subspace]:
+    """``(R, K)`` in characteristic 0: the solvable radical R, the orthogonal
+    of [L, L] under the Killing form tr(ad x ad y), and K = R cap [L, L],
+    which acts nilpotently on every finite-dimensional module (Bourbaki,
+    *Lie Groups and Lie Algebras*, ch. I, §5.3 and §5.5)."""
+    n = L.dim
+    D = L.span(L.table.values())
+    if D.is_zero():
+        return L.full_space(), D
+    # kappa(e_i, y) sums (ad e_i)_kj (ad y)_jk; (ad e_i)_kj is [e_i, e_j]_k
+    rows = [
+        [sum(c * ad_y[j][k] for j in range(n) for k, c in L._sparse[i][j]) for i in range(n)]
+        for ad_y in (L.ad(y).entries for y in D.basis)
+    ]
+    R = rref_solve(Matrix(L.field, rows))[3]
+    return R, R.intersect(D)
 
 
 def derived_series(L: LieAlgebra) -> list[Subspace]:

@@ -151,13 +151,6 @@ def _emb(field: Field, n: int, offset: int, v) -> tuple:
     return tuple(out)
 
 
-def _e(*pairs, n):
-    v = [0] * n
-    for i, c in pairs:
-        v[i] = c
-    return v
-
-
 FIXTURE_FACTS: tuple = (
     # r2 --------------------------------------------------------------
     FixtureFact("r2", "type", {"verdict": "type1", "monolith": [[0, 1]]},

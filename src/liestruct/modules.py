@@ -6,15 +6,16 @@ Minimality of submodules is *certified*, never assumed:
 
 * over GF(p), by a proper spin of a unit vector when there is one, and
   otherwise by Norton's criterion on the element theta = rho - lambda of
-  least positive nullity k over the action matrices rho and the scalars
-  lambda: M is irreducible iff every nonzero vector of ker theta spins to M
-  and one nonzero vector of ker theta^T spins to the dual module.  (A
-  proper submodule U meeting ker theta only in 0 has theta(U) = U, so
-  ker theta^T lies in the annihilator of U.)  That is (p^k - 1)/(p - 1)
-  spins plus one, within budget.  Where that does not apply (no
-  rho - lambda is singular, or p^k is over budget), an action matrix with
-  an irreducible characteristic polynomial certifies, and otherwise every
-  projective point of M is spun while p^dim is within budget;
+  least positive nullity k over the action matrices rho and the roots
+  lambda in GF(p) of their characteristic polynomials: M is irreducible
+  iff every nonzero vector of ker theta spins to M and one nonzero vector
+  of ker theta^T spins to the dual module.  (A proper submodule U meeting
+  ker theta only in 0 has theta(U) = U, so ker theta^T lies in the
+  annihilator of U.)  That is (p^k - 1)/(p - 1) spins plus one, within
+  budget.  Where that does not apply (no rho - lambda is singular, or p^k
+  is over budget), an action matrix with an irreducible characteristic
+  polynomial certifies, and otherwise every projective point of M is spun
+  while p^dim is within budget;
 * over the rationals, by a proper socle, which is a witness of
   reducibility; on a semisimple module by its endomorphism ring, where
   dim End(M) = 1 certifies irreducibility and a rational eigenvalue of an
@@ -25,9 +26,12 @@ When no certificate applies, the verdict stays open with a heuristic status.
 
 Socles are exact: over GF(p) as the sum of the images of all module maps
 from the composition factors (chopped off with ``certify_irreducible``), in
-characteristic zero as the annihilator of the trace-form radical of the
-unital enveloping algebra of the action.  The projective-point enumeration
-of a socle is kept in the oracle as ground truth (``oracle.socle_bf``).
+characteristic zero from the solvable radical R of the acting algebra and
+K = R cap [L, L] (``algebra.killing_radical``): the common kernel of the
+nilpotent action of K, cut down by the squarefree part of the
+characteristic polynomial of each basis element of R (``_socle_char0``).
+The projective-point enumeration of a socle is kept in the oracle as
+ground truth (``oracle.socle_bf``).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .algebra import (
     LieAlgebra,
     brackets_inside,
     is_ideal,
+    killing_radical,
     memoized,
     quotient_algebra,
 )
@@ -61,7 +66,7 @@ from .linalg import (
     vec,
     vec_sub,
 )
-from .polys import charpoly, is_irreducible, rational_roots
+from .polys import charpoly, gf_roots, is_irreducible, rational_roots, squarefree_part
 from .status import CERTIFIED, Status, heuristic, worst
 
 VECTOR_ENUM_BUDGET = 1_000_000
@@ -330,30 +335,40 @@ def _nonzero_vectors(field: PrimeField, dim: int):
             yield head + tail
 
 
-def _norton_kernel(M: LModule):
-    """Norton's criterion over GF(p) on the element theta = rho - lambda of
-    least positive nullity k < d, over the action matrices rho and the
-    scalars lambda (lambda = 0 first, stopping at the first nullity 1):
-    ``('irr' | 'red', submodule)``, or None when every rho - lambda is
-    invertible or p^k exceeds ``VECTOR_ENUM_BUDGET``.  The (p^k - 1)/(p - 1)
-    projective points of ker theta are spun, and a proper spin is the
-    witness; otherwise one vector of ker theta^T is spun in the dual module,
-    where a proper spin gives the witness as its annihilator."""
-    F = M.field
-    p, d = F.p, M.dim
-    actions = dict.fromkeys(rho.entries for rho in M.mats if not rho.is_zero())
+def _least_singular(M: LModule):
+    """``(k, theta rows, theta echelon)``, else ``(d, None, None)``, for the
+    theta = rho - lambda of least positive nullity k < d over the action
+    matrices rho and the roots lambda of their characteristic polynomials
+    (increasing lambda, each with the rho in order, stopping at nullity 1)."""
+    p, d = M.field.p, M.dim
+    actions = {rho.entries: rho for rho in M.mats if not rho.is_zero()}
+    # rho - lambda is singular exactly at the roots of charpoly(rho)
+    roots = {rows: gf_roots(p, charpoly(rho)) for rows, rho in actions.items()}
     candidates = (
         [[(x - lam) % p if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-        for lam in range(p)
+        for lam in sorted(set().union(*roots.values()))
         for rows in actions
+        if lam in roots[rows]
     )
-    k, theta = d, None
+    k, found = d, (d, None, None)
     for rows in candidates:
         red, pivots = _rref_gf(p, rows)
         if 0 < d - len(pivots) < k:
-            k, theta, echelon = d - len(pivots), rows, (red, pivots)
+            k = d - len(pivots)
+            found = k, rows, (red, pivots)
             if k == 1:
                 break
+    return found
+
+
+def _norton_kernel(M: LModule):
+    """Norton's criterion on ``_least_singular``'s theta, None without one or
+    over budget: ``('irr' | 'red', submodule)``.  A proper spin of a point of
+    ker theta is the witness, else the annihilator of a proper dual spin of
+    one vector of ker theta^T."""
+    F = M.field
+    p, d = F.p, M.dim
+    k, theta, echelon = _least_singular(M)
     if theta is None or p**k > VECTOR_ENUM_BUDGET:
         return None
     ker = _nullspace(F, d, *echelon)  # the kernel from the rank search's echelon form
@@ -493,40 +508,6 @@ def enveloping_basis(M: LModule) -> list[Matrix]:
     return basis_mats
 
 
-def _trace_gram(F: Field, env: list[Matrix]) -> list[tuple]:
-    """Gram matrix of the trace form, tr(AB) = sum of A_ij * B_ji: each
-    matrix is flattened and transposed once, and zero entries are skipped."""
-    flat_t = [[x for row in A.transpose().entries for x in row] for A in env]
-    nonzero = [_nonzeros(x for row in A.entries for x in row) for A in env]
-    zero = F.zero()
-    p = _modulus(F)
-    rows = []
-    for nz in nonzero:
-        row = []
-        for bt in flat_t:
-            s = zero
-            for k, x in nz:
-                y = bt[k]
-                if y:
-                    s += x * y
-            row.append(s % p if p else s)
-        rows.append(tuple(row))
-    return rows
-
-
-def _trace_form_radical(F: Field, env: list[Matrix]) -> list[Matrix]:
-    """Radical of the enveloping algebra via the trace form (char 0 exact)."""
-    rows = _trace_gram(F, env)
-    _, _, _, null = rref_solve(Matrix(F, rows))
-    d = env[0].rows
-    flat = [tuple(x for row in A.entries for x in row) for A in env]
-    rad = []
-    for coeffs in null.basis:
-        fv = lin_comb(F, coeffs, flat)
-        rad.append(Matrix._of(F, [fv[i * d : (i + 1) * d] for i in range(d)], d))
-    return rad
-
-
 def _composition_factors(M: LModule):
     """``(factors, status)``: the composition factors of M, chopped along the
     proper submodules that ``certify_irreducible`` exhibits, and the worst
@@ -566,13 +547,48 @@ def socle_space(M: LModule):
             for j in range(S.dim)
         ]
         return Subspace.from_vectors(F, d, images), status
-    env = enveloping_basis(M)
-    rad = _trace_form_radical(F, env)
-    soc = M.full_space()
-    for r in rad:
-        _, _, _, ker = rref_solve(r)
-        soc = soc.intersect(ker)
-    return soc, CERTIFIED
+    return _socle_char0(M), CERTIFIED
+
+
+def _socle_char0(M: LModule) -> Subspace:
+    """The socle over Q from the radical R of the acting algebra L and
+    K = R cap [L, L] (``killing_radical``).  K acts nilpotently, so by
+    Engel's theorem every minimal submodule lies in M^K, the common kernel
+    of rho(K), a submodule as K is an ideal.  As [L, R] lies in K, each
+    rho(r), r in R, commutes with the action on M^K; let s_r be the
+    squarefree part f / gcd(f, f') of its characteristic polynomial f there.
+    On N, the joint kernel of the s_r(rho(r)) over a basis of R, R acts by
+    commuting semisimple operators and the Levi part semisimply (Weyl), so
+    N is semisimple and lies in the socle.  Conversely rho(r) acts on a
+    simple S in the division ring End(S), with an irreducible minimal
+    polynomial dividing s_r.  A scalar rho(r) (as r in K is) or a squarefree
+    f gives s_r(rho(r)) = 0 and is skipped; each rho(r) acts on the
+    submodule found so far."""
+    F, d = M.field, M.dim
+    R, K = killing_radical(M.algebra)
+    flat = [tuple(x for row in rho.entries for x in row) for rho in M.mats]
+
+    def act(x) -> Matrix:  # rho(x), the sum of x_i rho(e_i)
+        v = lin_comb(F, x, flat)
+        return Matrix._of(F, [v[i * d : (i + 1) * d] for i in range(d)], d)
+
+    rows = [row for k in K.basis for row in act(k).entries]
+    soc = rref_solve(Matrix._of(F, rows, d))[3] if rows else M.full_space()
+    for r in R.basis:
+        A = act(r)
+        A = Matrix.from_columns(F, [soc.coords(A.apply(w)) for w in soc.basis])
+        ident = Matrix.identity(F, soc.dim)
+        if A == ident.scale(A.entries[0][0]):
+            continue
+        f = charpoly(A)
+        s = squarefree_part(f)
+        if len(s) == len(f):
+            continue
+        S = ident  # s is monic; Horner's rule gives s(A)
+        for c in reversed(s[:-1]):
+            S = S.matmul(A).add(ident.scale(c))
+        soc = Subspace.from_vectors(F, d, [lin_comb(F, c, soc.basis) for c in rref_solve(S)[3].basis])
+    return soc
 
 
 def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials for the irreducibility certificates.
+"""Dense univariate polynomials for the irreducibility certificates and socles.
 
 One algorithm per task, on plain scalars (``int`` residues over GF(p),
 ``Fraction`` over Q) like the ``linalg`` kernels:
@@ -10,7 +10,9 @@ One algorithm per task, on plain scalars (``int`` residues over GF(p),
 * ``is_irreducible`` over GF(p): Rabin's test at every degree (M. O. Rabin,
   "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980);
 * ``is_irreducible`` over Q: rational roots, then at degree 4 a search for a
-  splitting into integer quadratics; None above degree 4.
+  splitting into integer quadratics; None above degree 4;
+* ``gcd``: Euclid's algorithm, for Rabin's test, ``squarefree_part`` over Q
+  and ``gf_roots`` (the roots of gcd(x^p - x, f), split by Cantor-Zassenhaus).
 
 Coefficient lists run from the constant term upward.
 """
@@ -83,18 +85,21 @@ def charpoly(M: Matrix) -> list:
     return chars[n]
 
 
-def _rem(p: int, a: list, b: list) -> list:
-    """The remainder of a by b over GF(p); b is trimmed and not zero."""
+def _divmod(p: int, a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b over GF(p), or over Q when p is 0;
+    b is trimmed and not zero."""
     a = list(a)
-    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p) if p else 1 / Fraction(b[-1])
     while len(a) >= len(b):
-        c = a[-1] * inv % p
+        c = a[-1] * inv % p if p else a[-1] * inv
         if c:
             off = len(a) - len(b)
+            q[off] = c
             for i, y in enumerate(b):
-                a[off + i] = (a[off + i] - c * y) % p
+                a[off + i] = (a[off + i] - c * y) % p if p else a[off + i] - c * y
         a.pop()
-    return _trim(a)
+    return _trim(q), _trim(a)
 
 
 def _mulmod(p: int, a: list, b: list, f: list) -> list:
@@ -103,7 +108,63 @@ def _mulmod(p: int, a: list, b: list, f: list) -> list:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _rem(p, [x % p for x in out], f)
+    return _divmod(p, [x % p for x in out], f)[1]
+
+
+def _powmod(p: int, a: list, e: int, f: list) -> list:
+    """a^e mod f over GF(p), by square-and-multiply."""
+    acc = [1]
+    while e:
+        if e & 1:
+            acc = _mulmod(p, acc, a, f)
+        a = _mulmod(p, a, a, f)
+        e >>= 1
+    return acc
+
+
+def gcd(p: int, a: list, b: list) -> list:
+    """The monic greatest common divisor of a and b over GF(p), or over Q
+    when p is 0, by Euclid's algorithm; [] when both are zero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _divmod(p, a, b)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p) if p else 1 / Fraction(a[-1])
+    return [c * inv % p if p else c * inv for c in a]
+
+
+def squarefree_part(f: list) -> list:
+    """f / gcd(f, f') for a nonzero rational polynomial f: the product of its
+    distinct irreducible factors, with the leading coefficient of f."""
+    return _divmod(0, f, gcd(0, f, [i * c for i, c in enumerate(f)][1:]))[0]
+
+
+def gf_roots(p: int, f: list) -> list[int]:
+    """The distinct roots in GF(p) of f, of positive degree, in increasing
+    order: g = gcd(x^p - x, f) is split by gcd(h, (x + a)^((p - 1)/2) - 1)
+    for a = 0, 1, ... into linear factors (Cantor and Zassenhaus, with the
+    shifts in order so the search is deterministic); GF(2) is tried out."""
+    f = gcd(p, f, [])
+    if p == 2:
+        return [lam for lam in (0, 1) if not sum(c * lam**i for i, c in enumerate(f)) % 2]
+    xp = _powmod(p, [0, 1], p, f) + [0, 0]
+    xp[1] = (xp[1] - 1) % p
+    todo, roots, a = [gcd(p, f, xp)], [], 0
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            w = _powmod(p, [a, 1], (p - 1) // 2, h) or [0]
+            w[0] = (w[0] - 1) % p
+            u = gcd(p, h, w)
+            if 1 < len(u) < len(h):
+                todo += [u, _divmod(p, h, u)[0]]
+            else:
+                todo.append(h)
+                a += 1
+    return sorted(roots)
 
 
 def _gf_irreducible(p: int, f: list) -> bool:
@@ -114,23 +175,14 @@ def _gf_irreducible(p: int, f: list) -> bool:
     x = [0, 1]
     frob = [x]  # frob[k] = x^(p^k) mod f, each the p-th power of the last
     for _ in range(n):
-        acc, base, e = [1], frob[-1], p
-        while e:
-            if e & 1:
-                acc = _mulmod(p, acc, base, f)
-            base = _mulmod(p, base, base, f)
-            e >>= 1
-        frob.append(acc)
+        frob.append(_powmod(p, frob[-1], p, f))
     if frob[n] != x:
         return False
     for q in range(2, n + 1):
         if n % q == 0 and _is_prime(q):
             b = frob[n // q] + [0, 0]
             b[1] = (b[1] - 1) % p
-            a, b = f, _trim(b)
-            while b:
-                a, b = b, _rem(p, a, b)
-            if len(a) > 1:
+            if len(gcd(p, f, b)) > 1:
                 return False
     return True
 

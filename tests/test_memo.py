@@ -1,6 +1,5 @@
 """The per-algebra memo: each structural object is computed once per
-algebra instance, cached values are shared and immutable, and the direct
-trace form agrees with the matrix-product definition."""
+algebra instance, and cached values are shared and immutable."""
 
 import json
 import sys
@@ -16,13 +15,10 @@ from liestruct.crowns import Crown, all_crowns, prefrattini
 from liestruct.fields import GF, QQ
 from liestruct.modules import (
     adjoint_module,
-    enveloping_basis,
     factor_module,
     socle_and_minimal_ideals,
 )
 from liestruct.status import Status
-
-from conftest import CORPUS_Q
 
 
 class TestCachedValues:
@@ -126,33 +122,26 @@ def test_report_computes_each_socle_once(monkeypatch, name, field):
 
 def test_report_runs_each_module_socle_once(monkeypatch):
     """socle_space is cached per module value: over Q its body calls
-    enveloping_basis once, and no module reaches that body twice although
+    _socle_char0 once, and no module reaches that body twice although
     certify_irreducible asks again for socles just computed."""
     bodies = []
     calls = [0]
-    orig_env = modules.enveloping_basis
+    orig_body = modules._socle_char0
     orig_space = modules.socle_space
 
-    def env(M):
+    def body(M):
         bodies.append(M)
-        return orig_env(M)
+        return orig_body(M)
 
     def space(M):
         calls[0] += 1
         return orig_space(M)
 
-    monkeypatch.setattr(modules, "enveloping_basis", env)
+    monkeypatch.setattr(modules, "_socle_char0", body)
     monkeypatch.setattr(modules, "socle_space", space)
     build_report(builtin("sl2_plus_sl2", QQ), "sl2_plus_sl2")
     assert len(bodies) == len(set(bodies)) > 0
     assert calls[0] > len(bodies)
-
-
-def test_trace_gram_matches_the_matrix_product_trace():
-    for name in CORPUS_Q:
-        env = enveloping_basis(adjoint_module(builtin(name, QQ)))
-        reference = [tuple(A.matmul(B).trace() for B in env) for A in env]
-        assert modules._trace_gram(QQ, env) == reference, name
 
 
 def gl3_over_gf3():

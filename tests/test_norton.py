@@ -16,8 +16,10 @@ from liestruct.algebra import direct_sum, quotient_algebra
 from liestruct.chief import chief_series
 from liestruct.fields import GF
 from liestruct.linalg import Matrix, Subspace, invert_matrix, lin_comb, rref_solve
+from liestruct.linalg import _rref_gf, unit_vec
 from liestruct.modules import (
     LModule,
+    _least_singular,
     _minimal_inside,
     _norton_kernel,
     _nonzero_vectors,
@@ -31,6 +33,7 @@ from liestruct.modules import (
 )
 
 from conftest import CORPUS_GF2, CORPUS_GF3
+from test_modules import x_acting_by_companion
 from test_socle import natural_module, transposed
 
 FINITE_CORPUS = [(name, 2) for name in CORPUS_GF2] + [(name, 3) for name in CORPUS_GF3]
@@ -66,7 +69,27 @@ def is_proper_submodule(M: LModule, W: Subspace) -> bool:
     )
 
 
+def scanned_singular(M: LModule):
+    """The old search of ``_norton_kernel``: the rank of rho - lambda for
+    every scalar lambda, and for each every action matrix rho, keeping the
+    first of least positive nullity k < d and stopping at nullity 1;
+    ``(k, theta)``, or ``(d, None)`` when none is singular."""
+    p, d = M.field.p, M.dim
+    actions = dict.fromkeys(rho.entries for rho in M.mats if not rho.is_zero())
+    k, found = d, (d, None)
+    for lam in range(p):
+        for rows in actions:
+            theta = [[(x - lam) % p if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+            nullity = d - len(_rref_gf(p, theta)[1])
+            if 0 < nullity < k:
+                k, found = nullity, (nullity, theta)
+                if k == 1:
+                    return found
+    return found
+
+
 def assert_certificate_matches(M: LModule):
+    assert _least_singular(M)[:2] == scanned_singular(M)
     expected, _ = enumerated_certificate(M)
     verdict, witness, status = certify_irreducible(M)
     assert status.certified and verdict is expected
@@ -217,4 +240,16 @@ def test_no_singular_element_is_certified_by_the_charpoly(monkeypatch):
     monkeypatch.setattr(modules, "_first_proper_spin", lambda R: calls.append(R) or spin_points(R))
     verdict, witness, status = certify_irreducible(M)
     assert verdict is True and witness is None and status.certified
+    assert calls == []
+
+
+def test_no_rank_is_computed_when_no_rho_minus_lambda_is_singular(monkeypatch):
+    """x acting on GF(10007)^4 by the companion of the irreducible
+    t^4 + t + 6: its characteristic polynomial has no root, so no
+    rho - lambda is eliminated."""
+    L = x_acting_by_companion(GF(10007), [6, 1, 0, 0])
+    M = factor_module(L, L.span([unit_vec(L.field, 5, i) for i in range(4)]), L.zero_space()).module
+    calls = []
+    monkeypatch.setattr(modules, "_rref_gf", lambda p, rows: calls.append(rows) or _rref_gf(p, rows))
+    assert _norton_kernel(M) is None
     assert calls == []

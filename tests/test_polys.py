@@ -2,7 +2,9 @@
 brute force: Hessenberg ``charpoly`` against Leverrier's trace recurrence and
 the principal-minor expansion (kept here as the literal old definitions,
 with one ``Field`` call per scalar), and Rabin's irreducibility test over
-GF(p) against a search for a monic divisor of degree at most n/2."""
+GF(p) against a search for a monic divisor of degree at most n/2; the
+GF(p) roots against evaluation at every element, and Euclid's gcd and the
+squarefree part against their defining divisibilities."""
 
 import itertools
 from fractions import Fraction
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix
-from liestruct.polys import charpoly, is_irreducible
+from liestruct.polys import _divmod, charpoly, gcd, gf_roots, is_irreducible, squarefree_part
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -203,3 +205,74 @@ def test_irreducibility_at_every_degree_over_gf():
     # t^4 + t + 6 over GF(10007), where the old quartic search took O(p^2)
     assert is_irreducible(GF(10007), [6, 1, 0, 0, 1]) is True
     assert is_irreducible(GF(10007), [5, 1, 0, 0, 1]) is False
+
+
+# --- gcd, squarefree part and roots ------------------------------------------
+
+
+def product(p: int, *factors) -> list:
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = [x % p for x in prod] if p else prod
+    return out
+
+
+def divides(p: int, a: list, b: list) -> bool:
+    return not _divmod(p, b, a)[1]
+
+
+@given(
+    st.sampled_from((0,) + SMALL_PRIMES + (10007,)).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            *[st.integers(0, 4).flatmap(lambda d: monic(p or 5, d)) for _ in range(3)],
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_gcd_is_the_greatest_common_divisor(case):
+    """gcd(c a, c b) is monic, divides both, is a multiple of the common
+    factor c, and leaves coprime cofactors."""
+    p, c, a, b = case
+    ca, cb = product(p, c, a), product(p, c, b)
+    g = gcd(p, ca, cb)
+    assert g[-1] == 1
+    assert divides(p, g, ca) and divides(p, g, cb) and divides(p, c, g)
+    assert gcd(p, _divmod(p, ca, g)[0], _divmod(p, cb, g)[0]) == [1]
+
+
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(lambda t: t + [1]), min_size=1, max_size=3),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_squarefree_part_over_q(factors, powers):
+    """f = prod g_i^(e_i): the squarefree part s divides f, has no repeated
+    factor, and f divides s^deg(f)."""
+    f = product(0, *[g for g, e in zip(factors, powers) for _ in range(e)])
+    s = squarefree_part(f)
+    assert divides(0, s, f)
+    df = [i * c for i, c in enumerate(s)][1:]
+    assert gcd(0, s, df) == [1]
+    assert divides(0, f, product(0, *[s] * (len(f) - 1)))
+
+
+@given(st.sampled_from(SMALL_PRIMES + (11, 13, 101)).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, 8).flatmap(lambda d: monic(p, d)))
+))
+@settings(max_examples=300, deadline=None)
+def test_gf_roots_are_the_zeros(case):
+    p, f = case
+    assert gf_roots(p, f) == [x for x in range(p) if not sum(c * x**i for i, c in enumerate(f)) % p]
+
+
+def test_gf_roots_of_split_and_rootless_polynomials():
+    # t^4 + t + 6 is irreducible over GF(10007)
+    assert gf_roots(10007, [6, 1, 0, 0, 1]) == []
+    assert gf_roots(10007, product(10007, [-5, 1], [-9000, 1], [0, 1], [6, 1, 0, 0, 1])) == [0, 5, 9000]
+    assert gf_roots(2, [0, 1, 1]) == [0, 1]
+    assert gf_roots(3, [1, 0, 1]) == []

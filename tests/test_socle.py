@@ -51,8 +51,8 @@ def test_socle_matches_oracle_on_corpus_modules(name, p):
 def natural_module(p: int, n: int, generators) -> LModule:
     """The natural module F^n of the Lie algebra of n x n matrices spanned by
     the commutator closure of the generators, written as structure constants
-    on the canonical basis of that span."""
-    F = GF(p)
+    on the canonical basis of that span; F is GF(p), or Q when p is 0."""
+    F = GF(p) if p else QQ
 
     def flat(A):
         return tuple(x for row in A.entries for x in row)
