@@ -4,15 +4,7 @@ over the rationals and small prime fields, with a brute-force enumeration
 oracle for ground truth."""
 
 from .fields import GF, QQ, Field, FieldError, PrimeField, Rationals
-from .linalg import (
-    Matrix,
-    QuotientMap,
-    Subspace,
-    quotient_coords,
-    rref_solve,
-    subspace_intersect,
-    subspace_sum,
-)
+from .linalg import Matrix, QuotientMap, Subspace, rref_solve
 from .algebra import (
     AlgebraError,
     IdealFlag,

@@ -8,6 +8,15 @@ basis triple at construction time.  Brackets are computed from a sparse copy
 of the table built once per algebra (see ``LieAlgebra``).  All values are
 immutable and every operation is a pure function; ``memoized`` keeps the
 results of the costly structural ones on the algebra they were computed for.
+
+Each linear system built from brackets has one builder here:
+``bracket_colon`` solves {x in X : [x, Y] <= W}, which is the centralizer,
+the centralizer of a section and each step of ``core``;
+``section_action`` gives the matrices of ad x on a section W/U, the
+factor modules and semidirect models; ``unipotent_conjugator`` solves
+(1 + ad a)K1 = K2 for a square-zero ad a, for crown complements and
+core-free maximals alike; ``bracket_law_failure`` and
+``preserves_brackets`` check a representation and a homomorphism.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .fields import Field
 from .linalg import (
@@ -35,6 +44,7 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
+from .status import CertificationFailure
 
 
 class AlgebraError(ValueError):
@@ -281,42 +291,44 @@ def ideal_flags(L: LieAlgebra, U: Subspace) -> IdealFlag:
     return IdealFlag(U, sub, sub and is_ideal(L, U))
 
 
-def centralizer(L: LieAlgebra, U: Subspace) -> Subspace:
-    """Exact solution set of [x, u] = 0 for all basis u of U."""
-    _check_ambient(L, U)
-    F = L.field
-    if U.is_zero():
-        return L.full_space()
+def _colon_rows(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> list:
+    """The matrix of x -> ([x, y] mod W, y over the basis of Y) in the
+    coordinates of X: for each y, the residues ``W.reduce([x_i, y])`` at W's
+    non-pivot columns, one row per column (a residue is zero at the pivots,
+    and zero exactly when the vector lies in W)."""
+    pivots = set(W.pivots)
+    free = [t for t in range(L.dim) if t not in pivots]
     rows = []
-    for u in U.basis:
-        # linear map x -> [x, u]; row block = its matrix
-        cols = [L.bracket(unit_vec(F, L.dim, i), u) for i in range(L.dim)]
-        M = Matrix.from_columns(F, cols)
-        rows.extend(M.entries)
-    _, _, _, null = rref_solve(Matrix(F, rows))
-    return null
+    for y in Y.basis:
+        cols = [W.reduce(L.bracket(x, y)) for x in X.basis]
+        rows.extend(tuple(col[t] for col in cols) for t in free)
+    return rows
+
+
+def bracket_colon(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> Subspace:
+    """{x in X : [x, Y] <= W}, one nullspace of ``_colon_rows`` in the
+    coordinates of X.  Centralizers, centralizers of sections and the steps
+    of ``core`` are its instances."""
+    for U in (X, Y, W):
+        _check_ambient(L, U)
+    rows = _colon_rows(L, X, Y, W)
+    if not rows or X.is_zero():
+        return X
+    F = L.field
+    null = rref_solve(Matrix._of(F, rows, X.dim))[3]
+    if X.is_full():
+        return null
+    return Subspace.from_vectors(F, L.dim, [lin_comb(F, c, X.basis) for c in null.basis])
+
+
+def centralizer(L: LieAlgebra, U: Subspace) -> Subspace:
+    """All x with [x, U] = 0."""
+    return bracket_colon(L, L.full_space(), U, L.zero_space())
 
 
 def factor_centralizer(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """All x with [x, A] contained in B (the centralizer of the section A/B)."""
-    _check_ambient(L, A)
-    _check_ambient(L, B)
-    F = L.field
-    if A.is_zero():
-        return L.full_space()
-    amb = L.full_space()
-    qm = QuotientMap(amb, B)
-    rows = []
-    for a in A.basis:
-        cols = [qm.project(L.bracket(unit_vec(F, L.dim, i), a)) for i in range(L.dim)]
-        if qm.dim == 0:
-            continue
-        M = Matrix.from_columns(F, cols)
-        rows.extend(M.entries)
-    if not rows:
-        return L.full_space()
-    _, _, _, null = rref_solve(Matrix(F, rows))
-    return null
+    return bracket_colon(L, L.full_space(), A, B)
 
 
 @memoized
@@ -326,28 +338,53 @@ def core(L: LieAlgebra, U: Subspace) -> Subspace:
     _check_ambient(L, U)
     if not is_subalgebra(L, U):
         raise AlgebraError("core is only defined for subalgebras")
-    F = L.field
+    full = L.full_space()
     current = U
     while True:
-        if current.is_zero():
-            return current
-        # u in current (coords c): [e_i, u] must reduce to zero mod current
-        qm = QuotientMap(L.full_space(), current)
-        if qm.dim == 0:
-            return current
-        rows = []
-        for i in range(L.dim):
-            cols = []
-            for b in current.basis:
-                cols.append(qm.project(L.bracket(unit_vec(F, L.dim, i), b)))
-            M = Matrix.from_columns(F, cols)
-            rows.extend(M.entries)
-        _, _, _, null = rref_solve(Matrix(F, rows))
-        vecs = [lin_comb(F, coeffs, current.basis) for coeffs in null.basis]
-        nxt = Subspace.from_vectors(F, L.dim, vecs)
+        nxt = bracket_colon(L, current, full, current)
         if nxt == current:
             return current
         current = nxt
+
+
+def unipotent_conjugator(L: LieAlgebra, C: Subspace, K1: Subspace, K2: Subspace) -> Vector:
+    """An a in C with (1 + ad a)(K1) = K2 and (ad a)^2 = 0, so that 1 + ad a
+    is an automorphism.  [a, k] + k in K2 for the basis k of K1 is the
+    system ``_colon_rows(L, C, K1, K2)`` against the residues of -k; its
+    particular solution is tried first, then the particular solution plus
+    1, -1, 2 or -2 times each nullspace basis vector, and the first
+    candidate that is square-zero and maps K1 onto K2 is returned."""
+    F = L.field
+    if K1 == K2:
+        return zero_vec(F, L.dim)
+    rows = _colon_rows(L, C, K1, K2)
+    pivots = set(K2.pivots)
+    rhs = [-x for k in K1.basis for t, x in enumerate(K2.reduce(k)) if t not in pivots]
+    _, _, particular, null = rref_solve(Matrix._of(F, rows, C.dim), rhs)
+    if particular is None:
+        raise CertificationFailure("no conjugating element; solvable hypothesis violated?")
+    candidates = [particular]
+    for nv in null.basis:
+        for scale in (1, -1, 2, -2):
+            candidates.append(vec_add(F, particular, vec_scale(F, scale, nv)))
+    for coeffs in candidates:
+        a = lin_comb(F, coeffs, C.basis)
+        ada = L.ad(a)
+        if not ada.matmul(ada).is_zero():
+            continue
+        image = Subspace.from_vectors(F, L.dim, [vec_add(F, k, ada.apply(k)) for k in K1.basis])
+        if image == K2:
+            return a
+    raise CertificationFailure("no square-nilpotent conjugator found in the solution family")
+
+
+def section_action(L: LieAlgebra, xs: Sequence[Vector], qm: QuotientMap) -> list[Matrix]:
+    """For each x in ``xs``, the matrix of v -> [x, v] on the section
+    qm.W/qm.U in the coordinates of ``qm``; each ad x must leave W and U
+    invariant."""
+    F = L.field
+    lifts = [qm.lift(unit_vec(F, qm.dim, j)) for j in range(qm.dim)]
+    return [Matrix.from_columns(F, [qm.project(L.bracket(x, v)) for v in lifts]) for x in xs]
 
 
 @memoized
@@ -467,6 +504,35 @@ def quotient_algebra(L: LieAlgebra, I: Subspace) -> QuotientAlgebra:
     return QuotientAlgebra(Q, qm)
 
 
+def bracket_law_failure(L: LieAlgebra, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
+    """The first basis pair (i, j), i < j, on which ``mats`` (one square
+    matrix per basis element of L) break the bracket law
+    sum_k c_k mats[k] = mats[i] mats[j] - mats[j] mats[i], where
+    [e_i, e_j] = sum_k c_k e_k; None when they represent L."""
+    F = L.field
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            lhs = Matrix.zero(F, mats[i].rows, mats[i].cols)
+            for k, c in enumerate(L.basis_bracket(i, j)):
+                if c:
+                    lhs = lhs.add(mats[k].scale(c))
+            if lhs != mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i])):
+                return i, j
+    return None
+
+
+def preserves_brackets(A: LieAlgebra, B: LieAlgebra, T: Matrix) -> bool:
+    """Whether T[e_i, e_j] = [T e_i, T e_j] on every basis pair of A, that
+    is, whether the linear map T: A -> B is a homomorphism."""
+    F = A.field
+    images = [T.apply(unit_vec(F, A.dim, i)) for i in range(A.dim)]
+    return all(
+        T.apply(A.basis_bracket(i, j)) == B.bracket(images[i], images[j])
+        for i in range(A.dim)
+        for j in range(i + 1, A.dim)
+    )
+
+
 def semidirect_sum(B: LieAlgebra, Q: LieAlgebra, action: Sequence[Matrix]) -> LieAlgebra:
     """Algebra on B + Q where Q acts on the ideal B by derivations.
 
@@ -493,18 +559,9 @@ def semidirect_sum(B: LieAlgebra, Q: LieAlgebra, action: Sequence[Matrix]) -> Li
                 )
                 if lhs != rhs:
                     raise AlgebraError(f"action of basis element {i} is not a derivation")
-    for i in range(Q.dim):
-        for j in range(i + 1, Q.dim):
-            w = Q.basis_bracket(i, j)
-            lhs = Matrix.zero(F, B.dim, B.dim)
-            for k, c in enumerate(w):
-                if c:
-                    lhs = lhs.add(action[k].scale(c))
-            rhs = action[i].matmul(action[j]).sub(action[j].matmul(action[i]))
-            if lhs != rhs:
-                raise AlgebraError(
-                    f"action is not a homomorphism on acting pair ({i}, {j})"
-                )
+    pair = bracket_law_failure(Q, action)
+    if pair is not None:
+        raise AlgebraError(f"action is not a homomorphism on acting pair {pair}")
     n = B.dim + Q.dim
     table = {}
 
@@ -574,13 +631,8 @@ def nilpotent_automorphism(L: LieAlgebra, a: Vector) -> NilpotentAutomorphism:
             fact *= k
         inv = F.inv(F.coerce(fact))
         mat = mat.add(powers[k].scale(inv))
-    # hard postcondition: bracket preservation on all basis pairs
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = mat.apply(L.basis_bracket(i, j))
-            rhs = L.bracket(mat.apply(unit_vec(F, n, i)), mat.apply(unit_vec(F, n, j)))
-            if lhs != rhs:
-                raise AlgebraError("exp(ad a) failed bracket preservation")
+    if not preserves_brackets(L, L, mat):  # hard postcondition
+        raise AlgebraError("exp(ad a) failed bracket preservation")
     return NilpotentAutomorphism(a, mat)
 
 

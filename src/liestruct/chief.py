@@ -21,12 +21,13 @@ from .algebra import (
     AlgebraError,
     LieAlgebra,
     brackets_inside,
-    centralizer,
     factor_centralizer,
     is_ideal,
     memoized,
     quotient_algebra,
+    section_action,
     semidirect_sum,
+    subspace_is_solvable,
 )
 from .linalg import Matrix, Subspace, invert_matrix, unit_vec
 from .modules import (
@@ -279,20 +280,33 @@ class IsoClass:
     member_indices: tuple
 
 
-def iso_classes(series: ChiefSeries) -> list[IsoClass]:
-    """Partition the series factors by module isomorphism."""
+def _iso_labels(factors) -> tuple[list, list, Status]:
+    """``(reps, labels, status)``: each factor is labelled by the first
+    earlier representative it is module-isomorphic to, else becomes a new
+    representative; ``status`` is the worst status of the tests made."""
     reps: list[ChiefFactor] = []
-    members: list[list[int]] = []
-    for idx, f in enumerate(series.factors):
+    labels: list[int] = []
+    status = CERTIFIED
+    for f in factors:
         for ridx, rep in enumerate(reps):
-            ok, _, _ = module_isomorphic(rep, f)
+            ok, _, st = module_isomorphic(rep, f)
+            status = worst(status, st)
             if ok:
-                members[ridx].append(idx)
+                labels.append(ridx)
                 break
         else:
             reps.append(f)
-            members.append([idx])
-    return [IsoClass(r, tuple(m)) for r, m in zip(reps, members)]
+            labels.append(len(reps) - 1)
+    return reps, labels, status
+
+
+def iso_classes(series: ChiefSeries) -> list[IsoClass]:
+    """Partition the series factors by module isomorphism."""
+    reps, labels, _ = _iso_labels(series.factors)
+    return [
+        IsoClass(rep, tuple(i for i, l in enumerate(labels) if l == ridx))
+        for ridx, rep in enumerate(reps)
+    ]
 
 
 @dataclass(frozen=True)
@@ -308,24 +322,9 @@ def jordan_holder_match(S1: ChiefSeries, S2: ChiefSeries) -> ChiefMatch:
         raise AlgebraError("series of different algebras")
     if len(S1) != len(S2):
         raise MatchFailure("series lengths differ")
-    status = S1.status
-    status = worst(status, S2.status)
-    reps: list[ChiefFactor] = []
-    labels1, labels2 = [], []
-    witnesses: dict = {}
-    for labels, series, tag in ((labels1, S1, 0), (labels2, S2, 1)):
-        for idx, f in enumerate(series.factors):
-            for ridx, rep in enumerate(reps):
-                ok, wit, st = module_isomorphic(rep, f)
-                status = worst(status, st)
-                if ok:
-                    labels.append(ridx)
-                    witnesses[(tag, idx)] = wit
-                    break
-            else:
-                reps.append(f)
-                labels.append(len(reps) - 1)
-                witnesses[(tag, idx)] = None
+    reps, labels, status = _iso_labels(S1.factors + S2.factors)
+    status = worst(S1.status, S2.status, status)
+    labels1, labels2 = labels[: len(S1)], labels[len(S1) :]
     pairs = []
     for ridx in range(len(reps)):
         side1 = [i for i, l in enumerate(labels1) if l == ridx]
@@ -364,8 +363,6 @@ def solvable_radical(L: LieAlgebra):
             break
         R = info.asoc
     # certify: R solvable, by its internal derived series
-    from .algebra import subspace_is_solvable
-
     if not subspace_is_solvable(L, R):
         raise CertificationFailure("radical candidate is not solvable")
     return R, status
@@ -398,20 +395,11 @@ def associated_primitive_algebra(F: ChiefFactor) -> AssociatedPrimitive:
     L = F.algebra
     C = F.centralizer
     if F.abelian:
-        fm = factor_module(L, F.A, F.B)
+        qm = factor_module(L, F.A, F.B).coords
         qa = quotient_algebra(L, C)
         Q = qa.algebra
-        d = fm.coords.dim
-        Balg = LieAlgebra(L.field, d, {})
-        action = []
-        for i in range(Q.dim):
-            lift = qa.lift(unit_vec(L.field, Q.dim, i))
-            cols = [
-                fm.coords.project(L.bracket(lift, fm.coords.lift(unit_vec(L.field, d, j))))
-                for j in range(d)
-            ]
-            action.append(Matrix.from_columns(L.field, cols))
-        X = semidirect_sum(Balg, Q, action)
+        lifts = [qa.lift(unit_vec(L.field, Q.dim, i)) for i in range(Q.dim)]
+        X = semidirect_sum(LieAlgebra(L.field, qm.dim, {}), Q, section_action(L, lifts, qm))
         w = classify_primitive(X)
         if w.verdict not in (TYPE1, "undecided"):
             raise CertificationFailure("associated algebra of an abelian factor is not of type 1")

@@ -96,6 +96,41 @@ def factor_doc(idx: int, f) -> dict:
     }
 
 
+def series_doc(series) -> dict:
+    return {
+        "chain": [space_doc(S) for S in series.chain],
+        "factors": [factor_doc(i, f) for i, f in enumerate(series.factors)],
+        "status": str(series.status),
+    }
+
+
+def crowns_doc(crowns) -> list:
+    return [
+        {
+            "numerator": space_doc(c.C),
+            "denominator": space_doc(c.R),
+            "rank": c.rank,
+            "abelian": c.class_rep.abelian,
+            "status": str(c.status),
+        }
+        for c in crowns
+    ]
+
+
+def primitive_doc(w) -> dict:
+    def optional(U):
+        return space_doc(U) if U else None
+
+    return {
+        "verdict": w.verdict,
+        "reason": w.reason,
+        "monolith": optional(w.monolith),
+        "core_free_maximal": optional(w.core_free_maximal),
+        "common_complement": optional(w.common_complement),
+        "status": str(w.status),
+    }
+
+
 def build_report(L: LieAlgebra, name: Optional[str]) -> dict:
     series = chief_series(L)
     crowns = all_crowns(L, series)
@@ -112,33 +147,9 @@ def build_report(L: LieAlgebra, name: Optional[str]) -> dict:
         },
         "solvable": solvable,
         "nilpotent": is_nilpotent(L),
-        "chief_series": {
-            "chain": [space_doc(S) for S in series.chain],
-            "factors": [factor_doc(i, f) for i, f in enumerate(series.factors)],
-            "status": str(series.status),
-        },
-        "crowns": [
-            {
-                "numerator": space_doc(c.C),
-                "denominator": space_doc(c.R),
-                "rank": c.rank,
-                "abelian": c.class_rep.abelian,
-                "status": str(c.status),
-            }
-            for c in crowns
-        ],
-        "primitive": {
-            "verdict": witness.verdict,
-            "reason": witness.reason,
-            "monolith": space_doc(witness.monolith) if witness.monolith else None,
-            "core_free_maximal": space_doc(witness.core_free_maximal)
-            if witness.core_free_maximal
-            else None,
-            "common_complement": space_doc(witness.common_complement)
-            if witness.common_complement
-            else None,
-            "status": str(witness.status),
-        },
+        "chief_series": series_doc(series),
+        "crowns": crowns_doc(crowns),
+        "primitive": primitive_doc(witness),
         "radical": {"space": space_doc(rad), "status": str(rad_status)},
         "prefrattini": space_doc(prefrattini(L, series=series)) if solvable else None,
     }
@@ -328,12 +339,7 @@ def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
         return EXIT_OK
     if cmd in ("chief-series", "factors"):
         series = chief_series(L)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "chain": [space_doc(S) for S in series.chain],
-            "factors": [factor_doc(i, f) for i, f in enumerate(series.factors)],
-            "status": str(series.status),
-        }
+        payload = {"schema_version": SCHEMA_VERSION, **series_doc(series)}
         lines = [
             f"[{i}] dim {f.dim} "
             + ("abelian" if f.abelian else "nonabelian")
@@ -347,19 +353,7 @@ def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
     if cmd == "crowns":
         series = chief_series(L)
         crowns = all_crowns(L, series)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "crowns": [
-                {
-                    "numerator": space_doc(c.C),
-                    "denominator": space_doc(c.R),
-                    "rank": c.rank,
-                    "abelian": c.class_rep.abelian,
-                    "status": str(c.status),
-                }
-                for c in crowns
-            ],
-        }
+        payload = {"schema_version": SCHEMA_VERSION, "crowns": crowns_doc(crowns)}
         lines = [
             f"crown C = {space_str(L, c.C)}, R = {space_str(L, c.R)}, rank {c.rank}"
             for c in crowns
@@ -375,15 +369,7 @@ def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
         return EXIT_OK
     if cmd == "primitive":
         w = classify_primitive(L)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "verdict": w.verdict,
-            "reason": w.reason,
-            "monolith": space_doc(w.monolith) if w.monolith else None,
-            "core_free_maximal": space_doc(w.core_free_maximal) if w.core_free_maximal else None,
-            "common_complement": space_doc(w.common_complement) if w.common_complement else None,
-            "status": str(w.status),
-        }
+        payload = {"schema_version": SCHEMA_VERSION, **primitive_doc(w)}
         human = f"{w.verdict}" + (f" ({w.reason})" if w.reason else "")
         _emit(args, payload, human)
         if w.verdict == "undecided" and args.strict:

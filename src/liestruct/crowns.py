@@ -24,10 +24,11 @@ from .algebra import (
     is_solvable,
     is_subalgebra,
     memoized,
+    unipotent_conjugator,
 )
 from .chief import ChiefFactor, ChiefSeries, chief_series, classify_factor, connected
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec, vec_add, vec_scale, zero_vec
+from .linalg import Subspace, lin_comb, rref_solve, unit_vec
 from .modules import (
     VECTOR_ENUM_BUDGET,
     factor_module,
@@ -257,38 +258,7 @@ def complement_conjugator(L: LieAlgebra, crown: Crown, K1: Subspace, K2: Subspac
             raise AlgebraError("complements must be subalgebras")
         if K.sum(crown.C) != L.full_space() or K.intersect(crown.C) != crown.R:
             raise AlgebraError("input is not a complement of the crown")
-    F = L.field
-    if K1 == K2:
-        return zero_vec(F, L.dim)
-    from .linalg import QuotientMap
-
-    C = crown.C
-    qm = QuotientMap(L.full_space(), K2)
-    rows, rhs = [], []
-    for k in K1.basis:
-        cols = [qm.project(L.bracket(cb, k)) for cb in C.basis]
-        for t in range(qm.dim):
-            rows.append(tuple(col[t] for col in cols))
-            rhs.append(-qm.project(k)[t])
-    _, _, particular, null = rref_solve(Matrix(F, rows), tuple(rhs))
-    if particular is None:
-        raise CertificationFailure("no conjugating element; solvable hypothesis violated?")
-
-    candidates = [particular]
-    for nv in null.basis:
-        for scale in (1, -1, 2, -2):
-            candidates.append(vec_add(F, particular, vec_scale(F, scale, nv)))
-    for coeffs in candidates:
-        a = lin_comb(F, coeffs, C.basis)
-        ada = L.ad(a)
-        if not ada.matmul(ada).is_zero():
-            continue
-        image = Subspace.from_vectors(
-            F, L.dim, [vec_add(F, k, ada.apply(k)) for k in K1.basis]
-        )
-        if image == K2:
-            return a
-    raise CertificationFailure("no square-nilpotent conjugator found in the solution family")
+    return unipotent_conjugator(L, crown.C, K1, K2)
 
 
 def prefrattini(

@@ -566,14 +566,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
-    return U.sum(V)
-
-
-def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
-    return U.intersect(V)
-
-
 class QuotientMap:
     """Coordinates on W/U for subspaces U <= W of a common ambient space.
 
@@ -622,10 +614,6 @@ class QuotientMap:
         """Preimage of a quotient subspace, always containing U."""
         vecs = [self.lift(v) for v in Xq.basis] + list(self.U.basis)
         return Subspace.from_vectors(self.field, self.W.ambient_dim, vecs)
-
-
-def quotient_coords(W: Subspace, U: Subspace) -> QuotientMap:
-    return QuotientMap(W, U)
 
 
 def invert_matrix(M: Matrix) -> Optional[Matrix]:

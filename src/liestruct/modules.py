@@ -43,11 +43,14 @@ from typing import Optional, Sequence
 from .algebra import (
     AlgebraError,
     LieAlgebra,
+    bracket_law_failure,
     brackets_inside,
     is_ideal,
+    is_subalgebra,
     killing_radical,
     memoized,
     quotient_algebra,
+    section_action,
 )
 from .fields import Field, PrimeField
 from .linalg import (
@@ -122,22 +125,9 @@ class LModule:
         return self._nonzero
 
     def _validate(self):
-        L = self.algebra
-        F = L.field
-        for i in range(L.dim):
-            for j in range(i + 1, L.dim):
-                w = L.basis_bracket(i, j)
-                lhs = Matrix.zero(F, self.dim, self.dim)
-                for k, c in enumerate(w):
-                    if c:
-                        lhs = lhs.add(self.mats[k].scale(c))
-                rhs = self.mats[i].matmul(self.mats[j]).sub(
-                    self.mats[j].matmul(self.mats[i])
-                )
-                if lhs != rhs:
-                    raise AlgebraError(
-                        f"action violates the bracket law on pair ({i}, {j})"
-                    )
+        pair = bracket_law_failure(self.algebra, self.mats)
+        if pair is not None:
+            raise AlgebraError(f"action violates the bracket law on pair {pair}")
 
     @property
     def field(self) -> Field:
@@ -218,42 +208,31 @@ def factor_module(L: LieAlgebra, A: Subspace, B: Subspace) -> FactorModule:
         raise AlgebraError("factor module requires a pair of ideals")
     if not A.contains_space(B):
         raise AlgebraError("denominator must sit inside the numerator")
-    F = L.field
     qm = QuotientMap(A, B)
-    d = qm.dim
-    mats = []
-    for i in range(L.dim):
-        cols = [
-            qm.project(L.bracket(unit_vec(F, L.dim, i), qm.lift(unit_vec(F, d, j))))
-            for j in range(d)
-        ]
-        mats.append(Matrix.from_columns(F, cols) if d else Matrix(F, []))
+    mats = section_action(L, [unit_vec(L.field, L.dim, i) for i in range(L.dim)], qm)
     # A and B are ideals, so the action on A/B is induced by the adjoint
     # action and obeys the bracket law as ``adjoint_module`` does
     return FactorModule(LModule(L, mats, validate=False), A, B, qm)
 
 
+def _section_module(M: LModule, qm: QuotientMap) -> LModule:
+    """The module structure on the invariant section qm.W/qm.U, in the
+    coordinates of ``qm``."""
+    F = M.field
+    lifts = [qm.lift(unit_vec(F, qm.dim, j)) for j in range(qm.dim)]
+    mats = [Matrix.from_columns(F, [qm.project(rho.apply(w)) for w in lifts]) for rho in M.mats]
+    return LModule(M.algebra, mats, validate=False)
+
+
 def restrict_module(M: LModule, W: Subspace) -> LModule:
     """The module structure on an invariant subspace, in W-coordinates."""
-    F = M.field
-    mats = []
-    for rho in M.mats:
-        cols = [W.coords(rho.apply(w)) for w in W.basis]
-        mats.append(Matrix.from_columns(F, cols) if W.dim else Matrix(F, []))
-    return LModule(M.algebra, mats, validate=False)
+    return _section_module(M, QuotientMap(W, Subspace.zero(M.field, M.dim)))
 
 
 def quotient_module(M: LModule, W: Subspace) -> LModule:
     """The module structure on M/W for an invariant subspace W, in the
     coordinates of ``QuotientMap(M.full_space(), W)``."""
-    F = M.field
-    qm = QuotientMap(M.full_space(), W)
-    lifts = [qm.lift(unit_vec(F, qm.dim, j)) for j in range(qm.dim)]
-    mats = []
-    for rho in M.mats:
-        cols = [qm.project(rho.apply(w)) for w in lifts]
-        mats.append(Matrix.from_columns(F, cols) if qm.dim else Matrix(F, []))
-    return LModule(M.algebra, mats, validate=False)
+    return _section_module(M, QuotientMap(M.full_space(), W))
 
 
 def spin(M: LModule, v: Vector) -> Subspace:
@@ -600,22 +579,12 @@ def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
     if u == 0:
         return V
     # Unknown projection X (u x v) with X|_U = id and X equivariant.
-    nvar = u * v
-    rows, rhs = [], []
-    for rhoV, rhoU in zip(RV.mats, RU.mats):
-        for i in range(u):
-            for j in range(v):
-                coeff = [F.zero()] * nvar
-                for k in range(v):
-                    coeff[i * v + k] += rhoV.entries[k][j]
-                for k in range(u):
-                    coeff[k * v + j] -= rhoU.entries[i][k]
-                rows.append(coeff)
-                rhs.append(F.zero())
+    rows = _equivariance_rows(RV, RU)
+    rhs = [F.zero()] * len(rows)
     for bidx, ub in enumerate(U.basis):
         cu = V.coords(ub)
         for i in range(u):
-            coeff = [F.zero()] * nvar
+            coeff = [F.zero()] * (u * v)
             for k in range(v):
                 coeff[i * v + k] = cu[k]
             rows.append(tuple(coeff))
@@ -699,6 +668,25 @@ def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
     return SocleInfo(tuple(minimals), soc, asoc, status)
 
 
+def _equivariance_rows(M1: LModule, M2: LModule) -> list:
+    """The equations X rho1 = rho2 X, per action pair and matrix entry, on
+    the unknown map X: M1 -> M2 flattened by rows (entry (i, k) of X is
+    unknown i * M1.dim + k); entries are not yet reduced mod p."""
+    F = M1.field
+    s, t = M1.dim, M2.dim
+    rows = []
+    for r1, r2 in zip(M1.mats, M2.mats):
+        for i in range(t):
+            for j in range(s):
+                coeff = [F.zero()] * (t * s)
+                for k in range(s):
+                    coeff[i * s + k] += r1.entries[k][j]
+                for k in range(t):
+                    coeff[k * s + j] -= r2.entries[i][k]
+                rows.append(coeff)
+    return rows
+
+
 def hom_space(M1: LModule, M2: LModule) -> list[ModuleMap]:
     """Basis of the space of equivariant maps M1 -> M2."""
     if M1.algebra != M2.algebra:
@@ -707,17 +695,7 @@ def hom_space(M1: LModule, M2: LModule) -> list[ModuleMap]:
     s, t = M1.dim, M2.dim
     if s == 0 or t == 0:
         return []
-    nvar = t * s
-    rows = []
-    for r1, r2 in zip(M1.mats, M2.mats):
-        for i in range(t):
-            for j in range(s):
-                coeff = [F.zero()] * nvar
-                for k in range(s):
-                    coeff[i * s + k] += r1.entries[k][j]
-                for k in range(t):
-                    coeff[k * s + j] -= r2.entries[i][k]
-                rows.append(coeff)
+    rows = _equivariance_rows(M1, M2)
     _, _, _, null = rref_solve(Matrix(F, rows))
     out = []
     for flatv in null.basis:
@@ -829,8 +807,6 @@ def split_abelian_extension(
         comp_vecs.append(qa.lift(w))
     K = Subspace.from_vectors(F, L.dim, comp_vecs + list(B.basis))
     # hard postcondition
-    from .algebra import is_subalgebra
-
     if not is_subalgebra(L, K):
         raise AlgebraError("splitting produced a non-subalgebra")
     if K.intersect(A) != B or K.sum(A) != L.full_space():

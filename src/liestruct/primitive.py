@@ -30,19 +30,22 @@ from .algebra import (
     is_solvable,
     is_subalgebra,
     memoized,
+    preserves_brackets,
     quotient_algebra,
+    section_action,
     semidirect_sum,
     sub_algebra,
+    unipotent_conjugator,
 )
 from .fields import PrimeField
 from .linalg import (
     Matrix,
+    QuotientMap,
     Subspace,
     invert_matrix,
     lin_comb,
     rref_solve,
     unit_vec,
-    vec_add,
     vec_sub,
     zero_vec,
 )
@@ -381,19 +384,8 @@ def maximality_certificate(L: LieAlgebra, M: Subspace) -> Status:
         return undecided("not a proper subalgebra")
     if L.dim - M.dim == 1:
         return CERTIFIED
-    F = L.field
-    from .linalg import QuotientMap
-
     qm = QuotientMap(L.full_space(), M)
-    Msub = sub_algebra(L, M)
-    mats = []
-    for i in range(M.dim):
-        cols = [
-            qm.project(L.bracket(M.basis[i], qm.lift(unit_vec(F, qm.dim, j))))
-            for j in range(qm.dim)
-        ]
-        mats.append(Matrix.from_columns(F, cols))
-    mod = LModule(Msub, mats, validate=False)
+    mod = LModule(sub_algebra(L, M), section_action(L, M.basis, qm), validate=False)
     verdict, _, st = certify_irreducible(mod)
     if verdict is True:
         return CERTIFIED
@@ -453,7 +445,6 @@ def core_free_conjugator(L: LieAlgebra, U1: Subspace, U2: Subspace):
     if w.verdict != TYPE1:
         raise AlgebraError("the algebra is not solvable primitive")
     A = w.monolith
-    F = L.field
     for U in (U1, U2):
         if not is_subalgebra(L, U):
             raise AlgebraError("conjugator inputs must be subalgebras")
@@ -461,30 +452,7 @@ def core_free_conjugator(L: LieAlgebra, U1: Subspace, U2: Subspace):
             raise AlgebraError("conjugator inputs must be core-free")
         if not U.sum(A).is_full() or not U.intersect(A).is_zero():
             raise AlgebraError("inputs do not complement the monolith")
-    if U1 == U2:
-        return zero_vec(F, L.dim)
-    from .linalg import QuotientMap
-
-    qm = QuotientMap(L.full_space(), U2)
-    rows, rhs = [], []
-    for u in U1.basis:
-        cols = [qm.project(L.bracket(a_b, u)) for a_b in A.basis]
-        for t in range(qm.dim):
-            rows.append(tuple(col[t] for col in cols))
-            rhs.append(-qm.project(u)[t])
-    _, _, particular, _ = rref_solve(Matrix(F, rows), tuple(rhs))
-    if particular is None:
-        raise CertificationFailure("no conjugating element exists; hypothesis violated")
-    a = lin_comb(F, particular, A.basis)
-    ada = L.ad(a)
-    if not ada.matmul(ada).is_zero():
-        raise CertificationFailure("conjugating element is not square-nilpotent")
-    image = Subspace.from_vectors(
-        F, L.dim, [vec_add(F, u, ada.apply(u)) for u in U1.basis]
-    )
-    if image != U2:
-        raise CertificationFailure("conjugation image mismatch")
-    return a
+    return unipotent_conjugator(L, A, U1, U2)
 
 
 @dataclass(frozen=True)
@@ -511,16 +479,7 @@ def _decompose(L: LieAlgebra, B: Subspace, U: Subspace, v):
 
 
 def _check_algebra_iso(A: LieAlgebra, B: LieAlgebra, T: Matrix) -> bool:
-    F = A.field
-    if invert_matrix(T) is None:
-        return False
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            if T.apply(A.basis_bracket(i, j)) != B.bracket(
-                T.apply(unit_vec(F, A.dim, i)), T.apply(unit_vec(F, A.dim, j))
-            ):
-                return False
-    return True
+    return invert_matrix(T) is not None and preserves_brackets(A, B, T)
 
 
 def type_equivalence_witnesses(L: LieAlgebra) -> TypeEquivalenceReport:
@@ -543,13 +502,9 @@ def type_equivalence_witnesses(L: LieAlgebra) -> TypeEquivalenceReport:
                 raise CertificationFailure("witness does not complement as required")
         qa = quotient_algebra(L, C)
         Q = qa.algebra
-        Balg = sub_algebra(L, B)
-        action = []
-        for i in range(Q.dim):
-            lift = qa.lift(unit_vec(F, Q.dim, i))
-            cols = [B.coords(L.bracket(lift, b)) for b in B.basis]
-            action.append(Matrix.from_columns(F, cols))
-        X = semidirect_sum(Balg, Q, action)
+        lifts = [qa.lift(unit_vec(F, Q.dim, i)) for i in range(Q.dim)]
+        action = section_action(L, lifts, QuotientMap(B, L.zero_space()))
+        X = semidirect_sum(sub_algebra(L, B), Q, action)
         # theta: L -> X, theta(b + u) = b + (u + C)
         cols = []
         for i in range(L.dim):
@@ -564,12 +519,9 @@ def type_equivalence_witnesses(L: LieAlgebra) -> TypeEquivalenceReport:
         return TypeEquivalenceReport(w.verdict, B, U, X, xw, theta, w.status)
     if w.verdict == TYPE2:
         D = w.monolith
-        Dalg = sub_algebra(L, D)
-        action = []
-        for i in range(L.dim):
-            cols = [D.coords(L.bracket(unit_vec(F, L.dim, i), d)) for d in D.basis]
-            action.append(Matrix.from_columns(F, cols))
-        X = semidirect_sum(Dalg, L, action)
+        units = [unit_vec(F, L.dim, i) for i in range(L.dim)]
+        action = section_action(L, units, QuotientMap(D, L.zero_space()))
+        X = semidirect_sum(sub_algebra(L, D), L, action)
         xw = classify_primitive(X)
         if xw.verdict != TYPE3:
             raise CertificationFailure("inflation failed to produce a type-3 algebra")

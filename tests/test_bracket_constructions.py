@@ -1,0 +1,316 @@
+"""The bracket constructions of ``algebra`` against the loops they replaced.
+
+``bracket_colon`` gives centralizers, section centralizers and the steps of
+``core``; ``section_action`` gives the matrices of a factor module and of the
+semidirect models of ``type_equivalence_witnesses``; ``unipotent_conjugator``
+serves both conjugators.  The former hand-written bodies are kept here as
+references (``old_*``) and must give identical values: every
+chief-series section of the Q and GF(2) corpora, and Hypothesis semidirect
+sums F^n + L of matrix algebras over Q, GF(2) and GF(3).
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from liestruct import builtin
+from liestruct.algebra import (
+    LieAlgebra,
+    bracket_colon,
+    bracket_law_failure,
+    centralizer,
+    core,
+    derived_series,
+    factor_centralizer,
+    is_ideal,
+    is_subalgebra,
+    lower_central_series,
+    nilpotent_automorphism,
+    preserves_brackets,
+    quotient_algebra,
+    section_action,
+    semidirect_sum,
+)
+from liestruct.chief import chief_series
+from liestruct.crowns import complement_conjugator, crown_of_factor
+from liestruct.fields import GF, QQ
+from liestruct.linalg import (
+    Matrix,
+    QuotientMap,
+    Subspace,
+    invert_matrix,
+    lin_comb,
+    rref_solve,
+    unit_vec,
+)
+from liestruct.modules import factor_module
+from liestruct.oracle import enum_structures
+from liestruct.primitive import core_free_conjugator
+
+from conftest import CORPUS_GF2, CORPUS_Q
+from test_isomorphism import transport
+from test_socle import natural_module
+
+
+def old_centralizer(L: LieAlgebra, U: Subspace) -> Subspace:
+    F = L.field
+    if U.is_zero():
+        return L.full_space()
+    rows = []
+    for u in U.basis:
+        cols = [L.bracket(unit_vec(F, L.dim, i), u) for i in range(L.dim)]
+        M = Matrix.from_columns(F, cols)
+        rows.extend(M.entries)
+    _, _, _, null = rref_solve(Matrix(F, rows))
+    return null
+
+
+def old_factor_centralizer(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
+    F = L.field
+    if A.is_zero():
+        return L.full_space()
+    amb = L.full_space()
+    qm = QuotientMap(amb, B)
+    rows = []
+    for a in A.basis:
+        cols = [qm.project(L.bracket(unit_vec(F, L.dim, i), a)) for i in range(L.dim)]
+        if qm.dim == 0:
+            continue
+        M = Matrix.from_columns(F, cols)
+        rows.extend(M.entries)
+    if not rows:
+        return L.full_space()
+    _, _, _, null = rref_solve(Matrix(F, rows))
+    return null
+
+
+def old_core(L: LieAlgebra, U: Subspace) -> Subspace:
+    F = L.field
+    current = U
+    while True:
+        if current.is_zero():
+            return current
+        qm = QuotientMap(L.full_space(), current)
+        if qm.dim == 0:
+            return current
+        rows = []
+        for i in range(L.dim):
+            cols = []
+            for b in current.basis:
+                cols.append(qm.project(L.bracket(unit_vec(F, L.dim, i), b)))
+            M = Matrix.from_columns(F, cols)
+            rows.extend(M.entries)
+        _, _, _, null = rref_solve(Matrix(F, rows))
+        vecs = [lin_comb(F, coeffs, current.basis) for coeffs in null.basis]
+        nxt = Subspace.from_vectors(F, L.dim, vecs)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def old_factor_module_mats(L: LieAlgebra, A: Subspace, B: Subspace) -> list:
+    F = L.field
+    qm = QuotientMap(A, B)
+    d = qm.dim
+    mats = []
+    for i in range(L.dim):
+        cols = [
+            qm.project(L.bracket(unit_vec(F, L.dim, i), qm.lift(unit_vec(F, d, j))))
+            for j in range(d)
+        ]
+        mats.append(Matrix.from_columns(F, cols) if d else Matrix(F, []))
+    return mats
+
+
+def old_semidirect_action(L: LieAlgebra, C: Subspace, B: Subspace) -> list:
+    """The action of L/C on the ideal B, as the type-1/3 branch built it."""
+    F = L.field
+    qa = quotient_algebra(L, C)
+    Q = qa.algebra
+    action = []
+    for i in range(Q.dim):
+        lift = qa.lift(unit_vec(F, Q.dim, i))
+        cols = [B.coords(L.bracket(lift, b)) for b in B.basis]
+        action.append(Matrix.from_columns(F, cols))
+    return action
+
+
+def old_inflation_action(L: LieAlgebra, D: Subspace) -> list:
+    """The adjoint action of L on the ideal D, as the type-2 branch built it."""
+    F = L.field
+    action = []
+    for i in range(L.dim):
+        cols = [D.coords(L.bracket(unit_vec(F, L.dim, i), d)) for d in D.basis]
+        action.append(Matrix.from_columns(F, cols))
+    return action
+
+
+def basis_subalgebras(L: LieAlgebra) -> list:
+    """The subalgebras spanned by subsets of the basis."""
+    F, n = L.field, L.dim
+    spans = (
+        L.span([unit_vec(F, n, i) for i in subset])
+        for size in range(n + 1)
+        for subset in itertools.combinations(range(n), size)
+    )
+    return [U for U in spans if is_subalgebra(L, U)]
+
+
+def assert_sections_match(L: LieAlgebra, pairs):
+    """Every construction on the ideal sections A/B (B inside A) of L."""
+    for A, B in pairs:
+        assert factor_centralizer(L, A, B) == old_factor_centralizer(L, A, B)
+        assert centralizer(L, A) == old_centralizer(L, A)
+        assert factor_module(L, A, B).module.mats == tuple(old_factor_module_mats(L, A, B))
+        units = [unit_vec(L.field, L.dim, i) for i in range(L.dim)]
+        ideal = QuotientMap(A, L.zero_space())
+        assert section_action(L, units, ideal) == old_inflation_action(L, A)
+        C = centralizer(L, A)
+        qa = quotient_algebra(L, C)
+        lifts = [qa.lift(unit_vec(L.field, qa.algebra.dim, i)) for i in range(qa.algebra.dim)]
+        assert section_action(L, lifts, ideal) == old_semidirect_action(L, C, A)
+
+
+def assert_cores_match(L: LieAlgebra, subalgebras):
+    for U in subalgebras:
+        assert core(L, U) == old_core(L, U)
+
+
+def chief_sections(L: LieAlgebra) -> list:
+    chain = chief_series(L).chain
+    return [(A, B) for B, A in zip(chain, chain[1:])] + [(L.full_space(), L.zero_space())]
+
+
+@pytest.mark.parametrize(
+    "name,field",
+    [(n, QQ) for n in CORPUS_Q] + [(n, GF(2)) for n in CORPUS_GF2],
+    ids=[f"{n}-q" for n in CORPUS_Q] + [f"{n}-gf2" for n in CORPUS_GF2],
+)
+def test_chief_sections_match_the_old_loops(name, field):
+    L = builtin(name, field)
+    assert_sections_match(L, chief_sections(L))
+    assert_cores_match(L, basis_subalgebras(L))
+
+
+def test_cores_of_maximal_subalgebras_match_over_gf2():
+    for name in CORPUS_GF2:
+        L = builtin(name, GF(2))
+        assert_cores_match(L, enum_structures(L).maximal_subalgebras)
+
+
+def series_sections(L: LieAlgebra) -> list:
+    """Consecutive terms of the derived and lower central series, and each
+    term over 0: ideal sections that need no socle computation."""
+    pairs = []
+    for series in (derived_series(L), lower_central_series(L)):
+        pairs += list(zip(series, series[1:])) + [(A, L.zero_space()) for A in series]
+    return pairs
+
+
+@st.composite
+def semidirect_sums(draw):
+    """F^n + L for the commutator closure L of up to two integer n x n
+    matrices (n <= 3) acting naturally, over Q, GF(2) or GF(3)."""
+    p = draw(st.sampled_from([0, 2, 3]))
+    n = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)
+    M = natural_module(p, n, draw(st.lists(entries, min_size=1, max_size=2)))
+    assume(M.algebra.dim > 0)
+    return semidirect_sum(builtin(f"ab({n})", M.field), M.algebra, M.mats), n
+
+
+@given(semidirect_sums())
+@settings(max_examples=40, deadline=None)
+def test_semidirect_sums_match_the_old_loops(sum_and_n):
+    L, n = sum_and_n
+    units = [unit_vec(L.field, L.dim, i) for i in range(L.dim)]
+    N = L.span(units[:n])  # the abelian ideal F^n
+    acting = L.span(units[n:])
+    assert is_ideal(L, N) and is_subalgebra(L, acting)
+    pairs = series_sections(L) + [(N, L.zero_space()), (L.full_space(), N)]
+    assert_sections_match(L, pairs)
+    assert_cores_match(L, [N, acting, N.sum(L.span(units[n : n + 1]))])
+
+
+def colon_by_definition(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> Subspace:
+    """The span of every x in X, enumerated over GF(p), with [x, Y] in W."""
+    F = L.field
+    inside = []
+    for c in itertools.product(range(F.p), repeat=X.dim):
+        x = lin_comb(F, c, X.basis) if X.dim else tuple([0] * L.dim)
+        if all(W.contains(L.bracket(x, y)) for y in Y.basis):
+            inside.append(x)
+    return L.span(inside)
+
+
+@st.composite
+def colon_inputs(draw):
+    """An algebra of dimension <= 5 over GF(2) or GF(3) in a random basis,
+    with random subspaces X, Y and W."""
+    p = draw(st.sampled_from([2, 3]))
+    names = CORPUS_GF2 if p == 2 else [nm for nm in CORPUS_Q if nm != "sl2_plus_sl2"]
+    L = builtin(draw(st.sampled_from(names)), GF(p))
+    n = L.dim
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    g = Matrix(L.field, [entries[i * n : (i + 1) * n] for i in range(n)])
+    if invert_matrix(g) is not None:
+        L = transport(L, g)
+    vectors = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+
+    def space():
+        return L.span(draw(st.lists(vectors, max_size=n)))
+
+    return L, space(), space(), space()
+
+
+@given(colon_inputs())
+@settings(max_examples=150, deadline=None)
+def test_bracket_colon_is_its_definition(inputs):
+    L, X, Y, W = inputs
+    assert L.dim <= 5
+    assert bracket_colon(L, X, Y, W) == colon_by_definition(L, X, Y, W)
+    assert bracket_colon(L, L.full_space(), Y, W) == colon_by_definition(L, L.full_space(), Y, W)
+
+
+def test_conjugators_agree_on_the_core_free_maximals_of_r2_over_gf3():
+    R = builtin("r2", GF(3))
+    S = chief_series(R)
+    crown = crown_of_factor(S.factors[0], S)  # the crown of the monolith factor
+    core_free = [M for M in enum_structures(R).maximal_subalgebras if core(R, M).is_zero()]
+    assert len(core_free) == 3
+    for U1 in core_free:
+        for U2 in core_free:
+            assert core_free_conjugator(R, U1, U2) == complement_conjugator(R, crown, U1, U2)
+
+
+def test_conjugators_agree_on_core_free_maximals_of_r2_over_q():
+    R = builtin("r2", QQ)
+    S = chief_series(R)
+    crown = crown_of_factor(S.factors[0], S)
+    core_free = [R.span([(1, c)]) for c in (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5))]
+    for U1 in core_free:
+        for U2 in core_free:
+            a = core_free_conjugator(R, U1, U2)
+            assert a == complement_conjugator(R, crown, U1, U2)
+            assert crown.C.contains(a)
+
+
+def test_bracket_law_failure_names_the_first_failing_pair():
+    L = builtin("heis", QQ)  # [x, y] = z
+    ad = [L.ad(unit_vec(QQ, 3, i)) for i in range(3)]
+    assert bracket_law_failure(L, ad) is None
+    assert bracket_law_failure(L, [ad[0], ad[1], Matrix.identity(QQ, 3)]) == (0, 1)
+    A = builtin("ab(3)", QQ)
+    e12, e21 = Matrix(QQ, [(0, 1), (0, 0)]), Matrix(QQ, [(0, 0), (1, 0)])
+    assert bracket_law_failure(A, [Matrix.zero(QQ, 2, 2), e12, e12]) is None
+    assert bracket_law_failure(A, [Matrix.zero(QQ, 2, 2), e12, e21]) == (1, 2)
+
+
+def test_preserves_brackets_is_the_homomorphism_test():
+    L = builtin("heis", QQ)
+    assert preserves_brackets(L, L, nilpotent_automorphism(L, (1, 0, 0)).matrix)
+    assert preserves_brackets(L, L, Matrix.identity(QQ, 3).scale(0))
+    assert not preserves_brackets(L, L, Matrix.identity(QQ, 3).scale(2))  # [2x, 2y] = 4z
