@@ -13,10 +13,14 @@ Each linear system built from brackets has one builder here:
 ``bracket_colon`` solves {x in X : [x, Y] <= W}, which is the centralizer,
 the centralizer of a section and each step of ``core``;
 ``section_action`` gives the matrices of ad x on a section W/U, the
-factor modules and semidirect models; ``unipotent_conjugator`` solves
+factor modules and semidirect models, as ``QuotientMap.induced`` of ad x;
+``unipotent_conjugator`` solves
 (1 + ad a)K1 = K2 for a square-zero ad a, for crown complements and
 core-free maximals alike; ``bracket_law_failure`` and
-``preserves_brackets`` check a representation and a homomorphism.
+``preserves_brackets`` check a representation and a homomorphism.  A
+quotient L/I is a ``QuotientAlgebra``: the ``QuotientMap`` of L onto L/I
+carrying the quotient ``algebra``, whose basis vectors lift to the map's
+``lifts``.
 """
 
 from __future__ import annotations
@@ -382,9 +386,7 @@ def section_action(L: LieAlgebra, xs: Sequence[Vector], qm: QuotientMap) -> list
     """For each x in ``xs``, the matrix of v -> [x, v] on the section
     qm.W/qm.U in the coordinates of ``qm``; each ad x must leave W and U
     invariant."""
-    F = L.field
-    lifts = [qm.lift(unit_vec(F, qm.dim, j)) for j in range(qm.dim)]
-    return [Matrix.from_columns(F, [qm.project(L.bracket(x, v)) for v in lifts]) for x in xs]
+    return [qm.induced(functools.partial(L.bracket, x)) for x in xs]
 
 
 @memoized
@@ -459,22 +461,10 @@ def subspace_is_solvable(L: LieAlgebra, U: Subspace) -> bool:
             return True
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
-    algebra: LieAlgebra
-    qmap: QuotientMap
+class QuotientAlgebra(QuotientMap):
+    """The coordinates of L onto L/I, and the quotient ``algebra``."""
 
-    def project(self, v: Vector) -> Vector:
-        return self.qmap.project(v)
-
-    def lift(self, v: Vector) -> Vector:
-        return self.qmap.lift(v)
-
-    def project_space(self, X: Subspace) -> Subspace:
-        return self.qmap.project_space(X)
-
-    def lift_space(self, Xq: Subspace) -> Subspace:
-        return self.qmap.lift_space(Xq)
+    __slots__ = ("algebra",)
 
 
 @memoized
@@ -485,23 +475,21 @@ def quotient_algebra(L: LieAlgebra, I: Subspace) -> QuotientAlgebra:
     _check_ambient(L, I)
     if not is_ideal(L, I):
         raise AlgebraError("quotient requires an ideal")
-    F = L.field
-    qm = QuotientMap(L.full_space(), I)
+    qa = QuotientAlgebra(L.full_space(), I)
     if I.is_zero():
-        return QuotientAlgebra(L, qm)
-    q = qm.dim
-    lifts = [qm.lift(unit_vec(F, q, i)) for i in range(q)]
+        qa.algebra = L
+        return qa
+    q, lifts = qa.dim, qa.lifts
     table = {}
     for i in range(q):
         for j in range(i + 1, q):
-            w = qm.project(L.bracket(lifts[i], lifts[j]))
-            table[(i, j)] = w
+            table[(i, j)] = qa.project(L.bracket(lifts[i], lifts[j]))
     names = []
     for v in lifts:
         nz = [k for k, x in enumerate(v) if x]
         names.append(L.basis_names[nz[0]] + "~" if len(nz) == 1 else f"q{len(names)}")
-    Q = LieAlgebra(F, q, table, basis_names=names)
-    return QuotientAlgebra(Q, qm)
+    qa.algebra = LieAlgebra(L.field, q, table, basis_names=names)
+    return qa
 
 
 def bracket_law_failure(L: LieAlgebra, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:

@@ -29,7 +29,7 @@ from .algebra import (
     semidirect_sum,
     subspace_is_solvable,
 )
-from .linalg import Matrix, Subspace, invert_matrix, unit_vec
+from .linalg import Matrix, Subspace, intersect_many, invert_matrix
 from .modules import (
     LModule,
     ModuleMap,
@@ -210,11 +210,7 @@ def _nonabelian_iso_witness(F1: ChiefFactor, F2: ChiefFactor) -> ModuleMap:
     fmC = factor_module(L, lift1, C)
 
     def through(fm) -> Matrix:
-        cols = [
-            fmC.coords.project(fm.coords.lift(unit_vec(L.field, fm.coords.dim, i)))
-            for i in range(fm.coords.dim)
-        ]
-        return Matrix.from_columns(L.field, cols)
+        return Matrix.from_columns(L.field, [fmC.coords.project(v) for v in fm.coords.lifts])
 
     m1, m2 = through(fm1), through(fm2)
     m2_inv = invert_matrix(m2)
@@ -374,10 +370,7 @@ def radical_centralizer_formula(L: LieAlgebra, series: ChiefSeries) -> Optional[
     cents = [f.centralizer for f in series.factors if not f.abelian]
     if not cents:
         return None
-    acc = cents[0]
-    for c in cents[1:]:
-        acc = acc.intersect(c)
-    return acc
+    return intersect_many(cents)
 
 
 @dataclass(frozen=True)
@@ -397,9 +390,8 @@ def associated_primitive_algebra(F: ChiefFactor) -> AssociatedPrimitive:
     if F.abelian:
         qm = factor_module(L, F.A, F.B).coords
         qa = quotient_algebra(L, C)
-        Q = qa.algebra
-        lifts = [qa.lift(unit_vec(L.field, Q.dim, i)) for i in range(Q.dim)]
-        X = semidirect_sum(LieAlgebra(L.field, qm.dim, {}), Q, section_action(L, lifts, qm))
+        action = section_action(L, qa.lifts, qm)
+        X = semidirect_sum(LieAlgebra(L.field, qm.dim, {}), qa.algebra, action)
         w = classify_primitive(X)
         if w.verdict not in (TYPE1, "undecided"):
             raise CertificationFailure("associated algebra of an abelian factor is not of type 1")

@@ -21,6 +21,10 @@ boundary:
   rows are emitted.  The other Q kernels apply ``Fraction`` operators
   directly and touch only nonzero entries.
 
+``QuotientMap`` owns the coordinates on a section W/U: every quotient,
+factor module and semidirect model reads its lift basis ``lifts`` and takes
+the matrix a map induces on W/U from ``induced``.
+
 The reduced row echelon form of a row space is unique: whatever pivot rows
 and row scalings lead to it, the normalised rows are the same.  So the
 kernels return exactly the values of the textbook Gauss-Jordan loop, and
@@ -33,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .fields import Field, Scalar
 
@@ -571,10 +575,12 @@ class QuotientMap:
 
     ``project`` maps ambient vectors of W onto W/U coordinates (kernel is
     exactly U); ``lift`` is a right inverse built from the canonical RREF
-    complement, so lifted representatives are deterministic.
+    complement, so lifted representatives are deterministic.  ``lifts`` is
+    the lift basis, the lifts of the unit coordinate vectors, and
+    ``induced`` the matrix on W/U of a map leaving W and U invariant.
     """
 
-    __slots__ = ("field", "W", "U", "dim", "_ucoords", "_lift_vecs", "_free")
+    __slots__ = ("field", "W", "U", "dim", "_ucoords", "lifts", "_free")
 
     def __init__(self, W: Subspace, U: Subspace):
         W._check_ambient(U)
@@ -590,7 +596,7 @@ class QuotientMap:
         self._ucoords = Subspace.from_vectors(F, W.dim, ucoord_rows)
         self._free = tuple(j for j in range(W.dim) if j not in self._ucoords.pivots)
         self.dim = len(self._free)
-        self._lift_vecs = tuple(W.basis[j] for j in self._free)
+        self.lifts = tuple(W.basis[j] for j in self._free)
 
     def project(self, v: Vector) -> Vector:
         c = self.W.coords(v)
@@ -602,7 +608,12 @@ class QuotientMap:
             raise DimensionMismatch("coordinate length mismatch")
         if not self.dim:
             return zero_vec(self.field, self.W.ambient_dim)
-        return lin_comb(self.field, coords, self._lift_vecs)
+        return lin_comb(self.field, coords, self.lifts)
+
+    def induced(self, op: Callable[[Vector], Vector]) -> Matrix:
+        """The matrix on W/U of the map ``op`` on ambient vectors, which
+        must leave W and U invariant."""
+        return Matrix.from_columns(self.field, [self.project(op(v)) for v in self.lifts])
 
     def project_space(self, X: Subspace) -> Subspace:
         """Image of a subspace of W in quotient coordinates."""

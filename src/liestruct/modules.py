@@ -192,8 +192,6 @@ class FactorModule:
     """The section A/B of ideals as a module, with its coordinate maps."""
 
     module: LModule
-    A: Subspace
-    B: Subspace
     coords: QuotientMap
 
 
@@ -212,16 +210,13 @@ def factor_module(L: LieAlgebra, A: Subspace, B: Subspace) -> FactorModule:
     mats = section_action(L, [unit_vec(L.field, L.dim, i) for i in range(L.dim)], qm)
     # A and B are ideals, so the action on A/B is induced by the adjoint
     # action and obeys the bracket law as ``adjoint_module`` does
-    return FactorModule(LModule(L, mats, validate=False), A, B, qm)
+    return FactorModule(LModule(L, mats, validate=False), qm)
 
 
 def _section_module(M: LModule, qm: QuotientMap) -> LModule:
     """The module structure on the invariant section qm.W/qm.U, in the
     coordinates of ``qm``."""
-    F = M.field
-    lifts = [qm.lift(unit_vec(F, qm.dim, j)) for j in range(qm.dim)]
-    mats = [Matrix.from_columns(F, [qm.project(rho.apply(w)) for w in lifts]) for rho in M.mats]
-    return LModule(M.algebra, mats, validate=False)
+    return LModule(M.algebra, [qm.induced(rho.apply) for rho in M.mats], validate=False)
 
 
 def restrict_module(M: LModule, W: Subspace) -> LModule:
@@ -618,10 +613,9 @@ def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):
     # translate the witness back to module coordinates
     sub_vecs = [lin_comb(F, cv, V.basis) for cv in counterexample.basis]
     U = Subspace.from_vectors(F, M.dim, sub_vecs)
-    Uc = complement_in_semisimple(M, V, U)
     if not avoid.contains_space(U):
         return _minimal_inside(M, U, avoid)
-    return _minimal_inside(M, Uc, avoid)
+    return _minimal_inside(M, complement_in_semisimple(M, V, U), avoid)
 
 
 def socle_decomposition(M: LModule):
@@ -766,12 +760,9 @@ def split_abelian_extension(
     if q == 0:
         # complement of the full section is the denominator itself
         return SplittingCertificate(B, Matrix(F, []))
-    section = [qm.lift(unit_vec(F, q, i)) for i in range(q)]
-
-    # action of Q on Abar in Abar-coordinates
-    def act(x: Vector, acoords: Vector) -> Vector:
-        return Abar.coords(Q.bracket(x, lin_comb(F, acoords, Abar.basis)))
-
+    section = qm.lifts
+    # the action of each section vector on Abar, in Abar-coordinates
+    action = section_action(Q, section, QuotientMap(Abar, Q.zero_space()))
     nvar = a * q  # cochain phi: q-coords -> Abar-coords
     rows, rhs = [], []
     for i in range(q):
@@ -782,13 +773,12 @@ def split_abelian_extension(
             g = Abar.coords(vec_sub(F, br, s_br))  # the 2-cocycle value
             # closure of {s + phi} forces
             #   x_i . phi(x_j) - x_j . phi(x_i) - phi([x_i, x_j]) = -g(i, j)
-            ei = [act(section[i], unit_vec(F, a, k)) for k in range(a)]
-            ej = [act(section[j], unit_vec(F, a, k)) for k in range(a)]
+            ei, ej = action[i].entries, action[j].entries
             for t in range(a):
                 coeff = [F.zero()] * nvar
                 for k in range(a):
-                    coeff[k * q + j] += ei[k][t]
-                    coeff[k * q + i] -= ej[k][t]
+                    coeff[k * q + j] += ei[t][k]
+                    coeff[k * q + i] -= ej[t][k]
                 for k in range(q):
                     coeff[t * q + k] -= br_q[k]
                 rows.append(coeff)
@@ -802,8 +792,7 @@ def split_abelian_extension(
         phi = Matrix.zero(F, a, q)
     comp_vecs = []
     for i in range(q):
-        corr = phi.apply(unit_vec(F, q, i))
-        w = lin_comb(F, (F.one(),) + corr, (section[i],) + Abar.basis)
+        w = lin_comb(F, (F.one(),) + phi.col(i), (section[i],) + Abar.basis)
         comp_vecs.append(qa.lift(w))
     K = Subspace.from_vectors(F, L.dim, comp_vecs + list(B.basis))
     # hard postcondition

@@ -47,7 +47,6 @@ from .linalg import (
     rref_solve,
     unit_vec,
     vec_sub,
-    zero_vec,
 )
 from .modules import (
     VECTOR_ENUM_BUDGET,
@@ -466,18 +465,6 @@ class TypeEquivalenceReport:
     status: Status
 
 
-def _decompose(L: LieAlgebra, B: Subspace, U: Subspace, v):
-    """Split v = b + u along L = B (+) U; returns (b, u)."""
-    F = L.field
-    cols = [list(x) for x in B.basis] + [list(x) for x in U.basis]
-    M = Matrix.from_columns(F, [tuple(c) for c in cols])
-    _, _, sol, _ = rref_solve(M, v)
-    if sol is None:
-        raise CertificationFailure("vector does not decompose along the complement")
-    b = lin_comb(F, sol[: B.dim], B.basis) if B.dim else zero_vec(F, L.dim)
-    return b, vec_sub(F, v, b)
-
-
 def _check_algebra_iso(A: LieAlgebra, B: LieAlgebra, T: Matrix) -> bool:
     return invert_matrix(T) is not None and preserves_brackets(A, B, T)
 
@@ -501,15 +488,18 @@ def type_equivalence_witnesses(L: LieAlgebra) -> TypeEquivalenceReport:
             if not U.sum(X).is_full() or not U.intersect(X).is_zero():
                 raise CertificationFailure("witness does not complement as required")
         qa = quotient_algebra(L, C)
-        Q = qa.algebra
-        lifts = [qa.lift(unit_vec(F, Q.dim, i)) for i in range(Q.dim)]
-        action = section_action(L, lifts, QuotientMap(B, L.zero_space()))
-        X = semidirect_sum(sub_algebra(L, B), Q, action)
-        # theta: L -> X, theta(b + u) = b + (u + C)
+        action = section_action(L, qa.lifts, QuotientMap(B, L.zero_space()))
+        X = semidirect_sum(sub_algebra(L, B), qa.algebra, action)
+        # theta: L -> X, theta(b + u) = b + (u + C); column i of the inverse
+        # holds the B- and then the U-coordinates of e_i
+        inv = invert_matrix(Matrix.from_columns(F, B.basis + U.basis))
+        if inv is None:
+            raise CertificationFailure("L does not decompose along the complement")
         cols = []
         for i in range(L.dim):
-            b, u = _decompose(L, B, U, unit_vec(F, L.dim, i))
-            cols.append(tuple(B.coords(b)) + tuple(qa.project(u)))
+            bc = inv.col(i)[: B.dim]
+            u = vec_sub(F, unit_vec(F, L.dim, i), lin_comb(F, bc, B.basis))
+            cols.append(bc + qa.project(u))
         theta = Matrix.from_columns(F, cols)
         if not _check_algebra_iso(L, X, theta):
             raise CertificationFailure("semidirect model is not isomorphic via theta")
@@ -530,11 +520,7 @@ def type_equivalence_witnesses(L: LieAlgebra) -> TypeEquivalenceReport:
         )
         qa = quotient_algebra(X, Bnew)
         # the quotient by the new ideal must return L
-        cols = []
-        for i in range(qa.algebra.dim):
-            lifted = qa.lift(unit_vec(F, qa.algebra.dim, i))
-            cols.append(tuple(lifted[D.dim :]))
-        T = Matrix.from_columns(F, cols)
+        T = Matrix.from_columns(F, [v[D.dim :] for v in qa.lifts])
         if not _check_algebra_iso(qa.algebra, L, T):
             raise CertificationFailure("inflation quotient does not return the original")
         return TypeEquivalenceReport(TYPE2, Bnew, None, X, xw, T, w.status)

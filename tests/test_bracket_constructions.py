@@ -3,14 +3,20 @@
 ``bracket_colon`` gives centralizers, section centralizers and the steps of
 ``core``; ``section_action`` gives the matrices of a factor module and of the
 semidirect models of ``type_equivalence_witnesses``; ``unipotent_conjugator``
-serves both conjugators.  The former hand-written bodies are kept here as
-references (``old_*``) and must give identical values: every
-chief-series section of the Q and GF(2) corpora, and Hypothesis semidirect
-sums F^n + L of matrix algebras over Q, GF(2) and GF(3).
+serves both conjugators.  ``QuotientMap.induced`` over the lift basis
+``lifts`` gives the submodules and quotient modules of ``_section_module``
+and the section action of ``split_abelian_extension``, and one inverse
+gives the theta of ``type_equivalence_witnesses``.  The former hand-written
+bodies are kept here as references (``old_*``) and must give identical
+values: every chief-series section of the Q and GF(2) corpora, Hypothesis
+semidirect sums F^n + L of matrix algebras over Q, GF(2) and GF(3), every
+socle piece of the corpus adjoint modules, every abelian chief and crown
+section, and every type-1 and type-3 corpus algebra.
 """
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,9 +24,11 @@ from hypothesis import strategies as st
 
 from liestruct import builtin
 from liestruct.algebra import (
+    AlgebraError,
     LieAlgebra,
     bracket_colon,
     bracket_law_failure,
+    brackets_inside,
     centralizer,
     core,
     derived_series,
@@ -35,20 +43,39 @@ from liestruct.algebra import (
     semidirect_sum,
 )
 from liestruct.chief import chief_series
-from liestruct.crowns import complement_conjugator, crown_of_factor
+from liestruct.crowns import all_crowns, complement_conjugator, crown_of_factor
 from liestruct.fields import GF, QQ
 from liestruct.linalg import (
     Matrix,
     QuotientMap,
     Subspace,
+    Vector,
     invert_matrix,
     lin_comb,
     rref_solve,
     unit_vec,
+    vec_sub,
+    zero_vec,
 )
-from liestruct.modules import factor_module
+from liestruct.modules import (
+    LModule,
+    SplittingCertificate,
+    adjoint_module,
+    factor_module,
+    quotient_module,
+    restrict_module,
+    socle_decomposition,
+    split_abelian_extension,
+)
 from liestruct.oracle import enum_structures
-from liestruct.primitive import core_free_conjugator
+from liestruct.primitive import (
+    TYPE1,
+    TYPE3,
+    classify_primitive,
+    core_free_conjugator,
+    type_equivalence_witnesses,
+)
+from liestruct.status import CertificationFailure
 
 from conftest import CORPUS_GF2, CORPUS_Q
 from test_isomorphism import transport
@@ -164,7 +191,10 @@ def assert_sections_match(L: LieAlgebra, pairs):
     for A, B in pairs:
         assert factor_centralizer(L, A, B) == old_factor_centralizer(L, A, B)
         assert centralizer(L, A) == old_centralizer(L, A)
-        assert factor_module(L, A, B).module.mats == tuple(old_factor_module_mats(L, A, B))
+        fm = factor_module(L, A, B)
+        assert fm.module.mats == tuple(old_factor_module_mats(L, A, B))
+        qm = fm.coords
+        assert list(qm.lifts) == [qm.lift(unit_vec(L.field, qm.dim, j)) for j in range(qm.dim)]
         units = [unit_vec(L.field, L.dim, i) for i in range(L.dim)]
         ideal = QuotientMap(A, L.zero_space())
         assert section_action(L, units, ideal) == old_inflation_action(L, A)
@@ -314,3 +344,193 @@ def test_preserves_brackets_is_the_homomorphism_test():
     assert preserves_brackets(L, L, nilpotent_automorphism(L, (1, 0, 0)).matrix)
     assert preserves_brackets(L, L, Matrix.identity(QQ, 3).scale(0))
     assert not preserves_brackets(L, L, Matrix.identity(QQ, 3).scale(2))  # [2x, 2y] = 4z
+
+
+def old_section_module(M: LModule, qm: QuotientMap) -> LModule:
+    """The former ``modules._section_module`` loop."""
+    F = M.field
+    lifts = [qm.lift(unit_vec(F, qm.dim, j)) for j in range(qm.dim)]
+    mats = [Matrix.from_columns(F, [qm.project(rho.apply(w)) for w in lifts]) for rho in M.mats]
+    return LModule(M.algebra, mats, validate=False)
+
+
+def old_split_abelian_extension(
+    L: LieAlgebra, A: Subspace, B: Subspace
+) -> Optional[SplittingCertificate]:
+    """The former ``modules.split_abelian_extension``, whose cocycle rows
+    rebuild the section action through the ``act`` closure per pair."""
+    if not is_ideal(L, A) or not is_ideal(L, B):
+        raise AlgebraError("splitting test requires ideals")
+    if not A.contains_space(B):
+        raise AlgebraError("denominator must sit inside the numerator")
+    if not brackets_inside(L, A, A, B):
+        raise AlgebraError("the section is not abelian")
+    F = L.field
+    qa = quotient_algebra(L, B)
+    Q = qa.algebra
+    Abar = qa.project_space(A)
+    if Abar.is_zero():
+        return SplittingCertificate(L.full_space(), Matrix(F, []))
+    qm = QuotientMap(Q.full_space(), Abar)  # coordinates of (L/B)/(A/B)
+    q = qm.dim
+    a = Abar.dim
+    if q == 0:
+        # complement of the full section is the denominator itself
+        return SplittingCertificate(B, Matrix(F, []))
+    section = [qm.lift(unit_vec(F, q, i)) for i in range(q)]
+
+    # action of Q on Abar in Abar-coordinates
+    def act(x: Vector, acoords: Vector) -> Vector:
+        return Abar.coords(Q.bracket(x, lin_comb(F, acoords, Abar.basis)))
+
+    nvar = a * q  # cochain phi: q-coords -> Abar-coords
+    rows, rhs = [], []
+    for i in range(q):
+        for j in range(i + 1, q):
+            br = Q.bracket(section[i], section[j])
+            br_q = qm.project(br)
+            s_br = qm.lift(br_q)
+            g = Abar.coords(vec_sub(F, br, s_br))  # the 2-cocycle value
+            # closure of {s + phi} forces
+            #   x_i . phi(x_j) - x_j . phi(x_i) - phi([x_i, x_j]) = -g(i, j)
+            ei = [act(section[i], unit_vec(F, a, k)) for k in range(a)]
+            ej = [act(section[j], unit_vec(F, a, k)) for k in range(a)]
+            for t in range(a):
+                coeff = [F.zero()] * nvar
+                for k in range(a):
+                    coeff[k * q + j] += ei[k][t]
+                    coeff[k * q + i] -= ej[k][t]
+                for k in range(q):
+                    coeff[t * q + k] -= br_q[k]
+                rows.append(coeff)
+                rhs.append(-g[t])
+    if rows:
+        _, _, particular, _ = rref_solve(Matrix(F, rows), tuple(rhs))
+        if particular is None:
+            return None
+        phi = Matrix(F, [particular[t * q : (t + 1) * q] for t in range(a)])
+    else:
+        phi = Matrix.zero(F, a, q)
+    comp_vecs = []
+    for i in range(q):
+        corr = phi.apply(unit_vec(F, q, i))
+        w = lin_comb(F, (F.one(),) + corr, (section[i],) + Abar.basis)
+        comp_vecs.append(qa.lift(w))
+    K = Subspace.from_vectors(F, L.dim, comp_vecs + list(B.basis))
+    # hard postcondition
+    if not is_subalgebra(L, K):
+        raise AlgebraError("splitting produced a non-subalgebra")
+    if K.intersect(A) != B or K.sum(A) != L.full_space():
+        raise AlgebraError("splitting produced a wrong complement")
+    return SplittingCertificate(K, phi)
+
+
+def old_decompose(L: LieAlgebra, B: Subspace, U: Subspace, v):
+    """Split v = b + u along L = B (+) U; returns (b, u)."""
+    F = L.field
+    cols = [list(x) for x in B.basis] + [list(x) for x in U.basis]
+    M = Matrix.from_columns(F, [tuple(c) for c in cols])
+    _, _, sol, _ = rref_solve(M, v)
+    if sol is None:
+        raise CertificationFailure("vector does not decompose along the complement")
+    b = lin_comb(F, sol[: B.dim], B.basis) if B.dim else zero_vec(F, L.dim)
+    return b, vec_sub(F, v, b)
+
+
+def old_theta(L: LieAlgebra) -> Matrix:
+    """The isomorphism b + u -> (b, u + C_L(B)) of the type-1/3 branch of
+    ``type_equivalence_witnesses``, one ``old_decompose`` per basis vector."""
+    w = classify_primitive(L)
+    F = L.field
+    B = w.monolith if w.verdict == TYPE1 else w.minimal_ideals[0]
+    U = w.core_free_maximal
+    qa = quotient_algebra(L, centralizer(L, B))
+    cols = []
+    for i in range(L.dim):
+        b, u = old_decompose(L, B, U, unit_vec(F, L.dim, i))
+        cols.append(tuple(B.coords(b)) + tuple(qa.project(u)))
+    return Matrix.from_columns(F, cols)
+
+
+CORPORA = [(n, QQ, "q") for n in CORPUS_Q] + [(n, GF(2), "gf2") for n in CORPUS_GF2]
+GF3_CORPUS = [(n, GF(3), "gf3") for n in CORPUS_Q]
+SEMISIMPLE = ("sl2", "sl2_plus_sl2")  # no abelian section
+
+
+def corpus_params(corpora):
+    return [pytest.param(n, f, id=f"{n}-{tag}") for n, f, tag in corpora]
+
+
+@pytest.mark.parametrize("name,field", corpus_params(CORPORA))
+def test_socle_pieces_match_the_old_section_loop(name, field):
+    """Submodule and quotient module of every socle summand, and of the
+    socle, of the adjoint module."""
+    M = adjoint_module(builtin(name, field))
+    summands, soc, _ = socle_decomposition(M)
+    for W in summands + [soc]:
+        zero = Subspace.zero(M.field, M.dim)
+        assert restrict_module(M, W) == old_section_module(M, QuotientMap(W, zero))
+        whole = QuotientMap(M.full_space(), W)
+        assert quotient_module(M, W) == old_section_module(M, whole)
+
+
+@pytest.mark.parametrize(
+    "name,field", corpus_params(c for c in CORPORA + GF3_CORPUS if c[0] not in SEMISIMPLE)
+)
+def test_splittings_match_the_old_cocycle_rows(name, field):
+    """The complement and the cochain on every abelian chief section and
+    every abelian crown section C/R."""
+    L = builtin(name, field)
+    S = chief_series(L)
+    sections = [(f.A, f.B) for f in S.factors if f.abelian]
+    sections += [(c.C, c.R) for c in all_crowns(L, S) if brackets_inside(L, c.C, c.C, c.R)]
+    assert sections
+    for A, B in sections:
+        assert split_abelian_extension(L, A, B) == old_split_abelian_extension(L, A, B)
+
+
+@st.composite
+def semidirect_sums_in_a_random_basis(draw):
+    """A semidirect sum F^n + L moved by g = (unit lower triangular) x (unit
+    upper triangular) with entries in {-1, 0, 1}, and the image of F^n.  In
+    the new basis the canonical lifts of a section need not span a
+    subalgebra, so the cochain that corrects them need not be zero; on
+    every split abelian section of the corpus algebras it is zero."""
+    L, n = draw(semidirect_sums())
+    F, d = L.field, L.dim
+    entries = st.lists(st.integers(-1, 1), min_size=d * d, max_size=d * d)
+    lo, up = draw(entries), draw(entries)
+
+    def unitriangular(c, below):
+        return Matrix(F, [
+            [1 if i == j else c[i * d + j] if (j < i) == below else 0 for j in range(d)]
+            for i in range(d)
+        ])
+
+    g = unitriangular(lo, True).matmul(unitriangular(up, False))
+    Lg = transport(L, g)
+    return Lg, Lg.span([g.col(k) for k in range(n)])
+
+
+@given(semidirect_sums_in_a_random_basis())
+@settings(max_examples=40, deadline=None)
+def test_splittings_match_in_a_random_basis(sum_and_ideal):
+    """The complement and the cochain on F^n over 0 and on every abelian
+    section of the derived and lower central series."""
+    L, N = sum_and_ideal
+    pairs = series_sections(L) + [(N, L.zero_space())]
+    for A, B in pairs:
+        if brackets_inside(L, A, A, B):
+            assert split_abelian_extension(L, A, B) == old_split_abelian_extension(L, A, B)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["q", "gf2", "gf3"])
+def test_theta_matches_the_old_decomposition(field):
+    names = CORPUS_GF2 if field == GF(2) else CORPUS_Q
+    algebras = [builtin(n, field) for n in names]
+    typed = [L for L in algebras if classify_primitive(L).verdict in (TYPE1, TYPE3)]
+    assert {classify_primitive(L).verdict for L in typed} == (
+        {TYPE1} if field == GF(2) else {TYPE1, TYPE3}
+    )
+    for L in typed:
+        assert type_equivalence_witnesses(L).iso_matrix == old_theta(L)

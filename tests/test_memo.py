@@ -33,7 +33,7 @@ class TestCachedValues:
         fm = factor_module(H, H.span([(0, 0, 1)]), H.zero_space())
         assert factor_module(H, H.span([(0, 0, 1)]), H.zero_space()) is fm
         assert isinstance(fm.coords._free, tuple)
-        assert isinstance(fm.coords._lift_vecs, tuple)
+        assert isinstance(fm.coords.lifts, tuple)
 
     def test_each_instance_has_its_own_cache(self):
         L1, L2 = builtin("sl2", QQ), builtin("sl2", QQ)
@@ -144,13 +144,13 @@ def test_report_runs_each_module_socle_once(monkeypatch):
     assert calls[0] > len(bodies)
 
 
-def gl3_over_gf3():
-    """gl(3) over GF(3) on the matrix units, as the commutator closure of
-    all nine of them."""
+def gl3_on_matrix_units(p):
+    """gl(3) over GF(p), or Q when p is 0, on the matrix units, as the
+    commutator closure of all nine of them."""
     from test_socle import natural_module
 
     units = [tuple(int(k == m) for k in range(9)) for m in range(9)]
-    return natural_module(3, 3, units).algebra
+    return natural_module(p, 3, units).algebra
 
 
 def borel3_over_gf3():
@@ -186,13 +186,25 @@ def test_report_certifies_each_module_once(monkeypatch):
 
     _rebind(monkeypatch, orig_certify, certify)
     monkeypatch.setattr(modules, "spin", spin)
-    L = gl3_over_gf3()
+    L = gl3_on_matrix_units(3)
     assert L.dim == 9
     build_report(L, "gl3")
     certified = [M for _, M in bodies.values()]
     distinct = {M for M in asked if M.dim >= 2}
     assert len(certified) == len(set(certified)) == len(distinct) > 0
     assert len(asked) > len(set(asked))
+
+
+def test_report_computes_a_complement_only_to_descend_into_it(monkeypatch):
+    """``_minimal_inside`` computes the complement of a reducibility witness
+    only when the witness lies in what it must avoid: on gl3/Q the first
+    socle summand descends into the witness, the second into the complement
+    of the same witness, so the report computes that complement once."""
+    calls = _counted(monkeypatch, modules.complement_in_semisimple)
+    L = gl3_on_matrix_units(0)
+    assert L.dim == 9
+    build_report(L, "gl3")
+    assert calls[0] == 1
 
 
 def test_classify_primitive_is_cached_per_oracle_flag():
