@@ -191,9 +191,9 @@ def memoized(fn):
     exception is not cached.  Applied to ``quotient_algebra``, ``core``,
     ``killing_radical`` and ``is_solvable`` here, to ``socle_space``,
     ``certify_irreducible``, ``socle_and_minimal_ideals``, ``factor_module`` and
-    ``split_abelian_extension`` in ``modules``, ``connected``,
-    ``module_isomorphic`` and ``_classify_section`` (the status-free part of
-    ``classify_factor``) in ``chief``, ``denominator_intersection``,
+    ``split_abelian_extension`` in ``modules`` (whose certificate a chief
+    factor's complement flags read), ``connected``, ``module_isomorphic``
+    and ``classify_factor`` in ``chief``, ``denominator_intersection``,
     ``crown_of_factor`` and ``all_crowns`` in ``crowns``, ``classify_primitive``
     (through a positional inner function keyed on ``use_oracle``) in
     ``primitive`` and ``_maximal_cores`` (the per-maximal data of

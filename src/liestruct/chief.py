@@ -7,14 +7,18 @@ Terminology.  A chief factor A/B is *supplemented* when some proper
 subalgebra M satisfies L = A + M with B inside M, *complemented* when
 additionally A cap M = B, and *Frattini* when it lies inside the Frattini
 ideal of L/B; a factor is Frattini exactly when it has no proper supplement.
-Two factors are *connected* when they are isomorphic as modules, or when
-they arise (up to module isomorphism) as the two minimal ideals of a common
-epimorphic image with two cross-centralizing nonabelian minimal ideals.
+These three flags are facts about the section A/B: a ``ChiefFactor`` holds
+the section, its abelian flag and its centralizer, and reads the flags from
+the section's splitting certificate when they are asked for; the
+certification status belongs to the ``ChiefSeries``.  Two factors are
+*connected* when they are isomorphic as modules, or when they arise (up to
+module isomorphism) as the two minimal ideals of a common epimorphic image
+with two cross-centralizing nonabelian minimal ideals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
@@ -50,11 +54,20 @@ class MatchFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ChiefFactor:
-    """A chief factor A/B with its classification flags.
+    """A chief factor A/B: its abelian flag and its centralizer, with the
+    supplement/complement/Frattini flags read from the section.
 
-    ``complemented`` is three-valued: None records that no analytic route
-    decided the flag (possible only for nonabelian factors over the
-    rationals); the finite-field oracle settles those in tests.
+    Abelian factors read the three flags, and the complement witness, from
+    the memoized cocycle splitting test ``split_abelian_extension(L, A, B)``,
+    which runs only when a flag is first read (for them supplemented,
+    complemented and non-Frattini coincide).  Nonabelian factors are always
+    supplemented and never Frattini: a Frattini factor would sit inside the
+    Frattini ideal of L/B, whose chief factors are abelian.  Their complement
+    witness is the top of the algebra, or the centralizer when it
+    complements; ``complemented`` is None when neither applies (possible
+    only over the rationals, where no analytic route decides the flag; the
+    finite-field oracle settles those in tests).  Two factors of one algebra
+    are equal exactly when their sections are.
     """
 
     algebra: LieAlgebra
@@ -62,11 +75,6 @@ class ChiefFactor:
     B: Subspace
     abelian: bool
     centralizer: Subspace
-    supplemented: bool
-    complemented: Optional[bool]
-    frattini: bool
-    complement_witness: Optional[Subspace]
-    status: Status = CERTIFIED
 
     @property
     def dim(self) -> int:
@@ -75,8 +83,31 @@ class ChiefFactor:
     def module(self) -> LModule:
         return factor_module(self.algebra, self.A, self.B).module
 
-    def same_section(self, other: "ChiefFactor") -> bool:
-        return self.A == other.A and self.B == other.B
+    @property
+    def complement_witness(self) -> Optional[Subspace]:
+        A, B, cent = self.A, self.B, self.centralizer
+        if self.abelian:
+            cert = split_abelian_extension(self.algebra, A, B)
+            return cert.complement if cert else None
+        if A.is_full() and A.dim > B.dim:
+            return B
+        if cent.sum(A).is_full() and cent.intersect(A) == B:
+            return cent
+        return None
+
+    @property
+    def supplemented(self) -> bool:
+        return not self.frattini
+
+    @property
+    def complemented(self) -> Optional[bool]:
+        if self.abelian:
+            return not self.frattini
+        return True if self.complement_witness is not None else None
+
+    @property
+    def frattini(self) -> bool:
+        return self.abelian and split_abelian_extension(self.algebra, self.A, self.B) is None
 
     def __repr__(self):
         return f"ChiefFactor(dim={self.dim}, abelian={self.abelian}, frattini={self.frattini})"
@@ -93,41 +124,13 @@ class ChiefSeries:
         return len(self.factors)
 
 
-def classify_factor(L: LieAlgebra, A: Subspace, B: Subspace, status: Status = CERTIFIED) -> ChiefFactor:
-    """Classify a chief factor: abelian flag, centralizer, and the
-    supplement/complement/Frattini trio.
-
-    Abelian factors are decided exactly by the cocycle splitting test (for
-    them supplemented, complemented and non-Frattini coincide).  Nonabelian
-    factors are always supplemented and never Frattini: a Frattini factor
-    would sit inside the Frattini ideal of L/B, whose chief factors are
-    abelian.  Their complement flag is taken from cheap exact witnesses
-    (the top of the algebra, or the centralizer when it complements).  The
-    classification is computed once per section; ``status`` is attached
-    afterwards.
-    """
-    f = _classify_section(L, A, B)
-    return f if status == f.status else replace(f, status=status)
-
-
 @memoized
-def _classify_section(L: LieAlgebra, A: Subspace, B: Subspace) -> ChiefFactor:
-    abelian = brackets_inside(L, A, A, B)
-    cent = factor_centralizer(L, A, B)
-    if abelian:
-        cert = split_abelian_extension(L, A, B)
-        complemented = cert is not None
-        witness = cert.complement if cert else None
-        return ChiefFactor(
-            L, A, B, True, cent, complemented, complemented, not complemented, witness
-        )
-    witness = None
-    complemented: Optional[bool] = None
-    if A.is_full() and A.dim > B.dim:
-        complemented, witness = True, B
-    elif cent.sum(A).is_full() and cent.intersect(A) == B:
-        complemented, witness = True, cent
-    return ChiefFactor(L, A, B, False, cent, True, complemented, False, witness)
+def classify_factor(L: LieAlgebra, A: Subspace, B: Subspace) -> ChiefFactor:
+    """The chief factor A/B, computed once per section: its abelian flag
+    and its centralizer.  The complement flags are read from the section
+    when asked for, so a classification made only to test connectedness
+    (a crown certificate, an oracle core) runs no splitting test."""
+    return ChiefFactor(L, A, B, brackets_inside(L, A, A, B), factor_centralizer(L, A, B))
 
 
 def chief_series(L: LieAlgebra, choices: tuple = ()) -> ChiefSeries:
@@ -150,9 +153,7 @@ def chief_series(L: LieAlgebra, choices: tuple = ()) -> ChiefSeries:
         pick = choices[step] if step < len(choices) else 0
         chain.append(info.minimals[pick % len(info.minimals)])
         step += 1
-    factors = tuple(
-        classify_factor(L, chain[i + 1], chain[i], status) for i in range(len(chain) - 1)
-    )
+    factors = tuple(classify_factor(L, A, B) for B, A in zip(chain, chain[1:]))
     return ChiefSeries(L, tuple(chain), factors, status)
 
 

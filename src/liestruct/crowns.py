@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .chief import ChiefFactor, ChiefSeries, chief_series, classify_factor, connected
 from .fields import PrimeField
-from .linalg import Subspace, lin_comb, rref_solve, unit_vec
+from .linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec
 from .modules import (
     VECTOR_ENUM_BUDGET,
     factor_module,
@@ -103,10 +103,10 @@ def denominator_intersection(F: ChiefFactor) -> Subspace:
         return F.centralizer
     N0, fm, n0_c, a_c, homs = _abelian_denominator_data(F)
     FLD = L.field
-    common = Subspace.full(FLD, n0_c.dim)
-    for h in homs:
-        _, _, _, ker = rref_solve(h.matrix)
-        common = common.intersect(ker)
+    if homs:  # the common kernel of the hom maps, as one nullspace
+        common = rref_solve(Matrix(FLD, [row for h in homs for row in h.matrix.entries]))[3]
+    else:
+        common = Subspace.full(FLD, n0_c.dim)
     # back to C/B coordinates, then to the ambient, plus B
     vecs = [fm.coords.lift(lin_comb(FLD, cv, n0_c.basis)) for cv in common.basis]
     return Subspace.from_vectors(FLD, L.dim, vecs + list(F.B.basis))
@@ -165,7 +165,7 @@ def crown_of_factor(F: ChiefFactor, series: Optional[ChiefSeries] = None) -> Cro
     L = F.algebra
     if series is None:
         series = chief_series(L)
-    status = worst(F.status, series.status)
+    status = series.status
     members = []
     for f in series.factors:
         if not f.supplemented:
@@ -179,7 +179,7 @@ def crown_of_factor(F: ChiefFactor, series: Optional[ChiefSeries] = None) -> Cro
     C = F.A.sum(F.centralizer)
     R = denominator_intersection(F)
     for f in members:
-        if not f.same_section(F):
+        if f != F:
             R = R.intersect(denominator_intersection(f))
     rank = len(members)
     crown = Crown(C, R, rank, F, status)

@@ -665,18 +665,20 @@ def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
 def _equivariance_rows(M1: LModule, M2: LModule) -> list:
     """The equations X rho1 = rho2 X, per action pair and matrix entry, on
     the unknown map X: M1 -> M2 flattened by rows (entry (i, k) of X is
-    unknown i * M1.dim + k); entries are not yet reduced mod p."""
+    unknown i * M1.dim + k); entries are not yet reduced mod p.  Each row
+    is written from the nonzeros of a column of rho1 (a row of its
+    transpose in ``M1.dual()``) and of a row of rho2."""
     F = M1.field
     s, t = M1.dim, M2.dim
     rows = []
-    for r1, r2 in zip(M1.mats, M2.mats):
-        for i in range(t):
-            for j in range(s):
+    for r1t, r2 in zip(M1.dual().mats, M2.mats):
+        for i, nz2 in enumerate(r2._nonzero_rows()):
+            for j, nz1 in enumerate(r1t._nonzero_rows()):
                 coeff = [F.zero()] * (t * s)
-                for k in range(s):
-                    coeff[i * s + k] += r1.entries[k][j]
-                for k in range(t):
-                    coeff[k * s + j] -= r2.entries[i][k]
+                for k, a in nz1:
+                    coeff[i * s + k] = a
+                for k, b in nz2:
+                    coeff[k * s + j] -= b
                 rows.append(coeff)
     return rows
 

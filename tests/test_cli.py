@@ -18,6 +18,8 @@ from liestruct import builtin
 from liestruct.fields import GF, QQ, FieldError
 from liestruct.linalg import DimensionMismatch
 
+from conftest import CORPUS_Q
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -222,3 +224,104 @@ class TestStrictUndecided:
         assert code == EXIT_OK and "undecided" in out
         code, out, _ = run(capsys, "primitive", "--input", str(f), "--strict")
         assert code == EXIT_UNDECIDED
+
+
+def old_space_str(L, U):
+    if U.is_zero():
+        return "0"
+    if U.is_full():
+        return "L"
+    F = U.field
+    parts = []
+    for row in U.basis:
+        terms = []
+        for name, c in zip(L.basis_names, row):
+            if F.is_zero(c):
+                continue
+            cs = F.scalar_to_str(c)
+            if cs == "1":
+                terms.append(name)
+            elif cs == "-1":
+                terms.append(f"-{name}")
+            else:
+                terms.append(f"{cs}*{name}")
+        parts.append("+".join(terms).replace("+-", "-"))
+    return "span{" + ", ".join(parts) + "}"
+
+
+def old_render_report(L, report):
+    lines = []
+    alg = report["algebra"]
+    fieldname = "Q" if alg["field"]["kind"] == "Q" else f"GF({alg['field']['p']})"
+    lines.append(
+        f"algebra {alg['name'] or '(file input)'} of dimension {alg['dim']} over {fieldname}"
+    )
+    lines.append(
+        f"  solvable: {report['solvable']}   nilpotent: {report['nilpotent']}"
+    )
+    lines.append("chief series:")
+    chain = report["chief_series"]["chain"]
+    factors = report["chief_series"]["factors"]
+    for i, f in enumerate(factors):
+        flags = []
+        flags.append("abelian" if f["abelian"] else "nonabelian")
+        if f["frattini"]:
+            flags.append("frattini")
+        if f["supplemented"]:
+            flags.append("supplemented")
+        if f["complemented"] is True:
+            flags.append("complemented")
+        elif f["complemented"] is None:
+            flags.append("complemented?")
+        lines.append(
+            f"  [{i}] dim {f['dim']}: {old_chain_str(L, report, i + 1)} / {old_chain_str(L, report, i)}"
+            f"  ({', '.join(flags)})"
+        )
+    lines.append("crowns:")
+    for c in report["crowns"]:
+        lines.append(
+            f"  C = {old_rows_str(L, c['numerator'])}, R = {old_rows_str(L, c['denominator'])}, rank {c['rank']}"
+        )
+    prim = report["primitive"]
+    lines.append(f"primitive: {prim['verdict']}" + (f" ({prim['reason']})" if prim["reason"] else ""))
+    lines.append(f"radical: {old_rows_str(L, report['radical']['space'])}")
+    if report["prefrattini"] is not None:
+        lines.append(f"prefrattini: {old_rows_str(L, report['prefrattini'])}")
+    return "\n".join(lines)
+
+
+def old_parse_rows(L, rows):
+    from liestruct.linalg import Subspace
+
+    F = L.field
+    return Subspace.from_vectors(
+        F, L.dim, [[F.scalar_from_str(x) for x in row] for row in rows]
+    )
+
+
+def old_rows_str(L, rows):
+    return old_space_str(L, old_parse_rows(L, rows))
+
+
+def old_chain_str(L, report, i):
+    return old_rows_str(L, report["chief_series"]["chain"][i])
+
+
+@pytest.mark.parametrize("field", ["q", "gf3"])
+@pytest.mark.parametrize("name", CORPUS_Q)
+def test_human_output_matches_the_old_renderer(monkeypatch, capsys, name, field):
+    """Every subcommand prints the same text as the renderer that parsed
+    and re-eliminated each space of the report before printing it."""
+    from functools import lru_cache
+
+    monkeypatch.setattr(cli, "builtin", lru_cache(maxsize=None)(builtin))  # one instance
+    series_len = len(cli.chief_series(cli.builtin(name, parse_field(field))))
+    argvs = [[cmd] for cmd in cli.COMMANDS if cmd != "connected"]
+    argvs += [["connected", str(i), str(j)] for i in range(series_len) for j in range(series_len)]
+    for argv in argvs:
+        argv = argv + ["--builtin", name, "--field", field, "--max-subspaces", "2000"]
+        new = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "space_str", old_space_str)
+            m.setattr(cli, "render_report", old_render_report)
+            assert run(capsys, *argv) == new

@@ -307,17 +307,74 @@ def test_oracle_decides_each_factor_pair_once(monkeypatch):
     ids=["h3_plus_r2-q", "borel3-gf3"],
 )
 def test_report_classifies_each_section_once(monkeypatch, name, build):
-    """During ``build_report`` the body of the section classification, which
+    """During ``build_report`` the body of ``classify_factor``, which
     computes the factor centralizer, runs once per distinct (algebra
     instance, A, B), although ``chief_series`` and the crown certificates
     call ``classify_factor`` more often."""
-    bodies = _calls_from_body(monkeypatch, chief, "factor_centralizer", chief._classify_section)
+    bodies = _calls_from_body(monkeypatch, chief, "factor_centralizer", chief.classify_factor)
     calls = _counted(monkeypatch, chief.classify_factor)
     L = build()
     build_report(L, name)
     distinct = {(id(M), A, B) for M, A, B in bodies}  # each M stays alive in bodies
     assert len(bodies) == len(distinct) > 0
     assert calls[0] > len(bodies)
+
+
+def test_a_factor_runs_its_splitting_test_when_a_flag_is_read(monkeypatch):
+    """The centre of the Heisenberg algebra is a Frattini, so non-split,
+    abelian factor: classifying it runs no splitting-test body, and reading
+    the flags and the complement witness runs exactly one."""
+    bodies = _calls_from_body(
+        monkeypatch, modules, "quotient_algebra", modules.split_abelian_extension
+    )
+    H = builtin("heis", QQ)
+    f = chief.classify_factor(H, H.span([(0, 0, 1)]), H.zero_space())
+    assert f.abelian and bodies == []
+    assert f.frattini and not f.supplemented and f.complemented is False
+    assert f.complement_witness is None
+    assert len(bodies) == 1
+
+
+def _splitting_calls_beneath(monkeypatch, *callers):
+    """Record every call of ``split_abelian_extension`` made while one of
+    the functions with the code objects ``callers`` is on the stack."""
+    orig = modules.split_abelian_extension
+    beneath = []
+
+    def split(L, A, B):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in callers:
+                beneath.append((A, B))
+                break
+            frame = frame.f_back
+        return orig(L, A, B)
+
+    _rebind(monkeypatch, orig, split)
+    return beneath
+
+
+@pytest.mark.parametrize(
+    "name,build",
+    [("h3_plus_r2", lambda: builtin("h3_plus_r2", QQ)), ("borel3", borel3_over_gf3)],
+    ids=["h3_plus_r2-q", "borel3-gf3"],
+)
+def test_crown_certificates_run_no_splitting_test(monkeypatch, name, build):
+    """``_certify_crown`` classifies the minimal ideals of L/R only to ask
+    ``connected``, which reads no complement flag."""
+    beneath = _splitting_calls_beneath(monkeypatch, crowns._certify_crown.__code__)
+    calls = _counted(monkeypatch, crowns._certify_crown)
+    build_report(build(), name)
+    assert calls[0] > 0 and beneath == []
+
+
+def test_oracle_socle_factors_run_no_splitting_test(monkeypatch):
+    """``oracle._maximal_cores`` classifies the socle factor of each
+    monolithic core quotient only for ``connected``."""
+    beneath = _splitting_calls_beneath(monkeypatch, oracle._maximal_cores.__wrapped__.__code__)
+    bodies = _calls_from_body(monkeypatch, oracle, "enum_structures", oracle._maximal_cores)
+    assert oracle.oracle_check(builtin("h3_plus_r2", GF(3))) == []
+    assert bodies and beneath == []
 
 
 @pytest.mark.parametrize("name", ["r2", "ex22", "h3_plus_r2"])
