@@ -30,7 +30,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fields import Field
+from .fields import Field, canon_q
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -147,7 +147,7 @@ class LieAlgebra:
                             out[k] += ab * c
         if p:
             return tuple(x % p for x in out)
-        return tuple(out)
+        return tuple(map(canon_q, out))
 
     def ad(self, a: Vector) -> Matrix:
         """Matrix of x -> [a, x] (columns are brackets with basis vectors)."""

@@ -22,6 +22,11 @@ class ParseError(ValueError):
     pass
 
 
+# Documents are refused above this dimension before anything is allocated:
+# loading builds a dim x dim x dim table, and the analyses are desk-scale.
+MAX_DIM = 1 << 6
+
+
 @dataclass(frozen=True)
 class FixtureFact:
     """One expected structural fact about a builtin algebra.
@@ -285,6 +290,8 @@ def from_doc(doc: dict) -> LieAlgebra:
         raise ParseError(f"malformed algebra document: {exc}") from exc
     if type(dim) is not int or dim < 0:
         raise ParseError(f"dim {dim!r} is not a non-negative integer")
+    if dim > MAX_DIM:
+        raise ParseError(f"dim {dim} exceeds the supported bound {MAX_DIM}")
     basis = doc.get("basis") or [f"e{i}" for i in range(dim)]
     entries = doc.get("brackets", [])
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):

@@ -1,8 +1,16 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Scalars are plain Python values (``fractions.Fraction`` over the rationals,
-``int`` residues in ``[0, p)`` over GF(p)); a ``Field`` object supplies the
+Scalars are plain Python values; a ``Field`` object supplies the
 arithmetic.  Everything is exact, hashable and immutable.
+
+* GF(p): ``int`` residues in ``[0, p)``.
+* Q: one canonical form per value, an ``int`` when the value is integral and
+  a ``fractions.Fraction`` with denominator > 1 otherwise, so integral
+  products, sums and zero tests run on native integers.  ``canon_q`` is the
+  one normalizer and ``div_q`` the one exact division; ``int / int`` never
+  runs, as it would give a float.  ``Fraction(n) == n`` and
+  ``hash(Fraction(n)) == hash(n)``, so equality and hashing do not depend
+  on the form.
 """
 
 from __future__ import annotations
@@ -32,6 +40,19 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def canon_q(x) -> Scalar:
+    """The canonical form of a rational scalar (``int`` or ``Fraction``):
+    the ``int`` when it is integral, else the ``Fraction``."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def div_q(a, b) -> Scalar:
+    """The canonical quotient a / b of rational scalars; b is not zero."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return canon_q(Fraction(a, b))
 
 
 def _fraction_from_str(s) -> Fraction:
@@ -108,38 +129,35 @@ class Field:
         raise NotImplementedError
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class Rationals(Field):
-    """The field of rational numbers with arbitrary-precision arithmetic."""
+    """The field of rational numbers with arbitrary-precision arithmetic, on
+    canonical scalars (``canon_q``)."""
 
     kind = "Q"
 
     def zero(self):
-        return _ZERO
+        return 0
 
     def one(self):
-        return _ONE
+        return 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
+        if isinstance(x, Fraction):
+            return canon_q(x)
         if isinstance(x, str):
-            return _fraction_from_str(x)
+            return canon_q(_fraction_from_str(x))
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        return canon_q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return canon_q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return canon_q(a * b)
 
     def neg(self, a):
         return -a
@@ -147,7 +165,7 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        return div_q(1, a)
 
     def is_zero(self, a):
         return a == 0
@@ -156,11 +174,12 @@ class Rationals(Field):
         return 0
 
     def scalar_to_str(self, a):
-        a = Fraction(a)
-        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+        if type(a) is not int and type(a) is not Fraction:
+            raise FieldError(f"{a!r} is not a rational scalar")
+        return str(a)
 
     def scalar_from_str(self, s):
-        return _fraction_from_str(s)
+        return canon_q(_fraction_from_str(s))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

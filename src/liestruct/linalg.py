@@ -8,8 +8,9 @@ used downstream.
 The scalar inner loops (elimination, row reduction, matrix products and
 linear combinations) make no ``Field`` method call per scalar.  Each
 dispatches once on ``field.kind`` to a kernel for its field, and scalars
-stay ``Fraction`` (over Q) or ``int`` residues (over GF(p)) at every
-boundary:
+stay canonical at every boundary: ``int`` residues over GF(p), and over Q an
+``int`` for an integral value and a ``Fraction`` otherwise
+(``fields.canon_q``), so integral work runs on native integers:
 
 * GF(p): rows of plain ``int``, with one ``% p`` per entry of a row
   operation, or one at the end of an accumulation (``Subspace.reduce``,
@@ -17,9 +18,10 @@ boundary:
 * Q: ``_rref`` is fraction-free (after Bareiss, Math. Comp. 22, 1968).
   Each row is scaled by the lcm of its denominators to an integer row;
   elimination cross-multiplies by gcd-reduced factors and divides each new
-  row by its content; ``Fraction(x, pivot)`` is built only when the final
-  rows are emitted.  The other Q kernels apply ``Fraction`` operators
-  directly and touch only nonzero entries.
+  row by its content; the final rows are emitted as ``x // pivot`` where
+  the pivot divides and ``Fraction(x, pivot)`` where it does not.  The
+  other Q kernels use Python's operators directly, touch only nonzero
+  entries and normalize their results once, with ``canon_q``.
 
 ``QuotientMap`` owns the coordinates on a section W/U: every quotient,
 factor module and semidirect model reads its lift basis ``lifts`` and takes
@@ -39,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, canon_q, div_q
 
 
 class DimensionMismatch(ValueError):
@@ -58,7 +60,7 @@ def vec(field: Field, entries: Iterable) -> Vector:
     if field.kind == "GF":
         p = field.p
         return tuple(x % p if type(x) is int else field.coerce(x) for x in entries)
-    return tuple(x if type(x) is Fraction else field.coerce(x) for x in entries)
+    return tuple(x if type(x) is int else field.coerce(x) for x in entries)
 
 
 def zero_vec(field: Field, n: int) -> Vector:
@@ -70,21 +72,21 @@ def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
     p = _modulus(field)
     if p:
         return tuple((a + b) % p for a, b in zip(u, v))
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(canon_q(a + b) for a, b in zip(u, v))
 
 
 def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
     p = _modulus(field)
     if p:
         return tuple((a - b) % p for a, b in zip(u, v))
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(canon_q(a - b) for a, b in zip(u, v))
 
 
 def vec_scale(field: Field, c: Scalar, u: Vector) -> Vector:
     p = _modulus(field)
     if p:
         return tuple(c * a % p for a in u)
-    return tuple(c * a for a in u)
+    return tuple(canon_q(c * a) for a in u)
 
 
 def vec_is_zero(field: Field, u: Vector) -> bool:
@@ -112,7 +114,7 @@ def lin_comb(field: Field, coeffs: Iterable, vecs: Sequence[Vector]) -> Vector:
                     out[j] += c * x
     if p:
         return tuple(x % p for x in out)
-    return tuple(out)
+    return tuple(map(canon_q, out))
 
 
 def _nonzeros(row) -> tuple:
@@ -125,9 +127,10 @@ def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
 
     Each row is given by its nonzero (index, value) pairs and is 1 at its
     pivot; a row has zeros at the pivots of the rows before it.  ``w`` is
-    changed in place; over GF(p) (``p > 0``) the result is reduced mod p
-    once, at the end.  This is the one row-reduction loop of the library:
-    ``Subspace.reduce``, ``Subspace.extend`` and ``modules.spin`` use it."""
+    changed in place; the result is reduced mod p over GF(p) (``p > 0``),
+    or normalized by ``canon_q`` over Q, once, at the end.  This is the one
+    row-reduction loop of the library: ``Subspace.reduce``,
+    ``Subspace.extend`` and ``modules.spin`` use it."""
     if p:
         for nz, c in zip(rows, pivots):
             a = w[c] % p
@@ -140,7 +143,7 @@ def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
         if a:
             for j, y in nz:
                 w[j] -= a * y
-    return w
+    return list(map(canon_q, w))
 
 
 class Matrix:
@@ -165,7 +168,8 @@ class Matrix:
     @classmethod
     def _of(cls, field: Field, rows: Sequence, cols: int) -> "Matrix":
         """A matrix on rows of field scalars already in canonical form
-        (Fractions, or residues in [0, p)), with no coercion."""
+        (``fields.canon_q`` over Q, residues in [0, p) over GF(p)), with no
+        coercion."""
         M = object.__new__(cls)
         M.field = field
         M.entries = tuple(tuple(r) for r in rows)
@@ -221,7 +225,7 @@ class Matrix:
             out.append(s)
         if p:
             return tuple(x % p for x in out)
-        return tuple(out)
+        return tuple(map(canon_q, out))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -237,7 +241,7 @@ class Matrix:
             for k, a in nz:
                 for j, b in other_nz[k]:
                     acc[j] += a * b
-            out.append([x % p for x in acc] if p else acc)
+            out.append([x % p for x in acc] if p else map(canon_q, acc))
         return Matrix._of(F, out, n)
 
     def add(self, other: "Matrix") -> "Matrix":
@@ -270,7 +274,7 @@ class Matrix:
         for i in range(min(self.rows, self.cols)):
             s += self.entries[i][i]
         p = _modulus(F)
-        return s % p if p else s
+        return s % p if p else canon_q(s)
 
     def __eq__(self, other):
         return (
@@ -363,11 +367,10 @@ def _rref_q(rows) -> tuple[list, list[int]]:
                 ints[i] = new
         pivots.append(c)
         r += 1
-    zero, one = Fraction(0), Fraction(1)
     out = []
     for row, c in zip(ints, pivots):
         a = row[c]
-        out.append([zero if not x else one if x == a else Fraction(x, a) for x in row])
+        out.append(row if a == 1 else [x // a if not x % a else Fraction(x, a) for x in row])
     return out, pivots
 
 
@@ -498,7 +501,7 @@ class Subspace:
             inv = pow(a, -1, p)
             w = tuple(x * inv % p for x in w)
         else:
-            w = tuple(x / a for x in w)
+            w = tuple(w) if a == 1 else tuple(div_q(x, a) for x in w)
         # clear the new pivot column from the rows, then insert in pivot order
         basis = []
         for row in self.basis:
@@ -506,7 +509,7 @@ class Subspace:
             if f and p:
                 row = tuple((x - f * y) % p for x, y in zip(row, w))
             elif f:
-                row = tuple(x - f * y for x, y in zip(row, w))
+                row = tuple(canon_q(x - f * y) for x, y in zip(row, w))
             basis.append(row)
         k = bisect(self.pivots, c)
         basis.insert(k, w)

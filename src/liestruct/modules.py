@@ -52,7 +52,7 @@ from .algebra import (
     quotient_algebra,
     section_action,
 )
-from .fields import Field, PrimeField
+from .fields import Field, PrimeField, div_q
 from .linalg import (
     Matrix,
     QuotientMap,
@@ -254,9 +254,9 @@ def spin(M: LModule, v: Vector) -> Subspace:
             if p:
                 a = pow(w[c], -1, p)
                 w = [x * a % p for x in w]
-            else:
+            elif w[c] != 1:
                 a = w[c]
-                w = [x / a for x in w]
+                w = [div_q(x, a) for x in w]
             rows.append(w)
             nzs.append(_nonzeros(w))
             pivots.append(c)

@@ -1,7 +1,8 @@
 """Dense univariate polynomials for the irreducibility certificates and socles.
 
-One algorithm per task, on plain scalars (``int`` residues over GF(p),
-``Fraction`` over Q) like the ``linalg`` kernels:
+One algorithm per task, on plain scalars like the ``linalg`` kernels
+(``int`` residues over GF(p); over Q an ``int`` when integral and a
+``Fraction`` otherwise, ``fields.canon_q``):
 
 * ``charpoly``: reduction to upper Hessenberg form by similarity, then the
   recurrence on the characteristic polynomials of its leading principal
@@ -23,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .fields import Field, _is_prime
+from .fields import Field, _is_prime, canon_q, div_q
 from .linalg import Matrix, _modulus
 
 
@@ -42,7 +43,7 @@ def charpoly(M: Matrix) -> list:
     p = _modulus(F)
 
     def red(x):
-        return x % p if p else x
+        return x % p if p else canon_q(x)
 
     # Hessenberg form: for each column m - 1, a nonzero pivot is moved to
     # row m and clears the rows below it; each row operation is undone on
@@ -57,7 +58,7 @@ def charpoly(M: Matrix) -> list:
             for row in H:
                 row[i], row[m] = row[m], row[i]
         t = H[m][m - 1]
-        inv = pow(t, -1, p) if p else 1 / t
+        inv = pow(t, -1, p) if p else div_q(1, t)
         for i in range(m + 1, n):
             u = red(H[i][m - 1] * inv)
             if u:
@@ -92,12 +93,12 @@ def _divmod(p: int, a: list, b: list) -> tuple[list, list]:
     q = [0] * max(len(a) - len(b) + 1, 0)
     inv = pow(b[-1], -1, p) if p else 1 / Fraction(b[-1])
     while len(a) >= len(b):
-        c = a[-1] * inv % p if p else a[-1] * inv
+        c = a[-1] * inv % p if p else canon_q(a[-1] * inv)
         if c:
             off = len(a) - len(b)
             q[off] = c
             for i, y in enumerate(b):
-                a[off + i] = (a[off + i] - c * y) % p if p else a[off + i] - c * y
+                a[off + i] = (a[off + i] - c * y) % p if p else canon_q(a[off + i] - c * y)
         a.pop()
     return _trim(q), _trim(a)
 
@@ -131,7 +132,7 @@ def gcd(p: int, a: list, b: list) -> list:
     if not a:
         return a
     inv = pow(a[-1], -1, p) if p else 1 / Fraction(a[-1])
-    return [c * inv % p if p else c * inv for c in a]
+    return [c * inv % p if p else canon_q(c * inv) for c in a]
 
 
 def squarefree_part(f: list) -> list:
@@ -200,7 +201,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_roots(p: list) -> list[Fraction]:
+def rational_roots(p: list) -> list:
     """All rational roots of a rational polynomial, without multiplicity."""
     p = _trim([Fraction(c) for c in p])
     # clear denominators -> integer polynomial, then the rational root test
@@ -208,7 +209,7 @@ def rational_roots(p: list) -> list[Fraction]:
     ip = [int(c * den) for c in p]
     roots = set()
     while ip and ip[0] == 0:
-        roots.add(Fraction(0))
+        roots.add(0)
         ip = ip[1:]
     if not ip or len(ip) == 1:
         return sorted(roots)
@@ -219,7 +220,7 @@ def rational_roots(p: list) -> list[Fraction]:
             for cand in (Fraction(num, dq), Fraction(-num, dq)):
                 if sum(Fraction(c) * cand**i for i, c in enumerate(ip)) == 0:
                     roots.add(cand)
-    return sorted(roots)
+    return sorted(map(canon_q, roots))
 
 
 def _to_monic_integer(p: list) -> list[int]:
@@ -286,5 +287,6 @@ def is_irreducible(field: Field, p: list) -> Optional[bool]:
     if deg in (2, 3):
         return True
     if deg == 4:
-        return not _quartic_splits_into_quadratics(_to_monic_integer([c / p[-1] for c in p]))
+        monic = [Fraction(c, p[-1]) for c in p]
+        return not _quartic_splits_into_quadratics(_to_monic_integer(monic))
     return None

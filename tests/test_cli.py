@@ -13,7 +13,7 @@ from liestruct.cli import (
     main,
     parse_field,
 )
-from liestruct.corpus import save
+from liestruct.corpus import MAX_DIM, save
 from liestruct import builtin
 from liestruct.fields import GF, QQ, FieldError
 from liestruct.linalg import DimensionMismatch
@@ -67,6 +67,12 @@ class TestExitCodes:
         f.write_text(json.dumps(doc))
         code, _, err = run(capsys, "report", "--input", str(f))
         assert code == EXIT_PARSE and "invalid input" in err
+
+    def test_dimension_above_the_bound_exits_with_parse_code(self, capsys, tmp_path):
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({"field": {"kind": "Q"}, "dim": MAX_DIM + 1}))
+        code, _, err = run(capsys, "report", "--input", str(f))
+        assert code == EXIT_PARSE and "exceeds" in err
 
     def test_validation_error(self, capsys, tmp_path):
         doc = {

@@ -8,6 +8,7 @@ from liestruct.algebra import AntisymmetryViolation, JacobiViolation
 from liestruct.chief import module_isomorphic, classify_factor, solvable_radical
 from liestruct.corpus import (
     FIXTURE_FACTS,
+    MAX_DIM,
     ParseError,
     from_doc,
     load,
@@ -241,6 +242,16 @@ class TestSerialization:
         with pytest.raises(ParseError):
             from_doc(doc)
         with pytest.raises(ParseError):
+            load(json.dumps(doc))
+
+    def test_dim_above_the_bound_is_a_parse_error(self):
+        """Refused before the dim^3 table or the basis names are built; the
+        dimension is one over the bound, so a misplaced check allocates
+        little."""
+        doc = {"field": {"kind": "Q"}, "dim": MAX_DIM + 1}
+        with pytest.raises(ParseError, match="exceeds"):
+            from_doc(doc)
+        with pytest.raises(ParseError, match="exceeds"):
             load(json.dumps(doc))
 
     def test_non_finite_and_deep_json_are_parse_errors(self):

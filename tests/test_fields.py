@@ -1,10 +1,14 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liestruct.fields import GF, QQ, FieldError
+from liestruct.fields import GF, QQ, FieldError, div_q
+from liestruct.linalg import vec
+
+from test_kernels import canonical
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -80,3 +84,54 @@ class TestCoercion:
         for F, vals in ((QQ, ["-3/2", "0", "7"]), (GF(7), ["0", "3", "6"])):
             for s in vals:
                 assert F.scalar_to_str(F.scalar_from_str(s)) == s
+
+
+class TestCanonicalRationals:
+    """Over Q an integral value is an int, any other a Fraction with
+    denominator > 1."""
+
+    def test_constants_and_coercion(self):
+        assert type(QQ.zero()) is int and type(QQ.one()) is int
+        for x, want in ((Fraction(6, 3), 2), (True, 1), ("-8/4", -2), ("2.5e1", 25), (7, 7)):
+            got = QQ.coerce(x)
+            assert got == want and type(got) is int
+        assert QQ.coerce("3/6") == Fraction(1, 2) and type(QQ.coerce("3/6")) is Fraction
+        assert type(QQ.scalar_from_str("10/5")) is int
+
+    def test_exact_division(self):
+        assert div_q(6, -3) == -2 and type(div_q(6, -3)) is int
+        assert div_q(-7, 2) == Fraction(-7, 2)
+        assert div_q(Fraction(3, 2), Fraction(1, 2)) == 3
+        assert type(div_q(Fraction(3, 2), Fraction(1, 2))) is int
+        with pytest.raises(ZeroDivisionError):
+            div_q(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+
+    @given(rationals, rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_stays_canonical(self, a, b):
+        a, b = QQ.coerce(a), QQ.coerce(b)
+        assert canonical(QQ, (a, b, QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)))
+        if b:
+            q = QQ.div(a, b)
+            assert canonical(QQ, (q,)) and q == Fraction(a) / b
+
+
+class TestNoSilentFloats:
+    @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), Decimal("0.5"), "1/2", None])
+    def test_scalar_to_str_refuses_anything_but_int_and_fraction(self, bad):
+        with pytest.raises(FieldError):
+            QQ.scalar_to_str(bad)
+
+    def test_scalar_to_str_on_both_forms(self):
+        assert QQ.scalar_to_str(3) == "3"
+        assert QQ.scalar_to_str(Fraction(-3, 2)) == "-3/2"
+        assert QQ.scalar_to_str(Fraction(4, 2)) == "2"
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0])
+    def test_coerce_and_vec_refuse_floats(self, bad):
+        with pytest.raises(FieldError):
+            QQ.coerce(bad)
+        with pytest.raises(FieldError):
+            vec(QQ, [1, bad])

@@ -129,10 +129,10 @@ def ref_matmul(A, B):
 
 
 def canonical(F, v):
-    """Scalars as the library stores them: Fractions over Q, residues in
-    [0, p) over GF(p)."""
+    """Scalars as the library stores them: over Q an int when integral and a
+    Fraction with denominator > 1 otherwise, residues in [0, p) over GF(p)."""
     if F == QQ:
-        return all(type(x) is Fraction for x in v)
+        return all(type(x) is int or (type(x) is Fraction and x.denominator > 1) for x in v)
     return all(type(x) is int and 0 <= x < F.p for x in v)
 
 
