@@ -188,27 +188,30 @@ def memoized(fn):
     (a chief factor or a module).  Results live in that algebra's ``_memo``
     dict, keyed by ``fn`` and the arguments other than the algebra compared
     by value, so a cache lives and dies with its ``LieAlgebra`` instance; an
-    exception is not cached.  Applied to ``quotient_algebra``, ``core``,
-    ``killing_radical`` and ``is_solvable`` here, to ``socle_space``,
+    exception is not cached.  Applied to ``is_ideal``, ``quotient_algebra``,
+    ``core``, ``killing_radical`` and ``is_solvable`` here, to ``socle_space``,
     ``certify_irreducible``, ``socle_and_minimal_ideals``, ``factor_module`` and
     ``split_abelian_extension`` in ``modules`` (whose certificate a chief
     factor's complement flags read), ``connected``, ``module_isomorphic``
     and ``classify_factor`` in ``chief``, ``denominator_intersection``,
     ``crown_of_factor`` and ``all_crowns`` in ``crowns``, ``classify_primitive``
-    (through a positional inner function keyed on ``use_oracle``) in
-    ``primitive`` and ``_maximal_cores`` (the per-maximal data of
-    ``four_core_intersections``) in ``oracle``.  A cached function must be
-    pure and return an immutable value, because every caller shares it;
-    module budget constants such as ``modules.VECTOR_ENUM_BUDGET`` are read
-    at the first computation only.  An argument passed by keyword is keyed
-    as if passed by position, with the defaults after it filled in.
+    (keyed on ``use_oracle``) in ``primitive`` and ``_maximal_cores`` (the
+    per-maximal data of ``four_core_intersections``) in ``oracle``.  A cached
+    function must be pure and return an immutable value, because every
+    caller shares it; module budget constants such as
+    ``modules.VECTOR_ENUM_BUDGET`` are read at the first computation only.
+    Every call is keyed by its full positional form: an argument passed by
+    keyword as if passed by position, and an omitted trailing argument by
+    its default, so ``all_crowns(L)`` and ``all_crowns(L, None)`` share one
+    value; a missing required argument raises ``TypeError``.
     """
 
     sig = inspect.signature(fn)
+    arity = len(sig.parameters)
 
     @functools.wraps(fn)
     def cached(first, *args, **kwargs):
-        if kwargs:  # key a keyword call as its positional form
+        if kwargs or len(args) + 1 < arity:  # key a call as its full positional form
             bound = sig.bind(first, *args, **kwargs)
             bound.apply_defaults()
             args = bound.args[1:]
@@ -279,6 +282,7 @@ def is_subalgebra(L: LieAlgebra, U: Subspace) -> bool:
     return brackets_inside(L, U, U, U)
 
 
+@memoized
 def is_ideal(L: LieAlgebra, U: Subspace) -> bool:
     return brackets_inside(L, L.full_space(), U, U)
 

@@ -28,12 +28,11 @@ from .algebra import (
 )
 from .chief import ChiefFactor, ChiefSeries, chief_series, classify_factor, connected
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec
+from .linalg import Matrix, Subspace, lin_comb, rref_solve
 from .modules import (
     VECTOR_ENUM_BUDGET,
     factor_module,
     hom_space,
-    restrict_module,
     socle_and_minimal_ideals,
     split_abelian_extension,
 )
@@ -71,8 +70,10 @@ class Crown:
 
 
 def _abelian_denominator_data(F: ChiefFactor):
-    """Base denominator and hom data for the complement family of an abelian
-    supplemented factor inside its centralizer."""
+    """Base denominator N0 and hom data for the complement family of an
+    abelian supplemented factor inside its centralizer: the section N0/B as
+    ``factor_module(L, N0, B)`` and Hom_L(N0/B, A/B) in the coordinates of
+    the two factor modules."""
     L = F.algebra
     C = F.centralizer
     K = F.complement_witness
@@ -83,13 +84,8 @@ def _abelian_denominator_data(F: ChiefFactor):
         raise CertificationFailure("base denominator is not an ideal")
     if N0.intersect(F.A) != F.B or N0.sum(F.A) != C:
         raise CertificationFailure("base denominator does not complement the factor")
-    fm = factor_module(L, C, F.B)
-    n0_c = fm.coords.project_space(N0)
-    a_c = fm.coords.project_space(F.A)
-    modN = restrict_module(fm.module, n0_c)
-    modA = restrict_module(fm.module, a_c)
-    homs = hom_space(modN, modA)
-    return N0, fm, n0_c, a_c, homs
+    fm = factor_module(L, N0, F.B)
+    return N0, fm, hom_space(fm.module, F.module())
 
 
 @memoized
@@ -101,15 +97,13 @@ def denominator_intersection(F: ChiefFactor) -> Subspace:
     L = F.algebra
     if not F.abelian:
         return F.centralizer
-    N0, fm, n0_c, a_c, homs = _abelian_denominator_data(F)
+    _, fm, homs = _abelian_denominator_data(F)
     FLD = L.field
     if homs:  # the common kernel of the hom maps, as one nullspace
         common = rref_solve(Matrix(FLD, [row for h in homs for row in h.matrix.entries]))[3]
     else:
-        common = Subspace.full(FLD, n0_c.dim)
-    # back to C/B coordinates, then to the ambient, plus B
-    vecs = [fm.coords.lift(lin_comb(FLD, cv, n0_c.basis)) for cv in common.basis]
-    return Subspace.from_vectors(FLD, L.dim, vecs + list(F.B.basis))
+        common = Subspace.full(FLD, fm.coords.dim)
+    return fm.coords.lift_space(common)
 
 
 def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
@@ -128,21 +122,20 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
         return PrecrownFamily(
             (Precrown(F.A.sum(C), C, F),), C, True
         )
-    N0, fm, n0_c, a_c, homs = _abelian_denominator_data(F)
+    N0, fm, homs = _abelian_denominator_data(F)
     FLD = L.field
     inter = denominator_intersection(F)
     if isinstance(FLD, PrimeField) and FLD.p ** max(len(homs), 1) <= VECTOR_ENUM_BUDGET:
         import itertools
 
-        # per basis vector b_i of N0/B: b_i and its images under the homs
+        # per lift b_i of N0/B: b_i and its images under the homs, lifted from A/B
+        lift_a = factor_module(L, F.A, F.B).coords.lift
         graphs = [
-            [n0_c.basis[i]]
-            + [lin_comb(FLD, h.matrix.apply(unit_vec(FLD, n0_c.dim, i)), a_c.basis) for h in homs]
-            for i in range(n0_c.dim)
+            [b] + [lift_a(h.matrix.col(i)) for h in homs] for i, b in enumerate(fm.coords.lifts)
         ]
         denominators = []
         for coeffs in itertools.product(range(FLD.p), repeat=len(homs)):
-            vecs = [fm.coords.lift(lin_comb(FLD, (1,) + coeffs, g)) for g in graphs]
+            vecs = [lin_comb(FLD, (1,) + coeffs, g) for g in graphs]
             N = Subspace.from_vectors(FLD, L.dim, vecs + list(F.B.basis))
             if N in denominators:
                 continue

@@ -581,6 +581,12 @@ class QuotientMap:
     complement, so lifted representatives are deterministic.  ``lifts`` is
     the lift basis, the lifts of the unit coordinate vectors, and
     ``induced`` the matrix on W/U of a map leaving W and U invariant.
+
+    The coordinates of a section do not depend on the space it is read in:
+    for U <= X <= W, the RREF basis of ``QuotientMap(W, U).project_space(X)``
+    lifts to exactly ``QuotientMap(X, U).lifts``, since the pivots of U are
+    pivots of X and the rows of X's RREF basis off U's pivots vanish there.
+    So X/U is read in its own coordinates, never through a larger section.
     """
 
     __slots__ = ("field", "W", "U", "dim", "_ucoords", "lifts", "_free")

@@ -549,8 +549,8 @@ def _socle_char0(M: LModule) -> Subspace:
     rows = [row for k in K.basis for row in act(k).entries]
     soc = rref_solve(Matrix._of(F, rows, d))[3] if rows else M.full_space()
     for r in R.basis:
-        A = act(r)
-        A = Matrix.from_columns(F, [soc.coords(A.apply(w)) for w in soc.basis])
+        qm = QuotientMap(soc, Subspace.zero(F, d))
+        A = qm.induced(act(r).apply)
         ident = Matrix.identity(F, soc.dim)
         if A == ident.scale(A.entries[0][0]):
             continue
@@ -561,7 +561,7 @@ def _socle_char0(M: LModule) -> Subspace:
         S = ident  # s is monic; Horner's rule gives s(A)
         for c in reversed(s[:-1]):
             S = S.matmul(A).add(ident.scale(c))
-        soc = Subspace.from_vectors(F, d, [lin_comb(F, c, soc.basis) for c in rref_solve(S)[3].basis])
+        soc = qm.lift_space(rref_solve(S)[3])
     return soc
 
 
@@ -740,39 +740,34 @@ def split_abelian_extension(
 ) -> Optional[SplittingCertificate]:
     """Find a subalgebra K with K + A = L and K cap A = B, for abelian A/B.
 
-    Works in L/B: a linear section of (L/B)/(A/B) is corrected by a cochain
-    solving the coboundary equation against the section's 2-cocycle.  The
-    system is linear, so an unsolvable system certifies non-splitting.
+    Works on the section A/B in the coordinates of ``factor_module(L, A, B)``
+    and on the lifts of ``QuotientMap(L.full_space(), A)``, a linear section
+    of L/A: the section is corrected by a cochain solving the coboundary
+    equation against its 2-cocycle with values in A/B.  The system is
+    linear, so an unsolvable system certifies non-splitting.
     """
-    if not is_ideal(L, A) or not is_ideal(L, B):
-        raise AlgebraError("splitting test requires ideals")
-    if not A.contains_space(B):
-        raise AlgebraError("denominator must sit inside the numerator")
+    fm = factor_module(L, A, B)
     if not brackets_inside(L, A, A, B):
         raise AlgebraError("the section is not abelian")
     F = L.field
-    qa = quotient_algebra(L, B)
-    Q = qa.algebra
-    Abar = qa.project_space(A)
-    if Abar.is_zero():
+    a = fm.coords.dim
+    if a == 0:
         return SplittingCertificate(L.full_space(), Matrix(F, []))
-    qm = QuotientMap(Q.full_space(), Abar)  # coordinates of (L/B)/(A/B)
-    q = qm.dim
-    a = Abar.dim
+    top = QuotientMap(L.full_space(), A)  # coordinates of L/A
+    q = top.dim
     if q == 0:
         # complement of the full section is the denominator itself
         return SplittingCertificate(B, Matrix(F, []))
-    section = qm.lifts
-    # the action of each section vector on Abar, in Abar-coordinates
-    action = section_action(Q, section, QuotientMap(Abar, Q.zero_space()))
-    nvar = a * q  # cochain phi: q-coords -> Abar-coords
+    section = top.lifts
+    # each lift is a unit vector e_j, acting on A/B by the module matrix of e_j
+    action = [fm.module.mats[s.index(F.one())] for s in section]
+    nvar = a * q  # cochain phi: q-coords -> A/B-coords
     rows, rhs = [], []
     for i in range(q):
         for j in range(i + 1, q):
-            br = Q.bracket(section[i], section[j])
-            br_q = qm.project(br)
-            s_br = qm.lift(br_q)
-            g = Abar.coords(vec_sub(F, br, s_br))  # the 2-cocycle value
+            br = L.bracket(section[i], section[j])
+            br_q = top.project(br)
+            g = fm.coords.project(vec_sub(F, br, top.lift(br_q)))  # the 2-cocycle value
             # closure of {s + phi} forces
             #   x_i . phi(x_j) - x_j . phi(x_i) - phi([x_i, x_j]) = -g(i, j)
             ei, ej = action[i].entries, action[j].entries
@@ -792,10 +787,9 @@ def split_abelian_extension(
         phi = Matrix(F, [particular[t * q : (t + 1) * q] for t in range(a)])
     else:
         phi = Matrix.zero(F, a, q)
-    comp_vecs = []
-    for i in range(q):
-        w = lin_comb(F, (F.one(),) + phi.col(i), (section[i],) + Abar.basis)
-        comp_vecs.append(qa.lift(w))
+    comp_vecs = [
+        lin_comb(F, (F.one(),) + phi.col(i), (section[i],) + fm.coords.lifts) for i in range(q)
+    ]
     K = Subspace.from_vectors(F, L.dim, comp_vecs + list(B.basis))
     # hard postcondition
     if not is_subalgebra(L, K):

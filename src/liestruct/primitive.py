@@ -241,6 +241,7 @@ def _diagonal_complement(L: LieAlgebra, M1: Subspace, M2: Subspace, iso: Matrix)
     return Subspace.from_vectors(F, L.dim, vecs)
 
 
+@memoized
 def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitness:
     """Decide primitivity and type with certified witnesses.
 
@@ -250,11 +251,6 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
     cases, and small finite fields fall back to the exhaustive oracle when
     analysis cannot decide.  Computed once per algebra and ``use_oracle``.
     """
-    return _classify_primitive(L, use_oracle)
-
-
-@memoized
-def _classify_primitive(L: LieAlgebra, use_oracle: bool) -> PrimitiveWitness:
     F = L.field
     if L.dim == 0:
         return PrimitiveWitness(NOT_PRIMITIVE, reason="the zero algebra has no maximal subalgebra")
@@ -361,11 +357,15 @@ def _verify_common_complement(L: LieAlgebra, U: Subspace, M1: Subspace, M2: Subs
 
 def _find_core_free_maximal_simple(L: LieAlgebra) -> Optional[Subspace]:
     """Bounded search for a maximal subalgebra of a simple algebra: spans of
-    basis subsets, certified maximal via irreducibility of L/U over U."""
+    basis subsets, certified maximal via irreducibility of L/U over U.  The
+    2^n - 2 proper nonzero subsets are checked against
+    ``modules.VECTOR_ENUM_BUDGET`` before the walk; over budget, None."""
     import itertools
 
     F = L.field
     n = L.dim
+    if 2**n - 2 > VECTOR_ENUM_BUDGET:
+        return None
     for size in range(n - 1, 0, -1):
         for subset in itertools.combinations(range(n), size):
             U = L.span([unit_vec(F, n, i) for i in subset])

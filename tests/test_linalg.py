@@ -180,6 +180,35 @@ class TestQuotientCoords:
             assert qm.project(qm.lift(vec(F, coords))) == vec(F, coords)
 
 
+@st.composite
+def nested_subspaces(draw):
+    """A field and subspaces B <= A <= C of F^n, each spanned by the rows
+    of the smaller one and a few random rows."""
+    F = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    n = draw(st.integers(1, 5))
+    rows = st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=3)
+    rb, ra, rc = draw(rows), draw(rows), draw(rows)
+    B = span(F, n, [vec(F, r) for r in rb])
+    A = span(F, n, [vec(F, r) for r in rb + ra])
+    C = span(F, n, [vec(F, r) for r in rb + ra + rc])
+    return B, A, C
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["C", "full"])
+@given(nested_subspaces())
+@settings(max_examples=150, deadline=None)
+def test_a_section_has_the_same_lifts_inside_a_larger_one(whole, spaces):
+    """The RREF basis of A/B read inside C/B lifts to the lift basis of
+    A/B itself, so a section's coordinates do not depend on the space it
+    is read in (``QuotientMap``)."""
+    B, A, C = spaces
+    if whole:
+        C = Subspace.full(C.field, C.ambient_dim)
+    outer = QuotientMap(C, B)
+    lifted = tuple(outer.lift(v) for v in outer.project_space(A).basis)
+    assert lifted == QuotientMap(A, B).lifts
+
+
 class TestMatrixInverse:
     def test_invertible(self):
         M = Matrix(QQ, [(1, 2), (3, 5)])

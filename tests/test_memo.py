@@ -55,12 +55,20 @@ class TestCachedValues:
         f = S.factors[0]
         assert crowns.crown_of_factor(f, series=S) is crowns.crown_of_factor(f, S)
 
+    def test_an_omitted_default_is_keyed_as_passed(self):
+        L = builtin("r2", QQ)
+        found = all_crowns(L)
+        assert all_crowns(L, None) is found
+        assert all_crowns(L, series=None) is found
+        with pytest.raises(TypeError):  # a missing required argument
+            factor_module(L, L.zero_space())
+
     def test_exceptions_are_not_cached(self):
         H = builtin("heis", QQ)
         for _ in range(2):
             with pytest.raises(AlgebraError):
                 factor_module(H, H.span([(1, 0, 0)]), H.zero_space())
-        assert not H._memo
+        assert not any(key[0] is factor_module.__wrapped__ for key in H._memo)
 
 
 def test_crown_type_hints_resolve():
@@ -213,6 +221,7 @@ def test_classify_primitive_is_cached_per_oracle_flag():
     L = builtin("sl2_plus_sl2", GF(3))
     w = classify_primitive(L)
     assert classify_primitive(L) is w
+    assert classify_primitive(L, True) is w
     assert classify_primitive(L, use_oracle=True) is w
     analytic = classify_primitive(L, use_oracle=False)
     assert classify_primitive(L, False) is analytic
@@ -325,7 +334,7 @@ def test_a_factor_runs_its_splitting_test_when_a_flag_is_read(monkeypatch):
     abelian factor: classifying it runs no splitting-test body, and reading
     the flags and the complement witness runs exactly one."""
     bodies = _calls_from_body(
-        monkeypatch, modules, "quotient_algebra", modules.split_abelian_extension
+        monkeypatch, modules, "factor_module", modules.split_abelian_extension
     )
     H = builtin("heis", QQ)
     f = chief.classify_factor(H, H.span([(0, 0, 1)]), H.zero_space())

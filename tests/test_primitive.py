@@ -44,6 +44,33 @@ class TestClassify:
         diag = D.span([(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)])
         assert w.common_complement == diag
 
+    def test_the_core_free_maximal_search_checks_its_budget(self, monkeypatch):
+        """sl2 has 2^3 - 2 = 6 proper nonzero basis subsets: within budget
+        the search finds a core-free maximal, over it the search tests no
+        subset and the type-2 verdict stays certified without a witness."""
+        import sys
+
+        from liestruct import primitive
+
+        body = primitive._find_core_free_maximal_simple.__code__
+        orig = primitive.is_subalgebra
+        tested = []
+
+        def noted(L, U):
+            if sys._getframe(1).f_code is body:
+                tested.append(U)
+            return orig(L, U)
+
+        monkeypatch.setattr(primitive, "is_subalgebra", noted)
+        assert classify_primitive(builtin("sl2")).core_free_maximal is not None
+        assert tested
+        tested.clear()
+        monkeypatch.setattr(primitive, "VECTOR_ENUM_BUDGET", 5)
+        w = classify_primitive(builtin("sl2"))
+        assert w.verdict == TYPE2 and w.status.certified
+        assert w.core_free_maximal is None
+        assert tested == []
+
     def test_heis_not_primitive(self):
         w = classify_primitive(builtin("heis"))
         assert w.verdict == NOT_PRIMITIVE

@@ -6,9 +6,10 @@ its supplemented, complemented and Frattini flags, and its complement
 witness, from the section's splitting certificate when asked; the former
 classification ran the splitting test on every section it classified.
 ``denominator_intersection`` takes the common kernel of the hom maps as one
-nullspace, where it intersected one kernel per map; ``_equivariance_rows``
-writes each row from the nonzeros of the action matrices, where it added
-every entry.  The former bodies are kept here as references (``old_*``)
+nullspace, where it intersected one kernel per map, and reads the section
+N0/B in its own coordinates, where it read it inside the section C/B of the
+centralizer; ``_equivariance_rows`` writes each row from the nonzeros of
+the action matrices, where it added every entry.  The former bodies are kept here as references (``old_*``)
 and must give identical values: every chief-series section and every crown
 section of the corpora over Q, GF(2) and GF(3), Hypothesis semidirect sums
 F^n + L, every supplemented abelian series factor, and every pair of
@@ -30,6 +31,8 @@ from liestruct.linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec
 from liestruct.modules import (
     _equivariance_rows,
     adjoint_module,
+    factor_module,
+    hom_space,
     restrict_module,
     socle_and_minimal_ideals,
     socle_decomposition,
@@ -109,8 +112,15 @@ def test_factor_flags_match_on_semidirect_sums(sum_and_n):
 
 
 def old_denominator_intersection(F) -> Subspace:
+    """The former derivation through the section C/B of the centralizer."""
     L = F.algebra
-    N0, fm, n0_c, a_c, homs = _abelian_denominator_data(F)
+    N0 = _abelian_denominator_data(F)[0]
+    fm = factor_module(L, F.centralizer, F.B)
+    n0_c = fm.coords.project_space(N0)
+    a_c = fm.coords.project_space(F.A)
+    modN = restrict_module(fm.module, n0_c)
+    modA = restrict_module(fm.module, a_c)
+    homs = hom_space(modN, modA)
     FLD = L.field
     common = Subspace.full(FLD, n0_c.dim)
     for h in homs:
