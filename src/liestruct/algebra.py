@@ -230,7 +230,12 @@ def memoized(fn):
 def validate_algebra(field: Field, dim: int, sc_table) -> LieAlgebra:
     """Build a LieAlgebra from a full dim x dim x dim table, reporting the
     first violated identity with its indices."""
-    F = field
+    return LieAlgebra(field, dim, _antisymmetric_table(field, dim, sc_table))
+
+
+def _antisymmetric_table(F: Field, dim: int, sc_table) -> dict:
+    """The pairs i < j of a full table, raising ``AntisymmetryViolation`` at
+    the first pair that breaks antisymmetry; ``LieAlgebra`` checks Jacobi."""
     full = [[vec(F, sc_table[i][j]) for j in range(dim)] for i in range(dim)]
     for i in range(dim):
         if not vec_is_zero(F, full[i][i]):
@@ -238,13 +243,12 @@ def validate_algebra(field: Field, dim: int, sc_table) -> LieAlgebra:
         for j in range(i + 1, dim):
             if not vec_is_zero(F, vec_add(F, full[i][j], full[j][i])):
                 raise AntisymmetryViolation(i, j)
-    table = {
+    return {
         (i, j): full[i][j]
         for i in range(dim)
         for j in range(i + 1, dim)
         if not vec_is_zero(F, full[i][j])
     }
-    return LieAlgebra(F, dim, table)  # Jacobi checked in the constructor
 
 
 def bracket_spaces(L: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
@@ -326,7 +330,7 @@ def bracket_colon(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> Subsp
     null = rref_solve(Matrix._of(F, rows, X.dim))[3]
     if X.is_full():
         return null
-    return Subspace.from_vectors(F, L.dim, [lin_comb(F, c, X.basis) for c in null.basis])
+    return QuotientMap(X, L.zero_space()).lift_space(null)
 
 
 def centralizer(L: LieAlgebra, U: Subspace) -> Subspace:

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, LieAlgebra, semidirect_sum, validate_algebra
+from .algebra import AlgebraError, LieAlgebra, _antisymmetric_table, semidirect_sum
 from .fields import Field, FieldError, PrimeField, QQ, field_from_doc, field_to_doc
 from .linalg import Matrix, zero_vec
 
@@ -327,9 +327,8 @@ def from_doc(doc: dict) -> LieAlgebra:
                 full[i][j] = [F.neg(x) for x in full[j][i]]
             elif (i, j) in given and (j, i) not in given:
                 full[j][i] = [F.neg(x) for x in full[i][j]]
-    # validate_algebra reports antisymmetry and Jacobi violations with indices
-    L = validate_algebra(F, dim, full)
-    return LieAlgebra(F, dim, L.table, basis_names=basis, validate=False)
+    # antisymmetry and Jacobi violations are reported with their indices
+    return LieAlgebra(F, dim, _antisymmetric_table(F, dim, full), basis_names=basis)
 
 
 def load(text: str) -> LieAlgebra:

@@ -519,7 +519,7 @@ class Subspace:
     def coords(self, v: Vector) -> Vector:
         """Coefficients of v on the RREF basis; raises if v is outside."""
         cs = tuple(v[p] for p in self.pivots)
-        if not self.contains(v):
+        if not (self.is_full() or self.contains(v)):
             raise ValueError("vector not contained in the subspace")
         return cs
 
@@ -622,7 +622,8 @@ class QuotientMap:
     def induced(self, op: Callable[[Vector], Vector]) -> Matrix:
         """The matrix on W/U of the map ``op`` on ambient vectors, which
         must leave W and U invariant."""
-        return Matrix.from_columns(self.field, [self.project(op(v)) for v in self.lifts])
+        cols = [self.project(op(v)) for v in self.lifts]  # canonical scalars
+        return Matrix._of(self.field, list(zip(*cols)), self.dim)
 
     def project_space(self, X: Subspace) -> Subspace:
         """Image of a subspace of W in quotient coordinates."""

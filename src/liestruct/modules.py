@@ -26,10 +26,12 @@ When no certificate applies, the verdict stays open with a heuristic status.
 
 Socles are exact: over GF(p) as the sum of the images of all module maps
 from the composition factors (chopped off with ``certify_irreducible``), in
-characteristic zero from the solvable radical R of the acting algebra and
-K = R cap [L, L] (``algebra.killing_radical``): the common kernel of the
-nilpotent action of K, cut down by the squarefree part of the
-characteristic polynomial of each basis element of R (``_socle_char0``).
+characteristic zero, on any L-module, from the Killing radical of the
+acting algebra: its solvable radical R and K = R cap [L, L]
+(``algebra.killing_radical``) give the common kernel of the nilpotent action
+of K, cut down by the squarefree part of the characteristic polynomial of
+each basis element of R (``_socle_char0``).  L/I is read as the L-module
+``factor_module(L, L, I)``, so the socle layer builds no quotient algebra.
 The projective-point enumeration of a socle is kept in the oracle as
 ground truth (``oracle.socle_bf``).
 """
@@ -49,7 +51,6 @@ from .algebra import (
     is_subalgebra,
     killing_radical,
     memoized,
-    quotient_algebra,
     section_action,
 )
 from .fields import Field, PrimeField, div_q
@@ -195,13 +196,14 @@ class FactorModule:
     coords: QuotientMap
 
 
-def adjoint_module(L: LieAlgebra) -> LModule:
-    mats = [L.ad(unit_vec(L.field, L.dim, i)) for i in range(L.dim)]
-    return LModule(L, mats, validate=False)  # the Jacobi identity is the law here
+def adjoint_module(L: LieAlgebra) -> LModule:  # the section L/0
+    return factor_module(L, L.full_space(), L.zero_space()).module
 
 
 @memoized
 def factor_module(L: LieAlgebra, A: Subspace, B: Subspace) -> FactorModule:
+    """The section A/B of ideals as an L-module; L's section modules are all
+    built here, ``adjoint_module`` included."""
     if not is_ideal(L, A) or not is_ideal(L, B):
         raise AlgebraError("factor module requires a pair of ideals")
     if not A.contains_space(B):
@@ -209,7 +211,7 @@ def factor_module(L: LieAlgebra, A: Subspace, B: Subspace) -> FactorModule:
     qm = QuotientMap(A, B)
     mats = section_action(L, [unit_vec(L.field, L.dim, i) for i in range(L.dim)], qm)
     # A and B are ideals, so the action on A/B is induced by the adjoint
-    # action and obeys the bracket law as ``adjoint_module`` does
+    # action and obeys the bracket law by the Jacobi identity
     return FactorModule(LModule(L, mats, validate=False), qm)
 
 
@@ -421,25 +423,24 @@ def certify_irreducible(M: LModule):
             W = _first_proper_spin(M)
             return W is None, W, CERTIFIED
         return None, None, heuristic("irreducibility certificates exhausted")
-    # a proper socle is a reducibility witness; a full socle means the
-    # module is semisimple, where the endomorphism ring decides
-    soc, soc_status = socle_space(M)
-    if soc_status.certified and soc.dim < d:
+    # over Q the socle is exact: a proper one is a witness, and a full one
+    # makes the module semisimple, where the endomorphism ring decides
+    soc, _ = socle_space(M)
+    if soc.dim < d:
         return False, soc, CERTIFIED
-    if soc_status.certified:
-        endos = hom_space(M, M)
-        if len(endos) == 1:
-            return True, None, CERTIFIED  # semisimple with scalar endomorphisms only
-        ident = Matrix.identity(F, d)
-        for h in endos:
-            hm = h.matrix
-            # skip scalars: they never split anything
-            if hm == ident.scale(hm.entries[0][0]):
-                continue
-            for lam in rational_roots(charpoly(hm)):
-                _, rank, _, ker = rref_solve(hm.sub(ident.scale(lam)))
-                if 0 < ker.dim < d:
-                    return False, ker, CERTIFIED
+    endos = hom_space(M, M)
+    if len(endos) == 1:
+        return True, None, CERTIFIED  # semisimple with scalar endomorphisms only
+    ident = Matrix.identity(F, d)
+    for h in endos:
+        hm = h.matrix
+        # skip scalars: they never split anything
+        if hm == ident.scale(hm.entries[0][0]):
+            continue
+        for lam in rational_roots(charpoly(hm)):
+            ker = rref_solve(hm.sub(ident.scale(lam)))[3]
+            if 0 < ker.dim < d:
+                return False, ker, CERTIFIED
     if _irreducible_charpoly(M):
         return True, None, CERTIFIED
     return None, None, heuristic("irreducibility certificates exhausted")
@@ -568,16 +569,15 @@ def _socle_char0(M: LModule) -> Subspace:
 def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
     """A submodule complement of U inside the semisimple submodule V."""
     F = M.field
-    RV = restrict_module(M, V)
-    RU = restrict_module(M, U)
     u, v = U.dim, V.dim
     if u == 0:
         return V
+    qm = QuotientMap(V, Subspace.zero(F, M.dim))  # coordinates on V
     # Unknown projection X (u x v) with X|_U = id and X equivariant.
-    rows = _equivariance_rows(RV, RU)
+    rows = _equivariance_rows(_section_module(M, qm), restrict_module(M, U))
     rhs = [F.zero()] * len(rows)
     for bidx, ub in enumerate(U.basis):
-        cu = V.coords(ub)
+        cu = qm.project(ub)
         for i in range(u):
             coeff = [F.zero()] * (u * v)
             for k in range(v):
@@ -588,9 +588,7 @@ def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
     if particular is None:
         raise AlgebraError("no equivariant projection: subspace is not a direct summand")
     X = Matrix(F, [particular[i * v : (i + 1) * v] for i in range(u)])
-    _, _, _, kerX = rref_solve(X)
-    comp_vecs = [lin_comb(F, coeffs, V.basis) for coeffs in kerX.basis]
-    return Subspace.from_vectors(F, M.dim, comp_vecs)
+    return qm.lift_space(rref_solve(X)[3])
 
 
 def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):
@@ -599,20 +597,19 @@ def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):
     V must be semisimple (a submodule of the socle); every reducibility
     counterexample splits off, so the descent terminates.
     """
-    R = restrict_module(M, V)
+    F = M.field
+    qm = QuotientMap(V, Subspace.zero(F, M.dim))  # coordinates on V
+    R = _section_module(M, qm)
     verdict, counterexample, status = certify_irreducible(R)
     if verdict is not False:
         return V, status
-    F = M.field
     if isinstance(F, PrimeField) and F.p**R.dim <= VECTOR_ENUM_BUDGET:
         # the witness decides which minimal submodules are chosen, so it is
         # the first proper spin whatever route certified the verdict
         counterexample = _first_proper_spin(R)
     if counterexample is None or counterexample.is_zero():
         raise AlgebraError("reducible verdict without a witness")
-    # translate the witness back to module coordinates
-    sub_vecs = [lin_comb(F, cv, V.basis) for cv in counterexample.basis]
-    U = Subspace.from_vectors(F, M.dim, sub_vecs)
+    U = qm.lift_space(counterexample)  # the witness in module coordinates
     if not avoid.contains_space(U):
         return _minimal_inside(M, U, avoid)
     return _minimal_inside(M, complement_in_semisimple(M, V, U), avoid)
@@ -647,19 +644,17 @@ class SocleInfo:
 
 @memoized
 def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
-    qa = quotient_algebra(L, I)
-    Q = qa.algebra
-    M = adjoint_module(Q)
-    summands, soc_q, status = socle_decomposition(M)
-    minimals = []
-    asoc_q = Subspace.zero(Q.field, Q.dim)
+    """The minimal ideals of L/I, their sum and its abelian part, lifted to
+    L, read from L/I as the L-module ``factor_module(L, L, I)``."""
+    fm = factor_module(L, L.full_space(), I)
+    summands, soc, status = socle_decomposition(fm.module)
+    minimals, abelian = [], list(I.basis)
     for W in summands:
-        if brackets_inside(Q, W, W, Q.zero_space()):
-            asoc_q = asoc_q.sum(W)
-        minimals.append(qa.lift_space(W))
-    soc = qa.lift_space(soc_q)
-    asoc = qa.lift_space(asoc_q)  # the lift of the zero space is I itself
-    return SocleInfo(tuple(minimals), soc, asoc, status)
+        X = L.span([fm.coords.lift(v) for v in W.basis])  # [I, L] lies in I: skip it
+        minimals.append(X.sum(I))
+        if brackets_inside(L, X, X, I):
+            abelian += X.basis
+    return SocleInfo(tuple(minimals), fm.coords.lift_space(soc), L.span(abelian), status)
 
 
 def _equivariance_rows(M1: LModule, M2: LModule) -> list:

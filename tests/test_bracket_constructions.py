@@ -240,6 +240,29 @@ def series_sections(L: LieAlgebra) -> list:
     return pairs
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["q", "gf2", "gf3"])
+def test_induced_is_the_matrix_of_its_projected_columns(field):
+    """``QuotientMap.induced`` keeps the canonical scalars of ``project`` as
+    they are; its matrix equals ``Matrix.from_columns`` of the same columns,
+    which coerces them, down to the type of each scalar.  Over Q a basis
+    of determinant 2 gives rational structure constants."""
+    algebras = [builtin(n, field) for n in (CORPUS_GF2 if field == GF(2) else CORPUS_Q)]
+    if field == QQ:
+        algebras.append(transport(builtin("sl2", QQ), Matrix(QQ, [[1, 1, 0], [-1, 1, 0], [0, 0, 1]])))
+    for L in algebras:
+        sections = chief_sections(L) + series_sections(L) + [(L.full_space(), L.full_space())]
+        for A, B in sections:
+            qm = QuotientMap(A, B)
+            for i in range(L.dim):
+                x = unit_vec(field, L.dim, i)
+                M = qm.induced(lambda v: L.bracket(x, v))
+                ref = Matrix.from_columns(field, [qm.project(L.bracket(x, v)) for v in qm.lifts])
+                assert (M, M.rows, M.cols) == (ref, ref.rows, ref.cols)
+                assert [type(a) for row in M.entries for a in row] == [
+                    type(a) for row in ref.entries for a in row
+                ]
+
+
 @st.composite
 def semidirect_sums(draw):
     """F^n + L for the commutator closure L of up to two integer n x n

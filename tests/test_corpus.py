@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from liestruct import builtin
-from liestruct.algebra import AntisymmetryViolation, JacobiViolation
+from liestruct.algebra import AntisymmetryViolation, JacobiViolation, LieAlgebra
 from liestruct.chief import module_isomorphic, classify_factor, solvable_radical
 from liestruct.corpus import (
     FIXTURE_FACTS,
@@ -139,6 +139,21 @@ class TestSerialization:
         L = builtin(name, GF(2))
         doc = save(L)
         assert save(load(doc)) == doc
+
+    def test_load_builds_its_algebra_once(self, monkeypatch):
+        L = builtin("h3_plus_r2", QQ)
+        doc = save(L)
+        built = []
+        orig_init = LieAlgebra.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            orig_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LieAlgebra, "__init__", init)
+        L2 = load(doc)
+        assert len(built) == 1
+        assert L2 == L and L2.basis_names == L.basis_names
 
     def test_one_sided_bracket_entry_mirrors(self):
         doc = {

@@ -180,6 +180,7 @@ def test_quotient_module_is_the_induced_action():
 
 def test_modules_compare_by_value():
     L = builtin("heis", GF(3))
-    M1, M2 = adjoint_module(L), adjoint_module(L)
+    M1 = adjoint_module(L)
+    M2 = LModule(L, M1.mats)  # a second instance of the same value
     assert M1 is not M2 and M1 == M2 and hash(M1) == hash(M2)
     assert M1 != transposed(M1)

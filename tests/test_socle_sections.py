@@ -1,0 +1,203 @@
+"""The socle layer reads L/I as the L-module ``factor_module(L, L, I)``.
+
+``socle_and_minimal_ideals`` once built the quotient algebra L/I, its
+adjoint module and a separate memo for every ideal I.  That body is kept
+here literally (``old_*``) and must give the same minimal ideals, socle,
+abelian socle and status on every ideal of a chief series and of the
+radical loop: on the corpus over Q, GF(2), GF(3), GF(5) and GF(7), on gl(3)
+and sl2 + sl2 + sl2 over GF(5) (whose modules are too large to enumerate),
+and on Hypothesis algebras in random bases.  Reading each section as a
+module of L builds no ``LieAlgebra`` during a report, and a chief factor's
+module is certified once, on L's memo, by the socle that found it.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+
+import liestruct
+from liestruct import builtin
+from liestruct.algebra import LieAlgebra, brackets_inside, direct_sum, quotient_algebra
+from liestruct.chief import chief_series
+from liestruct.cli import build_report
+from liestruct.fields import GF, QQ
+from liestruct.linalg import Subspace, unit_vec
+from liestruct.modules import (
+    LModule,
+    adjoint_module,
+    certify_irreducible,
+    factor_module,
+    socle_and_minimal_ideals,
+    socle_decomposition,
+)
+
+from conftest import CORPUS_GF2, CORPUS_Q
+from test_bracket_constructions import semidirect_sums_in_a_random_basis
+from test_larger_primes import matrix_units
+from test_socle import natural_module
+from test_socle_char0 import rebased_corpus_algebras
+
+
+def old_adjoint_module(L: LieAlgebra) -> LModule:
+    mats = [L.ad(unit_vec(L.field, L.dim, i)) for i in range(L.dim)]
+    return LModule(L, mats, validate=False)  # the Jacobi identity is the law here
+
+
+def old_socle_and_minimal_ideals(L: LieAlgebra, I: Subspace):
+    qa = quotient_algebra(L, I)
+    Q = qa.algebra
+    M = old_adjoint_module(Q)
+    summands, soc_q, status = socle_decomposition(M)
+    minimals = []
+    asoc_q = Subspace.zero(Q.field, Q.dim)
+    for W in summands:
+        if brackets_inside(Q, W, W, Q.zero_space()):
+            asoc_q = asoc_q.sum(W)
+        minimals.append(qa.lift_space(W))
+    soc = qa.lift_space(soc_q)
+    asoc = qa.lift_space(asoc_q)  # the lift of the zero space is I itself
+    return tuple(minimals), soc, asoc, status
+
+
+def assert_socles_match(L: LieAlgebra):
+    """Every ideal of the chief series and of the radical loop, the new
+    body on L against the old body on a value-equal copy of L, so that no
+    memo is shared."""
+    old = LieAlgebra(L.field, L.dim, L.table, validate=False)
+    ideals = list(chief_series(L).chain[:-1])
+    R = L.zero_space()
+    while True:  # the ideals of chief.solvable_radical's loop
+        ideals.append(R)
+        info = socle_and_minimal_ideals(L, R)
+        if info.asoc == R:
+            break
+        R = info.asoc
+    for I in ideals:
+        info = socle_and_minimal_ideals(L, I)
+        assert (info.minimals, info.soc, info.asoc, info.status) == (
+            old_socle_and_minimal_ideals(old, I)
+        )
+
+
+FIELD_CORPUS = (
+    [(name, QQ) for name in CORPUS_Q]
+    + [(name, GF(2)) for name in CORPUS_GF2]
+    + [(name, GF(p)) for p in (3, 5, 7) for name in CORPUS_Q if (name, p) != ("ex22", 5)]
+)
+
+
+@pytest.mark.parametrize(
+    "name,field", FIELD_CORPUS, ids=[f"{n}-{F!r}" for n, F in FIELD_CORPUS]
+)
+def test_socles_match_the_quotient_algebra_on_the_corpus(name, field):
+    assert_socles_match(builtin(name, field))
+
+
+def sl2_cubed(field):
+    sl2 = builtin("sl2", field)
+    return direct_sum(direct_sum(sl2, sl2), sl2)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: matrix_units(5, 3, False), lambda: sl2_cubed(GF(5))], ids=["gl3", "sl2^3"]
+)
+def test_socles_match_over_budget(build):
+    """Over GF(5) the 9-dimensional modules have more than 10^6 vectors, so
+    a witness comes from a Norton kernel rather than the first proper spin
+    of an enumeration, and the L-module has more action matrices to search
+    than ad(L/I)."""
+    L = build()
+    assert 5**L.dim > 10**6
+    assert_socles_match(L)
+
+
+@given(rebased_corpus_algebras())
+@settings(max_examples=10, deadline=None)
+def test_socles_match_in_a_random_basis(L):
+    assert_socles_match(L)
+
+
+@given(semidirect_sums_in_a_random_basis())
+@settings(max_examples=20, deadline=None)
+def test_socles_match_on_semidirect_sums_in_a_random_basis(sum_and_ideal):
+    """Over Q only draws of dimension at most 6: in a larger one, such as
+    F^3 + gl(3), the chief series reaches the trial division of
+    ``polys.rational_roots`` on characteristic polynomials with 15-digit
+    coefficients, which runs for minutes (ROADMAP item 2)."""
+    L = sum_and_ideal[0]
+    assume(L.field != QQ or L.dim <= 6)
+    assert_socles_match(L)
+
+
+def test_the_adjoint_module_is_the_section_over_zero():
+    for field in (QQ, GF(3)):
+        L = builtin("h3_plus_r2", field)
+        M = adjoint_module(L)
+        assert M == factor_module(L, L.full_space(), L.zero_space()).module
+        assert M == old_adjoint_module(L)
+
+
+def borel3(p):
+    """The upper-triangular 3 x 3 matrices over GF(p), or Q when p is 0."""
+    units = [tuple(int(k == 3 * i + j) for k in range(9)) for i in range(3) for j in range(i, 3)]
+    return natural_module(p, 3, units).algebra
+
+
+REPORTS = [
+    ("borel3", lambda: borel3(0)),
+    ("ex22", lambda: builtin("ex22", QQ)),
+    ("h3_plus_r2", lambda: builtin("h3_plus_r2", GF(3))),
+]
+
+
+@pytest.mark.parametrize("name,build", REPORTS, ids=["borel3-q", "ex22-q", "h3_plus_r2-gf3"])
+def test_a_report_builds_no_algebra(monkeypatch, name, build):
+    """Every quotient these reports ask for is read as a section of L: the
+    socle layer, the splitting test and the crowns build no quotient table."""
+    L = build()
+    built = []
+    orig_init = LieAlgebra.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        orig_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", init)
+    build_report(L, name)
+    assert built == []
+
+
+@pytest.mark.parametrize("name,build", REPORTS[:2], ids=["borel3-q", "ex22-q"])
+def test_a_chief_factor_is_certified_by_its_socle(name, build):
+    """The socle that finds a chief factor A/B certifies the restriction of
+    the L-module L/B to A/B, which is the factor's own module: asking for
+    its certificate again adds nothing to L's memo."""
+    L = build()
+    series = chief_series(L)
+    body = certify_irreducible.__wrapped__
+    for f in series.factors:
+        before = sum(key[0] is body for key in L._memo)
+        verdict, _, status = certify_irreducible(f.module())
+        assert verdict is True and status.certified
+        assert sum(key[0] is body for key in L._memo) == before
+
+
+SRC = Path(liestruct.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("module", ["modules", "crowns"])
+def test_the_section_layers_never_name_quotient_algebra(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "quotient_algebra" not in names
+    assert "quotient_algebra" not in vars(sys.modules[f"liestruct.{module}"])
