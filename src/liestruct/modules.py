@@ -645,16 +645,15 @@ class SocleInfo:
 @memoized
 def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
     """The minimal ideals of L/I, their sum and its abelian part, lifted to
-    L, read from L/I as the L-module ``factor_module(L, L, I)``."""
+    L, read from the L-module ``factor_module(L, L, I)``.  Its action
+    matrices span ad(L/I), one per basis vector of L, so a GF(p) search that
+    stops at the first matrix found may meet another one than on the adjoint
+    module of the quotient algebra; the values were compared on samples only."""
     fm = factor_module(L, L.full_space(), I)
     summands, soc, status = socle_decomposition(fm.module)
-    minimals, abelian = [], list(I.basis)
-    for W in summands:
-        X = L.span([fm.coords.lift(v) for v in W.basis])  # [I, L] lies in I: skip it
-        minimals.append(X.sum(I))
-        if brackets_inside(L, X, X, I):
-            abelian += X.basis
-    return SocleInfo(tuple(minimals), fm.coords.lift_space(soc), L.span(abelian), status)
+    minimals = tuple(fm.coords.lift_space(W) for W in summands)
+    abelian = [x for X in minimals if brackets_inside(L, X, X, I) for x in X.basis]
+    return SocleInfo(minimals, fm.coords.lift_space(soc), L.span(list(I.basis) + abelian), status)
 
 
 def _equivariance_rows(M1: LModule, M2: LModule) -> list:

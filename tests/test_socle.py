@@ -181,6 +181,9 @@ def test_quotient_module_is_the_induced_action():
 def test_modules_compare_by_value():
     L = builtin("heis", GF(3))
     M1 = adjoint_module(L)
-    M2 = LModule(L, M1.mats)  # a second instance of the same value
+    # a second instance of the same value, from separately built matrices
+    M2 = LModule(L, [L.ad(unit_vec(L.field, L.dim, i)) for i in range(L.dim)])
+    assert M1.mats is not M2.mats
+    assert all(a is not b for a, b in zip(M1.mats, M2.mats))
     assert M1 is not M2 and M1 == M2 and hash(M1) == hash(M2)
     assert M1 != transposed(M1)
