@@ -146,6 +146,24 @@ def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
     return list(map(canon_q, w))
 
 
+def _in_rref_span(p: int, w: Sequence, rows: Sequence, pivots: Sequence) -> bool:
+    """Whether w lies in the span of the dense rows of a reduced row echelon
+    basis with those pivots.  The rows vanish at each other's pivots, so w
+    is inside exactly when eliminating it at the pivots, by w[c] times the
+    row of pivot c, leaves 0.  Checked column by column, stopping at the
+    first column that is not cleared; mod p over GF(p) (``p > 0``), exactly
+    over Q.  The per-candidate membership test of the oracle's closure and
+    ideal scans, where a candidate is seen once and ``_reduce``'s nonzero
+    (index, value) pairs would not pay for themselves."""
+    terms = [(w[c], row) for c, row in zip(pivots, rows) if w[c]]
+    for j, x in enumerate(w):
+        for a, row in terms:
+            x -= a * row[j]
+        if x % p if p else x:
+            return False
+    return True
+
+
 class Matrix:
     """Immutable rectangular matrix over an exact field."""
 
@@ -541,20 +559,27 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel construction: solve a u = b v across the two bases."""
+        """U cap V by one Zassenhaus elimination of the rows [u | u] over
+        [v | 0] in F^2n.  The row space holds (x, y) with y in U and x - y
+        in V, and its elements with x = 0 are (0, y) for y in U cap V.  So
+        the rows of the reduced echelon form whose pivot lies in the right
+        half are zero on the left, and their right halves are the
+        canonical RREF basis of U cap V."""
         self._check_ambient(other)
         F = self.field
+        n = self.ambient_dim
         if self.is_zero() or other.is_zero():
-            return Subspace.zero(F, self.ambient_dim)
+            return Subspace.zero(F, n)
         if self.is_full():
             return other
         if other.is_full():
             return self
-        minus_one = F.neg(F.one())
-        cols = list(self.basis) + [vec_scale(F, minus_one, v) for v in other.basis]
-        _, _, _, null = rref_solve(Matrix.from_columns(F, cols))
-        vecs = [lin_comb(F, coeffs[: self.dim], self.basis) for coeffs in null.basis]
-        return Subspace.from_vectors(F, self.ambient_dim, vecs)
+        zero = (F.zero(),) * n
+        red, pivots = _rref(F, [u + u for u in self.basis] + [v + zero for v in other.basis])
+        k = bisect(pivots, n - 1)
+        return Subspace(
+            F, n, tuple(tuple(row[n:]) for row in red[k:]), tuple(c - n for c in pivots[k:])
+        )
 
     def __eq__(self, other):
         return (

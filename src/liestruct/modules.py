@@ -53,7 +53,7 @@ from .algebra import (
     memoized,
     section_action,
 )
-from .fields import Field, PrimeField, div_q
+from .fields import Field, PrimeField, canon_q, div_q
 from .linalg import (
     Matrix,
     QuotientMap,
@@ -63,6 +63,7 @@ from .linalg import (
     _nonzeros,
     _nullspace,
     _reduce,
+    _rref,
     _rref_gf,
     lin_comb,
     rref_solve,
@@ -659,10 +660,12 @@ def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
 def _equivariance_rows(M1: LModule, M2: LModule) -> list:
     """The equations X rho1 = rho2 X, per action pair and matrix entry, on
     the unknown map X: M1 -> M2 flattened by rows (entry (i, k) of X is
-    unknown i * M1.dim + k); entries are not yet reduced mod p.  Each row
-    is written from the nonzeros of a column of rho1 (a row of its
-    transpose in ``M1.dual()``) and of a row of rho2."""
+    unknown i * M1.dim + k), in canonical scalars.  Each row is written
+    from the nonzeros of a column of rho1 (a row of its transpose in
+    ``M1.dual()``) and of a row of rho2; an entry of rho2 is subtracted
+    and reduced once, where it lands."""
     F = M1.field
+    p = _modulus(F)
     s, t = M1.dim, M2.dim
     rows = []
     for r1t, r2 in zip(M1.dual().mats, M2.mats):
@@ -672,7 +675,8 @@ def _equivariance_rows(M1: LModule, M2: LModule) -> list:
                 for k, a in nz1:
                     coeff[i * s + k] = a
                 for k, b in nz2:
-                    coeff[k * s + j] -= b
+                    x = coeff[k * s + j] - b
+                    coeff[k * s + j] = x % p if p else canon_q(x)
                 rows.append(coeff)
     return rows
 
@@ -685,13 +689,12 @@ def hom_space(M1: LModule, M2: LModule) -> list[ModuleMap]:
     s, t = M1.dim, M2.dim
     if s == 0 or t == 0:
         return []
-    rows = _equivariance_rows(M1, M2)
-    _, _, _, null = rref_solve(Matrix(F, rows))
-    out = []
-    for flatv in null.basis:
-        mat = Matrix(F, [flatv[i * s : (i + 1) * s] for i in range(t)])
-        out.append(ModuleMap(M1, M2, mat))
-    return out
+    red, pivots = _rref(F, _equivariance_rows(M1, M2))
+    null = _nullspace(F, s * t, red, pivots)
+    return [
+        ModuleMap(M1, M2, Matrix._of(F, [flatv[i * s : (i + 1) * s] for i in range(t)], s))
+        for flatv in null.basis
+    ]
 
 
 def module_isomorphism(M1: LModule, M2: LModule):

@@ -5,13 +5,21 @@ subalgebras, module socles from the spins of all projective points, and the
 agreement checks against the analytic paths.
 
 The enumeration cost is predicted exactly by Gaussian binomials before any
-work starts; exceeding the budget is a hard error, never a truncation.
+work starts; exceeding the budget is a hard error, never a truncation.  So
+is a product of choice sets (prefrattini choice functions, crown
+complements) larger than the budget.
 
+Each candidate subspace is built once, as its canonical echelon rows, and
+tested for closure and ideal membership on those rows
+(``linalg._in_rref_span``), stopping at the first bracket outside it;
+brackets of rows that recur over consecutive candidates are cached.
 Maximal subalgebras are found by walking the proper subalgebras in
 decreasing dimension and testing each one only against the maximal ones
-already found; minimal ideals and the minimal spins of a socle by the dual
-walk in increasing dimension.  Complements and supplements of a factor A/B
-are filtered by dimension and by containing B before any sum is formed.
+already found whose pivots contain its own; minimal ideals and the minimal
+spins of a socle by the dual walk in increasing dimension.  Complements and
+supplements of a factor A/B are filtered by dimension and by containing B
+before any sum is formed.  The intersections over all choice functions
+walk the product tree, so each prefix of a choice is intersected once.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from .algebra import (
     quotient_algebra,
 )
 from .fields import PrimeField
-from .linalg import Subspace, intersect_many, unit_vec
+from .linalg import Subspace, _in_rref_span, intersect_many, unit_vec
+
 if TYPE_CHECKING:  # pragma: no cover
     from .chief import ChiefSeries
     from .modules import LModule
@@ -78,25 +87,28 @@ def _check_budget(L: LieAlgebra, budget: EnumBudget) -> PrimeField:
 
 
 def iter_subspaces(F: PrimeField, n: int):
-    """All subspaces of F^n as canonical RREF bases, by pivot pattern."""
+    """All subspaces of F^n as canonical RREF bases, by pivot pattern.
+
+    Within a pattern the free entries run through all values, the last
+    free entry of the last row fastest; each row is a choice among the
+    rows with its pivot, built once per pattern as tuples of residues."""
     p = F.p
     yield Subspace.zero(F, n)
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
-            free_positions = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivots
-            ]
-            for assignment in itertools.product(range(p), repeat=len(free_positions)):
-                rows = [[0] * n for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = 1
-                for (r, c), val in zip(free_positions, assignment):
-                    rows[r][c] = val
-                basis = tuple(tuple(x % p for x in row) for row in rows)
-                yield Subspace(F, n, basis, tuple(pivots))
+            row_choices = []
+            for c in pivots:
+                free = [j for j in range(c + 1, n) if j not in pivots]
+                choices = []
+                for values in itertools.product(range(p), repeat=len(free)):
+                    row = [0] * n
+                    row[c] = 1
+                    for j, x in zip(free, values):
+                        row[j] = x
+                    choices.append(tuple(row))
+                row_choices.append(choices)
+            for basis in itertools.product(*row_choices):
+                yield Subspace(F, n, basis, pivots)
 
 
 def socle_bf(M: "LModule", budget: EnumBudget = EnumBudget()) -> Subspace:
@@ -123,16 +135,23 @@ def _extremal(spaces, largest: bool) -> tuple:
     increasing dimension, each dimension in the given order.  Each space is
     tested only against the extremal ones already found: a space that is not
     maximal lies in a larger member, hence in a maximal one, which the walk
-    has met already; dually for minimal ones."""
-    found = []
+    has met already; dually for minimal ones.  U inside V forces the RREF
+    pivots of U to be pivots of V, so the pivot sets are compared before
+    any containment is reduced."""
+    found = []  # (space, its pivot set)
     for U in sorted(spaces, key=lambda U: -U.dim if largest else U.dim):
+        pu = set(U.pivots)
         if largest:
-            covered = any(V.dim > U.dim and V.contains_space(U) for V in found)
+            covered = any(
+                V.dim > U.dim and pu <= pv and V.contains_space(U) for V, pv in found
+            )
         else:
-            covered = any(V.dim < U.dim and U.contains_space(V) for V in found)
+            covered = any(
+                V.dim < U.dim and pv <= pu and U.contains_space(V) for V, pv in found
+            )
         if not covered:
-            found.append(U)
-    return tuple(found)
+            found.append((U, pu))
+    return tuple(U for U, _ in found)
 
 
 @dataclass(frozen=True)
@@ -148,30 +167,29 @@ def enum_structures(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> Enumera
 
 @lru_cache(maxsize=64)
 def _enum_structures_cached(L: LieAlgebra, budget: EnumBudget) -> EnumeratedStructures:
+    """Closure and ideal membership are tested on each candidate's echelon
+    rows as they are enumerated, stopping at the first bracket outside.
+    The candidates of a pivot pattern share their rows (``iter_subspaces``
+    runs the last row fastest), so a pair of rows recurs over consecutive
+    candidates, and a small cache of brackets saves most of them."""
     F = _check_budget(L, budget)
+    p, n = F.p, L.dim
+    bracket = lru_cache(maxsize=256)(L.bracket)
+    units = [unit_vec(F, n, i) for i in range(n)]
     subalgebras = []
     ideals = []
-    for U in iter_subspaces(F, L.dim):
-        closed = True
-        for i in range(U.dim):
-            for j in range(i + 1, U.dim):
-                if not U.contains(L.bracket(U.basis[i], U.basis[j])):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if not closed:
+    for U in iter_subspaces(F, n):
+        rows, pivots = U.basis, U.pivots
+        if not all(
+            _in_rref_span(p, bracket(rows[i], rows[j]), rows, pivots)
+            for i in range(len(rows))
+            for j in range(i + 1, len(rows))
+        ):
             continue
         subalgebras.append(U)
-        ideal = True
-        for bvec in U.basis:
-            for i in range(L.dim):
-                if not U.contains(L.bracket(unit_vec(F, L.dim, i), bvec)):
-                    ideal = False
-                    break
-            if not ideal:
-                break
-        if ideal:
+        if all(
+            _in_rref_span(p, bracket(e, b), rows, pivots) for b in rows for e in units
+        ):
             ideals.append(U)
     maximals = _extremal((U for U in subalgebras if U.dim < L.dim), largest=True)
     return EnumeratedStructures(tuple(subalgebras), tuple(ideals), maximals)
@@ -231,12 +249,16 @@ def complements_bf(
 def supplements_bf(
     L: LieAlgebra, A: Subspace, B: Subspace, budget: EnumBudget = EnumBudget()
 ) -> tuple:
-    """All proper subalgebras M with L = A + M and B inside M."""
+    """All proper subalgebras M with L = A + M and B inside M; only an M
+    with dim M + dim A >= dim L can have M + A = L, so the sum is formed
+    for those alone."""
     subs = enum_structures(L, budget).subalgebras
     return tuple(
         M
         for M in subs
-        if M.dim < L.dim and M.contains_space(B) and M.sum(A).is_full()
+        if L.dim - A.dim <= M.dim < L.dim
+        and M.contains_space(B)
+        and M.sum(A).is_full()
     )
 
 
@@ -305,17 +327,30 @@ def prefrattini_bf(
             if M.contains_space(B) and not M.contains_space(A)
         ]
         choice_sets.append(Mi)
+    _check_choices(choice_sets, budget)
+    results = set(_choice_intersections(L.full_space(), choice_sets))
+    return tuple(sorted(results, key=lambda S: (S.dim, S.basis))), tuple(choice_sets)
+
+
+def _check_choices(choice_sets, budget: EnumBudget) -> None:
     total = 1
     for s in choice_sets:
         total *= max(len(s), 1)
     if total > budget.max_subspaces:
         raise BudgetExceeded(total, budget.max_subspaces, "choice functions")
-    results = set()
+
+
+def _choice_intersections(acc: Subspace, choice_sets):
+    """acc cap S_1 cap ... cap S_k over every choice of one S_i from each
+    of the k sets, in ``itertools.product`` order: the product tree is
+    walked depth first, so each prefix is intersected once and shared by
+    all the choices that extend it.  With no sets, acc itself."""
     if not choice_sets:
-        return (L.full_space(),), tuple(choice_sets)
-    for picks in itertools.product(*choice_sets):
-        results.add(intersect_many(list(picks)))
-    return tuple(sorted(results, key=lambda S: (S.dim, S.basis))), tuple(choice_sets)
+        yield acc
+        return
+    rest = choice_sets[1:]
+    for S in choice_sets[0]:
+        yield from _choice_intersections(acc.intersect(S), rest)
 
 
 @memoized
@@ -357,7 +392,10 @@ def four_core_intersections(
         supplemented = [
             f
             for f in series.factors
-            if f.supplemented and M.sum(f.A) == full and M.contains_space(f.B)
+            if f.supplemented
+            and M.dim + f.A.dim >= L.dim
+            and M.contains_space(f.B)
+            and M.sum(f.A) == full
         ]
         conn = [f for f in supplemented if connected(f, ref)[0]]
         isom = [f for f in supplemented if module_isomorphic(f, ref)[0]]
@@ -454,15 +492,10 @@ def oracle_check(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> list[str]:
     if is_solvable(L):
         bf_set, _ = prefrattini_bf(L, series, budget)
         crown_comps = [complements_bf(L, c.C, c.R, budget) for c in crowns]
-        total = 1
-        for cc in crown_comps:
-            total *= max(len(cc), 1)
-        if total <= budget.max_subspaces:
-            via_crowns = set()
-            for picks in itertools.product(*crown_comps):
-                via_crowns.add(intersect_many(list(picks)) if picks else L.full_space())
-            if via_crowns != set(bf_set):
-                problems.append("prefrattini sets differ between crowns and the definition")
+        _check_choices(crown_comps, budget)
+        via_crowns = set(_choice_intersections(L.full_space(), crown_comps))
+        if via_crowns != set(bf_set):
+            problems.append("prefrattini sets differ between crowns and the definition")
         for crown in crowns:
             inters = four_core_intersections(L, crown.class_rep, series, budget)
             if len(set((i.basis for i in inters))) != 1:

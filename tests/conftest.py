@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from liestruct import builtin
 from liestruct.fields import GF, QQ
@@ -10,6 +11,11 @@ CORPUS_GF2 = ("ab(1)", "ab(2)", "ab(3)", "r2", "heis", "h3_plus_r2")
 CORPUS_GF3 = CORPUS_Q
 
 SOLVABLE_Q = ("ab(1)", "ab(2)", "ab(3)", "r2", "heis", "ex22", "h3_plus_r2")
+
+# Every run draws the same examples (seeded from each test function), so an
+# input that is slow or wrong for the library shows on every run or on none.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import pytest
 from liestruct import builtin
 from liestruct.algebra import core
 from liestruct.chief import chief_series, chief_series_variants
+from liestruct.crowns import all_crowns
 from liestruct.fields import GF, QQ
 from liestruct.oracle import (
     BudgetExceeded,
@@ -17,6 +18,9 @@ from liestruct.oracle import (
     primitive_bf,
     subspace_count,
 )
+
+from test_larger_primes import matrix_units
+from test_memo import borel3_over_gf3
 
 
 class TestEnumeration:
@@ -146,9 +150,33 @@ class TestLemmaIntersections:
             assert inters[0] == crown.R
 
 
+# Dimension-6 algebras over GF(3), built outside the builtins: the upper
+# triangular and the strictly upper triangular 4 x 4 matrices.
+GATE_ALGEBRAS = {
+    ("borel3", 3): borel3_over_gf3,
+    ("n4", 3): lambda: matrix_units(3, 4, strict=True),
+}
+
+
 class TestOracleCheck:
     @pytest.mark.parametrize("name,p", [("r2", 2), ("r2", 3), ("heis", 2),
                                         ("heis", 3), ("ex22", 3), ("gl2", 3),
-                                        ("ab(3)", 2), ("h3_plus_r2", 2)])
+                                        ("ab(3)", 2), ("h3_plus_r2", 2),
+                                        *GATE_ALGEBRAS])
     def test_full_agreement(self, name, p):
-        assert oracle_check(builtin(name, GF(p))) == []
+        build = GATE_ALGEBRAS.get((name, p), lambda: builtin(name, GF(p)))
+        assert oracle_check(build()) == []
+
+    def test_too_many_crown_choices_raise_instead_of_skipping(self, monkeypatch):
+        """The prefrattini sets via crowns intersect one complement per
+        crown over all choices; past the budget that is an error, as in
+        prefrattini_bf, never a silently skipped comparison."""
+        import liestruct.oracle as oracle
+
+        L = builtin("r2", GF(3))
+        assert all_crowns(L, chief_series(L))
+        monkeypatch.setattr(
+            oracle, "complements_bf", lambda L, A, B, budget: (L.full_space(),) * 101
+        )
+        with pytest.raises(BudgetExceeded, match="choice functions"):
+            oracle_check(L, EnumBudget(max_subspaces=100))

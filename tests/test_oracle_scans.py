@@ -1,24 +1,31 @@
-"""The oracle's extremal scans and its complement and supplement filters,
-diffed against the literal definitions they replaced: maximal subalgebras
-by scanning every proper subalgebra, minimal ideals by scanning every
-ideal, the module socle over all spins, complements by sum and
-intersection, supplements by sum.  Each reference scans the subalgebras
-that ``enum_structures`` lists, since the enumeration itself is not in
-question here.  Tuples are compared with their order."""
+"""The oracle's enumeration, extremal scans and complement and supplement
+filters, diffed against the literal definitions they replaced: the
+enumeration by the loop that built every candidate as a ``Subspace`` and
+tested each bracket with ``Subspace.contains``, maximal subalgebras by
+scanning every proper subalgebra, minimal ideals by scanning every ideal,
+the module socle over all spins, complements by sum and intersection,
+supplements by sum; and ``Subspace.intersect`` against the kernel
+construction with three eliminations.  The scan references scan the
+subalgebras that ``enum_structures`` lists, once the enumeration itself
+has matched its reference.  Tuples are compared with their order."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liestruct import builtin
 from liestruct.algebra import is_ideal, quotient_algebra
 from liestruct.chief import chief_series
 from liestruct.crowns import all_crowns
-from liestruct.fields import GF
-from liestruct.linalg import Subspace
+from liestruct.fields import GF, QQ
+from liestruct.linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec, vec_scale
 from liestruct.modules import _nonzero_vectors, adjoint_module, spin
 from liestruct.oracle import (
     complements_bf,
     enum_structures,
+    iter_subspaces,
     minimal_ideals_bf,
     socle_bf,
     subspace_count,
@@ -29,6 +36,76 @@ from conftest import CORPUS_GF2, CORPUS_GF3
 from test_socle import matrix_algebra_modules
 
 FINITE_CORPUS = [(name, 2) for name in CORPUS_GF2] + [(name, 3) for name in CORPUS_GF3]
+
+
+def iter_subspaces_ref(F, n):
+    """The generator that built every row list and reduced it mod p."""
+    p = F.p
+    yield Subspace.zero(F, n)
+    for k in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free_positions = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, n)
+                if c not in pivots
+            ]
+            for assignment in itertools.product(range(p), repeat=len(free_positions)):
+                rows = [[0] * n for _ in range(k)]
+                for r, pc in enumerate(pivots):
+                    rows[r][pc] = 1
+                for (r, c), val in zip(free_positions, assignment):
+                    rows[r][c] = val
+                basis = tuple(tuple(x % p for x in row) for row in rows)
+                yield Subspace(F, n, basis, tuple(pivots))
+
+
+def enum_structures_ref(L):
+    """(subalgebras, ideals, maximal subalgebras) by the loop that tested
+    every bracket with ``Subspace.contains``."""
+    F = L.field
+    subalgebras = []
+    ideals = []
+    for U in iter_subspaces_ref(F, L.dim):
+        closed = True
+        for i in range(U.dim):
+            for j in range(i + 1, U.dim):
+                if not U.contains(L.bracket(U.basis[i], U.basis[j])):
+                    closed = False
+                    break
+            if not closed:
+                break
+        if not closed:
+            continue
+        subalgebras.append(U)
+        ideal = True
+        for bvec in U.basis:
+            for i in range(L.dim):
+                if not U.contains(L.bracket(unit_vec(F, L.dim, i), bvec)):
+                    ideal = False
+                    break
+            if not ideal:
+                break
+        if ideal:
+            ideals.append(U)
+    return tuple(subalgebras), tuple(ideals), maximals_ref(L, subalgebras)
+
+
+def intersect_ref(U, V):
+    """The kernel construction: solve a u = b v across the two bases, then
+    recombine and re-reduce."""
+    F = U.field
+    if U.is_zero() or V.is_zero():
+        return Subspace.zero(F, U.ambient_dim)
+    if U.is_full():
+        return V
+    if V.is_full():
+        return U
+    minus_one = F.neg(F.one())
+    cols = list(U.basis) + [vec_scale(F, minus_one, v) for v in V.basis]
+    _, _, _, null = rref_solve(Matrix.from_columns(F, cols))
+    vecs = [lin_comb(F, coeffs[: U.dim], U.basis) for coeffs in null.basis]
+    return Subspace.from_vectors(F, U.ambient_dim, vecs)
 
 
 def maximals_ref(L, subs):
@@ -83,6 +160,11 @@ def pairs(L):
 def assert_scans_match(L):
     structures = enum_structures(L)
     subs = structures.subalgebras
+    assert (
+        subs,
+        structures.ideals,
+        structures.maximal_subalgebras,
+    ) == enum_structures_ref(L)
     assert structures.maximal_subalgebras == maximals_ref(L, subs)
     assert minimal_ideals_bf(L) == minimal_ideals_ref(L, subs)
     M = adjoint_module(L)
@@ -111,6 +193,40 @@ def test_scans_match_the_definitions_on_matrix_algebras(M):
     L = M.algebra
     if subspace_count(L.dim, L.field.p) <= 3000:
         assert_scans_match(L)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("p", [2, 3])
+def test_subspaces_are_enumerated_in_the_reference_order(n, p):
+    F = GF(p)
+    new = [(U.basis, U.pivots) for U in iter_subspaces(F, n)]
+    assert new == [(U.basis, U.pivots) for U in iter_subspaces_ref(F, n)]
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces of F^n with up to two spanning vectors in common, over
+    Q (entries of height at most 3) or GF(2), GF(3), GF(5)."""
+    F = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = draw(st.integers(1, 5))
+    if F is QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        scalar = st.integers(0, F.p - 1)
+    vectors = st.lists(st.lists(scalar, min_size=n, max_size=n), max_size=3)
+    shared = draw(st.lists(st.lists(scalar, min_size=n, max_size=n), max_size=2))
+    U = Subspace.from_vectors(F, n, shared + draw(vectors))
+    V = Subspace.from_vectors(F, n, shared + draw(vectors))
+    return U, V
+
+
+@given(subspace_pairs())
+@settings(max_examples=300, deadline=None)
+def test_intersect_matches_the_kernel_construction(pair):
+    U, V = pair
+    W, ref = U.intersect(V), intersect_ref(U, V)
+    assert (W.basis, W.pivots) == (ref.basis, ref.pivots)
+    assert W == V.intersect(U)
 
 
 def test_complements_need_b_inside_a():
