@@ -545,8 +545,14 @@ class Subspace:
         return not any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
+        """Whether other lies inside this subspace.  The pivots of an RREF
+        basis are the leading positions of the nonzero vectors it spans, so
+        containment forces other's pivots to be pivots here; they are
+        compared before any vector is reduced."""
         self._check_ambient(other)
-        return all(self.contains(v) for v in other.basis)
+        return set(other.pivots).issubset(self.pivots) and all(
+            self.contains(v) for v in other.basis
+        )
 
     def _check_ambient(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:

@@ -15,8 +15,9 @@ tested for closure and ideal membership on those rows
 brackets of rows that recur over consecutive candidates are cached.
 Maximal subalgebras are found by walking the proper subalgebras in
 decreasing dimension and testing each one only against the maximal ones
-already found whose pivots contain its own; minimal ideals and the minimal
-spins of a socle by the dual walk in increasing dimension.  Complements and
+already found; minimal ideals and the minimal spins of a socle by the dual
+walk in increasing dimension.  Containment is refused on pivot sets before
+any vector is reduced (``Subspace.contains_space``).  Complements and
 supplements of a factor A/B are filtered by dimension and by containing B
 before any sum is formed.  The intersections over all choice functions
 walk the product tree, so each prefix of a choice is intersected once.
@@ -39,7 +40,6 @@ from .algebra import (
 )
 from .fields import PrimeField
 from .linalg import Subspace, _in_rref_span, intersect_many, unit_vec
-
 if TYPE_CHECKING:  # pragma: no cover
     from .chief import ChiefSeries
     from .modules import LModule
@@ -135,23 +135,18 @@ def _extremal(spaces, largest: bool) -> tuple:
     increasing dimension, each dimension in the given order.  Each space is
     tested only against the extremal ones already found: a space that is not
     maximal lies in a larger member, hence in a maximal one, which the walk
-    has met already; dually for minimal ones.  U inside V forces the RREF
-    pivots of U to be pivots of V, so the pivot sets are compared before
-    any containment is reduced."""
-    found = []  # (space, its pivot set)
+    has met already; dually for minimal ones.  ``contains_space`` compares
+    pivot sets first, so a pair whose pivots do not nest costs no
+    reduction."""
+    found = []
     for U in sorted(spaces, key=lambda U: -U.dim if largest else U.dim):
-        pu = set(U.pivots)
         if largest:
-            covered = any(
-                V.dim > U.dim and pu <= pv and V.contains_space(U) for V, pv in found
-            )
+            covered = any(V.dim > U.dim and V.contains_space(U) for V in found)
         else:
-            covered = any(
-                V.dim < U.dim and pv <= pu and U.contains_space(V) for V, pv in found
-            )
+            covered = any(V.dim < U.dim and U.contains_space(V) for V in found)
         if not covered:
-            found.append((U, pu))
-    return tuple(U for U, _ in found)
+            found.append(U)
+    return tuple(found)
 
 
 @dataclass(frozen=True)

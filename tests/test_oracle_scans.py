@@ -4,10 +4,11 @@ enumeration by the loop that built every candidate as a ``Subspace`` and
 tested each bracket with ``Subspace.contains``, maximal subalgebras by
 scanning every proper subalgebra, minimal ideals by scanning every ideal,
 the module socle over all spins, complements by sum and intersection,
-supplements by sum; and ``Subspace.intersect`` against the kernel
-construction with three eliminations.  The scan references scan the
-subalgebras that ``enum_structures`` lists, once the enumeration itself
-has matched its reference.  Tuples are compared with their order."""
+supplements by sum; ``Subspace.intersect`` against the kernel
+construction with three eliminations, and ``Subspace.contains_space``,
+which refuses on pivot sets first, against the sum.  The scan references
+scan the subalgebras that ``enum_structures`` lists, once the enumeration
+itself has matched its reference.  Tuples are compared with their order."""
 
 import itertools
 
@@ -227,6 +228,16 @@ def test_intersect_matches_the_kernel_construction(pair):
     W, ref = U.intersect(V), intersect_ref(U, V)
     assert (W.basis, W.pivots) == (ref.basis, ref.pivots)
     assert W == V.intersect(U)
+
+
+@given(subspace_pairs())
+@settings(max_examples=300, deadline=None)
+def test_contains_space_matches_the_sum_definition(pair):
+    U, V = pair
+    W = U.intersect(V)
+    assert U.contains_space(W) and V.contains_space(W)
+    assert U.contains_space(V) == (U.sum(V) == U)
+    assert V.contains_space(U) == (V.sum(U) == V)
 
 
 def test_complements_need_b_inside_a():
