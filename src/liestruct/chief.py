@@ -1,7 +1,7 @@
 """Chief series and chief factors: classification flags, module isomorphism
 and connectedness of factors, the strengthened Jordan-Hoelder matching, the
-solvable radical, and the primitive algebra attached to a supplemented
-factor.
+solvable radical read off the chief series, and the primitive algebra
+attached to a supplemented factor.
 
 Terminology.  A chief factor A/B is *supplemented* when some proper
 subalgebra M satisfies L = A + M with B inside M, *complemented* when
@@ -27,6 +27,7 @@ from .algebra import (
     brackets_inside,
     factor_centralizer,
     is_ideal,
+    is_solvable,
     memoized,
     quotient_algebra,
     section_action,
@@ -345,24 +346,21 @@ def jordan_holder_match(S1: ChiefSeries, S2: ChiefSeries) -> ChiefMatch:
 
 
 def solvable_radical(L: LieAlgebra):
-    """The largest solvable ideal, by absorbing abelian socles upward.
-
-    Returns (radical, status).  The loop invariant keeps R solvable; it
-    stops when the quotient has no abelian minimal ideal, which forces a
-    trivial radical upstairs.
-    """
-    R = L.zero_space()
-    status = CERTIFIED
-    while True:
-        info = socle_and_minimal_ideals(L, R)
-        status = worst(status, info.status)
-        if info.asoc == R:
-            break
-        R = info.asoc
-    # certify: R solvable, by its internal derived series
-    if not subspace_is_solvable(L, R):
-        raise CertificationFailure("radical candidate is not solvable")
-    return R, status
+    """(R, status): the largest solvable ideal R, all of L (certified) when
+    L is solvable, else the intersection C of the centralizers of the
+    nonabelian chief factors, with the series' status.  Over every field,
+    for every chief series: for a nonabelian factor A/B, ((R + B) cap A)/B
+    is a solvable ideal of L/B inside the perfect minimal ideal A/B, so it
+    is 0 and [R, A] lies in B; so R lies in C.  C is an ideal meeting every
+    factor in an abelian section ([C, A] lies in B when A/B is nonabelian),
+    so C is solvable and lies in R."""
+    if is_solvable(L):
+        return L.full_space(), CERTIFIED
+    series = chief_series(L)
+    R = radical_centralizer_formula(L, series)
+    if not (is_ideal(L, R) and subspace_is_solvable(L, R)):
+        raise CertificationFailure("radical candidate is not a solvable ideal")
+    return R, series.status
 
 
 def radical_centralizer_formula(L: LieAlgebra, series: ChiefSeries) -> Optional[Subspace]:

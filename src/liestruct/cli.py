@@ -351,7 +351,7 @@ def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
         P = prefrattini(L)
         _emit(args, {"schema_version": SCHEMA_VERSION, "prefrattini": space_doc(P)},
               f"prefrattini: {space_str(L, P)}")
-        return EXIT_OK
+        return _strict_gate(args, *(c.status for c in all_crowns(L)))
     if cmd == "primitive":
         w = classify_primitive(L)
         payload = {"schema_version": SCHEMA_VERSION, **primitive_doc(w)}
@@ -360,12 +360,9 @@ def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
         return _strict_gate(args, w.status)
     if cmd == "connected":
         series = chief_series(L)
-        try:
-            i, j = args.selectors
-            f1, f2 = series.factors[i], series.factors[j]
-        except IndexError as exc:
-            raise UsageError(f"bad factor selectors: {exc}") from exc
-        ok, witness, status = connected(f1, f2)
+        if not all(0 <= k < len(series) for k in args.selectors):
+            raise UsageError(f"bad factor selectors: the series has {len(series)} factors")
+        ok, witness, status = connected(*(series.factors[k] for k in args.selectors))
         payload = {
             "schema_version": SCHEMA_VERSION,
             "connected": ok,

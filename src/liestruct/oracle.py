@@ -2,7 +2,8 @@
 subspaces by echelon pattern, hence all subalgebras, ideals and maximal
 subalgebras, Frattini objects, definition-based primitivity and prefrattini
 subalgebras, module socles from the spins of all projective points, and the
-agreement checks against the analytic paths.
+agreement checks against the analytic paths, among them the solvable
+radical against the intersection of the maximal cores of type 2 or 3.
 
 The enumeration cost is predicted exactly by Gaussian binomials before any
 work starts; exceeding the budget is a hard error, never a truncation.  So
@@ -367,6 +368,20 @@ def _maximal_cores(L: LieAlgebra, budget: EnumBudget) -> tuple:
     return tuple(out)
 
 
+@memoized
+def _maximal_supplements(L: LieAlgebra, series: "ChiefSeries", budget: EnumBudget) -> tuple:
+    """Per maximal M of ``_maximal_cores``: (core, socle factor, the factors
+    A/B of the series supplemented by M), shared by every crown."""
+    supplemented = [f for f in series.factors if f.supplemented]
+    return tuple(
+        (ML, socle_factor, tuple(
+            f for f in supplemented
+            if M.dim + f.A.dim >= L.dim and M.contains_space(f.B) and M.sum(f.A).is_full()
+        ))
+        for M, ML, socle_factor in _maximal_cores(L, budget)
+    )
+
+
 def four_core_intersections(
     L: LieAlgebra, ref, series: "ChiefSeries", budget: EnumBudget = EnumBudget()
 ):
@@ -382,16 +397,8 @@ def four_core_intersections(
 
     full = L.full_space()
     j0, j1, j2, j3 = [], [], [], []
-    for M, ML, socle_factor in _maximal_cores(L, budget):
+    for ML, socle_factor, supplemented in _maximal_supplements(L, series, budget):
         monolithic = socle_factor is not None
-        supplemented = [
-            f
-            for f in series.factors
-            if f.supplemented
-            and M.dim + f.A.dim >= L.dim
-            and M.contains_space(f.B)
-            and M.sum(f.A) == full
-        ]
         conn = [f for f in supplemented if connected(f, ref)[0]]
         isom = [f for f in supplemented if module_isomorphic(f, ref)[0]]
         if monolithic and connected(socle_factor, ref)[0]:
@@ -411,10 +418,10 @@ def four_core_intersections(
 def oracle_check(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> list[str]:
     """Diff the analytic pipeline against the enumeration oracle; returns a
     list of discrepancy descriptions (empty means full agreement)."""
-    from .chief import chief_series
+    from .chief import chief_series, solvable_radical
     from .crowns import all_crowns
     from .modules import socle_and_minimal_ideals
-    from .primitive import classify_primitive
+    from .primitive import TYPE2, TYPE3, classify_primitive
 
     problems: list[str] = []
     structures = enum_structures(L, budget)
@@ -430,21 +437,15 @@ def oracle_check(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> list[str]:
     # socle and minimal ideals
     info = socle_and_minimal_ideals(L, L.zero_space())
     mins_bf = minimal_ideals_bf(L, budget)
-    soc_bf = L.zero_space()
-    asoc_bf = L.zero_space()
-    for W in mins_bf:
-        soc_bf = soc_bf.sum(W)
-        if bracket_spaces(L, W, W).is_zero():
-            asoc_bf = asoc_bf.sum(W)
-    if info.soc != soc_bf:
+    if info.soc != L.span([x for W in mins_bf for x in W.basis]):
         problems.append("socle: analytic sum differs from the oracle")
-    if info.asoc != asoc_bf:
-        problems.append("abelian socle: analytic sum differs from the oracle")
     for W in info.minimals:
         if W not in mins_bf:
             problems.append("a reported minimal ideal is not minimal per the oracle")
 
-    # cores of maximal subalgebras and primitivity of the quotients
+    # cores of maximal subalgebras, primitivity of the quotients, and the
+    # radical as the intersection of the cores of type 2 or 3 (or L)
+    radical_bf = L.full_space()
     for M in structures.maximal_subalgebras:
         ML = core(L, M)
         inside = [
@@ -453,9 +454,13 @@ def oracle_check(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> list[str]:
         biggest = max(inside, key=lambda I: I.dim)
         if ML != biggest:
             problems.append("core: chain computation differs from the ideal enumeration")
-        qa = quotient_algebra(L, ML)
-        if qa.algebra.dim and not primitive_bf(qa.algebra, budget).primitive:
+        quotient_type = primitive_bf(quotient_algebra(L, ML).algebra, budget)
+        if not quotient_type.primitive:
             problems.append("a maximal core quotient is not primitive")
+        if quotient_type.verdict in (TYPE2, TYPE3):
+            radical_bf = radical_bf.intersect(ML)
+    if solvable_radical(L)[0] != radical_bf:
+        problems.append("radical: analytic radical differs from the type-2/3 core intersection")
 
     # chief factor flags
     series = chief_series(L)

@@ -1,7 +1,19 @@
+import ast
+import inspect
+
 import pytest
+from hypothesis import assume, given, settings
 
 from liestruct import builtin
-from liestruct.algebra import AlgebraError, is_ideal, is_subalgebra
+from liestruct.algebra import (
+    AlgebraError,
+    LieAlgebra,
+    brackets_inside,
+    is_ideal,
+    is_solvable,
+    is_subalgebra,
+    subspace_is_solvable,
+)
 from liestruct.chief import (
     associated_primitive_algebra,
     chief_series,
@@ -15,7 +27,13 @@ from liestruct.chief import (
 )
 from liestruct.fields import GF, QQ
 from liestruct.linalg import unit_vec
-from liestruct.modules import module_isomorphism
+from liestruct.modules import module_isomorphism, socle_and_minimal_ideals
+from liestruct.status import CERTIFIED, CertificationFailure, worst
+
+from test_bracket_constructions import semidirect_sums_in_a_random_basis
+from test_larger_primes import matrix_units
+from test_socle_char0 import rebased_corpus_algebras
+from test_socle_sections import FIELD_CORPUS, sl2_cubed
 
 
 def series_dims(S):
@@ -261,6 +279,94 @@ class TestSolvableRadical:
             formula = radical_centralizer_formula(L, S)
             if formula is not None:
                 assert formula == solvable_radical(L)[0]
+
+    def test_a_solvable_algebra_is_its_radical_whatever_its_series(self):
+        """x acting on Q^5 by the companion matrix of t^5 - 2: the chief
+        series is heuristic, the radical L is certified by the derived
+        series (the socle loop reported the socles' heuristic status)."""
+        from test_modules import x_acting_by_companion
+
+        L = x_acting_by_companion(QQ, [-2, 0, 0, 0, 0])
+        assert not chief_series(L).status.certified
+        assert not old_solvable_radical(L)[1].certified
+        assert solvable_radical(L) == (L.full_space(), CERTIFIED)
+
+    def test_the_radical_reads_no_socle_and_no_killing_form(self):
+        """One route on every field: the body of ``solvable_radical`` climbs
+        no socles and forks on no Killing radical."""
+        tree = ast.parse(inspect.getsource(solvable_radical))
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert "chief_series" in called
+        assert not called & {"socle_and_minimal_ideals", "killing_radical"}
+
+
+def old_solvable_radical(L):
+    """The radical by absorbing abelian socles upward, as
+    ``chief.solvable_radical`` once computed it: the abelian part of each
+    socle is the span of the abelian minimal ideals over R."""
+    R = L.zero_space()
+    status = CERTIFIED
+    while True:
+        info = socle_and_minimal_ideals(L, R)
+        status = worst(status, info.status)
+        abelian = [x for X in info.minimals if brackets_inside(L, X, X, R) for x in X.basis]
+        asoc = L.span(list(R.basis) + abelian)
+        if asoc == R:
+            break
+        R = asoc
+    if not subspace_is_solvable(L, R):
+        raise CertificationFailure("radical candidate is not solvable")
+    return R, status
+
+
+def assert_radical_matches(L):
+    """The radical and its status against the socle loop, run on a
+    value-equal copy of L so that no memo is shared; a solvable L may be
+    certified where the loop met a heuristic socle."""
+    rad, status = solvable_radical(L)
+    old_rad, old_status = old_solvable_radical(LieAlgebra(L.field, L.dim, L.table, validate=False))
+    assert rad == old_rad
+    assert status == old_status or (is_solvable(L) and status == CERTIFIED)
+    return old_rad
+
+
+@pytest.mark.parametrize(
+    "name,field", FIELD_CORPUS, ids=[f"{n}-{F!r}" for n, F in FIELD_CORPUS]
+)
+def test_radical_matches_the_socle_loop_on_the_corpus(name, field):
+    """On a nonsolvable algebra every chief series gives the radical."""
+    L = builtin(name, field)
+    old_rad = assert_radical_matches(L)
+    if not is_solvable(L):
+        for S in chief_series_variants(L):
+            assert radical_centralizer_formula(L, S) == old_rad
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: matrix_units(5, 3, False), lambda: sl2_cubed(GF(5))], ids=["gl3", "sl2^3"]
+)
+def test_radical_matches_the_socle_loop_over_budget(build):
+    assert_radical_matches(build())
+
+
+@given(rebased_corpus_algebras())
+@settings(max_examples=10, deadline=None)
+def test_radical_matches_the_socle_loop_in_a_random_basis(L):
+    assert_radical_matches(L)
+
+
+@given(semidirect_sums_in_a_random_basis())
+@settings(max_examples=20, deadline=None)
+def test_radical_matches_the_socle_loop_on_semidirect_sums(sum_and_ideal):
+    """Over Q only draws of dimension at most 6, as in
+    ``test_socles_match_on_semidirect_sums_in_a_random_basis``."""
+    L = sum_and_ideal[0]
+    assume(L.field != QQ or L.dim <= 6)
+    assert_radical_matches(L)
 
 
 class TestAssociatedPrimitive:

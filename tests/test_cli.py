@@ -178,6 +178,14 @@ class TestCommands:
         code, out, _ = run(capsys, "connected", "--builtin", "ex22", "0", "1")
         assert code == EXIT_OK and "not connected" in out
 
+    @pytest.mark.parametrize("selectors", [("-1", "0"), ("0", "-2"), ("0", "2"), ("5", "1")])
+    def test_connected_refuses_selectors_outside_the_series(self, capsys, selectors):
+        """sl2 + sl2 has two chief factors: -1 would index factor 1 from
+        the end, and 2 is past it; both are usage errors."""
+        code, out, err = run(capsys, "connected", "--builtin", "sl2_plus_sl2", *selectors)
+        assert code == EXIT_USAGE and out == ""
+        assert "bad factor selectors" in err
+
     def test_radical(self, capsys):
         code, out, _ = run(capsys, "radical", "--builtin", "gl2")
         assert code == EXIT_OK and "span{z}" in out
@@ -230,6 +238,22 @@ class TestStrictUndecided:
         assert code == EXIT_OK and "undecided" in out
         code, out, _ = run(capsys, "primitive", "--input", str(f), "--strict")
         assert code == EXIT_UNDECIDED
+
+
+    def test_prefrattini_strict_reads_the_crowns(self, capsys, tmp_path):
+        """x acting on Q^5 by the companion matrix of t^5 - 2: the chief
+        series [5, 1] and its crowns are heuristic, so every command that
+        reports them exits 5 under --strict.  The radical is all of L,
+        certified by the derived series, so it exits 0."""
+        from liestruct.cli import EXIT_UNDECIDED
+        from test_modules import x_acting_by_companion
+
+        f = tmp_path / "companion5.json"
+        f.write_text(save(x_acting_by_companion(QQ, [-2, 0, 0, 0, 0])))
+        for cmd in ("chief-series", "crowns", "prefrattini"):
+            assert run(capsys, cmd, "--input", str(f))[0] == EXIT_OK
+            assert run(capsys, cmd, "--input", str(f), "--strict")[0] == EXIT_UNDECIDED
+        assert run(capsys, "radical", "--input", str(f), "--strict")[0] == EXIT_OK
 
 
 def old_space_str(L, U):

@@ -5,6 +5,7 @@ from liestruct.algebra import core
 from liestruct.chief import chief_series, chief_series_variants
 from liestruct.crowns import all_crowns
 from liestruct.fields import GF, QQ
+from liestruct.status import CERTIFIED
 from liestruct.oracle import (
     BudgetExceeded,
     EnumBudget,
@@ -166,6 +167,22 @@ class TestOracleCheck:
     def test_full_agreement(self, name, p):
         build = GATE_ALGEBRAS.get((name, p), lambda: builtin(name, GF(p)))
         assert oracle_check(build()) == []
+
+    @pytest.mark.parametrize("name,wrong", [("gl2", "full"), ("gl2", "zero"), ("heis", "zero")])
+    def test_a_wrong_radical_is_reported(self, monkeypatch, name, wrong):
+        """The radical of gl2 is its center and that of heis is heis; the
+        oracle reads the reported radical and compares it with the
+        intersection of the type-2/3 core quotients."""
+        import liestruct.chief as chief
+
+        L = builtin(name, GF(3))
+        assert oracle_check(L) == []
+        monkeypatch.setattr(
+            chief, "solvable_radical", lambda L: (getattr(L, f"{wrong}_space")(), CERTIFIED)
+        )
+        assert oracle_check(L) == [
+            "radical: analytic radical differs from the type-2/3 core intersection"
+        ]
 
     def test_too_many_crown_choices_raise_instead_of_skipping(self, monkeypatch):
         """The prefrattini sets via crowns intersect one complement per
