@@ -195,8 +195,9 @@ def memoized(fn):
     factor's complement flags read), ``connected``, ``module_isomorphic``
     and ``classify_factor`` in ``chief``, ``denominator_intersection``,
     ``crown_of_factor`` and ``all_crowns`` in ``crowns``, ``classify_primitive``
-    (keyed on ``use_oracle``) in ``primitive`` and ``_maximal_cores`` and
-    ``_maximal_supplements`` (the per-maximal data of
+    (keyed on ``use_oracle``) in ``primitive`` and ``_maximal_cores`` (each
+    maximal core with the minimal ideals above it, which ``oracle_check``
+    reads too) and ``_maximal_supplements`` (the per-maximal data of
     ``four_core_intersections``) in ``oracle``.  A cached
     function must be pure and return an immutable value, because every
     caller shares it; module budget constants such as

@@ -226,6 +226,13 @@ class InvalidInput(ValueError):
     hypotheses of the command asked for."""
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def _budget(args) -> EnumBudget:
     return EnumBudget(
         max_subspaces=args.max_subspaces, max_field_order=args.max_field_order
@@ -259,8 +266,8 @@ def main(argv: Optional[list] = None) -> int:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--strict", action="store_true",
                         help="nonzero exit on heuristic or undecided results")
-    common.add_argument("--max-subspaces", type=int, default=500_000)
-    common.add_argument("--max-field-order", type=int, default=4)
+    common.add_argument("--max-subspaces", type=positive_int, default=500_000)
+    common.add_argument("--max-field-order", type=positive_int, default=4)
     parser = argparse.ArgumentParser(
         prog="liestruct",
         description="chief-factor structure reports for finite-dimensional Lie algebras",

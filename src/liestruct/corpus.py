@@ -76,6 +76,8 @@ def builtin(name: str, field: Field = QQ) -> LieAlgebra:
         n = int(m.group(1))
         if n < 1:
             raise AlgebraError("abelian fixture needs a positive dimension")
+        if n > MAX_DIM:
+            raise AlgebraError(f"dim {n} exceeds the supported bound {MAX_DIM}")
         return LieAlgebra(field, n, {}, basis_names=[f"v{i}" for i in range(n)])
     if name == "r2":
         return LieAlgebra(field, 2, {(0, 1): (0, 1)}, basis_names=("x", "y"))

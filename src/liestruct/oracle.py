@@ -5,6 +5,12 @@ subalgebras, module socles from the spins of all projective points, and the
 agreement checks against the analytic paths, among them the solvable
 radical against the intersection of the maximal cores of type 2 or 3.
 
+Each algebra is enumerated once.  A quotient L/I is read through the
+correspondence theorem: its maximal subalgebras and ideals are M/I for the
+maximal subalgebras and ideals M of L that contain I, so Frattini factors,
+crown quotients and the primitive quotients L/core(M) are decided on L's
+own enumeration, and no quotient algebra is built.
+
 The enumeration cost is predicted exactly by Gaussian binomials before any
 work starts; exceeding the budget is a hard error, never a truncation.  So
 is a product of choice sets (prefrattini choice functions, crown
@@ -31,14 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .algebra import (
-    LieAlgebra,
-    bracket_spaces,
-    core,
-    is_solvable,
-    memoized,
-    quotient_algebra,
-)
+from .algebra import LieAlgebra, bracket_spaces, brackets_inside, core, is_solvable, memoized
 from .fields import PrimeField
 from .linalg import Subspace, _in_rref_span, intersect_many, unit_vec
 if TYPE_CHECKING:  # pragma: no cover
@@ -196,8 +195,14 @@ def maximal_subalgebras_of(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> 
 
 
 def minimal_ideals_bf(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> tuple:
+    return _minimal_above(L, L.zero_space(), budget)
+
+
+def _minimal_above(L: LieAlgebra, I: Subspace, budget: EnumBudget = EnumBudget()) -> tuple:
+    """The minimal ideals of L/I lifted to L: the ideals of L minimal among
+    those that properly contain the ideal I."""
     ideals = enum_structures(L, budget).ideals
-    return _extremal((I for I in ideals if I.dim > 0), largest=False)
+    return _extremal((J for J in ideals if J.dim > I.dim and J.contains_space(I)), largest=False)
 
 
 def frattini_objects(L: LieAlgebra, budget: EnumBudget = EnumBudget()):
@@ -216,10 +221,11 @@ def frattini_ideal_bf(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> Subsp
 def factor_is_frattini_bf(
     L: LieAlgebra, A: Subspace, B: Subspace, budget: EnumBudget = EnumBudget()
 ) -> bool:
-    """Definition-based Frattini flag: A/B inside the Frattini ideal of L/B."""
-    qa = quotient_algebra(L, B)
-    phi = frattini_ideal_bf(qa.algebra, budget)
-    return qa.lift_space(phi).contains_space(A)
+    """Definition-based Frattini flag: the ideal A/B lies in the Frattini
+    ideal of L/B, that is in every maximal subalgebra of L/B, that is A lies
+    in every maximal subalgebra of L that contains B."""
+    maxes = enum_structures(L, budget).maximal_subalgebras
+    return all(M.contains_space(A) for M in maxes if M.contains_space(B))
 
 
 def complements_bf(
@@ -351,20 +357,18 @@ def _choice_intersections(acc: Subspace, choice_sets):
 
 @memoized
 def _maximal_cores(L: LieAlgebra, budget: EnumBudget) -> tuple:
-    """(M, core of M, socle factor or None) for each maximal subalgebra M:
-    the socle factor is the chief factor of L that the one minimal ideal of
-    L/core(M) lifts to when that quotient is monolithic, else None."""
+    """(M, core of M, minimal ideals of L/core(M) lifted to L, socle factor
+    or None) for each maximal subalgebra M: the socle factor is the chief
+    factor W/core(M) of the one lifted minimal ideal W when L/core(M) is
+    monolithic, else None."""
     from .chief import classify_factor
 
     out = []
     for M in enum_structures(L, budget).maximal_subalgebras:
         ML = core(L, M)
-        qa = quotient_algebra(L, ML)
-        qmins = minimal_ideals_bf(qa.algebra, budget)
-        socle_factor = (
-            classify_factor(L, qa.lift_space(qmins[0]), ML) if len(qmins) == 1 else None
-        )
-        out.append((M, ML, socle_factor))
+        mins = _minimal_above(L, ML, budget)
+        socle_factor = classify_factor(L, mins[0], ML) if len(mins) == 1 else None
+        out.append((M, ML, mins, socle_factor))
     return tuple(out)
 
 
@@ -378,7 +382,7 @@ def _maximal_supplements(L: LieAlgebra, series: "ChiefSeries", budget: EnumBudge
             f for f in supplemented
             if M.dim + f.A.dim >= L.dim and M.contains_space(f.B) and M.sum(f.A).is_full()
         ))
-        for M, ML, socle_factor in _maximal_cores(L, budget)
+        for M, ML, _, socle_factor in _maximal_cores(L, budget)
     )
 
 
@@ -421,7 +425,7 @@ def oracle_check(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> list[str]:
     from .chief import chief_series, solvable_radical
     from .crowns import all_crowns
     from .modules import socle_and_minimal_ideals
-    from .primitive import TYPE2, TYPE3, classify_primitive
+    from .primitive import classify_primitive
 
     problems: list[str] = []
     structures = enum_structures(L, budget)
@@ -444,20 +448,17 @@ def oracle_check(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> list[str]:
             problems.append("a reported minimal ideal is not minimal per the oracle")
 
     # cores of maximal subalgebras, primitivity of the quotients, and the
-    # radical as the intersection of the cores of type 2 or 3 (or L)
+    # radical as the intersection of the cores of type 2 or 3 (or L); the
+    # type of L/core(M) is read off its minimal ideals: one abelian (type 1),
+    # one nonabelian (type 2) or two (type 3)
     radical_bf = L.full_space()
-    for M in structures.maximal_subalgebras:
-        ML = core(L, M)
-        inside = [
-            I for I in structures.ideals if M.contains_space(I)
-        ]
-        biggest = max(inside, key=lambda I: I.dim)
+    for M, ML, mins, _ in _maximal_cores(L, budget):
+        biggest = max((I for I in structures.ideals if M.contains_space(I)), key=lambda I: I.dim)
         if ML != biggest:
             problems.append("core: chain computation differs from the ideal enumeration")
-        quotient_type = primitive_bf(quotient_algebra(L, ML).algebra, budget)
-        if not quotient_type.primitive:
+        if len(mins) not in (1, 2):
             problems.append("a maximal core quotient is not primitive")
-        if quotient_type.verdict in (TYPE2, TYPE3):
+        elif len(mins) == 2 or not brackets_inside(L, mins[0], mins[0], ML):
             radical_bf = radical_bf.intersect(ML)
     if solvable_radical(L)[0] != radical_bf:
         problems.append("radical: analytic radical differs from the type-2/3 core intersection")
@@ -475,17 +476,14 @@ def oracle_check(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> list[str]:
         if f.supplemented != supp_bf:
             problems.append(f"supplemented flag mismatch on factor {idx}")
 
-    # crowns: socle identity and phi-freeness of the quotient
+    # crowns: L/R is phi-free when no minimal ideal W/R is Frattini, and
+    # its socle C/R is the sum of those W/R
     crowns = all_crowns(L, series)
     for crown in crowns:
-        qa = quotient_algebra(L, crown.R)
-        phi = frattini_ideal_bf(qa.algebra, budget)
-        if not phi.is_zero():
+        mins_above = _minimal_above(L, crown.R, budget)
+        if any(factor_is_frattini_bf(L, W, crown.R, budget) for W in mins_above):
             problems.append("a crown quotient is not phi-free")
-        soc_here = L.zero_space()
-        for W in minimal_ideals_bf(qa.algebra, budget):
-            soc_here = soc_here.sum(qa.lift_space(W))
-        if soc_here != crown.C:
+        if L.span([x for W in mins_above for x in W.basis]) != crown.C:
             problems.append("crown numerator differs from the oracle socle")
 
     # prefrattini sets and the four core-intersection families (solvable only)

@@ -94,6 +94,18 @@ class TestExitCodes:
                            "--field", "gf3", "--max-subspaces", "5")
         assert code == EXIT_BUDGET and "budget" in err
 
+    @pytest.mark.parametrize("flag,value", [("--max-subspaces", "0"), ("--max-subspaces", "-3"),
+                                            ("--max-field-order", "-1"), ("--max-field-order", "0")])
+    def test_a_non_positive_budget_is_a_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "oracle-check", "--builtin", "heis", "--field", "gf3",
+                             flag, value)
+        assert code == EXIT_USAGE and out == ""
+        assert "not a positive integer" in err and "internal failure" not in err
+
+    def test_a_builtin_above_the_dimension_bound_exits_with_parse_code(self, capsys):
+        code, _, err = run(capsys, "validate", "--builtin", "ab(200)")
+        assert code == EXIT_PARSE and "exceeds" in err
+
     def test_oracle_check_agreement(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--builtin", "heis", "--field", "gf3")
         assert code == EXIT_OK and "all checks agree" in out

@@ -52,6 +52,18 @@ class TestBuiltins:
             A.span([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]).basis
         ]
 
+    def test_abelian_fixture_above_the_bound_is_refused(self, monkeypatch):
+        """Refused before the algebra is built and its Jacobi identity
+        checked; at the bound itself the fixture still loads."""
+        from liestruct import corpus
+        from liestruct.algebra import AlgebraError
+
+        with monkeypatch.context() as m:
+            m.setattr(corpus, "LieAlgebra", None)  # building anything would raise TypeError
+            with pytest.raises(AlgebraError, match="exceeds"):
+                builtin(f"ab({MAX_DIM + 1})")
+        assert builtin(f"ab({MAX_DIM})", GF(2)).dim == MAX_DIM
+
     def test_unknown_name(self):
         from liestruct.algebra import AlgebraError
 

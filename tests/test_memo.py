@@ -270,8 +270,8 @@ def test_oracle_computes_each_core_once(monkeypatch):
 
 def test_oracle_builds_the_maximal_cores_once_per_algebra(monkeypatch):
     """``four_core_intersections`` runs once per crown, and the per-maximal
-    cores, quotients and socle factors behind it are built once per
-    algebra."""
+    cores, minimal ideals above them and socle factors behind it are built
+    once per algebra, on the enumeration of L itself."""
     bodies = _calls_from_body(monkeypatch, oracle, "enum_structures", oracle._maximal_cores)
     calls = _counted(monkeypatch, oracle.four_core_intersections)
     L = builtin("h3_plus_r2", GF(3))

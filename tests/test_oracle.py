@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings
 
 from liestruct import builtin
 from liestruct.algebra import core
@@ -20,6 +21,7 @@ from liestruct.oracle import (
     subspace_count,
 )
 
+from test_bracket_constructions import colon_inputs, semidirect_sums
 from test_larger_primes import matrix_units
 from test_memo import borel3_over_gf3
 
@@ -197,3 +199,21 @@ class TestOracleCheck:
         )
         with pytest.raises(BudgetExceeded, match="choice functions"):
             oracle_check(L, EnumBudget(max_subspaces=100))
+
+
+@given(semidirect_sums())
+@settings(max_examples=100, deadline=None)
+def test_the_oracle_agrees_on_semidirect_sums(sum_and_n):
+    """F^n + L for a matrix algebra L over GF(2) or GF(3), of dimension at
+    most 6."""
+    L, _ = sum_and_n
+    assume(L.field != QQ and L.dim <= 6)
+    assert oracle_check(L) == []
+
+
+@given(colon_inputs())
+@settings(max_examples=50, deadline=None)
+def test_the_oracle_agrees_in_a_random_basis(inputs):
+    """Corpus algebras of dimension at most 5 over GF(2) or GF(3), in a
+    random basis."""
+    assert oracle_check(inputs[0]) == []

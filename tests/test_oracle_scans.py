@@ -8,35 +8,55 @@ supplements by sum; ``Subspace.intersect`` against the kernel
 construction with three eliminations, and ``Subspace.contains_space``,
 which refuses on pivot sets first, against the sum.  The scan references
 scan the subalgebras that ``enum_structures`` lists, once the enumeration
-itself has matched its reference.  Tuples are compared with their order."""
+itself has matched its reference.  Tuples are compared with their order.
 
+The oracle reads each quotient L/I through the maximal subalgebras and
+ideals of L that contain I.  Those readings are diffed against the code that
+built the quotient table with ``quotient_algebra`` and enumerated it again:
+the Frattini flag of a factor, the socle factors and primitive types of the
+quotients by maximal cores, and the phi-freeness and socle of L/I for every
+ideal I, crowns included."""
+
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liestruct import builtin
-from liestruct.algebra import is_ideal, quotient_algebra
-from liestruct.chief import chief_series
+from liestruct.algebra import brackets_inside, core, is_ideal, quotient_algebra
+from liestruct.chief import chief_series, chief_series_variants, classify_factor
 from liestruct.crowns import all_crowns
 from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec, vec_scale
 from liestruct.modules import _nonzero_vectors, adjoint_module, spin
 from liestruct.oracle import (
+    EnumBudget,
+    _maximal_cores,
+    _minimal_above,
     complements_bf,
     enum_structures,
+    factor_is_frattini_bf,
+    frattini_ideal_bf,
     iter_subspaces,
     minimal_ideals_bf,
+    oracle_check,
+    primitive_bf,
     socle_bf,
     subspace_count,
     supplements_bf,
 )
+from liestruct.primitive import TYPE1, TYPE2, TYPE3
 
 from conftest import CORPUS_GF2, CORPUS_GF3
+from test_larger_primes import matrix_units
+from test_memo import borel3_over_gf3
 from test_socle import matrix_algebra_modules
 
 FINITE_CORPUS = [(name, 2) for name in CORPUS_GF2] + [(name, 3) for name in CORPUS_GF3]
+SRC = Path(__file__).resolve().parents[1] / "src" / "liestruct"
 
 
 def iter_subspaces_ref(F, n):
@@ -245,3 +265,82 @@ def test_complements_need_b_inside_a():
     A, B = L.span([(1, 0, 0)]), L.span([(0, 0, 1)])
     with pytest.raises(ValueError):
         complements_bf(L, A, B)
+
+
+def frattini_factor_ref(L, A, B):
+    """A/B inside the Frattini ideal of the quotient table L/B."""
+    qa = quotient_algebra(L, B)
+    phi = frattini_ideal_bf(qa.algebra)
+    return qa.lift_space(phi).contains_space(A)
+
+
+def maximal_cores_ref(L):
+    """(M, core of M, socle factor or None, type of L/core(M)) with the
+    socle factor and the type read on the quotient table L/core(M)."""
+    out = []
+    for M in enum_structures(L).maximal_subalgebras:
+        ML = core(L, M)
+        qa = quotient_algebra(L, ML)
+        qmins = minimal_ideals_bf(qa.algebra)
+        socle_factor = (
+            classify_factor(L, qa.lift_space(qmins[0]), ML) if len(qmins) == 1 else None
+        )
+        out.append((M, ML, socle_factor, primitive_bf(qa.algebra).verdict))
+    return out
+
+
+def quotient_readings_ref(L, I):
+    """(minimal ideals lifted, phi-free, socle lifted) of the quotient
+    table L/I, as the crown check read them."""
+    qa = quotient_algebra(L, I)
+    phi = frattini_ideal_bf(qa.algebra)
+    mins = [qa.lift_space(W) for W in minimal_ideals_bf(qa.algebra)]
+    soc_here = L.zero_space()
+    for W in mins:
+        soc_here = soc_here.sum(W)
+    return set(mins), phi.is_zero(), soc_here
+
+
+DIFF_ALGEBRAS = {
+    **{(name, p): (lambda name=name, p=p: builtin(name, GF(p))) for name, p in FINITE_CORPUS},
+    ("borel3", 3): borel3_over_gf3,
+    ("n4", 3): lambda: matrix_units(3, 4, strict=True),
+}
+
+
+@pytest.mark.parametrize("name,p", list(DIFF_ALGEBRAS))
+def test_quotients_read_through_l_match_the_quotient_tables(name, p):
+    L = DIFF_ALGEBRAS[(name, p)]()
+    assert oracle_check(L) == []
+    series = chief_series(L)
+    pairs = [(f.A, f.B) for S in chief_series_variants(L) for f in S.factors]
+    pairs += [(c.C, c.R) for c in all_crowns(L, series)]
+    for A, B in pairs:
+        assert factor_is_frattini_bf(L, A, B) == frattini_factor_ref(L, A, B)
+    for (M, ML, mins, socle_factor), (M0, ML0, socle_factor0, verdict) in zip(
+        _maximal_cores(L, EnumBudget()), maximal_cores_ref(L), strict=True
+    ):
+        assert (M, ML, socle_factor) == (M0, ML0, socle_factor0)
+        assert len(mins) in (1, 2)
+        if len(mins) == 2:
+            assert verdict == TYPE3
+        else:
+            assert verdict == (TYPE1 if brackets_inside(L, mins[0], mins[0], ML) else TYPE2)
+    for I in enum_structures(L).ideals:
+        mins = _minimal_above(L, I)
+        phi_free = not any(factor_is_frattini_bf(L, W, I) for W in mins)
+        socle = L.span([x for W in mins for x in W.basis])
+        assert (set(mins), phi_free, socle) == quotient_readings_ref(L, I)
+
+
+def test_the_oracle_never_names_a_quotient_algebra():
+    """Every quotient is read on the enumeration of L itself."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"quotient_algebra", "QuotientAlgebra"}
