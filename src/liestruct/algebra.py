@@ -3,8 +3,9 @@ centralizers, cores, characteristic series, quotients, semidirect sums and
 unipotent automorphisms.
 
 A ``LieAlgebra`` stores the bracket table densely over index pairs i < j;
-antisymmetry is reconstructed, and the Jacobi identity is validated on every
-basis triple at construction time.  Brackets are computed from a sparse copy
+antisymmetry is reconstructed, and the Jacobi identity is validated at
+construction time on every basis triple through a nonzero pair of the
+table.  Brackets are computed from a sparse copy
 of the table built once per algebra (see ``LieAlgebra``).  All values are
 immutable and every operation is a pure function; ``memoized`` keeps the
 results of the costly structural ones on the algebra they were computed for.
@@ -13,8 +14,9 @@ Each linear system built from brackets has one builder here:
 ``bracket_colon`` solves {x in X : [x, Y] <= W}, which is the centralizer,
 the centralizer of a section and each step of ``core``;
 ``section_action`` gives the matrices of ad x on a section W/U, the
-factor modules and semidirect models, as ``QuotientMap.induced`` of ad x;
-``unipotent_conjugator`` solves
+factor modules and semidirect models, summing each [x, lift] from the
+sparse table and projecting all of them with one
+``QuotientMap.project_all``; ``unipotent_conjugator`` solves
 (1 + ad a)K1 = K2 for a square-zero ad a, for crown complements and
 core-free maximals alike; ``bracket_law_failure`` and
 ``preserves_brackets`` check a representation and a homomorphism.  A
@@ -75,12 +77,13 @@ class LieAlgebra:
     constructor: ``_sparse[i][j]`` holds the (k, c) pairs of the nonzero
     coordinates of [e_i, e_j] for both orders, the sign already applied, so
     ``bracket(u, v)`` sums u_i v_j [e_i, e_j] over supp(u) x supp(v) only.
-    Every ``ad``, ``centralizer`` and Jacobi check brackets with a unit
-    vector and so costs one column's nonzeros.
+    Every ``ad`` and ``centralizer`` brackets with a unit vector and so
+    costs one column's nonzeros; the Jacobi check and ``section_action``
+    read ``_sparse`` directly.
     """
 
     __slots__ = (
-        "field", "dim", "basis_names", "table", "_nonzero_pairs", "_sparse", "_memo"
+        "field", "dim", "basis_names", "table", "_nonzero_pairs", "_sparse", "_memo", "_full"
     )
 
     def __init__(self, field: Field, dim: int, table: dict, basis_names=None, validate=True):
@@ -110,20 +113,31 @@ class LieAlgebra:
             sparse[j][i] = tuple((k, -c % p if p else -c) for k, c in nz)
         self._sparse = tuple(map(tuple, sparse))
         self._memo = {}
+        self._full = None
         if validate:
             self._validate_jacobi()
 
     def _validate_jacobi(self):
-        F = self.field
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = self.bracket(self.basis_bracket(i, j), unit_vec(F, n, k))
-                    s = vec_add(F, s, self.bracket(self.basis_bracket(j, k), unit_vec(F, n, i)))
-                    s = vec_add(F, s, self.bracket(self.basis_bracket(k, i), unit_vec(F, n, j)))
-                    if not vec_is_zero(F, s):
-                        raise JacobiViolation(i, j, k)
+        """Raise ``JacobiViolation`` at the first basis triple i < j < k, in
+        lexicographic order, on which [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
+        + [[e_k, e_i], e_j] is not zero.  A triple whose three pairs all
+        bracket to zero satisfies the identity, so only the triples through
+        a nonzero pair of the table are summed."""
+        p = _modulus(self.field)
+        sparse = self._sparse
+        triples = set()
+        for i, j in self._nonzero_pairs:
+            for k in range(self.dim):
+                if k != i and k != j:
+                    triples.add(tuple(sorted((i, j, k))))
+        for i, j, k in sorted(triples):
+            s = [self.field.zero()] * self.dim
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in sparse[a][b]:
+                    for t, y in sparse[m][c]:
+                        s[t] += x * y
+            if any(x % p for x in s) if p else any(s):
+                raise JacobiViolation(i, j, k)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         out = [self.field.zero()] * self.dim
@@ -155,7 +169,10 @@ class LieAlgebra:
         return Matrix.from_columns(self.field, cols)
 
     def full_space(self) -> Subspace:
-        return Subspace.full(self.field, self.dim)
+        """The whole algebra as a subspace, built on first use and kept."""
+        if self._full is None:
+            self._full = Subspace.full(self.field, self.dim)
+        return self._full
 
     def zero_space(self) -> Subspace:
         return Subspace.zero(self.field, self.dim)
@@ -188,19 +205,29 @@ def memoized(fn):
     (a chief factor or a module).  Results live in that algebra's ``_memo``
     dict, keyed by ``fn`` and the arguments other than the algebra compared
     by value, so a cache lives and dies with its ``LieAlgebra`` instance; an
-    exception is not cached.  Applied to ``is_ideal``, ``quotient_algebra``,
-    ``core``, ``killing_radical`` and ``is_solvable`` here, to ``socle_space``,
-    ``certify_irreducible``, ``socle_and_minimal_ideals``, ``factor_module`` and
-    ``split_abelian_extension`` in ``modules`` (whose certificate a chief
-    factor's complement flags read), ``connected``, ``module_isomorphic``
-    and ``classify_factor`` in ``chief``, ``denominator_intersection``,
-    ``crown_of_factor`` and ``all_crowns`` in ``crowns``, ``classify_primitive``
-    (keyed on ``use_oracle``) in ``primitive`` and ``_maximal_cores`` (each
-    maximal core with the minimal ideals above it, which ``oracle_check``
-    reads too) and ``_maximal_supplements`` (the per-maximal data of
-    ``four_core_intersections``) in ``oracle``.  A cached
-    function must be pure and return an immutable value, because every
-    caller shares it; module budget constants such as
+    exception is not cached.  Applied to:
+
+    * in ``algebra``: ``is_ideal``, ``centralizer``, ``factor_centralizer``,
+      ``core``, ``killing_radical``, ``is_solvable`` and
+      ``quotient_algebra``;
+    * in ``modules``: ``factor_module``, ``restrict_module``,
+      ``quotient_module``, ``certify_irreducible``, ``socle_space``,
+      ``socle_and_minimal_ideals``, ``_hom_basis`` (the maps behind
+      ``hom_space``, which returns a new list of them on every call) and
+      ``split_abelian_extension`` (whose certificate a chief factor's
+      complement flags read);
+    * in ``chief``: ``classify_factor``, ``module_isomorphic`` and
+      ``connected``;
+    * in ``crowns``: ``denominator_intersection``, ``crown_of_factor`` and
+      ``all_crowns``;
+    * in ``primitive``: ``classify_primitive`` (keyed on ``use_oracle``);
+    * in ``oracle``: ``_maximal_cores`` (each maximal core with the minimal
+      ideals above it, which ``oracle_check`` reads too) and
+      ``_maximal_supplements`` (the per-maximal data of
+      ``four_core_intersections``).
+
+    A cached function must be pure and return an immutable value, because
+    every caller shares it; module budget constants such as
     ``modules.VECTOR_ENUM_BUDGET`` are read at the first computation only.
     Every call is keyed by its full positional form: an argument passed by
     keyword as if passed by position, and an omitted trailing argument by
@@ -335,11 +362,13 @@ def bracket_colon(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> Subsp
     return QuotientMap(X, L.zero_space()).lift_space(null)
 
 
+@memoized
 def centralizer(L: LieAlgebra, U: Subspace) -> Subspace:
     """All x with [x, U] = 0."""
     return bracket_colon(L, L.full_space(), U, L.zero_space())
 
 
+@memoized
 def factor_centralizer(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """All x with [x, A] contained in B (the centralizer of the section A/B)."""
     return bracket_colon(L, L.full_space(), A, B)
@@ -395,8 +424,30 @@ def unipotent_conjugator(L: LieAlgebra, C: Subspace, K1: Subspace, K2: Subspace)
 def section_action(L: LieAlgebra, xs: Sequence[Vector], qm: QuotientMap) -> list[Matrix]:
     """For each x in ``xs``, the matrix of v -> [x, v] on the section
     qm.W/qm.U in the coordinates of ``qm``; each ad x must leave W and U
-    invariant."""
-    return [qm.induced(functools.partial(L.bracket, x)) for x in xs]
+    invariant.  Every [x, lift] is summed straight from the structure
+    constants over the nonzeros of x and of the lift, and all of them go
+    through one ``qm.project_all``, which checks that each lies in W."""
+    F = L.field
+    sparse = L._sparse
+    lifts = [_nonzeros(v) for v in qm.lifts]
+    images = []
+    for x in xs:
+        terms = [(sparse[i], a) for i, a in enumerate(x) if a]
+        for lift in lifts:
+            out = [F.zero()] * L.dim
+            for row, a in terms:
+                for j, b in lift:
+                    nz = row[j]
+                    if nz:
+                        ab = a * b
+                        for k, c in nz:
+                            out[k] += ab * c
+            images.append(out)
+    cols = qm.project_all(images)
+    m = qm.dim
+    return [
+        Matrix._of(F, list(zip(*cols[t * m : (t + 1) * m])), m) for t in range(len(xs))
+    ]
 
 
 @memoized

@@ -25,7 +25,8 @@ stay canonical at every boundary: ``int`` residues over GF(p), and over Q an
 
 ``QuotientMap`` owns the coordinates on a section W/U: every quotient,
 factor module and semidirect model reads its lift basis ``lifts`` and takes
-the matrix a map induces on W/U from ``induced``.
+the matrix a map induces on W/U from ``induced``, or from one
+``project_all`` of the images of the lifts (``algebra.section_action``).
 
 The reduced row echelon form of a row space is unique: whatever pivot rows
 and row scalings lead to it, the normalised rows are the same.  So the
@@ -445,8 +446,8 @@ def _nullspace(F: Field, n: int, rref_rows: Sequence, pivots: Sequence[int]) -> 
         for i, pc in enumerate(pivots):
             x = rref_rows[i][fc]
             v[pc] = -x % p if p else -x
-        null_rows.append(tuple(v))
-    return Subspace.from_vectors(F, n, null_rows)
+        null_rows.append(v)
+    return Subspace._of(F, n, null_rows)
 
 
 class Subspace:
@@ -468,9 +469,16 @@ class Subspace:
         for v in vs:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dimension")
-        if not vs:
+        return cls._of(field, ambient_dim, vs)
+
+    @classmethod
+    def _of(cls, field: Field, ambient_dim: int, rows: Sequence) -> "Subspace":
+        """The span of rows of length ``ambient_dim`` whose scalars are
+        already canonical (as ``Matrix._of`` takes them), with no coercion
+        and no length check."""
+        if not rows:
             return cls(field, ambient_dim, (), ())
-        red, pivots = _rref(field, vs)
+        red, pivots = _rref(field, rows)
         return cls(field, ambient_dim, tuple(map(tuple, red)), tuple(pivots))
 
     @classmethod
@@ -560,9 +568,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, list(self.basis) + list(other.basis)
-        )
+        return Subspace._of(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """U cap V by one Zassenhaus elimination of the rows [u | u] over
@@ -608,10 +614,17 @@ class QuotientMap:
     """Coordinates on W/U for subspaces U <= W of a common ambient space.
 
     ``project`` maps ambient vectors of W onto W/U coordinates (kernel is
-    exactly U); ``lift`` is a right inverse built from the canonical RREF
-    complement, so lifted representatives are deterministic.  ``lifts`` is
-    the lift basis, the lifts of the unit coordinate vectors, and
-    ``induced`` the matrix on W/U of a map leaving W and U invariant.
+    exactly U), and ``project_all`` a batch of them; ``lift`` is a right
+    inverse built from the canonical RREF complement, so lifted
+    representatives are deterministic.  ``lifts`` is the lift basis, the
+    lifts of the unit coordinate vectors, and ``induced`` the matrix on W/U
+    of a map leaving W and U invariant.
+
+    Projection is one linear map on ambient vectors, built on first use:
+    each W/U coordinate is a fixed combination of the entries of v at W's
+    pivots, and v lies in W exactly when each entry off W's pivots is the
+    combination of those entries that W's RREF basis prescribes.  Every
+    projected vector is checked for membership in W.
 
     The coordinates of a section do not depend on the space it is read in:
     for U <= X <= W, the RREF basis of ``QuotientMap(W, U).project_space(X)``
@@ -620,7 +633,7 @@ class QuotientMap:
     So X/U is read in its own coordinates, never through a larger section.
     """
 
-    __slots__ = ("field", "W", "U", "dim", "_ucoords", "lifts", "_free")
+    __slots__ = ("field", "W", "U", "dim", "_ucoords", "lifts", "_free", "_projector")
 
     def __init__(self, W: Subspace, U: Subspace):
         W._check_ambient(U)
@@ -632,16 +645,69 @@ class QuotientMap:
         self.U = U
         # U written in W-coordinates, re-reduced; its pivots mark directions
         # that die in the quotient, the complementary W-coordinates survive.
-        ucoord_rows = [W.coords(u) for u in U.basis]
-        self._ucoords = Subspace.from_vectors(F, W.dim, ucoord_rows)
+        self._ucoords = Subspace._of(F, W.dim, [W.coords(u) for u in U.basis])
         self._free = tuple(j for j in range(W.dim) if j not in self._ucoords.pivots)
         self.dim = len(self._free)
         self.lifts = tuple(W.basis[j] for j in self._free)
+        self._projector = None
+
+    def _projection(self) -> tuple:
+        """``(checks, lead, extra)``, the linear forms of ``project_all``.
+        ``checks`` holds, per column t off W's pivots, t and the (index,
+        coefficient) pairs whose combination v[t] must equal for v to lie
+        in W.  The W/U coordinate f is the entry of ``_ucoords.reduce`` at
+        the free W-coordinate j = ``_free[f]``, written on the ambient
+        entries at W's pivots: v[lead[f]], for lead[f] the pivot of W's
+        row j, plus the pairs that ``extra`` holds for f, if any."""
+        if self._projector is None:
+            W, ucoords = self.W, self._ucoords
+            wp = W.pivots
+            pivot_set = set(wp)
+            p = _modulus(self.field)
+            checks = tuple(
+                (t, tuple((c, row[t]) for c, row in zip(wp, W.basis) if row[t]))
+                for t in range(W.ambient_dim)
+                if t not in pivot_set
+            )
+            lead = tuple(wp[j] for j in self._free)
+            extra = []
+            for f, j in enumerate(self._free):
+                terms = tuple(
+                    (wp[c], -row[j] % p if p else -row[j])
+                    for c, row in zip(ucoords.pivots, ucoords.basis)
+                    if row[j]
+                )
+                if terms:
+                    extra.append((f, terms))
+            self._projector = checks, lead, tuple(extra)
+        return self._projector
 
     def project(self, v: Vector) -> Vector:
-        c = self.W.coords(v)
-        red = self._ucoords.reduce(c)
-        return tuple(red[j] for j in self._free)
+        return self.project_all((v,))[0]
+
+    def project_all(self, vectors: Iterable[Vector]) -> list:
+        """The W/U coordinates of each vector, in canonical scalars; raises
+        ``ValueError`` at the first vector outside W.  The entries of a
+        vector need not be reduced: over GF(p) any ints, over Q any
+        rationals."""
+        checks, lead, extra = self._projection()
+        p = _modulus(self.field)
+        out = []
+        for v in vectors:
+            for t, terms in checks:
+                x = v[t]
+                for c, a in terms:
+                    x -= a * v[c]
+                if x % p if p else x:
+                    raise ValueError("vector not contained in the subspace")
+            coords = [v[c] for c in lead]
+            for f, terms in extra:
+                x = coords[f]
+                for c, a in terms:
+                    x += a * v[c]
+                coords[f] = x
+            out.append(tuple(x % p for x in coords) if p else tuple(map(canon_q, coords)))
+        return out
 
     def lift(self, coords: Vector) -> Vector:
         if len(coords) != self.dim:
@@ -653,19 +719,17 @@ class QuotientMap:
     def induced(self, op: Callable[[Vector], Vector]) -> Matrix:
         """The matrix on W/U of the map ``op`` on ambient vectors, which
         must leave W and U invariant."""
-        cols = [self.project(op(v)) for v in self.lifts]  # canonical scalars
+        cols = self.project_all([op(v) for v in self.lifts])
         return Matrix._of(self.field, list(zip(*cols)), self.dim)
 
     def project_space(self, X: Subspace) -> Subspace:
         """Image of a subspace of W in quotient coordinates."""
-        return Subspace.from_vectors(
-            self.field, self.dim, [self.project(v) for v in X.basis]
-        )
+        return Subspace._of(self.field, self.dim, self.project_all(X.basis))
 
     def lift_space(self, Xq: Subspace) -> Subspace:
         """Preimage of a quotient subspace, always containing U."""
         vecs = [self.lift(v) for v in Xq.basis] + list(self.U.basis)
-        return Subspace.from_vectors(self.field, self.W.ambient_dim, vecs)
+        return Subspace._of(self.field, self.W.ambient_dim, vecs)
 
 
 def invert_matrix(M: Matrix) -> Optional[Matrix]:

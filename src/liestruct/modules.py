@@ -34,6 +34,16 @@ each basis element of R (``_socle_char0``).  L/I is read as the L-module
 ``factor_module(L, L, I)``, so the socle layer builds no quotient algebra.
 The projective-point enumeration of a socle is kept in the oracle as
 ground truth (``oracle.socle_bf``).
+
+Section matrices are built once per section: ``factor_module`` takes the
+matrices of ad e_i on A/B from ``algebra.section_action``, which sums every
+bracket with a lift straight from the structure constants and projects all
+of them with one ``QuotientMap.project_all``, and the memoized
+``restrict_module`` and ``quotient_module`` take a module's submodules and
+quotients from ``QuotientMap.induced`` of its action matrices.  A hom space
+is the nullspace of ``_equivariance_rows``, the equations X rho1 = rho2 X
+without their zero and repeated rows, solved once per pair of modules by
+``_hom_basis``.
 """
 
 from __future__ import annotations
@@ -210,7 +220,7 @@ def factor_module(L: LieAlgebra, A: Subspace, B: Subspace) -> FactorModule:
     if not A.contains_space(B):
         raise AlgebraError("denominator must sit inside the numerator")
     qm = QuotientMap(A, B)
-    mats = section_action(L, [unit_vec(L.field, L.dim, i) for i in range(L.dim)], qm)
+    mats = section_action(L, L.full_space().basis, qm)
     # A and B are ideals, so the action on A/B is induced by the adjoint
     # action and obeys the bracket law by the Jacobi identity
     return FactorModule(LModule(L, mats, validate=False), qm)
@@ -222,11 +232,13 @@ def _section_module(M: LModule, qm: QuotientMap) -> LModule:
     return LModule(M.algebra, [qm.induced(rho.apply) for rho in M.mats], validate=False)
 
 
+@memoized
 def restrict_module(M: LModule, W: Subspace) -> LModule:
     """The module structure on an invariant subspace, in W-coordinates."""
     return _section_module(M, QuotientMap(W, Subspace.zero(M.field, M.dim)))
 
 
+@memoized
 def quotient_module(M: LModule, W: Subspace) -> LModule:
     """The module structure on M/W for an invariant subspace W, in the
     coordinates of ``QuotientMap(M.full_space(), W)``."""
@@ -575,7 +587,7 @@ def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
         return V
     qm = QuotientMap(V, Subspace.zero(F, M.dim))  # coordinates on V
     # Unknown projection X (u x v) with X|_U = id and X equivariant.
-    rows = _equivariance_rows(_section_module(M, qm), restrict_module(M, U))
+    rows = _equivariance_rows(restrict_module(M, V), restrict_module(M, U))
     rhs = [F.zero()] * len(rows)
     for bidx, ub in enumerate(U.basis):
         cu = qm.project(ub)
@@ -599,8 +611,7 @@ def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):
     counterexample splits off, so the descent terminates.
     """
     F = M.field
-    qm = QuotientMap(V, Subspace.zero(F, M.dim))  # coordinates on V
-    R = _section_module(M, qm)
+    R = restrict_module(M, V)
     verdict, counterexample, status = certify_irreducible(R)
     if verdict is not False:
         return V, status
@@ -610,7 +621,8 @@ def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):
         counterexample = _first_proper_spin(R)
     if counterexample is None or counterexample.is_zero():
         raise AlgebraError("reducible verdict without a witness")
-    U = qm.lift_space(counterexample)  # the witness in module coordinates
+    # the witness in module coordinates
+    U = QuotientMap(V, Subspace.zero(F, M.dim)).lift_space(counterexample)
     if not avoid.contains_space(U):
         return _minimal_inside(M, U, avoid)
     return _minimal_inside(M, complement_in_semisimple(M, V, U), avoid)
@@ -661,38 +673,51 @@ def _equivariance_rows(M1: LModule, M2: LModule) -> list:
     unknown i * M1.dim + k), in canonical scalars.  Each row is written
     from the nonzeros of a column of rho1 (a row of its transpose in
     ``M1.dual()``) and of a row of rho2; an entry of rho2 is subtracted
-    and reduced once, where it lands."""
+    and reduced once, where it lands.  A row that is zero or repeats an
+    earlier one is left out: it does not change the solution space."""
     F = M1.field
     p = _modulus(F)
     s, t = M1.dim, M2.dim
-    rows = []
+    zero = F.zero()
+    rows = {}  # insertion-ordered, so each row is kept at its first occurrence
     for r1t, r2 in zip(M1.dual().mats, M2.mats):
         for i, nz2 in enumerate(r2._nonzero_rows()):
             for j, nz1 in enumerate(r1t._nonzero_rows()):
-                coeff = [F.zero()] * (t * s)
+                if not (nz1 or nz2):
+                    continue
+                coeff = [zero] * (t * s)
                 for k, a in nz1:
                     coeff[i * s + k] = a
                 for k, b in nz2:
                     x = coeff[k * s + j] - b
                     coeff[k * s + j] = x % p if p else canon_q(x)
-                rows.append(coeff)
-    return rows
+                row = tuple(coeff)
+                if row not in rows and any(row):
+                    rows[row] = None
+    return list(rows)
 
 
-def hom_space(M1: LModule, M2: LModule) -> list[ModuleMap]:
-    """Basis of the space of equivariant maps M1 -> M2."""
-    if M1.algebra != M2.algebra:
-        raise AlgebraError("hom space requires a common base algebra")
+@memoized
+def _hom_basis(M1: LModule, M2: LModule) -> tuple:
+    """The basis maps of ``hom_space``, solved once per pair of modules."""
     F = M1.field
     s, t = M1.dim, M2.dim
     if s == 0 or t == 0:
-        return []
+        return ()
     red, pivots = _rref(F, _equivariance_rows(M1, M2))
     null = _nullspace(F, s * t, red, pivots)
-    return [
+    return tuple(
         ModuleMap(M1, M2, Matrix._of(F, [flatv[i * s : (i + 1) * s] for i in range(t)], s))
         for flatv in null.basis
-    ]
+    )
+
+
+def hom_space(M1: LModule, M2: LModule) -> list[ModuleMap]:
+    """Basis of the space of equivariant maps M1 -> M2, as a new list on
+    every call (the maps themselves are shared: see ``_hom_basis``)."""
+    if M1.algebra != M2.algebra:
+        raise AlgebraError("hom space requires a common base algebra")
+    return list(_hom_basis(M1, M2))
 
 
 def module_isomorphism(M1: LModule, M2: LModule):
