@@ -6,16 +6,23 @@ A ``LieAlgebra`` stores the bracket table densely over index pairs i < j;
 antisymmetry is reconstructed, and the Jacobi identity is validated at
 construction time on every basis triple through a nonzero pair of the
 table.  Brackets are computed from a sparse copy
-of the table built once per algebra (see ``LieAlgebra``).  All values are
-immutable and every operation is a pure function; ``memoized`` keeps the
-results of the costly structural ones on the algebra they were computed for.
+of the table built once per algebra by one kernel,
+``LieAlgebra._bracket_sum``, which sums a b [e_i, e_j] over the nonzero
+entries of two vectors and leaves the sum unreduced.  ``LieAlgebra.bracket``,
+``LieAlgebra.ad``, the Jacobi check, ``section_action`` and the subspace
+builders ``brackets_inside``, ``bracket_colon`` (through ``_colon_rows``)
+and ``bracket_spaces`` all call it; the builders read their bases as each
+``Subspace``'s cached nonzero rows and reduce each sum once, by
+``linalg._reduce`` against W's rows.  All values are immutable and every
+operation is a pure function; ``memoized`` keeps the results of the costly
+structural ones on the algebra they were computed for.
 
 Each linear system built from brackets has one builder here:
 ``bracket_colon`` solves {x in X : [x, Y] <= W}, which is the centralizer,
 the centralizer of a section and each step of ``core``;
 ``section_action`` gives the matrices of ad x on a section W/U, the
-factor modules and semidirect models, summing each [x, lift] from the
-sparse table and projecting all of them with one
+factor modules and semidirect models, summing each [x, lift] with the
+kernel and projecting all of them with one
 ``QuotientMap.project_all``; ``unipotent_conjugator`` solves
 (1 + ad a)K1 = K2 for a square-zero ad a, for crown complements and
 core-free maximals alike; ``bracket_law_failure`` and
@@ -41,6 +48,7 @@ from .linalg import (
     Vector,
     _modulus,
     _nonzeros,
+    _reduce,
     lin_comb,
     rref_solve,
     unit_vec,
@@ -75,15 +83,21 @@ class LieAlgebra:
     ``table[(i, j)]`` for i < j holds the coordinate vector of [e_i, e_j];
     missing pairs are zero.  Brackets use a sparse copy built once in the
     constructor: ``_sparse[i][j]`` holds the (k, c) pairs of the nonzero
-    coordinates of [e_i, e_j] for both orders, the sign already applied, so
-    ``bracket(u, v)`` sums u_i v_j [e_i, e_j] over supp(u) x supp(v) only.
-    Every ``ad`` and ``centralizer`` brackets with a unit vector and so
-    costs one column's nonzeros; the Jacobi check and ``section_action``
-    read ``_sparse`` directly.
+    coordinates of [e_i, e_j] for both orders, the sign already applied.
+    ``_bracket_sum`` is the one bracket kernel: it sums u_i v_j [e_i, e_j]
+    over supp(u) x supp(v) only, given as (index, value) pairs, and leaves
+    the sum unreduced.  ``bracket`` reduces it once; ``ad`` reads column j
+    from the support of a against the unit pair (j, 1); the Jacobi check
+    adds [[e_i, e_j], e_k] over the nonzeros of [e_i, e_j]; and
+    ``section_action``, ``brackets_inside``, ``_colon_rows`` and
+    ``bracket_spaces`` call it on the cached nonzero rows of their bases.
+    The hash is computed once, in the constructor, since every memo key on
+    a chief factor or a module hashes the algebra.
     """
 
     __slots__ = (
-        "field", "dim", "basis_names", "table", "_nonzero_pairs", "_sparse", "_memo", "_full"
+        "field", "dim", "basis_names", "table", "_nonzero_pairs", "_sparse", "_memo", "_full",
+        "_hash",
     )
 
     def __init__(self, field: Field, dim: int, table: dict, basis_names=None, validate=True):
@@ -105,6 +119,7 @@ class LieAlgebra:
                 tab[(i, j)] = w
         self.table = tab
         self._nonzero_pairs = tuple(sorted(tab.keys()))
+        self._hash = hash((field, dim, self._nonzero_pairs))
         p = _modulus(field)
         sparse = [[()] * dim for _ in range(dim)]
         for (i, j), w in tab.items():
@@ -131,11 +146,9 @@ class LieAlgebra:
                 if k != i and k != j:
                     triples.add(tuple(sorted((i, j, k))))
         for i, j, k in sorted(triples):
-            s = [self.field.zero()] * self.dim
+            s = [0] * self.dim
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, x in sparse[a][b]:
-                    for t, y in sparse[m][c]:
-                        s[t] += x * y
+                self._bracket_sum(sparse[a][b], ((c, 1),), s)
             if any(x % p for x in s) if p else any(s):
                 raise JacobiViolation(i, j, k)
 
@@ -145,28 +158,43 @@ class LieAlgebra:
             out[k] = c
         return tuple(out)
 
+    def _bracket_sum(self, u: Sequence, v: Sequence, out: Optional[list] = None) -> list:
+        """[u, v] as the sum of a b [e_i, e_j] over the nonzero (i, a) pairs
+        ``u`` and (j, b) pairs ``v`` of two vectors, read from ``_sparse``
+        and added into ``out`` (a new zero list when None; the Jacobi check
+        sums three brackets into one).  The entries are left unreduced: a
+        caller reduces them once, or hands them to ``_reduce`` or
+        ``QuotientMap.project_all``, which take unreduced entries."""
+        if out is None:
+            out = [0] * self.dim
+        sparse = self._sparse
+        for i, a in u:
+            row = sparse[i]
+            for j, b in v:
+                nz = row[j]
+                if nz:
+                    ab = a * b
+                    for k, c in nz:
+                        out[k] += ab * c
+        return out
+
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        F = self.field
-        p = _modulus(F)
-        out = [F.zero()] * self.dim
-        supp_v = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if a:
-                row = self._sparse[i]
-                for j, b in supp_v:
-                    nz = row[j]
-                    if nz:
-                        ab = a * b
-                        for k, c in nz:
-                            out[k] += ab * c
+        out = self._bracket_sum(_nonzeros(u), _nonzeros(v))
+        p = _modulus(self.field)
         if p:
             return tuple(x % p for x in out)
         return tuple(map(canon_q, out))
 
     def ad(self, a: Vector) -> Matrix:
-        """Matrix of x -> [a, x] (columns are brackets with basis vectors)."""
-        cols = [self.bracket(a, unit_vec(self.field, self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
+        """Matrix of x -> [a, x]: column j is ``_bracket_sum`` of the
+        nonzeros of a against the unit pair (j, 1), reduced once."""
+        n = self.dim
+        terms = _nonzeros(a)
+        rows = zip(*(self._bracket_sum(terms, ((j, 1),)) for j in range(n)))
+        p = _modulus(self.field)
+        if p:
+            return Matrix._of(self.field, [tuple(x % p for x in r) for r in rows], n)
+        return Matrix._of(self.field, [tuple(map(canon_q, r)) for r in rows], n)
 
     def full_space(self) -> Subspace:
         """The whole algebra as a subspace, built on first use and kept."""
@@ -189,7 +217,7 @@ class LieAlgebra:
         )
 
     def __hash__(self):
-        return hash((self.field, self.dim, self._nonzero_pairs))
+        return self._hash
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, field={self.field!r})"
@@ -216,8 +244,9 @@ def memoized(fn):
       ``hom_space``, which returns a new list of them on every call) and
       ``split_abelian_extension`` (whose certificate a chief factor's
       complement flags read);
-    * in ``chief``: ``classify_factor``, ``module_isomorphic`` and
-      ``connected``;
+    * in ``chief``: ``chief_series`` (keyed on ``choices``, so a report,
+      its crowns and radical and the oracle share one series),
+      ``classify_factor``, ``module_isomorphic`` and ``connected``;
     * in ``crowns``: ``denominator_intersection``, ``crown_of_factor`` and
       ``all_crowns``;
     * in ``primitive``: ``classify_primitive`` (keyed on ``use_oracle``);
@@ -281,10 +310,13 @@ def _antisymmetric_table(F: Field, dim: int, sc_table) -> dict:
 
 
 def bracket_spaces(L: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:
-    """Span of all [u, v] over bases of U and V."""
+    """Span of all [u, v] over bases of U and V, summed from the nonzero
+    rows of the bases; when U == V only the pairs a < b are bracketed."""
     _check_ambient(L, U)
     _check_ambient(L, V)
-    vecs = [L.bracket(u, v) for u in U.basis for v in V.basis]
+    us, vs = U._nonzero_rows(), V._nonzero_rows()
+    same = U == V
+    vecs = [L._bracket_sum(u, v) for a, u in enumerate(us) for v in (vs[a + 1 :] if same else vs)]
     return Subspace.from_vectors(L.field, L.dim, vecs)
 
 
@@ -296,17 +328,21 @@ def _check_ambient(L: LieAlgebra, U: Subspace):
 def brackets_inside(L: LieAlgebra, U: Subspace, V: Subspace, W: Subspace) -> bool:
     """Whether [u, v] lies in W for all u in U and v in V.
 
-    Each bracket of basis vectors is reduced against W's RREF basis, and the
-    test stops at the first one outside W; when U == V only the pairs a < b
-    are bracketed ([u, u] = 0 and [v, u] = -[u, v]).  No span is built: use
-    ``bracket_spaces`` when the span itself is needed."""
+    Each bracket of basis vectors is summed from the nonzero rows of the
+    bases of U and V and reduced by ``_reduce`` against W's RREF rows, and
+    the test stops at the first one outside W; when U == V only the pairs
+    a < b are bracketed ([u, u] = 0 and [v, u] = -[u, v]).  No span is
+    built: use ``bracket_spaces`` when the span itself is needed."""
     _check_ambient(L, U)
     _check_ambient(L, V)
     _check_ambient(L, W)
+    p = _modulus(L.field)
+    rows, pivots = W._nonzero_rows(), W.pivots
+    us, vs = U._nonzero_rows(), V._nonzero_rows()
     same = U == V
-    for a, u in enumerate(U.basis):
-        for v in V.basis[a + 1 :] if same else V.basis:
-            if not W.contains(L.bracket(u, v)):
+    for a, u in enumerate(us):
+        for v in vs[a + 1 :] if same else vs:
+            if any(_reduce(p, L._bracket_sum(u, v), rows, pivots)):
                 return False
     return True
 
@@ -334,16 +370,20 @@ def ideal_flags(L: LieAlgebra, U: Subspace) -> IdealFlag:
 
 def _colon_rows(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> list:
     """The matrix of x -> ([x, y] mod W, y over the basis of Y) in the
-    coordinates of X: for each y, the residues ``W.reduce([x_i, y])`` at W's
-    non-pivot columns, one row per column (a residue is zero at the pivots,
-    and zero exactly when the vector lies in W)."""
-    pivots = set(W.pivots)
-    free = [t for t in range(L.dim) if t not in pivots]
-    rows = []
-    for y in Y.basis:
-        cols = [W.reduce(L.bracket(x, y)) for x in X.basis]
-        rows.extend(tuple(col[t] for col in cols) for t in free)
-    return rows
+    coordinates of X: for each y, the residues of [x_i, y] by ``_reduce``
+    against W's RREF rows at W's non-pivot columns, one row per column (a
+    residue is zero at the pivots, and zero exactly when the vector lies in
+    W).  Each bracket is summed from the nonzero rows of the bases."""
+    p = _modulus(L.field)
+    rows, pivots = W._nonzero_rows(), W.pivots
+    pivot_set = set(pivots)
+    free = [t for t in range(L.dim) if t not in pivot_set]
+    xs = X._nonzero_rows()
+    out = []
+    for y in Y._nonzero_rows():
+        cols = [_reduce(p, L._bracket_sum(x, y), rows, pivots) for x in xs]
+        out.extend(tuple(col[t] for col in cols) for t in free)
+    return out
 
 
 def bracket_colon(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> Subspace:
@@ -428,21 +468,11 @@ def section_action(L: LieAlgebra, xs: Sequence[Vector], qm: QuotientMap) -> list
     constants over the nonzeros of x and of the lift, and all of them go
     through one ``qm.project_all``, which checks that each lies in W."""
     F = L.field
-    sparse = L._sparse
     lifts = [_nonzeros(v) for v in qm.lifts]
     images = []
     for x in xs:
-        terms = [(sparse[i], a) for i, a in enumerate(x) if a]
-        for lift in lifts:
-            out = [F.zero()] * L.dim
-            for row, a in terms:
-                for j, b in lift:
-                    nz = row[j]
-                    if nz:
-                        ab = a * b
-                        for k, c in nz:
-                            out[k] += ab * c
-            images.append(out)
+        terms = _nonzeros(x)
+        images.extend(L._bracket_sum(terms, lift) for lift in lifts)
     cols = qm.project_all(images)
     m = qm.dim
     return [

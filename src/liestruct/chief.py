@@ -134,8 +134,10 @@ def classify_factor(L: LieAlgebra, A: Subspace, B: Subspace) -> ChiefFactor:
     return ChiefFactor(L, A, B, brackets_inside(L, A, A, B), factor_centralizer(L, A, B))
 
 
+@memoized
 def chief_series(L: LieAlgebra, choices: tuple = ()) -> ChiefSeries:
-    """A chief series built bottom-up from certified minimal ideals.
+    """A chief series built bottom-up from certified minimal ideals, once
+    per algebra and ``choices``.
 
     ``choices[k]`` selects among the minimal ideals of the k-th quotient
     (default first in the deterministic order), which is how alternative

@@ -8,7 +8,7 @@ import typing
 import pytest
 
 from liestruct import algebra, builtin, chief, crowns, modules, oracle
-from liestruct.algebra import AlgebraError, quotient_algebra
+from liestruct.algebra import AlgebraError, LieAlgebra, quotient_algebra
 from liestruct.chief import chief_series
 from liestruct.cli import build_report
 from liestruct.crowns import Crown, all_crowns, prefrattini
@@ -69,6 +69,30 @@ class TestCachedValues:
             with pytest.raises(AlgebraError):
                 factor_module(H, H.span([(1, 0, 0)]), H.zero_space())
         assert not any(key[0] is factor_module.__wrapped__ for key in H._memo)
+
+    def test_algebras_from_equal_tables_are_equal_and_hash_equal(self):
+        """The hash is computed once, in the constructor; a factor of one
+        algebra finds the memo entry made for the equal factor of another."""
+        L1, L2 = builtin("gl2", QQ), builtin("gl2", QQ)
+        assert L1 is not L2 and L1 == L2
+        assert hash(L1) == hash(L2) == hash((QQ, L1.dim, L1._nonzero_pairs))
+        assert {L1: "first"}[L2] == "first"
+        F1, F2 = chief_series(L1).factors, chief_series(L2).factors
+        found = chief.module_isomorphic(F1[0], F1[1])
+        assert F1[1] == F2[1] and F1[1].algebra is not F2[1].algebra
+        assert chief.module_isomorphic(F1[0], F2[1]) is found
+        assert chief.module_isomorphic.__wrapped__(F1[0], F2[1]) == found
+
+    def test_chief_series_is_built_once_per_choice(self):
+        L = builtin("r2", GF(3))
+        S = chief_series(L)
+        assert chief_series(L, ()) is S and chief_series(L, choices=()) is S
+        assert chief_series(L, (1,)) is not S
+        D = LieAlgebra(QQ, 0, {})
+        for _ in range(2):
+            with pytest.raises(AlgebraError):
+                chief_series(D)
+        assert not D._memo
 
 
 def test_crown_type_hints_resolve():
@@ -411,3 +435,16 @@ def test_the_dual_module_is_built_once():
     D = M.dual()
     assert D.mats == tuple(rho.transpose() for rho in M.mats)
     assert M.dual() is D and D.nonzero_entries() is D.nonzero_entries()
+
+
+@pytest.mark.parametrize("name, field", [("gl2", GF(3)), ("h3_plus_r2", GF(3)), ("sl2", QQ)])
+def test_report_and_oracle_share_one_chief_series(monkeypatch, name, field):
+    """``build_report`` (with its crowns and radical) and ``oracle_check``
+    read one ``ChiefSeries``: the body of ``chief_series``, which asks for
+    the minimal ideals once per step up the series, runs once."""
+    bodies = _calls_from_body(monkeypatch, chief, "socle_and_minimal_ideals", chief.chief_series)
+    L = builtin(name, field)
+    build_report(L, name)
+    if field != QQ:
+        assert oracle.oracle_check(L) == []
+    assert len(bodies) == len(chief_series(L).factors)
