@@ -209,7 +209,8 @@ class LieAlgebra:
         return Subspace.from_vectors(self.field, self.dim, vectors)
 
     def __eq__(self, other):
-        return (
+        # an algebra is mostly compared with itself (memo keys, hom spaces)
+        return other is self or (
             isinstance(other, LieAlgebra)
             and self.field == other.field
             and self.dim == other.dim

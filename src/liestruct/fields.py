@@ -182,7 +182,7 @@ class Rationals(Field):
         return canon_q(_fraction_from_str(s))
 
     def __eq__(self, other):
-        return isinstance(other, Rationals)
+        return other is self or isinstance(other, Rationals)
 
     def __hash__(self):
         return hash(("field", "Q"))
@@ -254,7 +254,7 @@ class PrimeField(Field):
         return self.coerce(_fraction_from_str(s))
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return other is self or (isinstance(other, PrimeField) and other.p == self.p)
 
     def __hash__(self):
         return hash(("field", "GF", self.p))

@@ -12,8 +12,11 @@ stay canonical at every boundary: ``int`` residues over GF(p), and over Q an
 ``int`` for an integral value and a ``Fraction`` otherwise
 (``fields.canon_q``), so integral work runs on native integers:
 
-* GF(p): rows of plain ``int``, with one ``% p`` per entry of a row
-  operation, or one at the end of an accumulation (``Subspace.reduce``,
+* GF(p): rows of plain ``int`` residues in [0, p).  ``_rref`` takes them
+  canonical and copies them without reducing; it clears a pivot column in
+  place, updating only the columns where the normalised pivot row is
+  nonzero, with one ``% p`` per updated entry.  The other kernels reduce
+  once at the end of an accumulation (``Subspace.reduce``,
   ``Matrix.apply``, ``Matrix.matmul``, ``lin_comb``).
 * Q: ``_rref`` is fraction-free (after Bareiss, Math. Comp. 22, 1968).
   Each row is scaled by the lcm of its denominators to an integer row;
@@ -311,8 +314,11 @@ class Matrix:
 
 def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
     """Gauss-Jordan elimination: ``(rows, pivots)``, the nonzero rows of the
-    reduced row echelon form (lists of field scalars, in pivot order) and
-    their pivot columns.  Dispatches once to the kernel of the field."""
+    reduced row echelon form (new lists of field scalars, in pivot order)
+    and their pivot columns.  The input rows are equal-length sequences of
+    canonical scalars, as ``Matrix._of`` and ``Subspace._of`` take them:
+    residues in [0, p) over GF(p), ``fields.canon_q`` values over Q.  They
+    are never mutated.  Dispatches once to the kernel of the field."""
     p = _modulus(field)
     if p:
         return _rref_gf(p, rows)
@@ -320,7 +326,14 @@ def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
 
 
 def _rref_gf(p: int, rows) -> tuple[list, list[int]]:
-    rows = [[x % p for x in r] for r in rows]
+    """The GF(p) kernel of ``_rref`` on rows of residues in [0, p), which
+    are copied and never mutated; the returned rows are residues in [0, p).
+
+    Sparse and in place: the pivot row is normalised once and its nonzero
+    (column, value) pairs right of the pivot collected; every other row
+    with a nonzero in the pivot column is cleared by updating only those
+    columns, one ``% p`` per updated entry."""
+    rows = [list(r) for r in rows]
     m = len(rows)
     n = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -328,21 +341,31 @@ def _rref_gf(p: int, rows) -> tuple[list, list[int]]:
     for c in range(n):
         if r == m:
             break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, m):
+            if rows[pr][c]:
+                break
+        else:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        # rows r.. are zero left of column c, so row operations start there
-        tail = rows[r][c:]
-        if tail[0] != 1:
-            inv = pow(tail[0], -1, p)
-            tail = [x * inv % p for x in tail]
-            rows[r] = rows[r][:c] + tail
-        for i in range(m):
-            row = rows[i]
+        prow = rows[pr]
+        rows[pr] = rows[r]
+        rows[r] = prow
+        # rows r.. are zero left of column c, so the pivot row's nonzeros
+        # after its pivot are all a row operation touches
+        inv = pow(prow[c], -1, p)
+        prow[c] = 1
+        tail = []
+        for j in range(c + 1, n):
+            x = prow[j]
+            if x:
+                x = x * inv % p
+                prow[j] = x
+                tail.append((j, x))
+        for row in rows:
             f = row[c]
-            if f and i != r:
-                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
+            if f and row is not prow:
+                row[c] = 0
+                for j, y in tail:
+                    row[j] = (row[j] - f * y) % p
         pivots.append(c)
         r += 1
     return rows[:r], pivots

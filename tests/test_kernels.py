@@ -1,28 +1,36 @@
 """The per-field arithmetic kernels diffed against the generic loops they
-replaced: Gauss-Jordan with one ``Field`` call per scalar, the dense bracket
-over the i < j table, naive matrix products and the zero-vector-then-add
-linear combination.  Each reference below is that generic loop, kept here as
-ground truth."""
+replaced: Gauss-Jordan with one ``Field`` call per scalar, the dense GF(p)
+Gauss-Jordan that rebuilt each row from its pivot column on, the dense
+bracket over the i < j table, naive matrix products and the
+zero-vector-then-add linear combination.  Each reference below is that loop,
+kept here as ground truth."""
 
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liestruct import builtin
+from liestruct import builtin, linalg, modules, oracle
+from liestruct.cli import build_report
 from liestruct.fields import GF, QQ, FieldError
 from liestruct.linalg import (
     Matrix,
     Subspace,
     _rref,
+    _rref_gf,
     invert_matrix,
     lin_comb,
     rref_solve,
     unit_vec,
 )
 
-from conftest import CORPUS_Q
+from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
+from test_larger_primes import matrix_units
+from test_memo import borel3_over_gf3, gl3_on_matrix_units
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 
@@ -52,6 +60,37 @@ def ref_rref(F, rows):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def dense_rref_gf(p, rows):
+    """The GF(p) kernel before it went sparse: every entry reduced mod p up
+    front, and each cleared row rebuilt from the pivot column on."""
+    rows = [[x % p for x in r] for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        # rows r.. are zero left of column c, so row operations start there
+        tail = rows[r][c:]
+        if tail[0] != 1:
+            inv = pow(tail[0], -1, p)
+            tail = [x * inv % p for x in tail]
+            rows[r] = rows[r][:c] + tail
+        for i in range(m):
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
 
 
 def ref_span(F, n, vectors):
@@ -180,6 +219,47 @@ def matrices(draw, F, rows=None, cols=None):
     return Matrix(F, entries)
 
 
+@st.composite
+def gf_systems(draw):
+    """``(p, rows)``: tuples of residues over GF(2), GF(3), GF(5) or GF(7).
+    Tall and sparse as ``modules._equivariance_rows`` builds them (up to
+    300 x 64, a few nonzeros a row), square or wide; with zero rows and
+    repeated rows, and in some a block of full rank min(m, n).  The shape
+    and its features are drawn, the entries come from a drawn seed, which
+    keeps a 300-row system within Hypothesis' data budget."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    shape = draw(st.sampled_from(("tall", "square", "wide")))
+    if shape == "tall":
+        n = draw(st.integers(1, 64))
+        m = draw(st.integers(n, 300))
+    elif shape == "square":
+        n = m = draw(st.integers(1, 24))
+    else:
+        m = draw(st.integers(1, 24))
+        n = draw(st.integers(m, 64))
+    per_row = draw(st.integers(1, 4 if shape == "tall" else n))
+    zeros, repeats = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    full = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        for j in rng.sample(range(n), min(per_row, n)):
+            row[j] = rng.randrange(1, p)
+        rows.append(row)
+    if full:
+        # k rows with distinct leading columns are independent: rank min(m, n)
+        k = min(m, n)
+        for i, c in enumerate(sorted(rng.sample(range(n), k))):
+            rows[i] = [0] * c + [rng.randrange(1, p)] + rows[i][c + 1 :]
+    for _ in range(zeros):
+        rows.append([0] * n)
+    for _ in range(repeats):
+        rows.append(list(rng.choice(rows)))
+    rng.shuffle(rows)
+    return p, [tuple(r) for r in rows]
+
+
 fields = st.sampled_from(FIELDS)
 
 
@@ -197,6 +277,68 @@ def test_rref_matches_the_generic_loop(data):
     assert [list(r) for r in red] == want[: len(pivots)]
     assert all(not any(r) for r in want[len(pivots) :])
     assert all(canonical(F, r) for r in red)
+
+
+@given(gf_systems())
+@settings(max_examples=200, deadline=None)
+def test_gf_rref_matches_the_dense_kernel(system):
+    """Same ``(rows, pivots)`` as the dense kernel, as new lists; the
+    caller's rows, as tuples or as lists, are left as they were."""
+    p, rows = system
+    before = list(rows)
+    got = _rref_gf(p, rows)
+    assert rows == before
+    assert got == dense_rref_gf(p, rows)
+    lists = [list(r) for r in rows]
+    assert _rref_gf(p, lists) == got
+    assert lists == [list(r) for r in before]
+    assert not any(r is q for r in got[0] for q in lists)
+
+
+def test_every_gf_elimination_gets_canonical_rows(monkeypatch):
+    """The GF(p) kernel copies its rows without reducing them: every call
+    made by the report and the oracle, on the GF(2) and GF(3) corpora and on
+    borel3, n4 and gl3 over GF(3), passes residues in [0, p).  The calls are
+    counted by the function making them (through ``_rref`` or directly), so
+    the check is seen to reach every call site of the library."""
+    sites = Counter()
+    rref_code = linalg._rref.__code__
+
+    def checked(p, rows):
+        assert all(type(x) is int and 0 <= x < p for r in rows for x in r), (p, rows)
+        frame = sys._getframe(1)
+        if frame.f_code is rref_code:
+            frame = frame.f_back
+        sites[frame.f_code.co_qualname] += 1
+        return _rref_gf(p, rows)
+
+    monkeypatch.setattr(linalg, "_rref_gf", checked)
+    monkeypatch.setattr(modules, "_rref_gf", checked)
+    oracle._enum_structures_cached.cache_clear()
+    cases = [(name, lambda name=name: builtin(name, GF(2))) for name in CORPUS_GF2]
+    cases += [(name, lambda name=name: builtin(name, GF(3))) for name in CORPUS_GF3]
+    cases += [
+        ("borel3", borel3_over_gf3),
+        ("n4", lambda: matrix_units(3, 4, strict=True)),
+        ("gl3", lambda: gl3_on_matrix_units(3)),
+    ]
+    for name, build in cases:
+        L = build()
+        build_report(L, name)
+        if name == "gl3":  # dimension 9 is past the oracle's enumeration budget
+            with pytest.raises(oracle.BudgetExceeded):
+                oracle.oracle_check(L)
+        else:
+            assert oracle.oracle_check(L) == []
+    assert set(sites) == {
+        "Subspace._of",
+        "Subspace.intersect",
+        "rref_solve",
+        "invert_matrix",
+        "_hom_basis",
+        "_least_singular",
+        "_norton_kernel",
+    }
 
 
 @given(st.data())

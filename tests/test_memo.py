@@ -12,7 +12,7 @@ from liestruct.algebra import AlgebraError, LieAlgebra, quotient_algebra
 from liestruct.chief import chief_series
 from liestruct.cli import build_report
 from liestruct.crowns import Crown, all_crowns, prefrattini
-from liestruct.fields import GF, QQ
+from liestruct.fields import GF, QQ, Rationals
 from liestruct.modules import (
     adjoint_module,
     factor_module,
@@ -82,6 +82,20 @@ class TestCachedValues:
         assert F1[1] == F2[1] and F1[1].algebra is not F2[1].algebra
         assert chief.module_isomorphic(F1[0], F2[1]) is found
         assert chief.module_isomorphic.__wrapped__(F1[0], F2[1]) == found
+
+    def test_distinct_equal_instances_compare_by_value(self):
+        """``__eq__`` answers an identity first; distinct instances are still
+        compared by value."""
+        K1, K2 = GF(3), GF(3)
+        assert K1 is not K2 and K1 == K2 and hash(K1) == hash(K2)
+        assert K1 != GF(5) and K1 != QQ and QQ == Rationals() and QQ is not Rationals()
+        assert hash(QQ) == hash(Rationals())
+        L1, L2 = builtin("gl2", K1), builtin("gl2", K2)
+        assert L1 is not L2 and L1.field is not L2.field
+        assert L1 == L2 and hash(L1) == hash(L2)
+        assert L1 == L1 and L1 != builtin("sl2", K1) and L1 != builtin("gl2", GF(5))
+        M = LieAlgebra(K2, L1.dim, dict(L1.table))
+        assert M == L1 and hash(M) == hash(L1) and {L1: 1}[M] == 1
 
     def test_chief_series_is_built_once_per_choice(self):
         L = builtin("r2", GF(3))
