@@ -46,6 +46,7 @@ from .linalg import (
     QuotientMap,
     Subspace,
     Vector,
+    _canon_q_all,
     _modulus,
     _nonzeros,
     _reduce,
@@ -496,7 +497,7 @@ def killing_radical(L: LieAlgebra) -> tuple[Subspace, Subspace]:
         [sum(c * ad_y[j][k] for j in range(n) for k, c in L._sparse[i][j]) for i in range(n)]
         for ad_y in (L.ad(y).entries for y in D.basis)
     ]
-    R = rref_solve(Matrix(L.field, rows))[3]
+    R = rref_solve(Matrix._of(L.field, [_canon_q_all(r) for r in rows], n))[3]
     return R, R.intersect(D)
 
 

@@ -100,7 +100,8 @@ def denominator_intersection(F: ChiefFactor) -> Subspace:
     _, fm, homs = _abelian_denominator_data(F)
     FLD = L.field
     if homs:  # the common kernel of the hom maps, as one nullspace
-        common = rref_solve(Matrix(FLD, [row for h in homs for row in h.matrix.entries]))[3]
+        rows = [row for h in homs for row in h.matrix.entries]
+        common = rref_solve(Matrix._of(FLD, rows, fm.coords.dim))[3]
     else:
         common = Subspace.full(FLD, fm.coords.dim)
     return fm.coords.lift_space(common)

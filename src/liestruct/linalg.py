@@ -19,12 +19,16 @@ stay canonical at every boundary: ``int`` residues over GF(p), and over Q an
   once at the end of an accumulation (``Subspace.reduce``,
   ``Matrix.apply``, ``Matrix.matmul``, ``lin_comb``).
 * Q: ``_rref`` is fraction-free (after Bareiss, Math. Comp. 22, 1968).
-  Each row is scaled by the lcm of its denominators to an integer row;
-  elimination cross-multiplies by gcd-reduced factors and divides each new
-  row by its content; the final rows are emitted as ``x // pivot`` where
-  the pivot divides and ``Fraction(x, pivot)`` where it does not.  The
-  other Q kernels use Python's operators directly, touch only nonzero
-  entries and normalize their results once, with ``canon_q``.
+  An all-``int`` row is copied as it is, any other is scaled by the lcm of
+  its denominators to an integer row.  Each pivot column is cleared in
+  place over the nonzeros of the pivot row: a row whose entry there is a
+  multiple of the pivot loses that multiple of the pivot row and nothing
+  else; any other row is cross-multiplied by gcd-reduced factors and
+  divided by its content.  The final rows are emitted as ``x // pivot``
+  where the pivot divides and ``Fraction(x, pivot)`` where it does not.
+  The other Q kernels use Python's operators directly, touch only nonzero
+  entries and normalize a result once, mapping ``canon_q`` only when it
+  holds a ``Fraction`` (``_canon_q_all``).
 
 ``QuotientMap`` owns the coordinates on a section W/U: every quotient,
 factor module and semidirect model reads its lift basis ``lifts`` and takes
@@ -105,6 +109,14 @@ def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(one if j == i else zero for j in range(n))
 
 
+def _canon_q_all(xs: list) -> list:
+    """The list of rationals ``xs`` in canonical form: ``xs`` itself when
+    it holds no ``Fraction`` (sums and products of ``int``s are ``int``s),
+    else a new list of the ``canon_q`` of each entry.  The one normalisation
+    step of the Q kernels."""
+    return list(map(canon_q, xs)) if Fraction in set(map(type, xs)) else xs
+
+
 def lin_comb(field: Field, coeffs: Iterable, vecs: Sequence[Vector]) -> Vector:
     """The vector sum of c * v over the pairs of ``coeffs`` and ``vecs``,
     touching only nonzero coefficients and entries.  ``vecs`` must not be
@@ -118,7 +130,7 @@ def lin_comb(field: Field, coeffs: Iterable, vecs: Sequence[Vector]) -> Vector:
                     out[j] += c * x
     if p:
         return tuple(x % p for x in out)
-    return tuple(map(canon_q, out))
+    return tuple(_canon_q_all(out))
 
 
 def _nonzeros(row) -> tuple:
@@ -132,9 +144,9 @@ def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
     Each row is given by its nonzero (index, value) pairs and is 1 at its
     pivot; a row has zeros at the pivots of the rows before it.  ``w`` is
     changed in place; the result is reduced mod p over GF(p) (``p > 0``),
-    or normalized by ``canon_q`` over Q, once, at the end.  This is the one
-    row-reduction loop of the library: ``Subspace.reduce``,
-    ``Subspace.extend`` and ``modules.spin`` use it."""
+    or normalized by ``_canon_q_all`` over Q (so it may be ``w`` itself),
+    once, at the end.  This is the one row-reduction loop of the library:
+    ``Subspace.reduce``, ``Subspace.extend`` and ``modules.spin`` use it."""
     if p:
         for nz, c in zip(rows, pivots):
             a = w[c] % p
@@ -147,7 +159,7 @@ def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
         if a:
             for j, y in nz:
                 w[j] -= a * y
-    return list(map(canon_q, w))
+    return _canon_q_all(w)
 
 
 def _in_rref_span(p: int, w: Sequence, rows: Sequence, pivots: Sequence) -> bool:
@@ -247,7 +259,7 @@ class Matrix:
             out.append(s)
         if p:
             return tuple(x % p for x in out)
-        return tuple(map(canon_q, out))
+        return tuple(_canon_q_all(out))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -263,7 +275,7 @@ class Matrix:
             for k, a in nz:
                 for j, b in other_nz[k]:
                     acc[j] += a * b
-            out.append([x % p for x in acc] if p else map(canon_q, acc))
+            out.append([x % p for x in acc] if p else _canon_q_all(acc))
         return Matrix._of(F, out, n)
 
     def add(self, other: "Matrix") -> "Matrix":
@@ -318,7 +330,9 @@ def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
     and their pivot columns.  The input rows are equal-length sequences of
     canonical scalars, as ``Matrix._of`` and ``Subspace._of`` take them:
     residues in [0, p) over GF(p), ``fields.canon_q`` values over Q.  They
-    are never mutated.  Dispatches once to the kernel of the field."""
+    are never mutated.  Dispatches once to the kernel of the field: sparse
+    in-place Gauss-Jordan over GF(p), and over Q the fraction-free loop,
+    which divides a row by its content only after a cross-multiplication."""
     p = _modulus(field)
     if p:
         return _rref_gf(p, rows)
@@ -372,10 +386,26 @@ def _rref_gf(p: int, rows) -> tuple[list, list[int]]:
 
 
 def _rref_q(rows) -> tuple[list, list[int]]:
+    """The Q kernel of ``_rref`` on rows of ``fields.canon_q`` values, which
+    are copied and never mutated; the returned rows are canonical.
+
+    Fraction-free and in place: an all-``int`` row is copied as it is, any
+    other is scaled by the lcm of its denominators.  The pivot is the first
+    entry +-1 of its column, else the smallest in absolute value, and its
+    row's nonzero (column, value) pairs right of the pivot are collected
+    once.  A row whose entry b in the pivot column is a multiple of the
+    pivot a loses (b / a) times the pivot row over those pairs; any other
+    row is scaled by a / gcd(a, b), loses b / gcd(a, b) times the pivot row
+    and is divided by its content.  Rows are divided by their pivots only
+    when emitted: ``x // a`` where a divides, ``Fraction(x, a)`` where not.
+    """
     ints = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (den // x.denominator) for x in row])
+        if Fraction in set(map(type, row)):
+            den = lcm(*(x.denominator for x in row))
+            ints.append([x.numerator * (den // x.denominator) for x in row])
+        else:
+            ints.append(list(row))
     m = len(ints)
     n = len(ints[0]) if ints else 0
     pivots: list[int] = []
@@ -383,30 +413,44 @@ def _rref_q(rows) -> tuple[list, list[int]]:
     for c in range(n):
         if r == m:
             break
-        # any nonzero pivot gives the same RREF; the smallest keeps the
-        # cross-multipliers small
-        pr = None
+        # any nonzero pivot gives the same RREF; a unit or the smallest
+        # keeps the multipliers small
+        pr, best = None, 0
         for i in range(r, m):
             x = ints[i][c]
-            if x and (pr is None or abs(x) < abs(ints[pr][c])):
-                pr = i
+            if x:
+                if x == 1 or x == -1:
+                    pr = i
+                    break
+                if pr is None or abs(x) < best:
+                    pr, best = i, abs(x)
         if pr is None:
             continue
-        ints[r], ints[pr] = ints[pr], ints[r]
-        tail = ints[r][c:]
-        a = tail[0]
-        for i in range(m):
-            row = ints[i]
+        prow = ints[pr]
+        ints[pr] = ints[r]
+        ints[r] = prow
+        # rows r.. are zero left of column c, so the pivot row's nonzeros
+        # after its pivot are all a row operation touches
+        a = prow[c]
+        tail = [(j, x) for j, x in enumerate(prow[c + 1 :], c + 1) if x]
+        for row in ints:
             b = row[c]
-            if b and i != r:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                head = row[:c] if ag == 1 else [ag * x for x in row[:c]]
-                new = head + [ag * x - bg * y for x, y in zip(row[c:], tail)]
-                g = gcd(*new)
-                if g > 1:
-                    new = [x // g for x in new]
-                ints[i] = new
+            if b and row is not prow:
+                if b % a:
+                    g = gcd(a, b)
+                    ag, bg = a // g, b // g
+                    row[:] = [ag * x for x in row]
+                    row[c] = 0
+                    for j, y in tail:
+                        row[j] -= bg * y
+                    g = gcd(*row)
+                    if g > 1:
+                        row[:] = [x // g for x in row]
+                else:
+                    f = b // a
+                    row[c] = 0
+                    for j, y in tail:
+                        row[j] -= f * y
         pivots.append(c)
         r += 1
     out = []
@@ -666,9 +710,17 @@ class QuotientMap:
         self.field = F
         self.W = W
         self.U = U
-        # U written in W-coordinates, re-reduced; its pivots mark directions
-        # that die in the quotient, the complementary W-coordinates survive.
-        self._ucoords = Subspace._of(F, W.dim, [W.coords(u) for u in U.basis])
+        # U written in W-coordinates; its pivots mark directions that die in
+        # the quotient, the complementary W-coordinates survive.  U's pivots
+        # are pivots of W, so U's RREF rows read at W's pivots are already in
+        # RREF, with pivots at the places of U's pivots among W's.
+        place = {c: j for j, c in enumerate(W.pivots)}
+        self._ucoords = Subspace(
+            F,
+            W.dim,
+            tuple(tuple(u[c] for c in W.pivots) for u in U.basis),
+            tuple(place[c] for c in U.pivots),
+        )
         self._free = tuple(j for j in range(W.dim) if j not in self._ucoords.pivots)
         self.dim = len(self._free)
         self.lifts = tuple(W.basis[j] for j in self._free)
@@ -729,7 +781,7 @@ class QuotientMap:
                 for c, a in terms:
                     x += a * v[c]
                 coords[f] = x
-            out.append(tuple(x % p for x in coords) if p else tuple(map(canon_q, coords)))
+            out.append(tuple(x % p for x in coords) if p else tuple(_canon_q_all(coords)))
         return out
 
     def lift(self, coords: Vector) -> Vector:

@@ -69,6 +69,7 @@ from .linalg import (
     QuotientMap,
     Subspace,
     Vector,
+    _canon_q_all,
     _modulus,
     _nonzeros,
     _nullspace,
@@ -168,7 +169,7 @@ class LModule:
         for r in range(self.dim):
             for c in range(self.dim):
                 rows.append(tuple(M.entries[r][c] for M in self.mats))
-        _, _, _, null = rref_solve(Matrix(F, rows))
+        _, _, _, null = rref_solve(Matrix._of(F, rows, self.algebra.dim))
         return null
 
 
@@ -309,7 +310,7 @@ def _annihilator(F: Field, dual_space: Subspace) -> Subspace:
     """Vectors killed by every functional of a coordinate dual subspace."""
     if dual_space.is_zero():
         return Subspace.full(F, dual_space.ambient_dim)
-    _, _, _, null = rref_solve(Matrix(F, list(dual_space.basis)))
+    _, _, _, null = rref_solve(Matrix._of(F, dual_space.basis, dual_space.ambient_dim))
     return null
 
 
@@ -597,10 +598,10 @@ def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
                 coeff[i * v + k] = cu[k]
             rows.append(tuple(coeff))
             rhs.append(F.one() if i == bidx else F.zero())
-    _, _, particular, _ = rref_solve(Matrix(F, rows), tuple(rhs))
+    _, _, particular, _ = rref_solve(Matrix._of(F, rows, u * v), tuple(rhs))
     if particular is None:
         raise AlgebraError("no equivariant projection: subspace is not a direct summand")
-    X = Matrix(F, [particular[i * v : (i + 1) * v] for i in range(u)])
+    X = Matrix._of(F, [particular[i * v : (i + 1) * v] for i in range(u)], v)
     return qm.lift_space(rref_solve(X)[3])
 
 
@@ -770,6 +771,7 @@ def split_abelian_extension(
     if not brackets_inside(L, A, A, B):
         raise AlgebraError("the section is not abelian")
     F = L.field
+    p = _modulus(F)
     a = fm.coords.dim
     if a == 0:
         return SplittingCertificate(L.full_space(), Matrix(F, []))
@@ -798,13 +800,13 @@ def split_abelian_extension(
                     coeff[k * q + i] -= ej[t][k]
                 for k in range(q):
                     coeff[t * q + k] -= br_q[k]
-                rows.append(coeff)
+                rows.append([x % p for x in coeff] if p else _canon_q_all(coeff))
                 rhs.append(-g[t])
     if rows:
-        _, _, particular, _ = rref_solve(Matrix(F, rows), tuple(rhs))
+        _, _, particular, _ = rref_solve(Matrix._of(F, rows, nvar), tuple(rhs))
         if particular is None:
             return None
-        phi = Matrix(F, [particular[t * q : (t + 1) * q] for t in range(a)])
+        phi = Matrix._of(F, [particular[t * q : (t + 1) * q] for t in range(a)], q)
     else:
         phi = Matrix.zero(F, a, q)
     comp_vecs = [

@@ -1,27 +1,32 @@
 """The per-field arithmetic kernels diffed against the generic loops they
 replaced: Gauss-Jordan with one ``Field`` call per scalar, the dense GF(p)
-Gauss-Jordan that rebuilt each row from its pivot column on, the dense
-bracket over the i < j table, naive matrix products and the
-zero-vector-then-add linear combination.  Each reference below is that loop,
-kept here as ground truth."""
+Gauss-Jordan that rebuilt each row from its pivot column on, the Q
+fraction-free loop that rebuilt each row it cleared and divided it by its
+content, the dense bracket over the i < j table, naive matrix products and
+the zero-vector-then-add linear combination.  Each reference below is that
+loop, kept here as ground truth."""
 
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liestruct import builtin, linalg, modules, oracle
+from liestruct import algebra, builtin, linalg, modules, oracle
 from liestruct.cli import build_report
-from liestruct.fields import GF, QQ, FieldError
+from liestruct.fields import GF, QQ, FieldError, canon_q
 from liestruct.linalg import (
     Matrix,
+    QuotientMap,
     Subspace,
+    _reduce,
     _rref,
     _rref_gf,
+    _rref_q,
     invert_matrix,
     lin_comb,
     rref_solve,
@@ -29,8 +34,11 @@ from liestruct.linalg import (
 )
 
 from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
+from test_isomorphism import transport
 from test_larger_primes import matrix_units
 from test_memo import borel3_over_gf3, gl3_on_matrix_units
+from test_socle import natural_module
+from test_socle_sections import borel3
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 
@@ -91,6 +99,54 @@ def dense_rref_gf(p, rows):
         pivots.append(c)
         r += 1
     return rows[:r], pivots
+
+
+def fraction_free_rref_q(rows):
+    """The Q kernel before it went in place: every row scaled by the lcm of
+    its denominators, the smallest pivot, and each cleared row rebuilt by a
+    gcd-reduced cross-multiplication and divided by its content."""
+    ints = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    m = len(ints)
+    n = len(ints[0]) if ints else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        # any nonzero pivot gives the same RREF; the smallest keeps the
+        # cross-multipliers small
+        pr = None
+        for i in range(r, m):
+            x = ints[i][c]
+            if x and (pr is None or abs(x) < abs(ints[pr][c])):
+                pr = i
+        if pr is None:
+            continue
+        ints[r], ints[pr] = ints[pr], ints[r]
+        tail = ints[r][c:]
+        a = tail[0]
+        for i in range(m):
+            row = ints[i]
+            b = row[c]
+            if b and i != r:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                head = row[:c] if ag == 1 else [ag * x for x in row[:c]]
+                new = head + [ag * x - bg * y for x, y in zip(row[c:], tail)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                ints[i] = new
+        pivots.append(c)
+        r += 1
+    out = []
+    for row, c in zip(ints, pivots):
+        a = row[c]
+        out.append(row if a == 1 else [x // a if not x % a else Fraction(x, a) for x in row])
+    return out, pivots
 
 
 def ref_span(F, n, vectors):
@@ -260,6 +316,83 @@ def gf_systems(draw):
     return p, [tuple(r) for r in rows]
 
 
+@st.composite
+def q_systems(draw):
+    """Rows of ``canon_q`` values: integer systems with entries below 10 or
+    up to 10^40, Fraction-heavy ones, tall sparse ones shaped like
+    ``modules._equivariance_rows`` (up to 300 x 64, a few nonzeros a row)
+    and wide ones; with zero rows and repeated rows (also scaled by an
+    integer).  The shape and its features are drawn, the entries come from a
+    drawn seed, as in ``gf_systems``."""
+    kind = draw(st.sampled_from(("small", "huge", "fractions", "tall", "wide")))
+    if kind == "tall":
+        n = draw(st.integers(1, 64))
+        m = draw(st.integers(n, 300))
+    elif kind == "wide":
+        m = draw(st.integers(1, 16))
+        n = draw(st.integers(m, 64))
+    else:
+        m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    per_row = draw(st.integers(1, 4 if kind == "tall" else n))
+    zeros, repeats = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entry():
+        if kind == "huge":
+            return rng.randint(-(10**40), 10**40)
+        if kind == "fractions":
+            return canon_q(Fraction(rng.randint(-50, 50), rng.randint(1, 12)))
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        for j in rng.sample(range(n), min(per_row, n)):
+            row[j] = entry()
+        rows.append(row)
+    for _ in range(zeros):
+        rows.append([0] * n)
+    for _ in range(repeats):
+        c = rng.choice((1, -1, 2, 3))
+        rows.append([canon_q(c * x) for x in rng.choice(rows)])
+    rng.shuffle(rows)
+    return [tuple(r) for r in rows]
+
+
+@st.composite
+def integral_rref_systems(draw):
+    """``(rows, R)``: integer rows whose reduced echelon form R is integral
+    although their pivots are not units.  R has integer entries off its
+    pivots; the rows are integer combinations of R's rows by an invertible
+    matrix, each scaled by a nonzero integer, with combinations of them and
+    zero rows appended."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    pivots = sorted(rng.sample(range(n), k))
+    R = []
+    for i, c in enumerate(pivots):
+        row = [0] * n
+        row[c] = 1
+        for j in range(c + 1, n):
+            if j not in pivots:
+                row[j] = rng.randint(-9, 9)
+        R.append(row)
+    rows = [list(r) for r in R]
+    for _ in range(3 * k):  # row operations keep the row space
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        if i != j:
+            f = rng.randint(-3, 3)
+            rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+    for i, c in enumerate(rng.choice((2, 3, -4, 6)) for _ in range(k)):
+        rows[i] = [c * x for x in rows[i]]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        rows.append([a * x + b * y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+    rng.shuffle(rows)
+    return [tuple(r) for r in rows], R
+
+
 fields = st.sampled_from(FIELDS)
 
 
@@ -339,6 +472,118 @@ def test_every_gf_elimination_gets_canonical_rows(monkeypatch):
         "_least_singular",
         "_norton_kernel",
     }
+
+
+@given(q_systems())
+@settings(max_examples=200, deadline=None)
+def test_q_rref_matches_the_fraction_free_kernel(rows):
+    """Same ``(rows, pivots)`` and the same type of every scalar as the
+    fraction-free loop it replaced, as new lists; the caller's rows, as
+    tuples or as lists, are left as they were."""
+    before = list(rows)
+    got = _rref_q(rows)
+    want = fraction_free_rref_q(rows)
+    assert rows == before
+    assert got == want
+    assert [list(map(type, r)) for r in got[0]] == [list(map(type, r)) for r in want[0]]
+    assert all(canonical(QQ, r) for r in got[0])
+    lists = [list(r) for r in rows]
+    assert _rref_q(lists) == got
+    assert lists == [list(r) for r in before]
+    assert not any(r is q for r in got[0] for q in lists)
+
+
+@given(integral_rref_systems())
+@settings(max_examples=200, deadline=None)
+def test_q_rref_builds_no_fraction_on_integral_systems(system):
+    """The Q kernel is fraction-free: on integer rows whose reduced echelon
+    form is integral it builds no ``Fraction``, whatever its pivots, so a
+    kernel that divides rows by their pivots as it goes fails here."""
+    rows, R = system
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "Fraction", no_fraction)
+        m.setattr("liestruct.fields.Fraction", no_fraction)
+        red, pivots = _rref_q(rows)
+    assert red == R
+    assert pivots == [r.index(1) for r in R]
+
+
+def test_every_q_elimination_gets_canonical_rows(monkeypatch):
+    """Every Q elimination and row reduction made by the report, on the Q
+    corpus, borel3, n4 and a corpus algebra in a half-integer basis, gets
+    rows of ``canon_q`` values and returns canonical rows.  ``_reduce`` may
+    be handed an unreduced sum (``LieAlgebra._bracket_sum``) as the vector
+    it reduces; its semi-echelon rows and its result are canonical.  The
+    eliminations are counted by the function asking for them (through
+    ``_rref`` and ``rref_solve``), so the check is seen to reach the systems
+    that the splitting test, the crown denominators and the Killing radical
+    build."""
+    calls = Counter()
+    skip = {linalg._rref.__code__, linalg.rref_solve.__code__}
+
+    def checked_rref(rows):
+        assert all(canonical(QQ, r) for r in rows), rows
+        red, pivots = _rref_q(rows)
+        assert all(canonical(QQ, r) for r in red), red
+        frame = sys._getframe(1)
+        while frame.f_code in skip:
+            frame = frame.f_back
+        calls[frame.f_code.co_qualname] += 1
+        return red, pivots
+
+    def checked_reduce(p, w, rows, pivots):
+        out = _reduce(p, w, rows, pivots)
+        if not p:
+            assert all(canonical(QQ, [y for _, y in nz]) for nz in rows), rows
+            assert canonical(QQ, out), out
+            calls["_reduce"] += 1
+        return out
+
+    monkeypatch.setattr(linalg, "_rref_q", checked_rref)
+    for namespace in (linalg, algebra, modules):
+        monkeypatch.setattr(namespace, "_reduce", checked_reduce)
+    half = Fraction(1, 2)
+    L = builtin("h3_plus_r2", QQ)
+    g = Matrix(QQ, [[int(i == j) or (half if j == i + 1 else 0) for j in range(5)] for i in range(5)])
+    strict = [tuple(int(k == 4 * i + j) for k in range(16)) for i in range(4) for j in range(i + 1, 4)]
+    cases = [(name, builtin(name, QQ)) for name in CORPUS_Q]
+    cases += [
+        ("borel3", borel3(0)),
+        ("n4", natural_module(0, 4, strict).algebra),
+        ("h3_plus_r2_rebased", transport(L, g)),
+    ]
+    for name, L in cases:
+        build_report(L, name)
+    assert calls["_reduce"]
+    assert {
+        "Subspace._of",
+        "split_abelian_extension",
+        "denominator_intersection",
+        "killing_radical",
+    } <= set(calls)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_quotient_coordinates_of_the_denominator_are_in_rref(data):
+    """``QuotientMap`` reads U's RREF rows at W's pivots with no
+    elimination: they are the reduced echelon basis that ``Subspace._of``
+    gives for the same rows, and for the coordinates of U's basis in W."""
+    F = data.draw(st.sampled_from((QQ, GF(2), GF(3))))
+    A = data.draw(matrices(F))
+    W = Subspace.from_vectors(F, A.cols, A.entries)
+    cs = data.draw(st.lists(st.lists(scalars(F), min_size=W.dim, max_size=W.dim), max_size=4))
+    U = Subspace.from_vectors(
+        F, A.cols, [ref_lin_comb(F, A.cols, [F.coerce(x) for x in c], W.basis) for c in cs if W.dim]
+    )
+    ucoords = QuotientMap(W, U)._ucoords
+    for rows in (ucoords.basis, [W.coords(u) for u in U.basis]):
+        want = Subspace._of(F, W.dim, list(rows))
+        assert ucoords.basis == want.basis and ucoords.pivots == want.pivots
 
 
 @given(st.data())
