@@ -35,6 +35,12 @@ factor module and semidirect model reads its lift basis ``lifts`` and takes
 the matrix a map induces on W/U from ``induced``, or from one
 ``project_all`` of the images of the lifts (``algebra.section_action``).
 
+Membership in a ``Subspace`` is read off its RREF basis once, as its
+membership forms: per column t off the pivots, the (pivot c, row entry at
+t) pairs, and v lies inside exactly when v[t] is their combination of v at
+the pivots.  ``contains``, ``contains_space`` and ``QuotientMap.project_all``
+test vectors against them, copying and reducing nothing.
+
 The reduced row echelon form of a row space is unique: whatever pivot rows
 and row scalings lead to it, the normalised rows are the same.  So the
 kernels return exactly the values of the textbook Gauss-Jordan loop, and
@@ -175,6 +181,20 @@ def _in_rref_span(p: int, w: Sequence, rows: Sequence, pivots: Sequence) -> bool
     for j, x in enumerate(w):
         for a, row in terms:
             x -= a * row[j]
+        if x % p if p else x:
+            return False
+    return True
+
+
+def _satisfies(p: int, forms: Sequence, v: Sequence) -> bool:
+    """Whether v meets every (t, pairs) membership form of a subspace
+    (``Subspace._membership_forms``): v[t] equals the sum of a * v[c] over
+    the pairs, mod p over GF(p) (``p > 0``), exactly over Q.  Stops at the
+    first form that fails; builds nothing."""
+    for t, terms in forms:
+        x = v[t]
+        for c, a in terms:
+            x -= a * v[c]
         if x % p if p else x:
             return False
     return True
@@ -520,7 +540,7 @@ def _nullspace(F: Field, n: int, rref_rows: Sequence, pivots: Sequence[int]) -> 
 class Subspace:
     """A subspace of F^n held as a canonical RREF basis without zero rows."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_nz", "_hash")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_nz", "_forms", "_hash")
 
     def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple):
         self.field = field
@@ -528,6 +548,7 @@ class Subspace:
         self.basis = basis
         self.pivots = pivots
         self._nz = None
+        self._forms = None
         self._hash = None
 
     @classmethod
@@ -574,6 +595,22 @@ class Subspace:
             self._nz = tuple(_nonzeros(r) for r in self.basis)
         return self._nz
 
+    def _membership_forms(self) -> tuple:
+        """Per column t off the pivots, t and the (pivot c, row entry at t)
+        pairs of the basis rows that are nonzero at t; built on first use.
+        A vector v lies in the subspace exactly when each v[t] is the sum of
+        a * v[c] over its pairs (``_satisfies``): the RREF basis spans the
+        vectors that equal sum_c v[c] * row_c, and at the pivots that sum
+        is v itself."""
+        if self._forms is None:
+            pivot_set = set(self.pivots)
+            self._forms = tuple(
+                (t, tuple((c, row[t]) for c, row in zip(self.pivots, self.basis) if row[t]))
+                for t in range(self.ambient_dim)
+                if t not in pivot_set
+            )
+        return self._forms
+
     def reduce(self, v: Vector) -> Vector:
         """Residue of v after elimination by the basis (zero iff v is inside)."""
         return tuple(_reduce(_modulus(self.field), list(v), self._nonzero_rows(), self.pivots))
@@ -617,17 +654,20 @@ class Subspace:
         return cs
 
     def contains(self, v: Vector) -> bool:
-        return not any(self.reduce(v))
+        """Whether v lies inside, by the membership forms; the entries of v
+        need not be reduced."""
+        return _satisfies(_modulus(self.field), self._membership_forms(), v)
 
     def contains_space(self, other: "Subspace") -> bool:
         """Whether other lies inside this subspace.  The pivots of an RREF
         basis are the leading positions of the nonzero vectors it spans, so
         containment forces other's pivots to be pivots here; they are
-        compared before any vector is reduced."""
+        compared before any row is tested against the membership forms."""
         self._check_ambient(other)
-        return set(other.pivots).issubset(self.pivots) and all(
-            self.contains(v) for v in other.basis
-        )
+        if not set(self.pivots).issuperset(other.pivots):
+            return False
+        p, forms = _modulus(self.field), self._membership_forms()
+        return all(_satisfies(p, forms, v) for v in other.basis)
 
     def _check_ambient(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -690,8 +730,9 @@ class QuotientMap:
     Projection is one linear map on ambient vectors, built on first use:
     each W/U coordinate is a fixed combination of the entries of v at W's
     pivots, and v lies in W exactly when each entry off W's pivots is the
-    combination of those entries that W's RREF basis prescribes.  Every
-    projected vector is checked for membership in W.
+    combination of those entries that W's RREF basis prescribes: W's own
+    membership forms (``Subspace._membership_forms``), against which every
+    projected vector is checked.
 
     The coordinates of a section do not depend on the space it is read in:
     for U <= X <= W, the RREF basis of ``QuotientMap(W, U).project_space(X)``
@@ -727,23 +768,15 @@ class QuotientMap:
         self._projector = None
 
     def _projection(self) -> tuple:
-        """``(checks, lead, extra)``, the linear forms of ``project_all``.
-        ``checks`` holds, per column t off W's pivots, t and the (index,
-        coefficient) pairs whose combination v[t] must equal for v to lie
-        in W.  The W/U coordinate f is the entry of ``_ucoords.reduce`` at
-        the free W-coordinate j = ``_free[f]``, written on the ambient
-        entries at W's pivots: v[lead[f]], for lead[f] the pivot of W's
-        row j, plus the pairs that ``extra`` holds for f, if any."""
+        """``(lead, extra)``, the linear forms of the W/U coordinates.  The
+        coordinate f is the entry of ``_ucoords.reduce`` at the free
+        W-coordinate j = ``_free[f]``, written on the ambient entries at W's
+        pivots: v[lead[f]], for lead[f] the pivot of W's row j, plus the
+        pairs that ``extra`` holds for f, if any.  Membership in W is W's
+        own test, its membership forms."""
         if self._projector is None:
-            W, ucoords = self.W, self._ucoords
-            wp = W.pivots
-            pivot_set = set(wp)
+            wp, ucoords = self.W.pivots, self._ucoords
             p = _modulus(self.field)
-            checks = tuple(
-                (t, tuple((c, row[t]) for c, row in zip(wp, W.basis) if row[t]))
-                for t in range(W.ambient_dim)
-                if t not in pivot_set
-            )
             lead = tuple(wp[j] for j in self._free)
             extra = []
             for f, j in enumerate(self._free):
@@ -754,7 +787,7 @@ class QuotientMap:
                 )
                 if terms:
                     extra.append((f, terms))
-            self._projector = checks, lead, tuple(extra)
+            self._projector = lead, tuple(extra)
         return self._projector
 
     def project(self, v: Vector) -> Vector:
@@ -765,16 +798,13 @@ class QuotientMap:
         ``ValueError`` at the first vector outside W.  The entries of a
         vector need not be reduced: over GF(p) any ints, over Q any
         rationals."""
-        checks, lead, extra = self._projection()
+        lead, extra = self._projection()
         p = _modulus(self.field)
+        forms = self.W._membership_forms()
         out = []
         for v in vectors:
-            for t, terms in checks:
-                x = v[t]
-                for c, a in terms:
-                    x -= a * v[c]
-                if x % p if p else x:
-                    raise ValueError("vector not contained in the subspace")
+            if not _satisfies(p, forms, v):
+                raise ValueError("vector not contained in the subspace")
             coords = [v[c] for c in lead]
             for f, terms in extra:
                 x = coords[f]

@@ -12,22 +12,29 @@ crown quotients and the primitive quotients L/core(M) are decided on L's
 own enumeration, and no quotient algebra is built.
 
 The enumeration cost is predicted exactly by Gaussian binomials before any
-work starts; exceeding the budget is a hard error, never a truncation.  So
-is a product of choice sets (prefrattini choice functions, crown
-complements) larger than the budget.
+work starts, and every enumeration checks the field order first
+(``_finite_field``); exceeding the budget is a hard error, never a
+truncation.  So is a product of choice sets (prefrattini choice functions,
+crown complements) larger than the budget.
 
-Each candidate subspace is built once, as its canonical echelon rows, and
-tested for closure and ideal membership on those rows
-(``linalg._in_rref_span``), stopping at the first bracket outside it;
-brackets of rows that recur over consecutive candidates are cached.
-Maximal subalgebras are found by walking the proper subalgebras in
-decreasing dimension and testing each one only against the maximal ones
+Subspaces are enumerated by pivot pattern (``_pivot_patterns``), the
+candidates of a pattern as the product of its row choices.  The candidates
+that share every row but the last are consecutive, and the brackets of
+those prefix rows settle the last row for the whole block at once: each
+such bracket lies in the span for every last row or for none, or pins the
+one last row that can hold it (``_last_rows``).  Only the candidates that
+survive are built, and tested on the brackets of their last row and then
+for ideal membership on their echelon rows (``linalg._in_rref_span``),
+stopping at the first bracket outside; brackets of recurring rows are
+cached.  Maximal subalgebras are found by walking the proper subalgebras
+in decreasing dimension and testing each one only against the maximal ones
 already found; minimal ideals and the minimal spins of a socle by the dual
 walk in increasing dimension.  Containment is refused on pivot sets before
-any vector is reduced (``Subspace.contains_space``).  Complements and
-supplements of a factor A/B are filtered by dimension and by containing B
-before any sum is formed.  The intersections over all choice functions
-walk the product tree, so each prefix of a choice is intersected once.
+any row is tested against the membership forms
+(``Subspace.contains_space``).  Complements and supplements of a factor
+A/B are filtered by dimension and by containing B before any sum is
+formed.  The intersections over all choice functions walk the product
+tree, so each prefix of a choice is intersected once.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra, bracket_spaces, brackets_inside, core, is_solvable, memoized
 from .fields import PrimeField
-from .linalg import Subspace, _in_rref_span, intersect_many, unit_vec
+from .linalg import Subspace, _in_rref_span, _nonzeros, intersect_many, unit_vec
 if TYPE_CHECKING:  # pragma: no cover
     from .chief import ChiefSeries
     from .modules import LModule
@@ -74,26 +81,30 @@ def subspace_count(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def _check_budget(L: LieAlgebra, budget: EnumBudget) -> PrimeField:
-    F = L.field
+def _finite_field(F, budget: EnumBudget) -> PrimeField:
+    """F itself, once it is a prime field of order within the budget: the
+    field check of every enumeration of the oracle."""
     if not isinstance(F, PrimeField):
         raise BudgetExceeded(0, 0, "enumeration requires a finite field")
     if F.p > budget.max_field_order:
         raise BudgetExceeded(F.p, budget.max_field_order, "field order")
+    return F
+
+
+def _check_budget(L: LieAlgebra, budget: EnumBudget) -> PrimeField:
+    F = _finite_field(L.field, budget)
     total = subspace_count(L.dim, F.p)
     if total > budget.max_subspaces:
         raise BudgetExceeded(total, budget.max_subspaces)
     return F
 
 
-def iter_subspaces(F: PrimeField, n: int):
-    """All subspaces of F^n as canonical RREF bases, by pivot pattern.
-
-    Within a pattern the free entries run through all values, the last
-    free entry of the last row fastest; each row is a choice among the
-    rows with its pivot, built once per pattern as tuples of residues."""
-    p = F.p
-    yield Subspace.zero(F, n)
+def _pivot_patterns(p: int, n: int):
+    """(pivots, row choices) for each pivot pattern of a nonzero subspace of
+    GF(p)^n, by dimension and then lexicographically.  The choices of the
+    row with pivot c are the tuples that are 1 at c and 0 before c and at
+    the other pivots, their free entries running through all residues, the
+    last fastest; each is built once per pattern."""
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
             row_choices = []
@@ -107,8 +118,17 @@ def iter_subspaces(F: PrimeField, n: int):
                         row[j] = x
                     choices.append(tuple(row))
                 row_choices.append(choices)
-            for basis in itertools.product(*row_choices):
-                yield Subspace(F, n, basis, pivots)
+            yield pivots, row_choices
+
+
+def iter_subspaces(F: PrimeField, n: int):
+    """All subspaces of F^n as canonical RREF bases: the zero space, then
+    each pivot pattern's ``itertools.product`` of row choices, the last row
+    fastest."""
+    yield Subspace.zero(F, n)
+    for pivots, row_choices in _pivot_patterns(F.p, n):
+        for basis in itertools.product(*row_choices):
+            yield Subspace(F, n, basis, pivots)
 
 
 def socle_bf(M: "LModule", budget: EnumBudget = EnumBudget()) -> Subspace:
@@ -116,9 +136,7 @@ def socle_bf(M: "LModule", budget: EnumBudget = EnumBudget()) -> Subspace:
     minimal ones among the spins of all projective points."""
     from .modules import _nonzero_vectors, spin
 
-    F = M.field
-    if not isinstance(F, PrimeField):
-        raise BudgetExceeded(0, 0, "enumeration requires a finite field")
+    F = _finite_field(M.field, budget)
     points = (F.p**M.dim - 1) // (F.p - 1)
     if points > budget.max_subspaces:
         raise BudgetExceeded(points, budget.max_subspaces, "vectors")
@@ -162,32 +180,85 @@ def enum_structures(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> Enumera
 
 @lru_cache(maxsize=64)
 def _enum_structures_cached(L: LieAlgebra, budget: EnumBudget) -> EnumeratedStructures:
-    """Closure and ideal membership are tested on each candidate's echelon
-    rows as they are enumerated, stopping at the first bracket outside.
-    The candidates of a pivot pattern share their rows (``iter_subspaces``
-    runs the last row fastest), so a pair of rows recurs over consecutive
-    candidates, and a small cache of brackets saves most of them."""
+    """The subspaces of ``iter_subspaces`` that are closed, and the ideals
+    among them, in that order.  Within a pivot pattern the candidates that
+    share their rows before the last one (a prefix) are consecutive, and
+    the brackets of the prefix settle the last row for all of them at once
+    (``_last_rows``).  Each surviving candidate is tested on the brackets of
+    its last row and, once closed, on those of the ideal test, stopping at
+    the first bracket outside (``linalg._in_rref_span``).  Prefix rows
+    recur over many prefixes, so a small cache of brackets saves many of
+    them, and the nonzero entries of each row are read once."""
     F = _check_budget(L, budget)
     p, n = F.p, L.dim
-    bracket = lru_cache(maxsize=256)(L.bracket)
+    nonzeros = lru_cache(maxsize=None)(_nonzeros)
+
+    @lru_cache(maxsize=256)
+    def bracket(u, v):
+        return tuple(x % p for x in L._bracket_sum(nonzeros(u), nonzeros(v)))
+
     units = [unit_vec(F, n, i) for i in range(n)]
-    subalgebras = []
-    ideals = []
-    for U in iter_subspaces(F, n):
-        rows, pivots = U.basis, U.pivots
-        if not all(
-            _in_rref_span(p, bracket(rows[i], rows[j]), rows, pivots)
-            for i in range(len(rows))
-            for j in range(i + 1, len(rows))
-        ):
-            continue
-        subalgebras.append(U)
-        if all(
-            _in_rref_span(p, bracket(e, b), rows, pivots) for b in rows for e in units
-        ):
-            ideals.append(U)
+    zero = Subspace.zero(F, n)
+    subalgebras = [zero]
+    ideals = [zero]
+    for pivots, row_choices in _pivot_patterns(p, n):
+        *head, last_rows = row_choices
+        for prefix in itertools.product(*head):
+            for last in _last_rows(p, bracket, prefix, pivots, last_rows):
+                rows = prefix + (last,)
+                if not all(_in_rref_span(p, bracket(r, last), rows, pivots) for r in prefix):
+                    continue
+                U = Subspace(F, n, rows, pivots)
+                subalgebras.append(U)
+                if all(
+                    _in_rref_span(p, bracket(e, b), rows, pivots) for b in rows for e in units
+                ):
+                    ideals.append(U)
     maximals = _extremal((U for U in subalgebras if U.dim < L.dim), largest=True)
     return EnumeratedStructures(tuple(subalgebras), tuple(ideals), maximals)
+
+
+def _last_rows(p: int, bracket, prefix: tuple, pivots: tuple, last_rows: list):
+    """The choices r for the last row that keep every bracket of two prefix
+    rows inside the span U of ``prefix + (r,)``, in their given order.
+
+    The rows vanish at each other's pivots, so w lies in U exactly when
+    w = sum_a w[c_a] * r_a.  For a bracket w of two prefix rows the residual
+    res = w - sum of w[c_a] * r_a over the prefix depends on the prefix
+    alone, and w lies in U exactly when res = w[c] * r for the last pivot c.
+    If w[c] = 0 that reads res = 0, for every r at once; otherwise the only
+    r is res / w[c], which must be one of the choices (0 before c) and the
+    same for every such bracket."""
+    c = pivots[-1]
+    pinned = None
+    for i, u in enumerate(prefix):
+        for v in prefix[i + 1:]:
+            w = bracket(u, v)
+            res = list(w)
+            for a, row in zip(pivots, prefix):
+                x = w[a]
+                if x:
+                    for j, y in enumerate(row):
+                        if y:
+                            res[j] -= x * y
+            s = w[c]
+            if not s:
+                if any(x % p for x in res):
+                    return ()
+                continue
+            inv = pow(s, -1, p)
+            r = tuple(x * inv % p for x in res)
+            if any(r[:c]) or (pinned is not None and r != pinned):
+                return ()
+            pinned = r
+    if pinned is None:
+        return last_rows
+    # the last row's free entries are the columns after c, the last one
+    # fastest (``_pivot_patterns``): its index is their base-p value
+    index = 0
+    for x in pinned[c + 1:]:
+        index = index * p + x
+    return (last_rows[index],)
 
 
 def maximal_subalgebras_of(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> tuple:

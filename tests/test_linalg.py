@@ -13,6 +13,7 @@ from liestruct.linalg import (
     invert_matrix,
     rref_solve,
     vec,
+    vec_sub,
 )
 
 
@@ -207,6 +208,57 @@ def test_a_section_has_the_same_lifts_inside_a_larger_one(whole, spaces):
     outer = QuotientMap(C, B)
     lifted = tuple(outer.lift(v) for v in outer.project_space(A).basis)
     assert lifted == QuotientMap(A, B).lifts
+
+
+@st.composite
+def spaces_and_vectors(draw):
+    """A subspace U of F^n over Q, GF(2), GF(3) or GF(5), and vectors drawn
+    inside U (combinations of its spanning rows), those plus a unit vector
+    off U's pivots (outside U) and vectors drawn anywhere.  Over GF(p) the
+    entries are unreduced integers, over Q ``Fraction``s."""
+    F = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = draw(st.integers(1, 5))
+    if F is QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        scalar = st.integers(-12, 12)
+    vectors = st.lists(st.lists(scalar, min_size=n, max_size=n).map(tuple), max_size=4)
+    rows = draw(vectors)
+    U = span(F, n, rows)
+    inside = [
+        tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n))
+        for coeffs in draw(st.lists(st.lists(scalar, min_size=len(rows), max_size=len(rows))))
+    ]
+    free = [t for t in range(n) if t not in U.pivots]
+    outside = [
+        tuple(x + (j == t) for j, x in enumerate(v))
+        for v in inside
+        for t in free[:1]
+    ]
+    return U, inside, outside, draw(vectors)
+
+
+@given(spaces_and_vectors())
+@settings(max_examples=300, deadline=None)
+def test_membership_forms_agree_with_reduction(case):
+    """``contains`` (the membership forms) against the residue of
+    ``reduce``, and ``project_all`` raises exactly on the vectors outside."""
+    U, inside, outside, anywhere = case
+    F, n = U.field, U.ambient_dim
+    assert all(U.contains(v) for v in inside)
+    assert not any(U.contains(v) for v in outside)
+    denominators = [Subspace.zero(F, n)] + [span(F, n, U.basis[:1])] * (U.dim > 0)
+    for v in inside + outside + anywhere:
+        inside_u = not any(U.reduce(v))
+        assert U.contains(v) == inside_u
+        for D in denominators:
+            qm = QuotientMap(U, D)
+            if inside_u:
+                coords = qm.project_all([v])[0]
+                assert D.contains(vec_sub(F, vec(F, v), qm.lift(coords)))
+            else:
+                with pytest.raises(ValueError):
+                    qm.project_all([v])
 
 
 class TestMatrixInverse:

@@ -6,6 +6,7 @@ from liestruct.algebra import core
 from liestruct.chief import chief_series, chief_series_variants
 from liestruct.crowns import all_crowns
 from liestruct.fields import GF, QQ
+from liestruct.modules import adjoint_module, socle_space
 from liestruct.status import CERTIFIED
 from liestruct.oracle import (
     BudgetExceeded,
@@ -18,6 +19,7 @@ from liestruct.oracle import (
     oracle_check,
     prefrattini_bf,
     primitive_bf,
+    socle_bf,
     subspace_count,
 )
 
@@ -71,9 +73,18 @@ class TestEnumeration:
             enum_structures(S)  # default max_field_order = 4
         enum_structures(S, EnumBudget(max_field_order=5))
 
+    def test_socle_bf_has_the_same_field_order_gate(self):
+        M = adjoint_module(builtin("heis", GF(5)))
+        with pytest.raises(BudgetExceeded) as exc:
+            socle_bf(M)  # default max_field_order = 4
+        assert (exc.value.needed, exc.value.allowed) == (5, 4)
+        assert socle_bf(M, EnumBudget(max_field_order=5)) == socle_space(M)[0]
+
     def test_rationals_rejected(self):
         with pytest.raises(BudgetExceeded):
             enum_structures(builtin("r2", QQ))
+        with pytest.raises(BudgetExceeded):
+            socle_bf(adjoint_module(builtin("r2", QQ)))
 
 
 class TestFrattini:

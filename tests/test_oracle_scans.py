@@ -51,6 +51,7 @@ from liestruct.oracle import (
 from liestruct.primitive import TYPE1, TYPE2, TYPE3
 
 from conftest import CORPUS_GF2, CORPUS_GF3
+from test_isomorphism import permute_basis
 from test_larger_primes import matrix_units
 from test_memo import borel3_over_gf3
 from test_socle import matrix_algebra_modules
@@ -222,6 +223,37 @@ def test_subspaces_are_enumerated_in_the_reference_order(n, p):
     F = GF(p)
     new = [(U.basis, U.pivots) for U in iter_subspaces(F, n)]
     assert new == [(U.basis, U.pivots) for U in iter_subspaces_ref(F, n)]
+
+
+PINNED_CASES = [
+    (name, 3, perm)
+    for name in ("h3_plus_r2", "aff_sl2")
+    for perm in (None, (1, 0, 4, 3, 2), (0, 3, 4, 1, 2))
+] + [
+    ("ab(3)", 5, None),
+    ("heis", 5, None),
+    ("n4", 2, None),
+    ("n4", 2, (3, 5, 4, 0, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("name,p,perm", PINNED_CASES)
+def test_the_pinned_enumeration_matches_the_reference(name, p, perm):
+    """The enumeration that settles each pattern's last row once per prefix
+    from the prefix's own brackets lists the same subalgebras, ideals and
+    maximal subalgebras, in the same order, as the loop that tested every
+    candidate.  The permuted bases of h3_plus_r2 pin last rows that are not
+    row choices of their pattern, and n4 over GF(2) has prefixes whose
+    brackets pin two different rows."""
+    L = matrix_units(p, 4, strict=True) if name == "n4" else builtin(name, GF(p))
+    if perm:
+        L = permute_basis(L, list(perm))
+    structures = enum_structures(L, EnumBudget(max_field_order=5))
+    assert (
+        structures.subalgebras,
+        structures.ideals,
+        structures.maximal_subalgebras,
+    ) == enum_structures_ref(L)
 
 
 @st.composite
