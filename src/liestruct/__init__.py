@@ -55,7 +55,6 @@ from .chief import (
     ChiefMatch,
     ChiefSeries,
     MatchFailure,
-    associated_primitive_algebra,
     chief_series,
     chief_series_variants,
     classify_factor,
@@ -80,6 +79,7 @@ from .crowns import (
 from .primitive import (
     MaximalTypeReport,
     PrimitiveWitness,
+    associated_primitive_algebra,
     classify_primitive,
     core_free_conjugator,
     maximal_type,

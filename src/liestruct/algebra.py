@@ -251,7 +251,8 @@ def memoized(fn):
       ``classify_factor``, ``module_isomorphic`` and ``connected``;
     * in ``crowns``: ``denominator_intersection``, ``crown_of_factor`` and
       ``all_crowns``;
-    * in ``primitive``: ``classify_primitive`` (keyed on ``use_oracle``);
+    * in ``primitive``: ``classify_primitive`` (keyed on ``use_oracle`` and
+      the section N);
     * in ``oracle``: ``_maximal_cores`` (each maximal core with the minimal
       ideals above it, which ``oracle_check`` reads too) and
       ``_maximal_supplements`` (the per-maximal data of
@@ -572,17 +573,29 @@ def quotient_algebra(L: LieAlgebra, I: Subspace) -> QuotientAlgebra:
     if I.is_zero():
         qa.algebra = L
         return qa
-    q, lifts = qa.dim, qa.lifts
-    table = {}
-    for i in range(q):
-        for j in range(i + 1, q):
-            table[(i, j)] = qa.project(L.bracket(lifts[i], lifts[j]))
     names = []
-    for v in lifts:
+    for v in qa.lifts:
         nz = [k for k, x in enumerate(v) if x]
         names.append(L.basis_names[nz[0]] + "~" if len(nz) == 1 else f"q{len(names)}")
-    qa.algebra = LieAlgebra(L.field, q, table, basis_names=names)
+    qa.algebra = LieAlgebra(L.field, qa.dim, section_table(L, qa), basis_names=names)
     return qa
+
+
+def section_table(L: LieAlgebra, qm: QuotientMap) -> dict:
+    """The bracket table of the section qm.W/qm.U of L (W a subalgebra, U
+    an ideal of W) in the coordinates of ``qm``: the projections of the
+    brackets of the lifts, in one ``project_all``.  M/N has the same table
+    inside L/N as on its own (``QuotientMap``)."""
+    lifts = [_nonzeros(v) for v in qm.lifts]
+    pairs = [(i, j) for i in range(qm.dim) for j in range(i + 1, qm.dim)]
+    images = qm.project_all([L._bracket_sum(lifts[i], lifts[j]) for i, j in pairs])
+    return dict(zip(pairs, images))
+
+
+def section_algebra(L: LieAlgebra, qm: QuotientMap) -> LieAlgebra:
+    """The section qm.W/qm.U as an unvalidated algebra with the table of
+    ``section_table``: its brackets are those of L, so Jacobi holds."""
+    return LieAlgebra(L.field, qm.dim, section_table(L, qm), validate=False)
 
 
 def bracket_law_failure(L: LieAlgebra, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
@@ -723,12 +736,8 @@ def direct_sum(A: LieAlgebra, B: LieAlgebra) -> LieAlgebra:
 
 
 def sub_algebra(L: LieAlgebra, W: Subspace) -> LieAlgebra:
-    """The subalgebra W as an abstract algebra in its RREF coordinates."""
+    """The subalgebra W as an abstract algebra in its RREF coordinates: the
+    section W/0."""
     if not is_subalgebra(L, W):
         raise AlgebraError("restriction requires a subalgebra")
-    F = L.field
-    table = {}
-    for i in range(W.dim):
-        for j in range(i + 1, W.dim):
-            table[(i, j)] = W.coords(L.bracket(W.basis[i], W.basis[j]))
-    return LieAlgebra(F, W.dim, table, validate=False)
+    return section_algebra(L, QuotientMap(W, L.zero_space()))

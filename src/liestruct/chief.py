@@ -1,7 +1,6 @@
 """Chief series and chief factors: classification flags, module isomorphism
-and connectedness of factors, the strengthened Jordan-Hoelder matching, the
-solvable radical read off the chief series, and the primitive algebra
-attached to a supplemented factor.
+and connectedness of factors, the strengthened Jordan-Hoelder matching, and
+the solvable radical read off the chief series.
 
 Terminology.  A chief factor A/B is *supplemented* when some proper
 subalgebra M satisfies L = A + M with B inside M, *complemented* when
@@ -29,9 +28,6 @@ from .algebra import (
     is_ideal,
     is_solvable,
     memoized,
-    quotient_algebra,
-    section_action,
-    semidirect_sum,
     subspace_is_solvable,
 )
 from .linalg import Matrix, Subspace, intersect_many, invert_matrix
@@ -44,7 +40,7 @@ from .modules import (
     socle_and_minimal_ideals,
     split_abelian_extension,
 )
-from .primitive import TYPE1, TYPE2, TYPE3, PrimitiveWitness, classify_primitive
+from .primitive import TYPE3, PrimitiveWitness, classify_primitive
 from .status import CERTIFIED, CertificationFailure, Status, undecided, worst
 
 
@@ -238,7 +234,9 @@ def connected(F1: ChiefFactor, F2: ChiefFactor):
     Non-isomorphic factors can only be connected when both are nonabelian;
     then the joint quotient must be by N = C1 cap C2, with C1/N and C2/N
     minimal cross-centralizing ideals and L/N primitive with two minimal
-    ideals (type 3).
+    ideals (type 3).  The type of L/N is read as the section
+    ``classify_primitive(L, N=N)`` inside L, so no quotient table is built:
+    the witness's subspaces lie in L and contain N.
     """
     L = F1.algebra
     iso, witness, st = module_isomorphic(F1, F2)
@@ -264,8 +262,7 @@ def connected(F1: ChiefFactor, F2: ChiefFactor):
             return False, None, st
         if factor_centralizer(L, upper, N) != other:
             return False, None, st
-    qa = quotient_algebra(L, N)
-    qw = classify_primitive(qa.algebra)
+    qw = classify_primitive(L, N=N)
     st = worst(st, qw.status)
     if qw.verdict == TYPE3:
         return True, ConnectionWitness("type3", kernel=N, quotient_witness=qw), st
@@ -372,33 +369,3 @@ def radical_centralizer_formula(L: LieAlgebra, series: ChiefSeries) -> Optional[
     if not cents:
         return None
     return intersect_many(cents)
-
-
-@dataclass(frozen=True)
-class AssociatedPrimitive:
-    algebra: LieAlgebra
-    witness: PrimitiveWitness
-    status: Status
-
-
-def associated_primitive_algebra(F: ChiefFactor) -> AssociatedPrimitive:
-    """The primitive algebra attached to a supplemented factor: the section
-    extended by L/C for abelian factors, the plain quotient L/C otherwise."""
-    if not F.supplemented:
-        raise AlgebraError("only supplemented factors have an associated primitive algebra")
-    L = F.algebra
-    C = F.centralizer
-    if F.abelian:
-        qm = factor_module(L, F.A, F.B).coords
-        qa = quotient_algebra(L, C)
-        action = section_action(L, qa.lifts, qm)
-        X = semidirect_sum(LieAlgebra(L.field, qm.dim, {}), qa.algebra, action)
-        w = classify_primitive(X)
-        if w.verdict not in (TYPE1, "undecided"):
-            raise CertificationFailure("associated algebra of an abelian factor is not of type 1")
-        return AssociatedPrimitive(X, w, w.status)
-    qa = quotient_algebra(L, C)
-    w = classify_primitive(qa.algebra)
-    if w.verdict not in (TYPE2, "undecided"):
-        raise CertificationFailure("associated algebra of a nonabelian factor is not of type 2")
-    return AssociatedPrimitive(qa.algebra, w, w.status)

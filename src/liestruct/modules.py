@@ -550,9 +550,11 @@ def _socle_char0(M: LModule) -> Subspace:
     commuting semisimple operators and the Levi part semisimply (Weyl), so
     N is semisimple and lies in the socle.  Conversely rho(r) acts on a
     simple S in the division ring End(S), with an irreducible minimal
-    polynomial dividing s_r.  A scalar rho(r) (as r in K is) or a squarefree
-    f gives s_r(rho(r)) = 0 and is skipped; each rho(r) acts on the
-    submodule found so far."""
+    polynomial dividing s_r.  None of this depends on the basis of R, so R
+    is walked as K, which acts as 0 on M^K, and the lifts of R/K.  A scalar
+    rho(r) or a squarefree f gives s_r(rho(r)) = 0 and is skipped; each
+    rho(r) acts on the submodule found so far, whose coordinates are built
+    once per cut."""
     F, d = M.field, M.dim
     R, K = killing_radical(M.algebra)
     flat = [tuple(x for row in rho.entries for x in row) for rho in M.mats]
@@ -563,10 +565,10 @@ def _socle_char0(M: LModule) -> Subspace:
 
     rows = [row for k in K.basis for row in act(k).entries]
     soc = rref_solve(Matrix._of(F, rows, d))[3] if rows else M.full_space()
-    for r in R.basis:
-        qm = QuotientMap(soc, Subspace.zero(F, d))
+    zero = Subspace.zero(F, d)
+    qm, ident = QuotientMap(soc, zero), Matrix.identity(F, soc.dim)
+    for r in QuotientMap(R, K).lifts:  # K acts as 0 on M^K
         A = qm.induced(act(r).apply)
-        ident = Matrix.identity(F, soc.dim)
         if A == ident.scale(A.entries[0][0]):
             continue
         f = charpoly(A)
@@ -577,6 +579,7 @@ def _socle_char0(M: LModule) -> Subspace:
         for c in reversed(s[:-1]):
             S = S.matmul(A).add(ident.scale(c))
         soc = qm.lift_space(rref_solve(S)[3])
+        qm, ident = QuotientMap(soc, zero), Matrix.identity(F, soc.dim)
     return soc
 
 

@@ -10,6 +10,8 @@ One algorithm per task, on plain scalars like the ``linalg`` kernels
   Alg. 2.2.9), O(n^3) over every field;
 * ``is_irreducible`` over GF(p): Rabin's test at every degree (M. O. Rabin,
   "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980);
+* ``rational_roots``: the roots mod a small prime q (``gf_roots``),
+  lifted by Newton's iteration past twice the Cauchy bound;
 * ``is_irreducible`` over Q: rational roots, then at degree 4 a search for a
   splitting into integer quadratics; None above degree 4;
 * ``gcd``: Euclid's algorithm, for Rabin's test, ``squarefree_part`` over Q
@@ -201,25 +203,47 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _horner(f: list, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
 def rational_roots(p: list) -> list:
-    """All rational roots of a rational polynomial, without multiplicity."""
-    p = _trim([Fraction(c) for c in p])
-    # clear denominators -> integer polynomial, then the rational root test
-    den = math.lcm(*[c.denominator for c in p])
-    ip = [int(c * den) for c in p]
-    roots = set()
-    while ip and ip[0] == 0:
-        roots.add(0)
-        ip = ip[1:]
-    if not ip or len(ip) == 1:
-        return sorted(roots)
-    g = math.gcd(*[abs(c) for c in ip if c != 0])
-    ip = [c // g for c in ip]
-    for num in _divisors(ip[0]):
-        for dq in _divisors(ip[-1]):
-            for cand in (Fraction(num, dq), Fraction(-num, dq)):
-                if sum(Fraction(c) * cand**i for i, c in enumerate(ip)) == 0:
-                    roots.add(cand)
+    """All rational roots of a rational polynomial, without multiplicity,
+    lifted from its roots mod a prime.  Let f be the squarefree part with
+    coprime integer coefficients, of degree n and leading coefficient a;
+    each rational root r gives an integer root y = a r of the monic integer
+    g(y) = a^(n-1) f(y/a), and |y| is at most the Cauchy bound B = 1 + max
+    |g_i|.  Take the least odd prime q at which g stays squarefree: every
+    root of g mod q (``gf_roots``) is simple, so Newton's iteration lifts
+    it to the one root modulo q^(2^k) > 2B above it, and the integer roots
+    of g are the symmetric residues of these lifts on which g vanishes."""
+    f = _trim([Fraction(c) for c in p])
+    if len(f) < 2:
+        return []
+    f = squarefree_part(f)
+    den = math.lcm(*[Fraction(c).denominator for c in f])
+    ints = [int(c * den) for c in f]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    n, a = len(ints) - 1, ints[-1]
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 1 + max(abs(c) for c in g[:-1])
+    q = 3
+    while not _is_prime(q) or len(gcd(q, [c % q for c in g], [c % q for c in dg])) > 1:
+        q += 2
+    roots = []
+    for r in gf_roots(q, [c % q for c in g]):
+        m = q
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _horner(g, r) * pow(_horner(dg, r), -1, m)) % m
+        y = r - m if 2 * r > m else r
+        if _horner(g, y) == 0:
+            roots.append(Fraction(y, a))
     return sorted(map(canon_q, roots))
 
 

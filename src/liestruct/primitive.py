@@ -1,6 +1,9 @@
 """Primitivity: classification into the three types, maximal-subalgebra
-typing, conjugacy of core-free maximals in the solvable case, and the
-semidirect-sum equivalences between the types.
+typing, conjugacy of core-free maximals in the solvable case, the
+semidirect-sum equivalences between the types, and the primitive algebra
+attached to a supplemented chief factor.  A quotient L/N is classified
+inside L, as the section ``classify_primitive(L, N=N)``; a quotient table
+is built only where an algebra is the output, and for the oracle.
 
 An algebra is primitive when it has a core-free maximal subalgebra.  The
 three mutually exclusive shapes are: a unique abelian minimal ideal that is
@@ -18,8 +21,8 @@ graph is verified as the common complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import (
     AlgebraError,
@@ -27,12 +30,14 @@ from .algebra import (
     brackets_inside,
     centralizer,
     core,
+    factor_centralizer,
     is_solvable,
     is_subalgebra,
     memoized,
     preserves_brackets,
     quotient_algebra,
     section_action,
+    section_algebra,
     semidirect_sum,
     sub_algebra,
     unipotent_conjugator,
@@ -46,16 +51,21 @@ from .linalg import (
     lin_comb,
     rref_solve,
     unit_vec,
+    vec_add,
     vec_sub,
 )
 from .modules import (
     VECTOR_ENUM_BUDGET,
     LModule,
     certify_irreducible,
+    factor_module,
     socle_and_minimal_ideals,
     split_abelian_extension,
 )
 from .status import CERTIFIED, CertificationFailure, Status, heuristic, undecided
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .chief import ChiefFactor
 
 NOT_PRIMITIVE = "not_primitive"
 TYPE1 = "type1"
@@ -134,12 +144,6 @@ def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], 
         if _check_algebra_iso(A, B, T):
             return T, True
     return None, exhaustive
-
-
-def algebra_isomorphism(A: LieAlgebra, B: LieAlgebra) -> Optional[Matrix]:
-    """A verified algebra isomorphism A -> B found by ``isomorphism_search``,
-    or None when it finds none."""
-    return isomorphism_search(A, B)[0]
 
 
 def _table_ratio(A: LieAlgebra, B: LieAlgebra):
@@ -227,36 +231,49 @@ def _evaluate_words(B: LieAlgebra, words: list, images) -> list:
     return values
 
 
-def _is_abelian_space(L: LieAlgebra, W: Subspace) -> bool:
-    return brackets_inside(L, W, W, L.zero_space())
-
-
-def _diagonal_complement(L: LieAlgebra, M1: Subspace, M2: Subspace, iso: Matrix) -> Subspace:
-    """Graph of an algebra isomorphism between two complementary ideals."""
+def _diagonal_complement(
+    L: LieAlgebra, qm1: QuotientMap, qm2: QuotientMap, iso: Matrix
+) -> Subspace:
+    """The graph of an algebra isomorphism M1/N -> M2/N between two
+    complementary minimal sections, lifted to L: it contains N."""
     F = L.field
-    vecs = []
-    for i in range(M1.dim):
-        img = iso.apply(unit_vec(F, M1.dim, i))
-        vecs.append(lin_comb(F, (F.one(),) + img, (M1.basis[i],) + M2.basis))
-    return Subspace.from_vectors(F, L.dim, vecs)
+    vecs = [
+        vec_add(F, v, qm2.lift(iso.apply(unit_vec(F, qm1.dim, i))))
+        for i, v in enumerate(qm1.lifts)
+    ]
+    return Subspace.from_vectors(F, L.dim, vecs + list(qm1.U.basis))
 
 
 @memoized
-def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitness:
-    """Decide primitivity and type with certified witnesses.
+def classify_primitive(
+    L: LieAlgebra, use_oracle: bool = True, N: Optional[Subspace] = None
+) -> PrimitiveWitness:
+    """Decide the primitivity and type of L/N, for an ideal N of L (0 by
+    default), with certified witnesses: subspaces of L that contain N.
 
-    The analytic routes are field-independent where the theory is; the
+    L/N is read inside L, as the socle layer reads it: its minimal ideals
+    are ``socle_and_minimal_ideals(L, N)``, W/N is abelian when
+    ``brackets_inside(L, W, W, N)``, two minimal sections centralize each
+    other when each is the other's ``factor_centralizer`` over N, an
+    abelian monolith is split by ``split_abelian_extension(L, W, N)``, and
+    the type-3 isomorphism search runs on the tables of M1/N and M2/N.  The
+    analytic routes are field-independent where the theory is; the
     characteristic-zero shortcuts (type 2 means simple) and the isomorphism
-    search between two simple minimal ideals (type 3) close the nonabelian
-    cases, and small finite fields fall back to the exhaustive oracle when
-    analysis cannot decide.  Computed once per algebra and ``use_oracle``.
+    search (type 3) close the nonabelian cases, and small finite fields fall
+    back to the exhaustive oracle on the quotient table L/N, its witness
+    lifted back to L.  Computed once per algebra, ``use_oracle`` and N; a
+    zero N is the entry of ``classify_primitive(L, use_oracle)``.
     """
     F = L.field
-    if L.dim == 0:
+    if N is None:
+        N = L.zero_space()
+    elif N.is_zero():
+        return classify_primitive(L, use_oracle)
+    if N.dim == L.dim:
         return PrimitiveWitness(NOT_PRIMITIVE, reason="the zero algebra has no maximal subalgebra")
-    si = socle_and_minimal_ideals(L, L.zero_space())
+    si = socle_and_minimal_ideals(L, N)
     if not si.status.certified:
-        return _oracle_or_undecided(L, use_oracle, si.status.reason)
+        return _oracle_or_undecided(L, N, use_oracle, si.status.reason)
     mins = tuple(si.minimals)
     if len(mins) >= 3:
         return PrimitiveWitness(
@@ -266,13 +283,13 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
         )
     if len(mins) == 2:
         M1, M2 = mins
-        if _is_abelian_space(L, M1) or _is_abelian_space(L, M2):
+        if brackets_inside(L, M1, M1, N) or brackets_inside(L, M2, M2, N):
             return PrimitiveWitness(
                 NOT_PRIMITIVE,
                 minimal_ideals=mins,
                 reason="two distinct minimal ideals with an abelian member",
             )
-        cross = centralizer(L, M1) == M2 and centralizer(L, M2) == M1
+        cross = factor_centralizer(L, M1, N) == M2 and factor_centralizer(L, M2, N) == M1
         if not cross:
             return PrimitiveWitness(
                 NOT_PRIMITIVE,
@@ -280,13 +297,15 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
                 reason="the two minimal ideals do not centralize each other exactly",
             )
         if M1.sum(M2).is_full():
-            # L = M1 (+) M2 with simple summands is primitive exactly when
+            # L/N = M1/N (+) M2/N with simple summands is primitive exactly when
             # they are isomorphic: the graph of an isomorphism is a core-free
             # maximal subalgebra, and a common complement is such a graph
-            iso, complete = isomorphism_search(sub_algebra(L, M1), sub_algebra(L, M2))
+            qm1, qm2 = QuotientMap(M1, N), QuotientMap(M2, N)
+            A1, A2 = section_algebra(L, qm1), section_algebra(L, qm2)
+            iso, complete = isomorphism_search(A1, A2)
             if iso is not None:
-                U = _diagonal_complement(L, M1, M2, iso)
-                _verify_common_complement(L, U, M1, M2)
+                U = _diagonal_complement(L, qm1, qm2, iso)
+                _verify_common_complement(L, U, M1, M2, N)
                 return PrimitiveWitness(
                     TYPE3,
                     minimal_ideals=mins,
@@ -306,18 +325,18 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
                     reason="isomorphism search between the minimal ideals was inconclusive",
                     status=undecided("bounded isomorphism search failed"),
                 )
-            return _oracle_or_undecided(L, use_oracle, "finite-field type-3 analysis needs the oracle")
+            return _oracle_or_undecided(L, N, use_oracle, "finite-field type-3 analysis needs the oracle")
         if F.characteristic() == 0:
             return PrimitiveWitness(
                 NOT_PRIMITIVE,
                 minimal_ideals=mins,
                 reason="two minimal ideals whose sum is proper (impossible in a characteristic-zero type 3)",
             )
-        return _oracle_or_undecided(L, use_oracle, "characteristic-p socle analysis is out of analytic scope")
+        return _oracle_or_undecided(L, N, use_oracle, "characteristic-p socle analysis is out of analytic scope")
     # monolithic
     W = mins[0]
-    if _is_abelian_space(L, W):
-        cert = split_abelian_extension(L, W, L.zero_space())
+    if brackets_inside(L, W, W, N):
+        cert = split_abelian_extension(L, W, N)
         if cert is None:
             return PrimitiveWitness(
                 NOT_PRIMITIVE,
@@ -332,8 +351,8 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
             core_free_maximal=cert.complement,
         )
     if W.is_full():
-        # simple algebra; exhibit a core-free maximal when a cheap search finds one
-        U = _find_core_free_maximal_simple(L)
+        # L/N is simple; exhibit a core-free maximal when a cheap search finds one
+        U = _find_core_free_maximal_simple(L, N)
         return PrimitiveWitness(TYPE2, minimal_ideals=mins, monolith=W, core_free_maximal=U)
     if F.characteristic() == 0:
         return PrimitiveWitness(
@@ -343,33 +362,34 @@ def classify_primitive(L: LieAlgebra, use_oracle: bool = True) -> PrimitiveWitne
             reason="nonabelian monolith in a non-simple characteristic-zero algebra",
         )
     return _oracle_or_undecided(
-        L, use_oracle, "characteristic-p nonabelian monolithic case is out of analytic scope"
+        L, N, use_oracle, "characteristic-p nonabelian monolithic case is out of analytic scope"
     )
 
 
-def _verify_common_complement(L: LieAlgebra, U: Subspace, M1: Subspace, M2: Subspace):
+def _verify_common_complement(L: LieAlgebra, U: Subspace, M1: Subspace, M2: Subspace, N: Subspace):
     if not is_subalgebra(L, U):
         raise CertificationFailure("diagonal complement is not a subalgebra")
     for M in (M1, M2):
-        if not U.intersect(M).is_zero() or not U.sum(M).is_full():
+        if U.intersect(M) != N or not U.sum(M).is_full():
             raise CertificationFailure("diagonal does not complement a minimal ideal")
 
 
-def _find_core_free_maximal_simple(L: LieAlgebra) -> Optional[Subspace]:
-    """Bounded search for a maximal subalgebra of a simple algebra: spans of
-    basis subsets, certified maximal via irreducibility of L/U over U.  The
-    2^n - 2 proper nonzero subsets are checked against
-    ``modules.VECTOR_ENUM_BUDGET`` before the walk; over budget, None."""
+def _find_core_free_maximal_simple(L: LieAlgebra, N: Subspace) -> Optional[Subspace]:
+    """Bounded search for a maximal subalgebra of the simple algebra L/N:
+    spans of subsets of the lifts of L/N, plus N, certified maximal via
+    irreducibility of L/U over U.  The 2^n - 2 proper nonzero subsets, for
+    n = dim L/N, are checked against ``modules.VECTOR_ENUM_BUDGET`` before
+    the walk; over budget, None."""
     import itertools
 
-    F = L.field
-    n = L.dim
+    lifts = QuotientMap(L.full_space(), N).lifts
+    n = len(lifts)
     if 2**n - 2 > VECTOR_ENUM_BUDGET:
         return None
     for size in range(n - 1, 0, -1):
-        for subset in itertools.combinations(range(n), size):
-            U = L.span([unit_vec(F, n, i) for i in subset])
-            if U.dim != size or not is_subalgebra(L, U):
+        for subset in itertools.combinations(lifts, size):
+            U = L.span(list(subset) + list(N.basis))
+            if U.dim != size + N.dim or not is_subalgebra(L, U):
                 continue
             if maximality_certificate(L, U).certified:
                 return U
@@ -391,14 +411,27 @@ def maximality_certificate(L: LieAlgebra, M: Subspace) -> Status:
     return heuristic("no maximality certificate found")
 
 
-def _oracle_or_undecided(L: LieAlgebra, use_oracle: bool, reason: str) -> PrimitiveWitness:
+def _oracle_or_undecided(L: LieAlgebra, N: Subspace, use_oracle: bool, reason: str) -> PrimitiveWitness:
+    """The oracle's verdict on the quotient table L/N, with its witness
+    lifted back to L, or ``undecided``."""
     if use_oracle and isinstance(L.field, PrimeField):
         from .oracle import EnumBudget, BudgetExceeded, primitive_bf
 
+        qa = quotient_algebra(L, N)
         try:
-            return primitive_bf(L, EnumBudget(max_field_order=L.field.p))
+            w = primitive_bf(qa.algebra, EnumBudget(max_field_order=L.field.p))
         except BudgetExceeded as exc:
             reason = f"{reason}; oracle budget exceeded ({exc})"
+        else:
+
+            def lift(U):
+                return None if U is None else qa.lift_space(U)
+
+            return replace(
+                w,
+                minimal_ideals=tuple(map(lift, w.minimal_ideals)),
+                **{k: lift(getattr(w, k)) for k in ("monolith", "core_free_maximal", "common_complement")},
+            )
     return PrimitiveWitness(UNDECIDED, reason=reason, status=undecided(reason))
 
 
@@ -410,7 +443,9 @@ class MaximalTypeReport:
 
 
 def maximal_type(L: LieAlgebra, M: Subspace, assume_maximal: bool = False) -> MaximalTypeReport:
-    """Core of a maximal subalgebra and the primitive type of L/core."""
+    """Core of a maximal subalgebra and the primitive type of L/core, read
+    as the section ``classify_primitive(L, N=core)``: the witness's
+    subspaces lie in L and contain the core."""
     if not is_subalgebra(L, M):
         raise AlgebraError("maximal-type analysis requires a subalgebra")
     mstat = maximality_certificate(L, M)
@@ -431,8 +466,7 @@ def maximal_type(L: LieAlgebra, M: Subspace, assume_maximal: bool = False) -> Ma
                 "maximality not certified; pass assume_maximal=True to proceed"
             )
     ML = core(L, M)
-    qa = quotient_algebra(L, ML)
-    return MaximalTypeReport(ML, classify_primitive(qa.algebra), mstat)
+    return MaximalTypeReport(ML, classify_primitive(L, N=ML), mstat)
 
 
 def core_free_conjugator(L: LieAlgebra, U1: Subspace, U2: Subspace):
@@ -525,3 +559,33 @@ def type_equivalence_witnesses(L: LieAlgebra) -> TypeEquivalenceReport:
             raise CertificationFailure("inflation quotient does not return the original")
         return TypeEquivalenceReport(TYPE2, Bnew, None, X, xw, T, w.status)
     raise AlgebraError(f"type equivalences need a primitive algebra (got {w.verdict})")
+
+
+@dataclass(frozen=True)
+class AssociatedPrimitive:
+    algebra: LieAlgebra
+    witness: PrimitiveWitness
+    status: Status
+
+
+def associated_primitive_algebra(F: "ChiefFactor") -> AssociatedPrimitive:
+    """The primitive algebra attached to a supplemented factor: the section
+    extended by L/C for abelian factors, the plain quotient L/C otherwise."""
+    if not F.supplemented:
+        raise AlgebraError("only supplemented factors have an associated primitive algebra")
+    L = F.algebra
+    C = F.centralizer
+    if F.abelian:
+        qm = factor_module(L, F.A, F.B).coords
+        qa = quotient_algebra(L, C)
+        action = section_action(L, qa.lifts, qm)
+        X = semidirect_sum(LieAlgebra(L.field, qm.dim, {}), qa.algebra, action)
+        w = classify_primitive(X)
+        if w.verdict not in (TYPE1, UNDECIDED):
+            raise CertificationFailure("associated algebra of an abelian factor is not of type 1")
+        return AssociatedPrimitive(X, w, w.status)
+    qa = quotient_algebra(L, C)
+    w = classify_primitive(qa.algebra)
+    if w.verdict not in (TYPE2, UNDECIDED):
+        raise CertificationFailure("associated algebra of a nonabelian factor is not of type 2")
+    return AssociatedPrimitive(qa.algebra, w, w.status)

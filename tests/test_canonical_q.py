@@ -132,10 +132,8 @@ HALVES = (-1, 0, 1, Fraction(1, 2), Fraction(-1, 2))
 
 @st.composite
 def half_rebased_corpus_algebras(draw):
-    """A corpus algebra in a random basis with entries in {-1, 0, 1, +-1/2}.
-    sl2_plus_sl2 is left out: in some such bases its report spends tens of
-    seconds in the trial division of ``polys.rational_roots``."""
-    L = builtin(draw(st.sampled_from([n for n in CORPUS_Q if n != "sl2_plus_sl2"])), QQ)
+    """A corpus algebra in a random basis with entries in {-1, 0, 1, +-1/2}."""
+    L = builtin(draw(st.sampled_from(CORPUS_Q)), QQ)
     n = L.dim
     entries = draw(st.lists(st.sampled_from(HALVES), min_size=n * n, max_size=n * n))
     g = Matrix(QQ, [entries[i * n : (i + 1) * n] for i in range(n)])

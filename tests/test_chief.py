@@ -2,7 +2,7 @@ import ast
 import inspect
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from liestruct import builtin
 from liestruct.algebra import (
@@ -15,7 +15,6 @@ from liestruct.algebra import (
     subspace_is_solvable,
 )
 from liestruct.chief import (
-    associated_primitive_algebra,
     chief_series,
     chief_series_variants,
     classify_factor,
@@ -28,6 +27,7 @@ from liestruct.chief import (
 from liestruct.fields import GF, QQ
 from liestruct.linalg import unit_vec
 from liestruct.modules import module_isomorphism, socle_and_minimal_ideals
+from liestruct.primitive import associated_primitive_algebra
 from liestruct.status import CERTIFIED, CertificationFailure, worst
 
 from test_bracket_constructions import semidirect_sums_in_a_random_basis
@@ -362,11 +362,9 @@ def test_radical_matches_the_socle_loop_in_a_random_basis(L):
 @given(semidirect_sums_in_a_random_basis())
 @settings(max_examples=20, deadline=None)
 def test_radical_matches_the_socle_loop_on_semidirect_sums(sum_and_ideal):
-    """Over Q only draws of dimension at most 6, as in
+    """Draws of every dimension, over Q too, as in
     ``test_socles_match_on_semidirect_sums_in_a_random_basis``."""
-    L = sum_and_ideal[0]
-    assume(L.field != QQ or L.dim <= 6)
-    assert_radical_matches(L)
+    assert_radical_matches(sum_and_ideal[0])
 
 
 class TestAssociatedPrimitive:

@@ -3,18 +3,33 @@ brute force: Hessenberg ``charpoly`` against Leverrier's trace recurrence and
 the principal-minor expansion (kept here as the literal old definitions,
 with one ``Field`` call per scalar), and Rabin's irreducibility test over
 GF(p) against a search for a monic divisor of degree at most n/2; the
-GF(p) roots against evaluation at every element, and Euclid's gcd and the
-squarefree part against their defining divisibilities."""
+GF(p) roots against evaluation at every element, Euclid's gcd and the
+squarefree part against their defining divisibilities, and the rational
+roots lifted from roots mod q against the rational root test by trial
+division that they replaced."""
 
 import itertools
+import math
+import time
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix
-from liestruct.polys import _divmod, charpoly, gcd, gf_roots, is_irreducible, squarefree_part
+from liestruct.fields import canon_q
+from liestruct.polys import (
+    _divisors,
+    _divmod,
+    _trim,
+    charpoly,
+    gcd,
+    gf_roots,
+    is_irreducible,
+    rational_roots,
+    squarefree_part,
+)
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -276,3 +291,61 @@ def test_gf_roots_of_split_and_rootless_polynomials():
     assert gf_roots(10007, product(10007, [-5, 1], [-9000, 1], [0, 1], [6, 1, 0, 0, 1])) == [0, 5, 9000]
     assert gf_roots(2, [0, 1, 1]) == [0, 1]
     assert gf_roots(3, [1, 0, 1]) == []
+
+
+def old_rational_roots(p: list) -> list:
+    """All rational roots of a rational polynomial, without multiplicity."""
+    p = _trim([Fraction(c) for c in p])
+    # clear denominators -> integer polynomial, then the rational root test
+    den = math.lcm(*[c.denominator for c in p])
+    ip = [int(c * den) for c in p]
+    roots = set()
+    while ip and ip[0] == 0:
+        roots.add(0)
+        ip = ip[1:]
+    if not ip or len(ip) == 1:
+        return sorted(roots)
+    g = math.gcd(*[abs(c) for c in ip if c != 0])
+    ip = [c // g for c in ip]
+    for num in _divisors(ip[0]):
+        for dq in _divisors(ip[-1]):
+            for cand in (Fraction(num, dq), Fraction(-num, dq)):
+                if sum(Fraction(c) * cand**i for i, c in enumerate(ip)) == 0:
+                    roots.add(cand)
+    return sorted(map(canon_q, roots))
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@given(
+    st.lists(st.lists(small_rationals, min_size=2, max_size=4), min_size=1, max_size=3),
+    st.lists(st.integers(1, 2), min_size=3, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_match_the_trial_division(factors, powers):
+    """Products of powers of random factors of degree 1 to 3 with small
+    rational coefficients: roots, repeated roots, zero roots, rootless
+    factors and zero leading coefficients.  The trial division runs up to
+    the square roots of the integral end coefficients, so they are kept
+    below 10^5."""
+    f = product(0, *[g for g, e in zip(factors, powers) for _ in range(e)])
+    ints = _trim([c * math.lcm(*[Fraction(x).denominator for x in f]) for c in f])
+    assume(all(abs(c) < 10**5 for c in ints))
+    assert rational_roots(f) == old_rational_roots(f)
+
+
+def test_rational_roots_with_large_roots():
+    """The trial division would run over the about 10^19 divisors of the
+    constant term against those of 5; lifting stays under a second."""
+    m, t = 2**61 - 1, 3**40
+    f = product(0, [-m, 1], [t, 1], [-7, 5], [1, 0, 1])
+    start = time.perf_counter()
+    roots = rational_roots(f)
+    assert time.perf_counter() - start < 1
+    assert roots == [-t, Fraction(7, 5), m]
+
+
+def test_rational_roots_of_constants():
+    assert rational_roots([]) == rational_roots([0]) == rational_roots([5]) == []
+    assert rational_roots([0, 0, 3]) == [0]

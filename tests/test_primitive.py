@@ -16,9 +16,9 @@ from liestruct.primitive import (
     TYPE1,
     TYPE2,
     TYPE3,
-    algebra_isomorphism,
     classify_primitive,
     core_free_conjugator,
+    isomorphism_search,
     maximal_type,
     type_equivalence_witnesses,
 )
@@ -112,14 +112,14 @@ class TestClassify:
         TA = sub_algebra(D, A)
         TB = sub_algebra(D, B)
         TU = sub_algebra(D, slice_)
-        assert algebra_isomorphism(TA, TB) is not None
-        assert algebra_isomorphism(TA, TU) is not None
+        assert isomorphism_search(TA, TB)[0] is not None
+        assert isomorphism_search(TA, TU)[0] is not None
 
 
 class TestAlgebraIsomorphism:
     def test_identity_tables(self):
         S = builtin("sl2")
-        T = algebra_isomorphism(S, S)
+        T = isomorphism_search(S, S)[0]
         assert T == Matrix.identity(QQ, 3)
 
     def test_scaled_table(self):
@@ -127,7 +127,7 @@ class TestAlgebraIsomorphism:
 
         S = builtin("sl2")
         neg = LieAlgebra(QQ, 3, {k: tuple(-x for x in v) for k, v in S.table.items()})
-        T = algebra_isomorphism(S, neg)
+        T = isomorphism_search(S, neg)[0]
         assert T is not None
         for i in range(3):
             for j in range(3):
@@ -135,7 +135,7 @@ class TestAlgebraIsomorphism:
                 assert T.apply(S.bracket(u, v)) == neg.bracket(T.apply(u), T.apply(v))
 
     def test_unresolved_returns_none(self):
-        assert algebra_isomorphism(builtin("sl2"), builtin("heis")) is None
+        assert isomorphism_search(builtin("sl2"), builtin("heis"))[0] is None
 
 
 class TestMaximalType:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 import liestruct
 from liestruct import builtin
@@ -123,13 +123,10 @@ def test_socles_match_in_a_random_basis(L):
 @given(semidirect_sums_in_a_random_basis())
 @settings(max_examples=20, deadline=None)
 def test_socles_match_on_semidirect_sums_in_a_random_basis(sum_and_ideal):
-    """Over Q only draws of dimension at most 6: in a larger one, such as
-    F^3 + gl(3), the chief series reaches the trial division of
-    ``polys.rational_roots`` on characteristic polynomials with 15-digit
-    coefficients, which runs for minutes (ROADMAP item 2)."""
-    L = sum_and_ideal[0]
-    assume(L.field != QQ or L.dim <= 6)
-    assert_socles_match(L)
+    """Draws of every dimension, over Q too: F^3 + gl(3) (dimension 12)
+    reaches ``polys.rational_roots`` on characteristic polynomials with
+    15-digit coefficients, whose roots are lifted from roots mod a prime."""
+    assert_socles_match(sum_and_ideal[0])
 
 
 def test_the_adjoint_module_is_the_section_over_zero():
@@ -150,24 +147,32 @@ REPORTS = [
     ("borel3", lambda: borel3(0)),
     ("ex22", lambda: builtin("ex22", QQ)),
     ("h3_plus_r2", lambda: builtin("h3_plus_r2", GF(3))),
+    ("sl2^3", lambda: sl2_cubed(GF(3))),
 ]
 
 
-@pytest.mark.parametrize("name,build", REPORTS, ids=["borel3-q", "ex22-q", "h3_plus_r2-gf3"])
+@pytest.mark.parametrize(
+    "name,build", REPORTS, ids=["borel3-q", "ex22-q", "h3_plus_r2-gf3", "sl2^3-gf3"]
+)
 def test_a_report_builds_no_algebra(monkeypatch, name, build):
     """Every quotient these reports ask for is read as a section of L: the
-    socle layer, the splitting test and the crowns build no quotient table."""
+    socle layer, the splitting test, the crowns and the type-3 test of
+    ``connected`` build no quotient table.  The one table a report builds
+    is that of a minimal section M/N which the type-3 isomorphism search
+    compares with another: sl2 + sl2 + sl2 has three pairs of connected
+    factors, each with two 3-dimensional sections over N = C1 cap C2, and
+    no 6-dimensional quotient L/N."""
     L = build()
     built = []
     orig_init = LieAlgebra.__init__
 
     def init(self, *args, **kwargs):
-        built.append(args)
+        built.append(args[1])
         orig_init(self, *args, **kwargs)
 
     monkeypatch.setattr(LieAlgebra, "__init__", init)
     build_report(L, name)
-    assert built == []
+    assert built == ([3] * 6 if name == "sl2^3" else [])
 
 
 @pytest.mark.parametrize("name,build", REPORTS[:2], ids=["borel3-q", "ex22-q"])
@@ -188,7 +193,7 @@ def test_a_chief_factor_is_certified_by_its_socle(name, build):
 SRC = Path(liestruct.__file__).resolve().parent
 
 
-@pytest.mark.parametrize("module", ["modules", "crowns"])
+@pytest.mark.parametrize("module", ["modules", "crowns", "chief"])
 def test_the_section_layers_never_name_quotient_algebra(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     names = set()
