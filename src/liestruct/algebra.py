@@ -630,32 +630,19 @@ def preserves_brackets(A: LieAlgebra, B: LieAlgebra, T: Matrix) -> bool:
 def semidirect_sum(B: LieAlgebra, Q: LieAlgebra, action: Sequence[Matrix]) -> LieAlgebra:
     """Algebra on B + Q where Q acts on the ideal B by derivations.
 
-    ``action[i]`` is the matrix of the i-th Q-basis element acting on B.  The
-    derivation law and the homomorphism law are checked exhaustively on basis
-    pairs before the sum is assembled.
+    ``action[i]`` is the matrix of the i-th Q-basis element acting on B.
+    The laws are checked once, by the Jacobi check of the returned algebra:
+    on the basis triples (b, b', q) it is the derivation law and on
+    (b, q, q') the homomorphism law, so a bad action raises
+    ``JacobiViolation``.
     """
     F = B.field
     if Q.field != F:
         raise AlgebraError("summands live over different fields")
     if len(action) != Q.dim:
         raise AlgebraError("need one action matrix per basis element of the acting algebra")
-    for i, M in enumerate(action):
-        if M.rows != B.dim or M.cols != B.dim:
-            raise DimensionMismatch("action matrix has wrong shape")
-        # derivation law on all basis pairs of B
-        for a in range(B.dim):
-            for b in range(a + 1, B.dim):
-                lhs = M.apply(B.basis_bracket(a, b))
-                rhs = vec_add(
-                    F,
-                    B.bracket(M.apply(unit_vec(F, B.dim, a)), unit_vec(F, B.dim, b)),
-                    B.bracket(unit_vec(F, B.dim, a), M.apply(unit_vec(F, B.dim, b))),
-                )
-                if lhs != rhs:
-                    raise AlgebraError(f"action of basis element {i} is not a derivation")
-    pair = bracket_law_failure(Q, action)
-    if pair is not None:
-        raise AlgebraError(f"action is not a homomorphism on acting pair {pair}")
+    if any(M.rows != B.dim or M.cols != B.dim for M in action):
+        raise DimensionMismatch("action matrix has wrong shape")
     n = B.dim + Q.dim
     table = {}
 

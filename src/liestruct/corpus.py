@@ -309,6 +309,8 @@ def from_doc(doc: dict) -> LieAlgebra:
             raise ParseError(f"malformed bracket entry {entry!r}")
         i = _index(entry["i"], "bracket index", dim)
         j = _index(entry["j"], "bracket index", dim)
+        if (i, j) in given:
+            raise ParseError(f"bracket ({i}, {j}) is given twice")
         coeffs = entry.get("coeffs", {})
         if not isinstance(coeffs, dict):
             raise ParseError(f"coefficients of bracket ({i}, {j}) are not an object")

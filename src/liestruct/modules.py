@@ -301,11 +301,6 @@ def spin(M: LModule, v: Vector) -> Subspace:
     )
 
 
-def _spin_transposed(M: LModule, u: Vector) -> Subspace:
-    """Spin in the dual module (invariance under the transposed action)."""
-    return spin(M.dual(), u)
-
-
 def _annihilator(F: Field, dual_space: Subspace) -> Subspace:
     """Vectors killed by every functional of a coordinate dual subspace."""
     if dual_space.is_zero():
@@ -367,7 +362,7 @@ def _norton_kernel(M: LModule):
         if W.dim < d:
             return "red", W
     kert = _nullspace(F, d, *_rref_gf(p, list(zip(*theta))))
-    Wd = _spin_transposed(M, kert.basis[0])
+    Wd = spin(M.dual(), kert.basis[0])
     if Wd.dim < d:
         return "red", _annihilator(F, Wd)
     return "irr", None

@@ -12,8 +12,9 @@ One algorithm per task, on plain scalars like the ``linalg`` kernels
   "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980);
 * ``rational_roots``: the roots mod a small prime q (``gf_roots``),
   lifted by Newton's iteration past twice the Cauchy bound;
-* ``is_irreducible`` over Q: rational roots, then at degree 4 a search for a
-  splitting into integer quadratics; None above degree 4;
+* ``is_irreducible`` over Q: rational roots, then at degree 4 a split into
+  rational quadratics read off a rational root of its resolvent cubic;
+  None above degree 4;
 * ``gcd``: Euclid's algorithm, for Rabin's test, ``squarefree_part`` over Q
   and ``gf_roots`` (the roots of gcd(x^p - x, f), split by Cantor-Zassenhaus).
 
@@ -190,19 +191,6 @@ def _gf_irreducible(p: int, f: list) -> bool:
     return True
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _horner(f: list, x):
     acc = 0
     for c in reversed(f):
@@ -247,47 +235,23 @@ def rational_roots(p: list) -> list:
     return sorted(map(canon_q, roots))
 
 
-def _to_monic_integer(p: list) -> list[int]:
-    """Substitute t -> t/k so a monic rational polynomial gets integer
-    coefficients while staying monic."""
-    n = len(p) - 1
-    den = math.lcm(*[Fraction(c).denominator for c in p])
-    k = den
-    out = [int(Fraction(p[i]) * k ** (n - i)) for i in range(n + 1)]
-    return out
-
-
-def _is_square(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _quartic_splits_into_quadratics(ip: list[int]) -> bool:
-    # monic integer quartic t^4+a t^3+b t^2+c t+d as (t^2+pt+q)(t^2+rt+s);
-    # callers strip rational roots first, so d != 0 and q s = d runs over
-    # divisor pairs (Gauss: a monic integer split exists iff a rational does).
-    d0, c, b, a, _ = ip
-    assert d0 != 0
-    qs_pairs = set()
-    for q in _divisors(d0):
-        for q_signed in (q, -q):
-            qs_pairs.add((q_signed, d0 // q_signed))
-    for q, s in qs_pairs:
-        # p + r = a and p r = b - q - s force p, r as roots of t^2 - a t + m
-        m = b - q - s
-        root = _is_square(a * a - 4 * m)
-        if root is None:
-            continue
-        for num in (a + root, a - root):
-            if num % 2 != 0:
-                continue
-            pp = num // 2
-            rr = a - pp
-            if pp * s + q * rr == c:
-                return True
-    return False
+def _splits_into_quadratics(f: list) -> bool:
+    """Whether a monic rational quartic x^4 + a x^3 + b x^2 + c x + d
+    factors as (x^2 + p x + q)(x^2 + r x + s) over Q.  A split makes
+    t = q + s a rational root of the resolvent cubic
+    R(t) = t^3 - b t^2 + (ac - 4d) t - (a^2 d - 4bd + c^2), with q, s the
+    roots of z^2 - t z + d and p, r those of z^2 - a z + b - t, so both
+    discriminants t^2 - 4d = u^2 and a^2 - 4b + 4t = v^2 are squares of
+    rationals (x is one when z^2 - x has a rational root).  Conversely
+    these give rational p, q, r, s with p + r = a, q + s + p r = b and
+    q s = d, and p s + q r = (a t -+ u v) / 2, the sign set by the pairing;
+    as u^2 v^2 - (a t - 2c)^2 = 4 R(t) = 0, one of the two pairings has
+    p s + q r = c."""
+    d, c, b, a, _ = f
+    return any(
+        rational_roots([4 * d - t * t, 0, 1]) and rational_roots([4 * b - 4 * t - a * a, 0, 1])
+        for t in rational_roots([4 * b * d - a * a * d - c * c, a * c - 4 * d, -b, 1])
+    )
 
 
 def is_irreducible(field: Field, p: list) -> Optional[bool]:
@@ -311,6 +275,5 @@ def is_irreducible(field: Field, p: list) -> Optional[bool]:
     if deg in (2, 3):
         return True
     if deg == 4:
-        monic = [Fraction(c, p[-1]) for c in p]
-        return not _quartic_splits_into_quadratics(_to_monic_integer(monic))
+        return not _splits_into_quadratics([Fraction(c, p[-1]) for c in p])
     return None

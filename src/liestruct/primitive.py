@@ -257,12 +257,20 @@ def classify_primitive(
     other when each is the other's ``factor_centralizer`` over N, an
     abelian monolith is split by ``split_abelian_extension(L, W, N)``, and
     the type-3 isomorphism search runs on the tables of M1/N and M2/N.  The
-    analytic routes are field-independent where the theory is; the
-    characteristic-zero shortcuts (type 2 means simple) and the isomorphism
-    search (type 3) close the nonabelian cases, and small finite fields fall
-    back to the exhaustive oracle on the quotient table L/N, its witness
-    lifted back to L.  Computed once per algebra, ``use_oracle`` and N; a
-    zero N is the entry of ``classify_primitive(L, use_oracle)``.
+    analytic routes are field-independent where the theory is; a simple
+    L/N (type 2) and the isomorphism search (type 3) close the nonabelian
+    cases, and small finite fields fall back to the exhaustive oracle on
+    the quotient table L/N, its witness lifted back to L.  Computed once per
+    algebra, ``use_oracle`` and N; a zero N is the entry of
+    ``classify_primitive(L, use_oracle)``.
+
+    In characteristic 0 no other nonabelian case arises.  A nonabelian
+    minimal ideal S of L/N is semisimple (its radical is an ideal of L/N),
+    and every derivation of S is inner, so each simple summand of S is an
+    ideal of L/N and S is simple; the same fact gives L/N = S (+) C(S).  So
+    a unique minimal ideal that is nonabelian is all of L/N, and two that
+    centralize each other span it; only characteristic p reaches the
+    oracle with a proper nonabelian monolith or a proper sum of two.
     """
     F = L.field
     if N is None:
@@ -326,12 +334,6 @@ def classify_primitive(
                     status=undecided("bounded isomorphism search failed"),
                 )
             return _oracle_or_undecided(L, N, use_oracle, "finite-field type-3 analysis needs the oracle")
-        if F.characteristic() == 0:
-            return PrimitiveWitness(
-                NOT_PRIMITIVE,
-                minimal_ideals=mins,
-                reason="two minimal ideals whose sum is proper (impossible in a characteristic-zero type 3)",
-            )
         return _oracle_or_undecided(L, N, use_oracle, "characteristic-p socle analysis is out of analytic scope")
     # monolithic
     W = mins[0]
@@ -354,13 +356,6 @@ def classify_primitive(
         # L/N is simple; exhibit a core-free maximal when a cheap search finds one
         U = _find_core_free_maximal_simple(L, N)
         return PrimitiveWitness(TYPE2, minimal_ideals=mins, monolith=W, core_free_maximal=U)
-    if F.characteristic() == 0:
-        return PrimitiveWitness(
-            NOT_PRIMITIVE,
-            minimal_ideals=mins,
-            monolith=W,
-            reason="nonabelian monolith in a non-simple characteristic-zero algebra",
-        )
     return _oracle_or_undecided(
         L, N, use_oracle, "characteristic-p nonabelian monolithic case is out of analytic scope"
     )

@@ -263,6 +263,9 @@ class TestSerialization:
             {"field": {"kind": "GF", "p": 3}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e10000000"}}]},
             {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e4300"}}]},
             {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1e-4300"}}]},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [
+                {"i": 0, "j": 1, "coeffs": {"1": "1"}}, {"i": 0, "j": 1, "coeffs": {"0": "5"}},
+            ]},
         ],
     )
     def test_malformed_document_is_a_parse_error(self, doc):
@@ -287,6 +290,12 @@ class TestSerialization:
                  '[{"i": 0, "j": 1, "coeffs": {"0": Infinity}}]}')
         with pytest.raises(ParseError):
             load("[" * 100_000 + "]" * 100_000)
+
+    def test_a_pair_and_its_consistent_reverse_load(self):
+        doc = {"field": {"kind": "Q"}, "dim": 2, "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"1": "1"}}, {"i": 1, "j": 0, "coeffs": {"1": "-1"}},
+        ]}
+        assert from_doc(doc).table == builtin("r2").table
 
     def test_integer_coefficients_and_digit_keys_load(self):
         L = from_doc(

@@ -6,6 +6,7 @@ import pytest
 from liestruct import builtin
 from liestruct.algebra import AlgebraError, brackets_inside, is_ideal, is_subalgebra, semidirect_sum
 from liestruct.chief import chief_series, module_isomorphic
+from liestruct.cli import build_report
 from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix, unit_vec, vec
 from liestruct.modules import (
@@ -184,6 +185,17 @@ class TestIrreducibility:
         series = chief_series(x_acting_by_companion(QQ, [-2, 0, 0, 0]))
         assert [f.dim for f in series.factors] == [4, 1]
         assert series.status.certified
+
+    def test_report_on_a_quartic_with_a_large_constant_term(self):
+        """t^4 + 10^30 + 57 is irreducible over Q, so the report certifies
+        Q^4 as a chief factor; a search over the divisors of the constant
+        term would trial-divide up to 10^15."""
+        L = x_acting_by_companion(QQ, [10**30 + 57, 0, 0, 0])
+        start = time.perf_counter()
+        series = build_report(L, None)["chief_series"]
+        assert time.perf_counter() - start < 2
+        assert [f["dim"] for f in series["factors"]] == [4, 1]
+        assert series["status"] == "certified"
 
 
 class TestHomSpace:

@@ -4,9 +4,11 @@ the principal-minor expansion (kept here as the literal old definitions,
 with one ``Field`` call per scalar), and Rabin's irreducibility test over
 GF(p) against a search for a monic divisor of degree at most n/2; the
 GF(p) roots against evaluation at every element, Euclid's gcd and the
-squarefree part against their defining divisibilities, and the rational
+squarefree part against their defining divisibilities, the rational
 roots lifted from roots mod q against the rational root test by trial
-division that they replaced."""
+division that they replaced, and the quartic test over Q by the resolvent
+cubic against the search over divisor pairs of the constant term that it
+replaced."""
 
 import itertools
 import math
@@ -20,7 +22,6 @@ from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix
 from liestruct.fields import canon_q
 from liestruct.polys import (
-    _divisors,
     _divmod,
     _trim,
     charpoly,
@@ -293,6 +294,19 @@ def test_gf_roots_of_split_and_rootless_polynomials():
     assert gf_roots(3, [1, 0, 1]) == []
 
 
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
 def old_rational_roots(p: list) -> list:
     """All rational roots of a rational polynomial, without multiplicity."""
     p = _trim([Fraction(c) for c in p])
@@ -349,3 +363,88 @@ def test_rational_roots_with_large_roots():
 def test_rational_roots_of_constants():
     assert rational_roots([]) == rational_roots([0]) == rational_roots([5]) == []
     assert rational_roots([0, 0, 3]) == [0]
+
+
+# --- quartics over Q -----------------------------------------------------------
+
+
+def _to_monic_integer(p: list) -> list[int]:
+    """Substitute t -> t/k so a monic rational polynomial gets integer
+    coefficients while staying monic."""
+    n = len(p) - 1
+    den = math.lcm(*[Fraction(c).denominator for c in p])
+    k = den
+    out = [int(Fraction(p[i]) * k ** (n - i)) for i in range(n + 1)]
+    return out
+
+
+def _is_square(n: int):
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
+
+
+def _quartic_splits_into_quadratics(ip: list[int]) -> bool:
+    # monic integer quartic t^4+a t^3+b t^2+c t+d as (t^2+pt+q)(t^2+rt+s);
+    # callers strip rational roots first, so d != 0 and q s = d runs over
+    # divisor pairs (Gauss: a monic integer split exists iff a rational does).
+    d0, c, b, a, _ = ip
+    assert d0 != 0
+    qs_pairs = set()
+    for q in _divisors(d0):
+        for q_signed in (q, -q):
+            qs_pairs.add((q_signed, d0 // q_signed))
+    for q, s in qs_pairs:
+        # p + r = a and p r = b - q - s force p, r as roots of t^2 - a t + m
+        m = b - q - s
+        root = _is_square(a * a - 4 * m)
+        if root is None:
+            continue
+        for num in (a + root, a - root):
+            if num % 2 != 0:
+                continue
+            pp = num // 2
+            rr = a - pp
+            if pp * s + q * rr == c:
+                return True
+    return False
+
+
+def old_quartic_is_irreducible(p: list) -> bool:
+    """The irreducibility of a rational quartic by the rational root test
+    and the search for a split into integer quadratics."""
+    if old_rational_roots(p):
+        return False
+    monic = [Fraction(c, p[-1]) for c in p]
+    return not _quartic_splits_into_quadratics(_to_monic_integer(monic))
+
+
+nonzero_rationals = small_rationals.filter(bool)
+quadratics = st.tuples(small_rationals, small_rationals, nonzero_rationals).map(list)
+
+
+@given(
+    st.one_of(
+        st.tuples(quadratics, quadratics).map(lambda gh: product(0, *gh)),
+        quadratics.map(lambda g: product(0, g, g)),
+        st.tuples(*[small_rationals] * 4, nonzero_rationals).map(list),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_quartics_over_q_match_the_divisor_search(f):
+    """Products of two quadratics, squares of a quadratic and random
+    quartics, all with small rational coefficients and a leading
+    coefficient other than 1."""
+    assume(f[-1] != 1)
+    assert is_irreducible(QQ, f) is old_quartic_is_irreducible(f)
+
+
+def test_quartic_with_a_large_constant_term():
+    """The divisor search would trial-divide up to 10^15; the resolvent
+    cubic answers at once."""
+    start = time.perf_counter()
+    assert is_irreducible(QQ, [10**30 + 57, 0, 0, 0, 1]) is True
+    assert time.perf_counter() - start < 1
+    # t^4 + 4 (10^15)^4 = (t^2 + 2 10^15 t + 2 10^30)(t^2 - 2 10^15 t + 2 10^30)
+    assert is_irreducible(QQ, [4 * 10**60, 0, 0, 0, 1]) is False

@@ -17,7 +17,6 @@ from liestruct.linalg import Matrix, QuotientMap, Subspace, unit_vec, vec
 from liestruct.modules import (
     LModule,
     _nonzero_vectors,
-    _spin_transposed,
     adjoint_module,
     quotient_module,
     socle_space,
@@ -147,7 +146,7 @@ def test_spin_transposed_is_spin_on_the_transposed_action():
     M = adjoint_module(builtin("aff_sl2", QQ))
     for i in range(M.dim):
         e = unit_vec(QQ, M.dim, i)
-        assert _spin_transposed(M, e) == closure_spin(transposed(M), e)
+        assert spin(M.dual(), e) == closure_spin(transposed(M), e)
 
 
 def _projective_points_by_filter(p: int, dim: int):
