@@ -251,8 +251,8 @@ def memoized(fn):
       ``classify_factor``, ``module_isomorphic`` and ``connected``;
     * in ``crowns``: ``denominator_intersection``, ``crown_of_factor`` and
       ``all_crowns``;
-    * in ``primitive``: ``classify_primitive`` (keyed on ``use_oracle`` and
-      the section N);
+    * in ``primitive``: ``classify_primitive`` (keyed on the section N, a
+      zero N sharing the entry of L/0);
     * in ``oracle``: ``_maximal_cores`` (each maximal core with the minimal
       ideals above it, which ``oracle_check`` reads too) and
       ``_maximal_supplements`` (the per-maximal data of

@@ -29,8 +29,8 @@ from .algebra import (
 from .chief import ChiefFactor, ChiefSeries, chief_series, classify_factor, connected
 from .fields import PrimeField
 from .linalg import Matrix, Subspace, lin_comb, rref_solve
+from . import modules
 from .modules import (
-    VECTOR_ENUM_BUDGET,
     factor_module,
     hom_space,
     socle_and_minimal_ideals,
@@ -126,7 +126,7 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
     N0, fm, homs = _abelian_denominator_data(F)
     FLD = L.field
     inter = denominator_intersection(F)
-    if isinstance(FLD, PrimeField) and FLD.p ** max(len(homs), 1) <= VECTOR_ENUM_BUDGET:
+    if isinstance(FLD, PrimeField) and FLD.p ** max(len(homs), 1) <= modules.VECTOR_ENUM_BUDGET:
         import itertools
 
         # per lift b_i of N0/B: b_i and its images under the homs, lifted from A/B

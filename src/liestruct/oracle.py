@@ -53,10 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, needed: int, allowed: int, what: str = "subspaces"):
+    def __init__(self, needed: int, allowed: int, what: str = "subspaces", message: str = ""):
         self.needed = needed
         self.allowed = allowed
-        super().__init__(f"enumeration needs {needed} {what}, budget allows {allowed}")
+        super().__init__(message or f"enumeration needs {needed} {what}, budget allows {allowed}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def _finite_field(F, budget: EnumBudget) -> PrimeField:
     """F itself, once it is a prime field of order within the budget: the
     field check of every enumeration of the oracle."""
     if not isinstance(F, PrimeField):
-        raise BudgetExceeded(0, 0, "enumeration requires a finite field")
+        raise BudgetExceeded(0, 0, message=f"enumeration needs a finite field GF(p), not {F}")
     if F.p > budget.max_field_order:
         raise BudgetExceeded(F.p, budget.max_field_order, "field order")
     return F
@@ -502,7 +502,7 @@ def oracle_check(L: LieAlgebra, budget: EnumBudget = EnumBudget()) -> list[str]:
     structures = enum_structures(L, budget)
 
     # primitivity
-    analytic = classify_primitive(L, use_oracle=False)
+    analytic = classify_primitive(L)
     bf = primitive_bf(L, budget)
     if analytic.verdict != "undecided" and analytic.verdict != bf.verdict:
         problems.append(

@@ -11,12 +11,14 @@ complemented (type 1), a unique nonabelian minimal ideal (type 2), and
 exactly two minimal ideals, necessarily nonabelian and centralizing each
 other, with a common complement (type 3).
 
-Type 3 is decided without the oracle when the two minimal ideals are
-simple and complementary: such an algebra is primitive exactly when they
-are isomorphic, and ``isomorphism_search`` looks for an isomorphism among
-the images of a generating set, exhaustively over GF(p) within
-``modules.VECTOR_ENUM_BUDGET``.  A found isomorphism is verified, and its
-graph is verified as the common complement.
+Type 2 is decided by a theorem over every field: the Frattini ideal is
+nilpotent.  Type 3 is decided when the two minimal ideals are
+complementary: they are then simple, and the algebra is primitive exactly
+when they are isomorphic, which ``isomorphism_search`` decides over GF(p)
+within ``modules.VECTOR_ENUM_BUDGET``; a found isomorphism and its graph,
+the common complement, are verified.  The exhaustive oracle is asked only
+about two nonabelian minimal ideals with a proper sum, in characteristic
+p; where a socle or a search is over budget, so is the oracle.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .linalg import (
     vec_add,
     vec_sub,
 )
+from . import modules
 from .modules import (
-    VECTOR_ENUM_BUDGET,
     LModule,
     certify_irreducible,
     factor_module,
@@ -125,7 +127,7 @@ def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], 
         return T, True
     exhaustive = isinstance(F, PrimeField)
     scalars = F.elements() if exhaustive else [F.coerce(c) for c in (-1, 0, 1)]
-    if len(scalars) ** n > VECTOR_ENUM_BUDGET:
+    if len(scalars) ** n > modules.VECTOR_ENUM_BUDGET:
         return None, False
     by_profile: dict = {}
     for y in itertools.product(scalars, repeat=n):
@@ -136,7 +138,7 @@ def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], 
     tuples = 1
     for c in candidates:
         tuples *= len(c)
-    if tuples > VECTOR_ENUM_BUDGET:
+    if tuples > modules.VECTOR_ENUM_BUDGET:
         return None, False
     basis_inv = invert_matrix(Matrix.from_columns(F, values))
     for images in itertools.product(*candidates):
@@ -245,9 +247,7 @@ def _diagonal_complement(
 
 
 @memoized
-def classify_primitive(
-    L: LieAlgebra, use_oracle: bool = True, N: Optional[Subspace] = None
-) -> PrimitiveWitness:
+def classify_primitive(L: LieAlgebra, N: Optional[Subspace] = None) -> PrimitiveWitness:
     """Decide the primitivity and type of L/N, for an ideal N of L (0 by
     default), with certified witnesses: subspaces of L that contain N.
 
@@ -256,32 +256,39 @@ def classify_primitive(
     ``brackets_inside(L, W, W, N)``, two minimal sections centralize each
     other when each is the other's ``factor_centralizer`` over N, an
     abelian monolith is split by ``split_abelian_extension(L, W, N)``, and
-    the type-3 isomorphism search runs on the tables of M1/N and M2/N.  The
-    analytic routes are field-independent where the theory is; a simple
-    L/N (type 2) and the isomorphism search (type 3) close the nonabelian
-    cases, and small finite fields fall back to the exhaustive oracle on
-    the quotient table L/N, its witness lifted back to L.  Computed once per
-    algebra, ``use_oracle`` and N; a zero N is the entry of
-    ``classify_primitive(L, use_oracle)``.
+    the type-3 isomorphism search runs on the tables of M1/N and M2/N.
+    Computed once per algebra and N; a zero N is the entry of
+    ``classify_primitive(L)``.
 
-    In characteristic 0 no other nonabelian case arises.  A nonabelian
-    minimal ideal S of L/N is semisimple (its radical is an ideal of L/N),
-    and every derivation of S is inner, so each simple summand of S is an
-    ideal of L/N and S is simple; the same fact gives L/N = S (+) C(S).  So
-    a unique minimal ideal that is nonabelian is all of L/N, and two that
-    centralize each other span it; only characteristic p reaches the
-    oracle with a proper nonabelian monolith or a proper sum of two.
+    A nonabelian monolith W/N makes L/N type 2 over every field.  The
+    Frattini ideal of L/N is nilpotent (D. A. Towers, 1973): for x in it,
+    the Fitting null component of ad x is a subalgebra that supplements
+    it, hence is L/N, so ad x is nilpotent and Engel's theorem applies.
+    W/N is perfect (its derived algebra is a nonzero ideal of L/N), so
+    some maximal subalgebra misses it, and every ideal above N but N
+    contains W; ``_find_core_free_maximal`` looks for such a maximal and
+    may miss.
+
+    In characteristic 0 two nonabelian minimal ideals that centralize each
+    other span L/N, as L/N = S (+) C(S) for each (every derivation of a
+    semisimple S is inner).  A proper sum, so in characteristic p, goes to
+    the exhaustive oracle on the quotient table L/N, its witness lifted to
+    L.  An uncertified socle and a type-3 search over budget are
+    ``undecided``, as the oracle would refuse them: an uncertified piece of
+    dimension d needs p^d > 10^6 (p > 1000 when d = 3), a refused search
+    p^n > 10^6 vectors or p^(n*g) > 10^6 tuples for g <= n generators with
+    dim L/N = 2n, so GF(p)^dim(L/N) has over 500,000 subspaces, while
+    ``modules.VECTOR_ENUM_BUDGET`` >= ``EnumBudget().max_subspaces``.
     """
-    F = L.field
     if N is None:
         N = L.zero_space()
     elif N.is_zero():
-        return classify_primitive(L, use_oracle)
+        return classify_primitive(L)
     if N.dim == L.dim:
         return PrimitiveWitness(NOT_PRIMITIVE, reason="the zero algebra has no maximal subalgebra")
     si = socle_and_minimal_ideals(L, N)
     if not si.status.certified:
-        return _oracle_or_undecided(L, N, use_oracle, si.status.reason)
+        return PrimitiveWitness(UNDECIDED, reason=si.status.reason, status=undecided(si.status.reason))
     mins = tuple(si.minimals)
     if len(mins) >= 3:
         return PrimitiveWitness(
@@ -304,37 +311,35 @@ def classify_primitive(
                 minimal_ideals=mins,
                 reason="the two minimal ideals do not centralize each other exactly",
             )
-        if M1.sum(M2).is_full():
-            # L/N = M1/N (+) M2/N with simple summands is primitive exactly when
-            # they are isomorphic: the graph of an isomorphism is a core-free
-            # maximal subalgebra, and a common complement is such a graph
-            qm1, qm2 = QuotientMap(M1, N), QuotientMap(M2, N)
-            A1, A2 = section_algebra(L, qm1), section_algebra(L, qm2)
-            iso, complete = isomorphism_search(A1, A2)
-            if iso is not None:
-                U = _diagonal_complement(L, qm1, qm2, iso)
-                _verify_common_complement(L, U, M1, M2, N)
-                return PrimitiveWitness(
-                    TYPE3,
-                    minimal_ideals=mins,
-                    core_free_maximal=U,
-                    common_complement=U,
-                )
-            if complete:
-                return PrimitiveWitness(
-                    NOT_PRIMITIVE,
-                    minimal_ideals=mins,
-                    reason="the two simple minimal ideals are not isomorphic",
-                )
-            if F.characteristic() == 0:
-                return PrimitiveWitness(
-                    UNDECIDED,
-                    minimal_ideals=mins,
-                    reason="isomorphism search between the minimal ideals was inconclusive",
-                    status=undecided("bounded isomorphism search failed"),
-                )
-            return _oracle_or_undecided(L, N, use_oracle, "finite-field type-3 analysis needs the oracle")
-        return _oracle_or_undecided(L, N, use_oracle, "characteristic-p socle analysis is out of analytic scope")
+        if not M1.sum(M2).is_full():
+            return _oracle_or_undecided(L, N, "two nonabelian minimal ideals with a proper sum")
+        # L/N = M1/N (+) M2/N with simple summands is primitive exactly when
+        # they are isomorphic: the graph of an isomorphism is a core-free
+        # maximal subalgebra, and a common complement is such a graph
+        qm1, qm2 = QuotientMap(M1, N), QuotientMap(M2, N)
+        A1, A2 = section_algebra(L, qm1), section_algebra(L, qm2)
+        iso, complete = isomorphism_search(A1, A2)
+        if iso is not None:
+            U = _diagonal_complement(L, qm1, qm2, iso)
+            _verify_common_complement(L, U, M1, M2, N)
+            return PrimitiveWitness(
+                TYPE3,
+                minimal_ideals=mins,
+                core_free_maximal=U,
+                common_complement=U,
+            )
+        if complete:
+            return PrimitiveWitness(
+                NOT_PRIMITIVE,
+                minimal_ideals=mins,
+                reason="the two simple minimal ideals are not isomorphic",
+            )
+        return PrimitiveWitness(
+            UNDECIDED,
+            minimal_ideals=mins,
+            reason="isomorphism search between the minimal ideals was inconclusive",
+            status=undecided("bounded isomorphism search failed"),
+        )
     # monolithic
     W = mins[0]
     if brackets_inside(L, W, W, N):
@@ -346,19 +351,9 @@ def classify_primitive(
                 monolith=W,
                 reason="the abelian monolith is a Frattini ideal (no complement)",
             )
-        return PrimitiveWitness(
-            TYPE1,
-            minimal_ideals=mins,
-            monolith=W,
-            core_free_maximal=cert.complement,
-        )
-    if W.is_full():
-        # L/N is simple; exhibit a core-free maximal when a cheap search finds one
-        U = _find_core_free_maximal_simple(L, N)
-        return PrimitiveWitness(TYPE2, minimal_ideals=mins, monolith=W, core_free_maximal=U)
-    return _oracle_or_undecided(
-        L, N, use_oracle, "characteristic-p nonabelian monolithic case is out of analytic scope"
-    )
+        return PrimitiveWitness(TYPE1, minimal_ideals=mins, monolith=W, core_free_maximal=cert.complement)
+    U = _find_core_free_maximal(L, N, W)
+    return PrimitiveWitness(TYPE2, minimal_ideals=mins, monolith=W, core_free_maximal=U)
 
 
 def _verify_common_complement(L: LieAlgebra, U: Subspace, M1: Subspace, M2: Subspace, N: Subspace):
@@ -369,22 +364,24 @@ def _verify_common_complement(L: LieAlgebra, U: Subspace, M1: Subspace, M2: Subs
             raise CertificationFailure("diagonal does not complement a minimal ideal")
 
 
-def _find_core_free_maximal_simple(L: LieAlgebra, N: Subspace) -> Optional[Subspace]:
-    """Bounded search for a maximal subalgebra of the simple algebra L/N:
-    spans of subsets of the lifts of L/N, plus N, certified maximal via
-    irreducibility of L/U over U.  The 2^n - 2 proper nonzero subsets, for
-    n = dim L/N, are checked against ``modules.VECTOR_ENUM_BUDGET`` before
-    the walk; over budget, None."""
+def _find_core_free_maximal(L: LieAlgebra, N: Subspace, W: Subspace) -> Optional[Subspace]:
+    """Bounded search for a maximal subalgebra of L/N that misses its
+    monolith W/N: spans of subsets of the lifts of L/N, plus N, that do not
+    contain W, certified maximal via irreducibility of L/U over U.  Such a
+    U has core N, because every ideal above N other than N contains W.
+    The 2^n - 2 proper nonzero subsets, for n = dim L/N, are checked
+    against ``modules.VECTOR_ENUM_BUDGET`` before the walk; over budget,
+    None."""
     import itertools
 
     lifts = QuotientMap(L.full_space(), N).lifts
     n = len(lifts)
-    if 2**n - 2 > VECTOR_ENUM_BUDGET:
+    if 2**n - 2 > modules.VECTOR_ENUM_BUDGET:
         return None
     for size in range(n - 1, 0, -1):
         for subset in itertools.combinations(lifts, size):
             U = L.span(list(subset) + list(N.basis))
-            if U.dim != size + N.dim or not is_subalgebra(L, U):
+            if U.dim != size + N.dim or U.contains_space(W) or not is_subalgebra(L, U):
                 continue
             if maximality_certificate(L, U).certified:
                 return U
@@ -406,10 +403,10 @@ def maximality_certificate(L: LieAlgebra, M: Subspace) -> Status:
     return heuristic("no maximality certificate found")
 
 
-def _oracle_or_undecided(L: LieAlgebra, N: Subspace, use_oracle: bool, reason: str) -> PrimitiveWitness:
+def _oracle_or_undecided(L: LieAlgebra, N: Subspace, reason: str) -> PrimitiveWitness:
     """The oracle's verdict on the quotient table L/N, with its witness
-    lifted back to L, or ``undecided``."""
-    if use_oracle and isinstance(L.field, PrimeField):
+    lifted back to L, or ``undecided`` over Q or over the oracle's budget."""
+    if isinstance(L.field, PrimeField):
         from .oracle import EnumBudget, BudgetExceeded, primitive_bf
 
         qa = quotient_algebra(L, N)

@@ -93,7 +93,7 @@ def test_criterion_02_primitive_classification():
     for p, names in ((2, CORPUS_GF2), (3, CORPUS_GF3)):
         for name in names:
             L = builtin(name, GF(p))
-            analytic = classify_primitive(L, use_oracle=False)
+            analytic = classify_primitive(L)
             bf = primitive_bf(L, EnumBudget(max_field_order=3))
             assert analytic.verdict == bf.verdict, (name, p)
             checked += 1

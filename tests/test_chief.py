@@ -9,6 +9,7 @@ from liestruct.algebra import (
     AlgebraError,
     LieAlgebra,
     brackets_inside,
+    direct_sum,
     is_ideal,
     is_solvable,
     is_subalgebra,
@@ -32,6 +33,7 @@ from liestruct.status import CERTIFIED, CertificationFailure, worst
 
 from test_bracket_constructions import semidirect_sums_in_a_random_basis
 from test_larger_primes import matrix_units
+from test_socle import natural_module
 from test_socle_char0 import rebased_corpus_algebras
 from test_socle_sections import FIELD_CORPUS, sl2_cubed
 
@@ -41,6 +43,12 @@ def series_dims(S):
 
 
 class TestChiefSeries:
+    def test_the_zero_algebra_has_the_chain_of_its_zero_ideal(self):
+        Z = LieAlgebra(GF(3), 0, {})
+        S = chief_series(Z)
+        assert S.chain == (Z.zero_space(),) and S.factors == ()
+        assert S.status.certified
+
     def test_r2(self):
         R = builtin("r2")
         S = chief_series(R)
@@ -190,6 +198,27 @@ class TestConnected:
         assert ok and status.certified
         assert witness.kind == "type3" and witness.kernel.is_zero()
         assert not module_isomorphic(S.factors[0], S.factors[1])[0]
+
+    def test_two_simple_ideals_of_unknown_isomorphism_are_undecided(self):
+        """sl2 + so3 over Q: the isomorphism search over {-1, 0, 1}
+        coordinates misses, so the type-3 quotient is undecided."""
+        so3 = LieAlgebra(QQ, 3, {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)})
+        f1, f2 = chief_series(direct_sum(builtin("sl2"), so3)).factors
+        ok, witness, status = connected(f1, f2)
+        assert (ok, witness, status.level) == (False, None, "undecided")
+
+    @pytest.mark.parametrize("p", [0, 5], ids=["q", "gf5"])
+    def test_simple_ideals_of_different_dimensions_are_not_connected(self, p):
+        """sl2 + sl3: the two simple ideals centralize each other and span
+        the algebra, but have dimensions 3 and 8."""
+        F = GF(p) if p else QQ
+        units = [[int(k == 3 * i + j) for k in range(9)] for i, j in ((0, 1), (1, 0), (1, 2), (2, 1))]
+        L = direct_sum(builtin("sl2", F), natural_module(p, 3, units).algebra)
+        f1, f2 = chief_series(L).factors
+        assert (f1.dim, f2.dim) == (3, 8)
+        for pair in ((f1, f2), (f2, f1)):
+            ok, witness, status = connected(*pair)
+            assert (ok, witness) == (False, None) and status.certified
 
     def test_ex22_minimal_ideals_not_connected(self):
         E = builtin("ex22")

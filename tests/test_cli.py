@@ -3,7 +3,7 @@ import json
 import pytest
 
 from liestruct import cli
-from liestruct.algebra import AlgebraError
+from liestruct.algebra import AlgebraError, LieAlgebra
 from liestruct.cli import (
     EXIT_BUDGET,
     EXIT_CERT,
@@ -111,8 +111,9 @@ class TestExitCodes:
         assert code == EXIT_OK and "all checks agree" in out
 
     def test_oracle_check_needs_finite_field(self, capsys):
-        code, _, _ = run(capsys, "oracle-check", "--builtin", "heis", "--field", "q")
+        code, _, err = run(capsys, "oracle-check", "--builtin", "heis", "--field", "q")
         assert code == EXIT_BUDGET
+        assert err == "budget exceeded: enumeration needs a finite field GF(p), not Q\n"
 
     def test_prefrattini_needs_solvable(self, capsys):
         code, _, err = run(capsys, "prefrattini", "--builtin", "sl2")
@@ -208,6 +209,25 @@ class TestCommands:
         assert "not_primitive" in out
         assert "prefrattini: span{z}" in out
         assert "rank 2" in out
+
+    @pytest.mark.parametrize("cmd", [c for c in cli.COMMANDS if c != "connected"])
+    def test_the_zero_algebra_runs_every_command(self, capsys, tmp_path, cmd):
+        f = tmp_path / "zero.json"
+        f.write_text(save(LieAlgebra(GF(3), 0, {})))
+        code, _, err = run(capsys, cmd, "--input", str(f), "--json")
+        assert code == EXIT_OK and err == ""
+
+    def test_the_zero_algebra_has_a_chief_series_without_factors(self, capsys, tmp_path):
+        f = tmp_path / "zero.json"
+        f.write_text(save(LieAlgebra(GF(3), 0, {})))
+        code, out, _ = run(capsys, "report", "--input", str(f), "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["chief_series"] == {"chain": [[]], "factors": [], "status": "certified"}
+        assert payload["crowns"] == [] and payload["prefrattini"] == []
+        code, out, err = run(capsys, "connected", "--input", str(f), "0", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert "bad factor selectors: the series has 0 factors" in err
 
     def test_input_file_round_trip(self, capsys, tmp_path):
         f = tmp_path / "heis.json"

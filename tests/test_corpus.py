@@ -134,7 +134,7 @@ class TestFactSheets:
         from liestruct.oracle import primitive_bf
 
         L = builtin(name, GF(3))
-        assert classify_primitive(L, use_oracle=False).verdict == primitive_bf(L).verdict
+        assert classify_primitive(L).verdict == primitive_bf(L).verdict
 
 
 class TestSerialization:

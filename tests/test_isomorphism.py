@@ -66,8 +66,8 @@ def is_isomorphism(A: LieAlgebra, B: LieAlgebra, T: Matrix) -> bool:
     )
 
 
-def assert_certified_type3(L: LieAlgebra, use_oracle: bool = False):
-    w = classify_primitive(L, use_oracle=use_oracle)
+def assert_certified_type3(L: LieAlgebra):
+    w = classify_primitive(L)
     assert w.verdict == TYPE3 and w.status.certified
     U = w.common_complement
     assert is_subalgebra(L, U) and core(L, U).is_zero()
@@ -91,7 +91,7 @@ def test_type3_over_gf3_does_not_reach_the_oracle(monkeypatch):
     for seed in range(8):
         perm = list(range(6))
         random.Random(f"oracle:{seed}").shuffle(perm)
-        assert_certified_type3(permute_basis(builtin("sl2_plus_sl2", GF(3)), perm), use_oracle=True)
+        assert_certified_type3(permute_basis(builtin("sl2_plus_sl2", GF(3)), perm))
 
 
 def sl3_mod_center() -> LieAlgebra:
@@ -109,7 +109,7 @@ def sl3_mod_center() -> LieAlgebra:
 
 def test_two_non_isomorphic_simple_ideals_are_not_primitive():
     L = direct_sum(builtin("sl2", GF(3)), sl3_mod_center())
-    w = classify_primitive(L, use_oracle=False)
+    w = classify_primitive(L)
     assert w.verdict == NOT_PRIMITIVE and w.status.certified
     assert w.reason == "the two simple minimal ideals are not isomorphic"
     assert sorted(M.dim for M in w.minimal_ideals) == [3, 7]

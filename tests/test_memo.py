@@ -102,11 +102,14 @@ class TestCachedValues:
         S = chief_series(L)
         assert chief_series(L, ()) is S and chief_series(L, choices=()) is S
         assert chief_series(L, (1,)) is not S
-        D = LieAlgebra(QQ, 0, {})
+
+    def test_an_exception_is_not_cached(self):
+        H = LieAlgebra(QQ, 3, {(0, 1): (0, 0, 1)})
+        U = H.span([(1, 0, 0), (0, 1, 0)])  # [x, y] = z: not a subalgebra
         for _ in range(2):
             with pytest.raises(AlgebraError):
-                chief_series(D)
-        assert not D._memo
+                algebra.core(H, U)
+        assert not H._memo
 
 
 def test_crown_type_hints_resolve():
@@ -253,17 +256,17 @@ def test_report_computes_a_complement_only_to_descend_into_it(monkeypatch):
     assert calls[0] == 1
 
 
-def test_classify_primitive_is_cached_per_oracle_flag():
+def test_classify_primitive_is_keyed_on_the_section():
     from liestruct.primitive import classify_primitive
 
     L = builtin("sl2_plus_sl2", GF(3))
     w = classify_primitive(L)
     assert classify_primitive(L) is w
-    assert classify_primitive(L, True) is w
-    assert classify_primitive(L, use_oracle=True) is w
-    analytic = classify_primitive(L, use_oracle=False)
-    assert classify_primitive(L, False) is analytic
-    assert analytic is not w and analytic == w
+    assert classify_primitive(L, None) is w
+    assert classify_primitive(L, N=None) is w
+    assert classify_primitive(L, L.zero_space()) is w
+    M = L.span([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)])
+    assert classify_primitive(L, M) is classify_primitive(L, N=M) is not w
 
 
 def _calls_from_body(monkeypatch, module, name, cached):

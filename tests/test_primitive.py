@@ -3,10 +3,13 @@ import pytest
 from liestruct import builtin
 from liestruct.algebra import (
     AlgebraError,
+    LieAlgebra,
     centralizer,
     core,
+    direct_sum,
     is_solvable,
     is_subalgebra,
+    semidirect_sum,
     sub_algebra,
 )
 from liestruct.fields import GF, QQ
@@ -20,6 +23,7 @@ from liestruct.primitive import (
     core_free_conjugator,
     isomorphism_search,
     maximal_type,
+    maximality_certificate,
     type_equivalence_witnesses,
 )
 
@@ -50,9 +54,9 @@ class TestClassify:
         subset and the type-2 verdict stays certified without a witness."""
         import sys
 
-        from liestruct import primitive
+        from liestruct import modules, primitive
 
-        body = primitive._find_core_free_maximal_simple.__code__
+        body = primitive._find_core_free_maximal.__code__
         orig = primitive.is_subalgebra
         tested = []
 
@@ -65,7 +69,7 @@ class TestClassify:
         assert classify_primitive(builtin("sl2")).core_free_maximal is not None
         assert tested
         tested.clear()
-        monkeypatch.setattr(primitive, "VECTOR_ENUM_BUDGET", 5)
+        monkeypatch.setattr(modules, "VECTOR_ENUM_BUDGET", 5)
         w = classify_primitive(builtin("sl2"))
         assert w.verdict == TYPE2 and w.status.certified
         assert w.core_free_maximal is None
@@ -295,3 +299,119 @@ class TestMaximalityFlagOverQ:
             maximal_type(H, M)
         rep = maximal_type(H, M, assume_maximal=True)
         assert not rep.maximality.certified
+
+
+def cross_product_gf2() -> LieAlgebra:
+    """The 3-dimensional simple algebra over GF(2) with [e0, e1] = e2,
+    [e1, e2] = e0 and [e0, e2] = e1."""
+    return LieAlgebra(GF(2), 3, {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, 1, 0)})
+
+
+def outer_derivations_gf2() -> list:
+    """The 24 derivations of ``cross_product_gf2`` that are not inner, by a
+    scan of all 512 matrices over GF(2)."""
+    import itertools
+
+    S = cross_product_gf2()
+    units = [unit_vec(GF(2), 3, i) for i in range(3)]
+
+    def derives(D):
+        return all(
+            D.apply(S.bracket(x, y))
+            == tuple((a + b) % 2 for a, b in zip(S.bracket(D.apply(x), y), S.bracket(x, D.apply(y))))
+            for x, y in itertools.combinations(units, 2)
+        )
+
+    inner = {S.ad(x) for x in itertools.product(range(2), repeat=3)}
+    mats = (Matrix(GF(2), [bits[0:3], bits[3:6], bits[6:9]]) for bits in itertools.product(range(2), repeat=9))
+    outer = [D for D in mats if derives(D) and D not in inner]
+    assert len(outer) == 24
+    return outer
+
+
+def _extension(B, D):
+    """B extended by one element acting as the derivation D."""
+    return semidirect_sum(B, LieAlgebra(B.field, 1, {}), [D])
+
+
+def assert_core_free_maximal(L, U):
+    assert is_subalgebra(L, U) and core(L, U).is_zero()
+    assert maximality_certificate(L, U).certified
+
+
+class TestNonabelianMonolith:
+    """A unique nonabelian minimal ideal makes an algebra primitive of type
+    2 over every field, with no enumeration."""
+
+    def test_outer_derivation_extensions_over_gf2_are_type2_without_the_oracle(self, monkeypatch):
+        from liestruct import oracle
+
+        algebras = [_extension(cross_product_gf2(), D) for D in outer_derivations_gf2()]
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "primitive_bf", lambda *a, **k: pytest.fail("the oracle was asked"))
+            witnesses = [classify_primitive(L) for L in algebras]
+        found = 0
+        for L, w in zip(algebras, witnesses):
+            assert w.verdict == TYPE2 and w.status.certified
+            assert oracle.primitive_bf(L).verdict == TYPE2
+            assert w.monolith.dim == 3 and not w.monolith.is_full()
+            if w.core_free_maximal is not None:
+                assert_core_free_maximal(L, w.core_free_maximal)
+                found += 1
+        assert found >= 15
+
+    def test_pgl3_over_gf3_is_type2_with_a_witness(self):
+        """gl3/Z over GF(3): the scalars lie in sl3, so the 8-dimensional
+        quotient has the 7-dimensional psl3 as a proper monolith; its oracle
+        would enumerate 127,902,864 subspaces."""
+        import time
+
+        from liestruct.algebra import center, quotient_algebra
+        from test_larger_primes import matrix_units
+
+        gl3 = matrix_units(3, 3, False)
+        start = time.monotonic()
+        pgl3 = quotient_algebra(gl3, center(gl3)).algebra
+        w = classify_primitive(pgl3)
+        assert time.monotonic() - start < 1.0
+        assert w.verdict == TYPE2 and w.status.certified
+        assert (pgl3.dim, w.monolith.dim) == (8, 7)
+        assert_core_free_maximal(pgl3, w.core_free_maximal)
+
+    def test_the_nonabelian_factor_of_gl3_over_gf3_has_a_certified_primitive_algebra(self):
+        from liestruct.chief import chief_series
+        from liestruct.primitive import associated_primitive_algebra
+        from test_larger_primes import matrix_units
+
+        (factor,) = [f for f in chief_series(matrix_units(3, 3, False)).factors if not f.abelian]
+        ap = associated_primitive_algebra(factor)
+        assert ap.witness.verdict == TYPE2 and ap.status.certified
+
+
+class TestTheOracleExit:
+    def test_two_minimal_ideals_with_a_proper_sum_ask_the_oracle(self, monkeypatch):
+        """(S + S) extended by (D, D), for S the GF(2) cross-product algebra
+        and D an outer derivation: two copies of S centralize each other
+        and span a proper ideal, the one case the oracle decides."""
+        from liestruct import oracle
+
+        asked = []
+        orig = oracle.primitive_bf
+
+        def noted(L, *args):
+            asked.append(L.dim)
+            return orig(L, *args)
+
+        S = cross_product_gf2()
+        for D in outer_derivations_gf2():
+            DD = Matrix(GF(2), [r + (0,) * 3 for r in D.entries] + [(0,) * 3 + r for r in D.entries])
+            L = _extension(direct_sum(S, S), DD)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "primitive_bf", noted)
+                w = classify_primitive(L)
+            assert asked == [7]
+            asked.clear()
+            assert w.verdict == TYPE3 and w.status.certified
+            assert w.verdict == oracle.primitive_bf(L).verdict
+            assert sorted(M.dim for M in w.minimal_ideals) == [3, 3]
+            assert is_subalgebra(L, w.core_free_maximal) and core(L, w.core_free_maximal).is_zero()
