@@ -13,6 +13,7 @@ from liestruct.algebra import (
     is_ideal,
     is_solvable,
     is_subalgebra,
+    semidirect_sum,
     subspace_is_solvable,
 )
 from liestruct.chief import (
@@ -25,10 +26,12 @@ from liestruct.chief import (
     radical_centralizer_formula,
     solvable_radical,
 )
+from liestruct.crowns import all_crowns
 from liestruct.fields import GF, QQ
 from liestruct.linalg import unit_vec
 from liestruct.modules import module_isomorphism, socle_and_minimal_ideals
-from liestruct.primitive import associated_primitive_algebra
+from liestruct.oracle import oracle_check
+from liestruct.primitive import associated_primitive_algebra, classify_primitive
 from liestruct.status import CERTIFIED, CertificationFailure, worst
 
 from test_bracket_constructions import semidirect_sums_in_a_random_basis
@@ -163,6 +166,28 @@ class TestModuleIsomorphic:
         ok, witness, _ = module_isomorphic(f1, f2)
         assert ok and witness.is_isomorphism()
 
+    @pytest.mark.parametrize("p", [0, 3, 5], ids=["q", "gf3", "gf5"])
+    def test_mixed_pairs_are_not_isomorphic_by_rule(self, p):
+        """sl2 acting on its adjoint module V: V/0 and L/V are isomorphic
+        L-modules, but an abelian and a nonabelian factor are never called
+        isomorphic, so each gets its own crown, V/0 and L/V."""
+        F = GF(p) if p else QQ
+        sl2 = builtin("sl2", F)
+        L = semidirect_sum(LieAlgebra(F, 3, {}), sl2, [sl2.ad(unit_vec(F, 3, i)) for i in range(3)])
+        V = L.span([unit_vec(F, 6, i) for i in range(3)])
+        f1 = classify_factor(L, V, L.zero_space())
+        f2 = classify_factor(L, L.full_space(), V)
+        assert (f1.abelian, f2.abelian) == (True, False)
+        for pair in ((f1, f2), (f2, f1)):
+            ok, witness, status = module_isomorphic(*pair)
+            assert (ok, witness) == (False, None) and status.certified
+        iso, status = module_isomorphism(f1.module(), f2.module())
+        assert iso is not None and iso.is_isomorphism()
+        crowns = all_crowns(L)
+        assert sorted((c.C.dim, c.R.dim) for c in crowns) == [(3, 0), (6, 3)]
+        if p == 3:
+            assert oracle_check(L) == []
+
     def test_centralizer_criterion_against_module_route(self, corpus_q):
         # dual route: for nonabelian pairs the hom-space search must agree
         # with the centralizer-equality shortcut
@@ -201,11 +226,14 @@ class TestConnected:
 
     def test_two_simple_ideals_of_unknown_isomorphism_are_undecided(self):
         """sl2 + so3 over Q: the isomorphism search over {-1, 0, 1}
-        coordinates misses, so the type-3 quotient is undecided."""
+        coordinates misses, so the type-3 quotient is undecided, and the
+        caller sees the reason of the section's own verdict."""
         so3 = LieAlgebra(QQ, 3, {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)})
-        f1, f2 = chief_series(direct_sum(builtin("sl2"), so3)).factors
+        L = direct_sum(builtin("sl2"), so3)
+        f1, f2 = chief_series(L).factors
         ok, witness, status = connected(f1, f2)
         assert (ok, witness, status.level) == (False, None, "undecided")
+        assert status == classify_primitive(L, N=L.zero_space()).status
 
     @pytest.mark.parametrize("p", [0, 5], ids=["q", "gf5"])
     def test_simple_ideals_of_different_dimensions_are_not_connected(self, p):
