@@ -417,6 +417,19 @@ def factor_centralizer(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     return bracket_colon(L, L.full_space(), A, B)
 
 
+def _descending(X: Subspace, step) -> list[Subspace]:
+    """The chain X, step(X), step(step(X)), ... up to its first term that is
+    0 or that ``step`` fixes, which is the last one.  Every ``step`` here
+    maps a term into itself, so the dimensions fall until the chain ends."""
+    chain = [X]
+    while not chain[-1].is_zero():
+        nxt = step(chain[-1])
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return chain
+
+
 @memoized
 def core(L: LieAlgebra, U: Subspace) -> Subspace:
     """Largest ideal of L inside the subalgebra U, by descending stabilization:
@@ -424,13 +437,7 @@ def core(L: LieAlgebra, U: Subspace) -> Subspace:
     _check_ambient(L, U)
     if not is_subalgebra(L, U):
         raise AlgebraError("core is only defined for subalgebras")
-    full = L.full_space()
-    current = U
-    while True:
-        nxt = bracket_colon(L, current, full, current)
-        if nxt == current:
-            return current
-        current = nxt
+    return _descending(U, lambda X: bracket_colon(L, X, L.full_space(), X))[-1]
 
 
 def unipotent_conjugator(L: LieAlgebra, C: Subspace, K1: Subspace, K2: Subspace) -> Vector:
@@ -503,27 +510,11 @@ def killing_radical(L: LieAlgebra) -> tuple[Subspace, Subspace]:
 
 
 def derived_series(L: LieAlgebra) -> list[Subspace]:
-    out = [L.full_space()]
-    while True:
-        nxt = bracket_spaces(L, out[-1], out[-1])
-        if nxt == out[-1]:
-            break
-        out.append(nxt)
-        if nxt.is_zero():
-            break
-    return out
+    return _descending(L.full_space(), lambda X: bracket_spaces(L, X, X))
 
 
 def lower_central_series(L: LieAlgebra) -> list[Subspace]:
-    out = [L.full_space()]
-    while True:
-        nxt = bracket_spaces(L, L.full_space(), out[-1])
-        if nxt == out[-1]:
-            break
-        out.append(nxt)
-        if nxt.is_zero():
-            break
-    return out
+    return _descending(L.full_space(), lambda X: bracket_spaces(L, L.full_space(), X))
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -545,14 +536,7 @@ def is_nilpotent(L: LieAlgebra) -> bool:
 
 def subspace_is_solvable(L: LieAlgebra, U: Subspace) -> bool:
     """Solvability of a subalgebra U via its internal derived series."""
-    current = U
-    while True:
-        nxt = bracket_spaces(L, current, current)
-        if nxt == current:
-            return current.is_zero()
-        current = nxt
-        if current.is_zero():
-            return True
+    return _descending(U, lambda X: bracket_spaces(L, X, X))[-1].is_zero()
 
 
 class QuotientAlgebra(QuotientMap):

@@ -111,9 +111,11 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
     """The precrowns attached to a supplemented factor.
 
     Nonabelian: the unique precrown (A + C)/C.  Abelian over a small finite
-    field: the full finite family, each denominator double-checked to be a
-    genuine maximal-subalgebra core by the splitting test.  Abelian over the
-    rationals: the base precrown only, with the exact intersection.
+    field: the full finite family, one graph over N0/B plus B per map h of
+    Hom_L(N0/B, A/B) (each meets A in B, so distinct maps give distinct
+    denominators), each double-checked to be a genuine maximal-subalgebra
+    core by the splitting test.  Abelian over the rationals: the base
+    precrown only, with the exact intersection.
     """
     if not F.supplemented:
         raise AlgebraError("precrowns exist only for supplemented factors")
@@ -138,8 +140,6 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
         for coeffs in itertools.product(range(FLD.p), repeat=len(homs)):
             vecs = [lin_comb(FLD, (1,) + coeffs, g) for g in graphs]
             N = Subspace.from_vectors(FLD, L.dim, vecs + list(F.B.basis))
-            if N in denominators:
-                continue
             # admit only genuine cores: C/N must be complemented in L/N
             if split_abelian_extension(L, C, N) is not None:
                 denominators.append(N)

@@ -253,9 +253,6 @@ class Matrix:
             self._nz = tuple(_nonzeros(r) for r in self.entries)
         return self._nz
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 

@@ -43,7 +43,8 @@ of them with one ``QuotientMap.project_all``, and the memoized
 quotients from ``QuotientMap.induced`` of its action matrices.  A hom space
 is the nullspace of ``_equivariance_rows``, the equations X rho1 = rho2 X
 without their zero and repeated rows, solved once per pair of modules by
-``_hom_basis``.
+``_hom_basis``; ``complement_in_semisimple`` reads its projection from
+the same basis.
 """
 
 from __future__ import annotations
@@ -579,28 +580,35 @@ def _socle_char0(M: LModule) -> Subspace:
 
 
 def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
-    """A submodule complement of U inside the semisimple submodule V."""
+    """A submodule complement of U inside the semisimple submodule V: the
+    kernel of X = sum c_k H_k over a basis H_k of ``hom_space`` from V to
+    U, where the c_k solve X(u_b) = e_b on the basis u_b of U in V's
+    coordinates (|U|^2 equations in h = dim Hom unknowns).
+
+    X is the projection that the combined system [equivariance; P] on all
+    entries of X solves for.  Flattened by rows and reduced from the right,
+    as ``_nullspace`` writes the equivariance nullspace, each H_k is 1 at
+    its free column k, 0 at the other free columns and otherwise supported
+    on pivot columns left of k.  So column k of the combined system is a
+    pivot exactly when P H_k lies outside the span of the earlier P H_j:
+    the pivot rule of the h-column system.  Both particular solutions are
+    0 at their non-pivot columns, and such a solution is unique."""
     F = M.field
     u, v = U.dim, V.dim
     if u == 0:
         return V
     qm = QuotientMap(V, Subspace.zero(F, M.dim))  # coordinates on V
-    # Unknown projection X (u x v) with X|_U = id and X equivariant.
-    rows = _equivariance_rows(restrict_module(M, V), restrict_module(M, U))
-    rhs = [F.zero()] * len(rows)
-    for bidx, ub in enumerate(U.basis):
-        cu = qm.project(ub)
-        for i in range(u):
-            coeff = [F.zero()] * (u * v)
-            for k in range(v):
-                coeff[i * v + k] = cu[k]
-            rows.append(tuple(coeff))
-            rhs.append(F.one() if i == bidx else F.zero())
-    _, _, particular, _ = rref_solve(Matrix._of(F, rows, u * v), tuple(rhs))
-    if particular is None:
+    maps = hom_space(restrict_module(M, V), restrict_module(M, U))
+    flat = [r[::-1] for r in _rref(F, [sum(H.matrix.entries, ())[::-1] for H in maps])[0]]
+    Hs = [Matrix._of(F, [r[i * v : (i + 1) * v] for i in range(u)], v) for r in reversed(flat)]
+    images = [[H.apply(qm.project(ub)) for H in Hs] for ub in U.basis]
+    rows = [[w[i] for w in ws] for ws in images for i in range(u)]
+    rhs = [F.one() if i == b else F.zero() for b in range(u) for i in range(u)]
+    c = rref_solve(Matrix._of(F, rows, len(Hs)), rhs)[2]
+    if c is None:
         raise AlgebraError("no equivariant projection: subspace is not a direct summand")
-    X = Matrix._of(F, [particular[i * v : (i + 1) * v] for i in range(u)], v)
-    return qm.lift_space(rref_solve(X)[3])
+    X = [lin_comb(F, c, rows_i) for rows_i in zip(*(H.entries for H in Hs))]
+    return qm.lift_space(rref_solve(Matrix._of(F, X, v))[3])
 
 
 def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):

@@ -36,10 +36,24 @@ class TestPrecrowns:
         S = chief_series(H)
         fam = precrowns_of_factor(S.factors[1])
         assert fam.exhaustive and len(fam.precrowns) == 3
+        denominators = [p.denominator for p in fam.precrowns]
+        assert len(set(denominators)) == len(denominators)
         inter = fam.precrowns[0].denominator
         for p in fam.precrowns[1:]:
             inter = inter.intersect(p.denominator)
         assert inter == fam.denominator_intersection == H.span([(0, 0, 1)])
+
+    @pytest.mark.parametrize(
+        "name,p", [("h3_plus_r2", 2), ("ab(2)", 3), ("r2", 3), ("ex22", 3), ("gl2", 3), ("h3_plus_r2", 5)]
+    )
+    def test_finite_families_list_each_denominator_once(self, name, p):
+        """The graphs of distinct maps over N0/B meet A only in B, so a
+        finite family needs no deduplication: its denominators differ."""
+        L = builtin(name, GF(p))
+        for f in chief_series(L).factors:
+            if f.supplemented and f.abelian:
+                denominators = [pc.denominator for pc in precrowns_of_factor(f).precrowns]
+                assert len(set(denominators)) == len(denominators)
 
     def test_ex22_line_has_unique_denominator(self):
         E = builtin("ex22")

@@ -1,9 +1,15 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private function or class is named somewhere in the library
+outside its own definition.
 
 Each ``src/liestruct/*.py`` but ``__init__.py`` is parsed with ``ast``.  A
 name counts as used when it is read anywhere in the module, including
 inside a string annotation; ``from __future__ import annotations`` is
-exempt.  A route that is deleted must take its imports with it.
+exempt.  A private name (``_name``) counts as named when some module of
+``src/liestruct``, ``__init__.py`` included, reads it, reads it as an
+attribute or imports it, other than from inside the name's own definition
+(a helper that only calls itself is dead).  A route that is deleted must
+take its imports and its helpers with it.
 """
 
 import ast
@@ -12,7 +18,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "liestruct"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -71,3 +78,73 @@ def test_a_stale_import_is_found():
         "    return CERTIFIED\n"
     )
     assert sorted(set(imported_names(tree)) - used_names(tree)) == ["itertools", "undecided"]
+
+
+def names_in(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Names read, read as an attribute or imported anywhere in ``tree``
+    but inside the subtree ``skip``, string annotations included."""
+    names, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                todo.append(ast.parse(ann.value, mode="eval"))
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def dead_private_names(trees: dict) -> list:
+    """``module.name`` for each module-level private function or class of
+    ``trees`` (module name -> ``ast.Module``) that no tree names outside
+    the name's own definition."""
+    named = {m: names_in(tree) for m, tree in trees.items()}
+    dead = []
+    for m, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            elsewhere = (named[o] for o in trees if o != m)
+            if node.name not in names_in(tree, skip=node) and not any(
+                node.name in names for names in elsewhere
+            ):
+                dead.append(f"{m}.{node.name}")
+    return dead
+
+
+def test_every_private_helper_is_named_outside_its_definition():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    dead = dead_private_names(trees)
+    assert not dead, f"private helpers no library module names: {', '.join(dead)}"
+
+
+def test_a_dead_private_helper_is_found():
+    trees = {
+        "a": ast.parse(
+            "def _called():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Annotation:\n"
+            "    pass\n"
+            "def _attribute():\n"
+            "    pass\n"
+            "def _imported():\n"
+            "    pass\n"
+            "def _unused():\n"
+            "    pass\n"
+            "def f(x: '_Annotation'):\n"
+            "    return _called()\n"
+        ),
+        "b": ast.parse("from . import a\nfrom .a import _imported\ng = a._attribute\n"),
+    }
+    assert sorted(dead_private_names(trees)) == ["a._recursive", "a._unused"]

@@ -25,7 +25,6 @@ from liestruct.modules import (
     _nonzero_vectors,
     adjoint_module,
     certify_irreducible,
-    complement_in_semisimple,
     factor_module,
     restrict_module,
     socle_space,
@@ -33,6 +32,7 @@ from liestruct.modules import (
 )
 
 from conftest import CORPUS_GF2, CORPUS_GF3
+from test_chains_and_complements import old_complement_in_semisimple
 from test_modules import x_acting_by_companion
 from test_socle import natural_module, transposed
 
@@ -50,14 +50,15 @@ def enumerated_certificate(M: LModule):
 
 
 def enumerated_minimal_inside(M: LModule, V: Subspace, avoid: Subspace) -> Subspace:
-    """The old ``_minimal_inside`` on the enumerated witness."""
+    """The old ``_minimal_inside`` on the enumerated witness and the old
+    complement of the combined equivariance-and-projection system."""
     R = restrict_module(M, V)
     verdict, counterexample = enumerated_certificate(R)
     if verdict:
         return V
     F = M.field
     U = Subspace.from_vectors(F, M.dim, [lin_comb(F, cv, V.basis) for cv in counterexample.basis])
-    Uc = complement_in_semisimple(M, V, U)
+    Uc = old_complement_in_semisimple(M, V, U)
     if not avoid.contains_space(U):
         return enumerated_minimal_inside(M, U, avoid)
     return enumerated_minimal_inside(M, Uc, avoid)
