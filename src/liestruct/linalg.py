@@ -26,9 +26,10 @@ stay canonical at every boundary: ``int`` residues over GF(p), and over Q an
   else; any other row is cross-multiplied by gcd-reduced factors and
   divided by its content.  The final rows are emitted as ``x // pivot``
   where the pivot divides and ``Fraction(x, pivot)`` where it does not.
-  The other Q kernels use Python's operators directly, touch only nonzero
-  entries and normalize a result once, mapping ``canon_q`` only when it
-  holds a ``Fraction`` (``_canon_q_all``).
+  ``_reduce`` eliminates integral rows fraction-free too.  The other Q
+  kernels use Python's operators directly, touch only nonzero entries and
+  normalize a result once, mapping ``canon_q`` only when it holds a
+  ``Fraction`` (``_canon_q_all``).
 
 ``QuotientMap`` owns the coordinates on a section W/U: every quotient,
 factor module and semidirect model reads its lift basis ``lifts`` and takes
@@ -147,12 +148,14 @@ def _nonzeros(row) -> tuple:
 def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
     """Subtract from the list ``w`` its components along semi-echelon rows.
 
-    Each row is given by its nonzero (index, value) pairs and is 1 at its
-    pivot; a row has zeros at the pivots of the rows before it.  ``w`` is
-    changed in place; the result is reduced mod p over GF(p) (``p > 0``),
-    or normalized by ``_canon_q_all`` over Q (so it may be ``w`` itself),
-    once, at the end.  This is the one row-reduction loop of the library:
-    ``Subspace.reduce``, ``Subspace.extend`` and ``modules.spin`` use it."""
+    Each row is given by its nonzero (index, value) pairs, the first at its
+    pivot, where it is 1 or, over Q, the entry b of an integral row (then w
+    is integral too, and is scaled by b / gcd(a, b) where b does not divide
+    its entry a); a row has zeros at the pivots of the rows before it.  ``w``
+    is changed in place but for such scalings; the result is reduced mod p
+    over GF(p) (``p > 0``), or normalized by ``_canon_q_all``, once, at the
+    end.  This is the one row-reduction loop of the library:
+    ``Subspace.reduce``, ``Subspace.extend`` and ``modules._spin_rows``."""
     if p:
         for nz, c in zip(rows, pivots):
             a = w[c] % p
@@ -163,9 +166,24 @@ def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
     for nz, c in zip(rows, pivots):
         a = w[c]
         if a:
+            b = nz[0][1]
+            if b != 1:
+                g = gcd(a, b)
+                w = [b // g * x for x in w] if g != b else w
+                a //= g
             for j, y in nz:
                 w[j] -= a * y
     return _canon_q_all(w)
+
+
+def _cleared(row: Iterable) -> list:
+    """The row as a new list, times the lcm of its denominators when it
+    holds a ``Fraction``."""
+    row = list(row)
+    if Fraction not in set(map(type, row)):
+        return row
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _in_rref_span(p: int, w: Sequence, rows: Sequence, pivots: Sequence) -> bool:
@@ -203,7 +221,7 @@ def _satisfies(p: int, forms: Sequence, v: Sequence) -> bool:
 class Matrix:
     """Immutable rectangular matrix over an exact field."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_nz")
+    __slots__ = ("field", "rows", "cols", "entries", "_nz", "_off")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         rows = tuple(vec(field, row) for row in entries)
@@ -218,6 +236,7 @@ class Matrix:
         self.cols = w if rows else 0
         self.entries = rows
         self._nz = None
+        self._off = None
 
     @classmethod
     def _of(cls, field: Field, rows: Sequence, cols: int) -> "Matrix":
@@ -230,6 +249,7 @@ class Matrix:
         M.rows = len(M.entries)
         M.cols = cols if M.entries else 0
         M._nz = None
+        M._off = None
         return M
 
     @classmethod
@@ -252,6 +272,14 @@ class Matrix:
         if self._nz is None:
             self._nz = tuple(_nonzeros(r) for r in self.entries)
         return self._nz
+
+    def _offsets(self) -> tuple:
+        """Per column j, the (i - j, value) pairs of its nonzero entries;
+        built on first use and kept on the instance."""
+        if self._off is None:
+            cols = enumerate(zip(*self.entries))
+            self._off = tuple([tuple([(i - j, a) for i, a in _nonzeros(c)]) for j, c in cols])
+        return self._off
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
@@ -416,13 +444,7 @@ def _rref_q(rows) -> tuple[list, list[int]]:
     and is divided by its content.  Rows are divided by their pivots only
     when emitted: ``x // a`` where a divides, ``Fraction(x, a)`` where not.
     """
-    ints = []
-    for row in rows:
-        if Fraction in set(map(type, row)):
-            den = lcm(*(x.denominator for x in row))
-            ints.append([x.numerator * (den // x.denominator) for x in row])
-        else:
-            ints.append(list(row))
+    ints = [_cleared(row) if Fraction in set(map(type, row)) else list(row) for row in rows]
     m = len(ints)
     n = len(ints[0]) if ints else 0
     pivots: list[int] = []

@@ -40,17 +40,17 @@ matrices of ad e_i on A/B from ``algebra.section_action``, which sums every
 bracket with a lift straight from the structure constants and projects all
 of them with one ``QuotientMap.project_all``, and the memoized
 ``restrict_module`` and ``quotient_module`` take a module's submodules and
-quotients from ``QuotientMap.induced`` of its action matrices.  A hom space
-is the nullspace of ``_equivariance_rows``, the equations X rho1 = rho2 X
-without their zero and repeated rows, solved once per pair of modules by
-``_hom_basis``; ``complement_in_semisimple`` reads its projection from
-the same basis.
+quotients from ``QuotientMap.induced`` of its action matrices.  One loop,
+``_spin_rows``, spins submodules and hom spaces, the latter with t unknowns
+per generator of M1 (``_hom_basis``, once per pair of modules);
+``complement_in_semisimple`` reads its projection from the same basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -64,13 +64,14 @@ from .algebra import (
     memoized,
     section_action,
 )
-from .fields import Field, PrimeField, canon_q, div_q
+from .fields import Field, PrimeField, div_q
 from .linalg import (
     Matrix,
     QuotientMap,
     Subspace,
     Vector,
     _canon_q_all,
+    _cleared,
     _modulus,
     _nonzeros,
     _nullspace,
@@ -126,16 +127,11 @@ class LModule:
         return self._hash
 
     def nonzero_entries(self) -> tuple:
-        """The action for ``spin``: for each nonzero action matrix, the
-        (row, value) pairs of each column's nonzero entries; built on first
-        use and kept on the instance."""
+        """The action for ``spin``: ``_action`` of each nonzero action
+        matrix; built on first use and kept on the instance."""
         if self._nonzero is None:
-            action = []
-            for rho in self.mats:
-                cols = tuple(_nonzeros(col) for col in zip(*rho.entries))
-                if any(cols):
-                    action.append(cols)
-            self._nonzero = tuple(action)
+            cols = (_action(self.field, rho)[0] for rho in self.mats)
+            self._nonzero = tuple(c for c in cols if any(c))
         return self._nonzero
 
     def _validate(self):
@@ -194,6 +190,13 @@ class ModuleMap:
             if rt.matmul(M) != M.matmul(rs):
                 raise AlgebraError("matrix is not equivariant")
 
+    @classmethod
+    def _solved(cls, source: LModule, target: LModule, matrix: Matrix) -> "ModuleMap":
+        """A map solved from the equivariance equations: not checked again."""
+        h = object.__new__(cls)
+        h.__dict__.update(source=source, target=target, matrix=matrix)
+        return h
+
     def is_isomorphism(self) -> bool:
         if self.source.dim != self.target.dim or self.source.dim == 0:
             return self.source.dim == self.target.dim
@@ -247,59 +250,83 @@ def quotient_module(M: LModule, W: Subspace) -> LModule:
     return _section_module(M, QuotientMap(M.full_space(), W))
 
 
-def spin(M: LModule, v: Vector) -> Subspace:
-    """Smallest action-invariant subspace containing v.
+def _action(F: Field, *matrices) -> list:
+    """The ``Matrix._offsets`` tables of the matrices, scaled over Q by one
+    lcm of their denominators."""
+    tables = [rho._offsets() for rho in matrices]
+    den = 1 if _modulus(F) else lcm(*(a.denominator for t in tables for c in t for _, a in c))
+    if den == 1:
+        return tables
+    return [[tuple([(i, (a * den).numerator) for i, a in c]) for c in t] for t in tables]
 
-    The span grows in semi-echelon form on plain scalars, with no ``Field``
-    call per scalar: each new image is reduced against the rows in insertion
-    order by the kernel row reduction (``linalg._reduce``) and normalised at
-    its pivot.  Images are formed from the nonzero entries of the action,
-    one at a time, and the loop stops once the span is full."""
-    F = M.field
-    d = M.dim
+
+def _spin_rows(F: Field, action, s: int, seeds) -> tuple:
+    """``(rows, pivots, relations)`` of the spin under ``action`` (tables of
+    ``_action``), with pivots among the first s coordinates.  A seed of
+    ``seeds(pivots)`` is drawn once all earlier images are in, and sees the
+    pivots so far; a longer seed pads the vectors before it with zeros.  An
+    insert, reduced by ``_reduce`` (fraction-free over Q), is a new queued
+    row when nonzero on the first s coordinates, else a relation when
+    nonzero.  When the rows fill the space (s = d), rows is None; else they
+    are in reduced row echelon form."""
     p = _modulus(F)
     zero = F.zero()
-    rows: list = []
-    nzs: list = []  # the rows' nonzero (index, value) pairs, for _reduce
+    nzs: list = []  # the rows, as their nonzero (index, value) pairs
     pivots: list = []
-    queue: list = []  # rows whose images are still to be inserted
+    queue: list = []  # the rows whose images are still to come
+    relations: list = []
 
     def insert(w):
         w = _reduce(p, w, nzs, pivots)
-        c = next((j for j, x in enumerate(w) if x), None)
-        if c is not None:
-            if p:
-                a = pow(w[c], -1, p)
-                w = [x * a % p for x in w]
-            elif w[c] != 1:
-                a = w[c]
-                w = [div_q(x, a) for x in w]
-            rows.append(w)
-            nzs.append(_nonzeros(w))
-            pivots.append(c)
-            queue.append(w)
+        if not any(w[:s]):
+            if any(w):
+                relations.append(w)
+            return
+        nz = _nonzeros(w)
+        c, b = nz[0]
+        if b != 1:  # 1 at the pivot over GF(p), content 1 over Q
+            a = pow(b, -1, p) if p else gcd(*w) * (1 if b > 0 else -1)
+            nz = tuple([(j, x * a % p) for j, x in nz] if p else [(j, x // a) for j, x in nz])
+        nzs.append(nz)
+        pivots.append(c)
+        queue.append(nz)
 
-    insert(list(vec(F, v)))
-    action = M.nonzero_entries()
-    while queue and len(rows) < d:
-        w = queue.pop()
-        for cols in action:
-            image = [zero] * d
-            for j, x in enumerate(w):
-                if x:
-                    for i, a in cols[j]:
-                        image[i] += a * x
-            insert(image)
-            if len(rows) == d:
-                return M.full_space()
-    # back-substitution, last row first, gives the canonical RREF basis
+    for seed in seeds(pivots):
+        d = len(seed)
+        insert(_cleared(seed))
+        while queue:
+            nz = queue.pop()
+            for cols in action:
+                image = [zero] * d
+                for j, x in nz:
+                    for o, a in cols[j]:
+                        image[j + o] += a * x
+                insert(image)
+                if len(nzs) == d:
+                    return None, pivots, relations
+    rows = []
+    for nz in nzs:
+        rows.append([zero] * d)
+        for j, x in nz:
+            rows[-1][j] = x
+    relations = [w + [zero] * (d - len(w)) for w in relations]
     for k in range(len(rows) - 2, -1, -1):
         rows[k] = _reduce(p, rows[k], nzs[k + 1 :], pivots[k + 1 :])
         nzs[k] = _nonzeros(rows[k])
+    if not p:
+        rows = [[div_q(x, w[c]) for x in w] if w[c] != 1 else w for w, c in zip(rows, pivots)]
     order = sorted(range(len(rows)), key=pivots.__getitem__)
-    return Subspace(
-        F, d, tuple(tuple(rows[k]) for k in order), tuple(pivots[k] for k in order)
-    )
+    return [rows[k] for k in order], [pivots[k] for k in order], relations
+
+
+def spin(M: LModule, v: Vector) -> Subspace:
+    """Smallest action-invariant subspace containing v: ``_spin_rows`` with
+    s = d, which stops once the span is full."""
+    F, d = M.field, M.dim
+    rows, pivots, _ = _spin_rows(F, M.nonzero_entries(), d, lambda _: [vec(F, v)])
+    if rows is None:
+        return M.full_space()
+    return Subspace(F, d, tuple(map(tuple, rows)), tuple(pivots))
 
 
 def _annihilator(F: Field, dual_space: Subspace) -> Subspace:
@@ -457,40 +484,16 @@ def certify_irreducible(M: LModule):
 
 
 def enveloping_basis(M: LModule) -> list[Matrix]:
-    """Basis of the unital associative algebra generated by the action."""
-    F = M.field
-    d = M.dim
-    if d == 0:
-        return []
-
-    def flat(mat: Matrix):
-        return tuple(x for row in mat.entries for x in row)
-
-    basis_mats: list[Matrix] = []
-    span = Subspace.zero(F, d * d)
-
-    def push(mat: Matrix) -> bool:
-        nonlocal span
-        grown = span.extend(flat(mat))
-        if grown is span:
-            return False
-        span = grown
-        basis_mats.append(mat)
-        return True
-
-    push(Matrix.identity(F, d))
-    for rho in M.mats:
-        push(rho)
-    frontier = list(basis_mats)
-    while frontier:
-        new = []
-        for A in frontier:
-            for gen in M.mats:
-                for prod in (A.matmul(gen), gen.matmul(A)):
-                    if push(prod):
-                        new.append(prod)
-        frontier = new
-    return basis_mats
+    """Basis of the unital associative algebra generated by the action: the
+    spin of the identity, flattened by rows, under A -> rho A."""
+    F, d = M.field, M.dim
+    action = [
+        [col for col in (tuple((i * d, a) for i, a in c) for c in cols) for _ in range(d)]
+        for cols in M.nonzero_entries()
+    ]
+    ident = [F.one() if i == j else F.zero() for i in range(d) for j in range(d)]
+    rows = _spin_rows(F, action, d * d, lambda _: [ident])[0] or Subspace.full(F, d * d).basis
+    return [Matrix._of(F, [r[i * d : (i + 1) * d] for i in range(d)], d) for r in rows]
 
 
 def _composition_factors(M: LModule):
@@ -587,9 +590,10 @@ def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
 
     X is the projection that the combined system [equivariance; P] on all
     entries of X solves for.  Flattened by rows and reduced from the right,
-    as ``_nullspace`` writes the equivariance nullspace, each H_k is 1 at
-    its free column k, 0 at the other free columns and otherwise supported
-    on pivot columns left of k.  So column k of the combined system is a
+    the H_k are the nullspace basis that elimination of the equivariance
+    equations alone writes (it depends on Hom only): H_k is 1 at the k-th
+    free column, 0 at the other free columns and otherwise supported on
+    pivot columns left of it.  So column k of the combined system is a
     pivot exactly when P H_k lies outside the span of the earlier P H_j:
     the pivot rule of the h-column system.  Both particular solutions are
     0 at their non-pivot columns, and such a solution is unique."""
@@ -674,48 +678,47 @@ def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
     return SocleInfo(minimals, fm.coords.lift_space(soc), status)
 
 
-def _equivariance_rows(M1: LModule, M2: LModule) -> list:
-    """The equations X rho1 = rho2 X, per action pair and matrix entry, on
-    the unknown map X: M1 -> M2 flattened by rows (entry (i, k) of X is
-    unknown i * M1.dim + k), in canonical scalars.  Each row is written
-    from the nonzeros of a column of rho1 (a row of its transpose in
-    ``M1.dual()``) and of a row of rho2; an entry of rho2 is subtracted
-    and reduced once, where it lands.  A row that is zero or repeats an
-    earlier one is left out: it does not change the solution space."""
-    F = M1.field
-    p = _modulus(F)
-    s, t = M1.dim, M2.dim
-    zero = F.zero()
-    rows = {}  # insertion-ordered, so each row is kept at its first occurrence
-    for r1t, r2 in zip(M1.dual().mats, M2.mats):
-        for i, nz2 in enumerate(r2._nonzero_rows()):
-            for j, nz1 in enumerate(r1t._nonzero_rows()):
-                if not (nz1 or nz2):
-                    continue
-                coeff = [zero] * (t * s)
-                for k, a in nz1:
-                    coeff[i * s + k] = a
-                for k, b in nz2:
-                    x = coeff[k * s + j] - b
-                    coeff[k * s + j] = x % p if p else canon_q(x)
-                row = tuple(coeff)
-                if row not in rows and any(row):
-                    rows[row] = None
-    return list(rows)
-
-
 @memoized
 def _hom_basis(M1: LModule, M2: LModule) -> tuple:
-    """The basis maps of ``hom_space``, solved once per pair of modules."""
+    """The basis maps of ``hom_space``, solved once per pair of modules.
+
+    X is fixed by its images of generators of M1: each e_c, last first, whose
+    c is no pivot yet, brings t unknowns.  ``_spin_rows`` spins (e_c, the
+    identity on its block) on M1 + M2^n, where (v, W) says X(v) = W u (W is
+    t x n, column k at s + k t) and the action is (rho1 v, rho2 W).  Its
+    relations W u = 0 are the only equations; the row with pivot c carries
+    X e_c.  The maps (the RREF of the flattened solutions) are not checked."""
     F = M1.field
     s, t = M1.dim, M2.dim
     if s == 0 or t == 0:
         return ()
-    red, pivots = _rref(F, _equivariance_rows(M1, M2))
-    null = _nullspace(F, s * t, red, pivots)
+    zero, one = F.zero(), F.one()
+    pairs = [_action(F, r1, r2) for r1, r2 in zip(M1.mats, M2.mats)]
+    pairs = [(c1, c2) for c1, c2 in pairs if any(c1) or any(c2)]
+    action = [list(c1) for c1, _ in pairs]  # each grown by t blocks per generator
+    gens = []
+
+    def seeds(pivots):
+        for c in range(s - 1, -1, -1):
+            if c not in pivots:
+                o = s + len(gens) * t * t
+                for table, (_, c2) in zip(action, pairs):
+                    table += c2 * t
+                seed = [zero] * (o + t * t)
+                seed[c], seed[o :: t + 1] = one, [one] * t
+                gens.append(c)
+                yield seed
+
+    rows, _, relations = _spin_rows(F, action, s, seeds)
+    n = t * len(gens)
+    equations = [rel[s + r :: t] for rel in relations for r in range(t)]
+    null = _nullspace(F, n, *_rref(F, equations)).basis
+    # X at u = e_k, flattened by rows: column c is block k of the row with pivot c
+    units = [[w[s + k * t + r] for r in range(t) for w in rows] for k in range(n)] if null else []
+    flats = [lin_comb(F, u, units) for u in null]
     return tuple(
-        ModuleMap(M1, M2, Matrix._of(F, [flatv[i * s : (i + 1) * s] for i in range(t)], s))
-        for flatv in null.basis
+        ModuleMap._solved(M1, M2, Matrix._of(F, [f[i * s : (i + 1) * s] for i in range(t)], s))
+        for f in Subspace._of(F, s * t, flats).basis
     )
 
 

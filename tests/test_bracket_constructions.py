@@ -264,10 +264,11 @@ def test_induced_is_the_matrix_of_its_projected_columns(field):
 
 
 @st.composite
-def semidirect_sums(draw):
+def semidirect_sums(draw, primes=(0, 2, 3)):
     """F^n + L for the commutator closure L of up to two integer n x n
-    matrices (n <= 3) acting naturally, over Q, GF(2) or GF(3)."""
-    p = draw(st.sampled_from([0, 2, 3]))
+    matrices (n <= 3) acting naturally, over GF(p) for p in ``primes``, or
+    Q for p = 0: by default over Q, GF(2) or GF(3)."""
+    p = draw(st.sampled_from(primes))
     n = draw(st.integers(1, 3))
     entries = st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)
     M = natural_module(p, n, draw(st.lists(entries, min_size=1, max_size=2)))
@@ -513,13 +514,14 @@ def test_splittings_match_the_old_cocycle_rows(name, field):
 
 
 @st.composite
-def semidirect_sums_in_a_random_basis(draw):
-    """A semidirect sum F^n + L moved by g = (unit lower triangular) x (unit
+def semidirect_sums_in_a_random_basis(draw, primes=(0, 2, 3)):
+    """A semidirect sum F^n + L (over the fields of ``primes``, as in
+    ``semidirect_sums``) moved by g = (unit lower triangular) x (unit
     upper triangular) with entries in {-1, 0, 1}, and the image of F^n.  In
     the new basis the canonical lifts of a section need not span a
     subalgebra, so the cochain that corrects them need not be zero; on
     every split abelian section of the corpus algebras it is zero."""
-    L, n = draw(semidirect_sums())
+    L, n = draw(semidirect_sums(primes))
     F, d = L.field, L.dim
     entries = st.lists(st.integers(-1, 1), min_size=d * d, max_size=d * d)
     lo, up = draw(entries), draw(entries)

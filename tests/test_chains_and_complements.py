@@ -3,7 +3,8 @@
 ``complement_in_semisimple`` as the kernel of a projection solved on the
 ``hom_space`` basis, diffed against the four loops and the combined
 equivariance-and-projection system they replaced, which are kept here
-literally as the old definitions.  The values must be equal: the same
+literally as the old definitions (the equivariance rows are the reference
+of ``test_module_sections``).  The values must be equal: the same
 terms in the same order, the same core of every subalgebra tried, and the
 same complement of every spun submodule of a socle (hence the same minimal
 ideals, which ``_minimal_inside`` picks through the complement).  Socles
@@ -34,7 +35,6 @@ from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix, QuotientMap, Subspace, invert_matrix, rref_solve, vec_add
 from liestruct.modules import (
     LModule,
-    _equivariance_rows,
     adjoint_module,
     complement_in_semisimple,
     restrict_module,
@@ -49,6 +49,7 @@ from test_bracket_constructions import (
     semidirect_sums,
     semidirect_sums_in_a_random_basis,
 )
+from test_module_sections import old_equivariance_rows
 from test_socle import natural_module
 
 CORPUS_GF5 = tuple(name for name in CORPUS_Q if name != "ex22")  # ex22 needs p = 3 mod 4
@@ -110,7 +111,7 @@ def old_complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspa
         return V
     qm = QuotientMap(V, Subspace.zero(F, M.dim))  # coordinates on V
     # Unknown projection X (u x v) with X|_U = id and X equivariant.
-    rows = _equivariance_rows(restrict_module(M, V), restrict_module(M, U))
+    rows = old_equivariance_rows(restrict_module(M, V), restrict_module(M, U))
     rhs = [F.zero()] * len(rows)
     for bidx, ub in enumerate(U.basis):
         cu = qm.project(ub)

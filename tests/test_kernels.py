@@ -278,8 +278,8 @@ def matrices(draw, F, rows=None, cols=None):
 @st.composite
 def gf_systems(draw):
     """``(p, rows)``: tuples of residues over GF(2), GF(3), GF(5) or GF(7).
-    Tall and sparse as ``modules._equivariance_rows`` builds them (up to
-    300 x 64, a few nonzeros a row), square or wide; with zero rows and
+    Tall and sparse as equations written from sparse action matrices are
+    (up to 300 x 64, a few nonzeros a row), square or wide; with zero rows and
     repeated rows, and in some a block of full rank min(m, n).  The shape
     and its features are drawn, the entries come from a drawn seed, which
     keeps a 300-row system within Hypothesis' data budget."""
@@ -320,8 +320,8 @@ def gf_systems(draw):
 def q_systems(draw):
     """Rows of ``canon_q`` values: integer systems with entries below 10 or
     up to 10^40, Fraction-heavy ones, tall sparse ones shaped like
-    ``modules._equivariance_rows`` (up to 300 x 64, a few nonzeros a row)
-    and wide ones; with zero rows and repeated rows (also scaled by an
+    equations from sparse action matrices (up to 300 x 64, a few nonzeros a
+    row) and wide ones; with zero rows and repeated rows (also scaled by an
     integer).  The shape and its features are drawn, the entries come from a
     drawn seed, as in ``gf_systems``."""
     kind = draw(st.sampled_from(("small", "huge", "fractions", "tall", "wide")))

@@ -5,39 +5,45 @@ replaced, and the memo of the module layer.
 constants and projects all of them with one ``QuotientMap.project_all``;
 it replaced ``qm.induced(functools.partial(L.bracket, x))`` per x, which
 projected each bracket through ``W.coords`` and ``_ucoords.reduce``.
-``_equivariance_rows`` leaves out zero and repeated rows, which the former
-builder kept.  ``LieAlgebra._validate_jacobi`` sums only the basis triples
-through a nonzero pair of the table, where it summed every triple.  The
-former bodies are kept here as references (``old_*``) and must give
-identical values: every ideal pair of every chief series variant of the
-corpora over Q, GF(2), GF(3) and GF(5), Hypothesis semidirect sums and
-natural modules, and random and corrupted bracket tables.
+``hom_space`` spins the generators of the source with unknowns for their
+images; it replaced the nullspace of the equations X rho1 = rho2 X on all
+entries of X, whose literal dense builder is the reference here, basis for
+basis, with every solved map checked for equivariance.
+``LieAlgebra._validate_jacobi`` sums only the basis triples through a
+nonzero pair of the table, where it summed every triple.  The former bodies
+are kept here as references (``old_*``) and must give identical values:
+every ideal pair of every chief series variant of the corpora over Q,
+GF(2), GF(3) and GF(5), Hypothesis semidirect sums (also in a random basis)
+and natural modules, and random and corrupted bracket tables.
 """
 
 import functools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liestruct import builtin
+from liestruct import builtin, modules
 from liestruct.algebra import (
     JacobiViolation,
     LieAlgebra,
+    bracket_spaces,
     centralizer,
     factor_centralizer,
     section_action,
 )
 from liestruct.chief import chief_series, chief_series_variants
-from liestruct.fields import GF, QQ, canon_q
+from liestruct.fields import GF, QQ
 from liestruct.linalg import (
     Matrix,
     QuotientMap,
     Subspace,
-    _modulus,
     _nullspace,
     _rref,
+    invert_matrix,
     unit_vec,
+    vec,
     vec_add,
     vec_is_zero,
 )
@@ -53,7 +59,12 @@ from liestruct.modules import (
 )
 
 from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
-from test_bracket_constructions import semidirect_sums, series_sections
+from test_bracket_constructions import (
+    semidirect_sums,
+    semidirect_sums_in_a_random_basis,
+    series_sections,
+)
+from test_isomorphism import transport
 from test_socle import natural_module
 
 CORPUS_GF5 = tuple(n for n in CORPUS_Q if n != "ex22")  # ex22 needs p = 3 mod 4
@@ -139,24 +150,26 @@ def test_section_images_outside_the_numerator_are_refused():
 
 
 def old_equivariance_rows(M1, M2) -> list:
+    """The equations X rho1 = rho2 X on the unknown map X: M1 -> M2,
+    flattened by rows (entry (i, k) of X is unknown i * M1.dim + k), one
+    per action pair and matrix entry, zero and repeated ones included."""
     F = M1.field
-    p = _modulus(F)
     s, t = M1.dim, M2.dim
     rows = []
-    for r1t, r2 in zip(M1.dual().mats, M2.mats):
-        for i, nz2 in enumerate(r2._nonzero_rows()):
-            for j, nz1 in enumerate(r1t._nonzero_rows()):
+    for r1, r2 in zip(M1.mats, M2.mats):
+        for i in range(t):
+            for j in range(s):
                 coeff = [F.zero()] * (t * s)
-                for k, a in nz1:
-                    coeff[i * s + k] = a
-                for k, b in nz2:
-                    x = coeff[k * s + j] - b
-                    coeff[k * s + j] = x % p if p else canon_q(x)
-                rows.append(coeff)
+                for k in range(s):
+                    coeff[i * s + k] += r1.entries[k][j]
+                for k in range(t):
+                    coeff[k * s + j] -= r2.entries[i][k]
+                rows.append(vec(F, coeff))
     return rows
 
 
 def old_hom_space(M1, M2) -> list:
+    """The basis of the nullspace of ``old_equivariance_rows``, as maps."""
     F = M1.field
     s, t = M1.dim, M2.dim
     if s == 0 or t == 0:
@@ -170,10 +183,14 @@ def old_hom_space(M1, M2) -> list:
 
 
 def assert_homs_match(mods):
+    """hom_space equals the reference basis for basis on every ordered pair,
+    and each of its maps, built without the check, is equivariant."""
     for M1 in mods:
         for M2 in mods:
             new = [h.matrix for h in hom_space(M1, M2)]
             assert new == [h.matrix for h in old_hom_space(M1, M2)]
+            for X in new:
+                assert all(r2.matmul(X) == X.matmul(r1) for r1, r2 in zip(M1.mats, M2.mats))
 
 
 @pytest.mark.parametrize("name,field", CORPORA)
@@ -214,6 +231,75 @@ def test_hom_space_matches_the_unfiltered_system_on_semidirect_sums(sum_and_n):
     N = L.span([unit_vec(L.field, L.dim, i) for i in range(n)])
     sections = series_sections(L) + [(N, L.zero_space()), (L.full_space(), N)]
     assert_homs_match(list(dict.fromkeys(factor_module(L, A, B).module for A, B in sections)))
+
+
+@given(semidirect_sums_in_a_random_basis(primes=(0, 2, 3, 5)))
+@settings(max_examples=25, deadline=None)
+def test_hom_space_matches_the_unfiltered_system_in_a_random_basis(sum_and_ideal):
+    """Sections of semidirect sums F^n + L over Q, GF(2), GF(3) and GF(5) in
+    a basis where the action matrices are dense."""
+    L, N = sum_and_ideal
+    sections = series_sections(L) + [(N, L.zero_space()), (L.full_space(), N)]
+    assert_homs_match(list(dict.fromkeys(factor_module(L, A, B).module for A, B in sections)))
+
+
+def hom_unknowns(monkeypatch) -> list:
+    """The number of unknowns (columns) of every system ``_hom_basis``
+    solves from here on."""
+    counts = []
+
+    def counted(F, n, rows, pivots):
+        counts.append(n)
+        return _nullspace(F, n, rows, pivots)
+
+    monkeypatch.setattr(modules, "_nullspace", counted)
+    return counts
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=["q", "gf2", "gf3", "gf5"])
+def test_hom_space_on_zero_modules_generators_and_idle_elements(field, monkeypatch):
+    """A zero source or target (s = 0 or t = 0), sources that need several
+    generators, each with t unknowns, and elements acting as 0 on the source
+    but not on the target."""
+    counts = hom_unknowns(monkeypatch)
+    perfect = ["sl2_plus_sl2"] if field.characteristic() != 2 else []
+    for name in ["ab(3)", "r2"] + perfect:
+        L = builtin(name, field)
+        M = adjoint_module(L)
+        zero = restrict_module(M, L.zero_space())
+        top = factor_module(L, L.full_space(), bracket_spaces(L, L.full_space(), L.full_space()))
+        assert hom_space(zero, M) == hom_space(M, zero) == hom_space(zero, zero) == []
+        assert_homs_match([M, top.module])
+    # ab(3), where L/[L, L] is M: every element acts as 0, so each of the 3
+    # unit vectors is a generator and every map is equivariant
+    assert counts[:1] == [3 * 3]
+    # r2, [x, y] = y: y spans a submodule, so M needs e_1 and e_0; every
+    # element acts as 0 on L/[L, L] but not on M, which has no invariants
+    assert counts[1:5] == [2 * 2, 2 * 1, 1 * 2, 1 * 1]
+    # sl2 + sl2 (not over GF(2)) is perfect, and e_5 spins only its second
+    # summand, so End(M) has two generators
+    assert counts[5:] == [2 * 6] * len(perfect)
+
+
+def test_the_end_system_of_a_rebased_factor_has_t_unknowns_per_generator(monkeypatch):
+    """The End system of the 15-dimensional chief factor [L, L] of gl(4)
+    over GF(5), in a basis drawn with entries in {-1, 0, 1}: the module is
+    irreducible, so e_14 generates it and the system has 1 * 15 unknowns,
+    not the 15 * 15 of a system on every entry of X."""
+    F = GF(5)
+    units = [tuple(int(k == m) for k in range(16)) for m in range(16)]
+    L = natural_module(5, 4, units).algebra
+    rng = random.Random("probe:1:16")
+    g = None
+    while g is None or invert_matrix(g) is None:
+        g = Matrix(F, [[rng.choice((-1, 0, 1)) for _ in range(16)] for _ in range(16)])
+    L = transport(L, g)
+    full = L.full_space()
+    M = factor_module(L, bracket_spaces(L, full, full), L.zero_space()).module
+    counts = hom_unknowns(monkeypatch)
+    assert M.dim == 15
+    assert [h.matrix for h in hom_space(M, M)] == [Matrix.identity(F, 15)]
+    assert counts == [15]
 
 
 def test_hom_space_is_a_new_list_of_shared_maps():

@@ -1,5 +1,4 @@
-"""Chief factors, crown denominators and hom-space equations against the
-code they replaced.
+"""Chief factors and crown denominators against the code they replaced.
 
 A chief factor now keeps only its abelian flag and centralizer and reads
 its supplemented, complemented and Frattini flags, and its complement
@@ -8,16 +7,15 @@ classification ran the splitting test on every section it classified.
 ``denominator_intersection`` takes the common kernel of the hom maps as one
 nullspace, where it intersected one kernel per map, and reads the section
 N0/B in its own coordinates, where it read it inside the section C/B of the
-centralizer; ``_equivariance_rows`` writes each row from the nonzeros of
-the action matrices, where it added every entry, and leaves out the zero
-and repeated rows, which the former builder kept.  The former bodies are
-kept here as references (``old_*``) and must give identical values (the
-equivariance rows: the former rows less the zero and repeated ones): every chief-series section and every crown
+centralizer.  The former bodies are kept here as references (``old_*``)
+and must give identical values: every chief-series section and every crown
 section of the corpora over Q, GF(2) and GF(3), Hypothesis semidirect sums
-F^n + L, every supplemented abelian series factor, and every pair of
-chief-factor modules and socle summands.
+F^n + L and every supplemented abelian series factor.  Hom spaces between
+chief-factor modules and socle summands, moved to a random basis, are
+checked against the dense equivariance equations of ``test_module_sections``.
 """
 
+import random
 from collections import namedtuple
 from typing import Optional
 
@@ -29,9 +27,9 @@ from liestruct.algebra import LieAlgebra, brackets_inside, factor_centralizer
 from liestruct.chief import chief_series, classify_factor
 from liestruct.crowns import _abelian_denominator_data, all_crowns, denominator_intersection
 from liestruct.fields import GF, QQ
-from liestruct.linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec
+from liestruct.linalg import Matrix, Subspace, invert_matrix, lin_comb, rref_solve, unit_vec
 from liestruct.modules import (
-    _equivariance_rows,
+    LModule,
     adjoint_module,
     factor_module,
     hom_space,
@@ -43,6 +41,7 @@ from liestruct.modules import (
 
 from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
 from test_bracket_constructions import semidirect_sums, series_sections
+from test_module_sections import assert_homs_match
 
 CORPORA = (
     [pytest.param(n, QQ, id=f"{n}-q") for n in CORPUS_Q]
@@ -141,34 +140,26 @@ def test_denominators_match_the_old_intersection_loop(name, field):
             assert denominator_intersection(f) == old_denominator_intersection(f)
 
 
-def old_equivariance_rows(M1, M2) -> list:
-    F = M1.field
-    s, t = M1.dim, M2.dim
-    rows = []
-    for r1, r2 in zip(M1.mats, M2.mats):
-        for i in range(t):
-            for j in range(s):
-                coeff = [F.zero()] * (t * s)
-                for k in range(s):
-                    coeff[i * s + k] += r1.entries[k][j]
-                for k in range(t):
-                    coeff[k * s + j] -= r2.entries[i][k]
-                rows.append(coeff)
-    return rows
+def in_a_random_basis(M: LModule, rng: random.Random) -> LModule:
+    """M moved by an invertible matrix g with entries in {-1, 0, 1}: the
+    action g rho g^-1, dense where rho was sparse."""
+    F, d = M.field, M.dim
+    g = None
+    while g is None or invert_matrix(g) is None:
+        g = Matrix(F, [[rng.choice((-1, 0, 1)) for _ in range(d)] for _ in range(d)])
+    ginv = invert_matrix(g)
+    return LModule(M.algebra, [g.matmul(rho).matmul(ginv) for rho in M.mats], validate=False)
 
 
 @pytest.mark.parametrize("name,field", CORPORA)
-def test_equivariance_rows_match_the_old_dense_builder(name, field):
+def test_hom_space_matches_the_dense_builder_in_a_random_basis(name, field):
     """Every ordered pair of chief-factor modules and socle summands of the
-    adjoint module."""
+    adjoint module, each in a random basis, against the nullspace of the
+    dense equations X rho1 = rho2 X."""
     L = builtin(name, field)
     M = adjoint_module(L)
     summands, _, _ = socle_decomposition(M)
     mods = [f.module() for f in chief_series(L).factors]
     mods += [restrict_module(M, W) for W in summands]
-    for M1 in mods:
-        for M2 in mods:
-            F = M1.field
-            old = [tuple(r) for r in Matrix(F, old_equivariance_rows(M1, M2)).entries]
-            kept = [r for r in dict.fromkeys(old) if any(r)]  # first occurrences, nonzero
-            assert [tuple(r) for r in _equivariance_rows(M1, M2)] == kept
+    rng = random.Random(f"{name}:{field}")
+    assert_homs_match([in_a_random_basis(N, rng) for N in dict.fromkeys(mods)])
