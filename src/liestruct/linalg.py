@@ -56,7 +56,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .fields import Field, Scalar, canon_q, div_q
+from .fields import Field, Scalar, canon_q
 
 
 class DimensionMismatch(ValueError):
@@ -155,7 +155,7 @@ def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
     is changed in place but for such scalings; the result is reduced mod p
     over GF(p) (``p > 0``), or normalized by ``_canon_q_all``, once, at the
     end.  This is the one row-reduction loop of the library:
-    ``Subspace.reduce``, ``Subspace.extend`` and ``modules._spin_rows``."""
+    ``Subspace.reduce`` and ``modules._spin_rows``."""
     if p:
         for nz, c in zip(rows, pivots):
             a = w[c] % p
@@ -633,37 +633,6 @@ class Subspace:
     def reduce(self, v: Vector) -> Vector:
         """Residue of v after elimination by the basis (zero iff v is inside)."""
         return tuple(_reduce(_modulus(self.field), list(v), self._nonzero_rows(), self.pivots))
-
-    def extend(self, v: Vector) -> "Subspace":
-        """The span of this subspace and v, by one reduction and one
-        insertion; ``self`` itself when v is already inside."""
-        F = self.field
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        p = _modulus(F)
-        w = _reduce(p, list(vec(F, v)), self._nonzero_rows(), self.pivots)
-        c = next((j for j, x in enumerate(w) if x), None)
-        if c is None:
-            return self
-        a = w[c]
-        if p:
-            inv = pow(a, -1, p)
-            w = tuple(x * inv % p for x in w)
-        else:
-            w = tuple(w) if a == 1 else tuple(div_q(x, a) for x in w)
-        # clear the new pivot column from the rows, then insert in pivot order
-        basis = []
-        for row in self.basis:
-            f = row[c]
-            if f and p:
-                row = tuple((x - f * y) % p for x, y in zip(row, w))
-            elif f:
-                row = tuple(canon_q(x - f * y) for x, y in zip(row, w))
-            basis.append(row)
-        k = bisect(self.pivots, c)
-        basis.insert(k, w)
-        pivots = self.pivots[:k] + (c,) + self.pivots[k:]
-        return Subspace(F, self.ambient_dim, tuple(basis), pivots)
 
     def coords(self, v: Vector) -> Vector:
         """Coefficients of v on the RREF basis; raises if v is outside."""

@@ -41,8 +41,9 @@ bracket with a lift straight from the structure constants and projects all
 of them with one ``QuotientMap.project_all``, and the memoized
 ``restrict_module`` and ``quotient_module`` take a module's submodules and
 quotients from ``QuotientMap.induced`` of its action matrices.  One loop,
-``_spin_rows``, spins submodules and hom spaces, the latter with t unknowns
-per generator of M1 (``_hom_basis``, once per pair of modules);
+``_spin_rows``, spins submodules, hom spaces and the graphs of the type-3
+search (``primitive._graph_hom``), a hom space with t unknowns per
+generator of M1 (``_hom_basis``, once per pair of modules);
 ``complement_in_semisimple`` reads its projection from the same basis.
 """
 

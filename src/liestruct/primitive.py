@@ -15,14 +15,18 @@ Type 2 is decided by a theorem over every field: the Frattini ideal is
 nilpotent.  Type 3 is decided when the two minimal ideals are
 complementary: they are then simple, and the algebra is primitive exactly
 when they are isomorphic, which ``isomorphism_search`` decides over GF(p)
-within ``modules.VECTOR_ENUM_BUDGET``; a found isomorphism and its graph,
-the common complement, are verified.  The exhaustive oracle is asked only
+within ``modules.VECTOR_ENUM_BUDGET``: a tuple of images of generators is
+kept when the graph of the map it fixes, spun by the module layer's one
+spin loop, meets no relation.  A found isomorphism and its graph, the
+common complement, are verified.  The exhaustive oracle is asked only
 about two nonabelian minimal ideals with a proper sum, in characteristic
 p; where a socle or a search is over budget, so is the oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -44,7 +48,7 @@ from .algebra import (
     sub_algebra,
     unipotent_conjugator,
 )
-from .fields import PrimeField
+from .fields import Field, PrimeField
 from .linalg import (
     Matrix,
     QuotientMap,
@@ -103,17 +107,15 @@ def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], 
     generates, else a greedy set) is sent to every nonzero y of B whose rank
     profile rank((ad y)^k), k = 1, 2, ..., equals that of ad g, as any
     isomorphism must; y ranges over all of B over GF(p) and over the
-    coefficient vectors in {-1, 0, 1} over Q.  A
-    tuple of images fixes T through the bracket words that span A, and T is
-    kept only when it is invertible and a homomorphism on every basis pair.
+    coefficient vectors in {-1, 0, 1} over Q.  A tuple of images is kept
+    when ``_graph_hom`` finds the homomorphism that it fixes and that map is
+    invertible and a homomorphism on every basis pair.
     ``complete`` is True when no isomorphism exists beyond doubt: a
     dimension mismatch, or an exhaustive GF(p) search that found none.  The
     vectors scanned and the tuples of images tried are each held to
     ``modules.VECTOR_ENUM_BUDGET`` before the search starts; over budget,
     or over Q, a miss returns ``(None, False)``.
     """
-    import itertools
-
     if A.field != B.field or A.dim != B.dim:
         return None, True
     F = A.field
@@ -133,19 +135,35 @@ def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], 
     for y in itertools.product(scalars, repeat=n):
         if any(y):
             by_profile.setdefault(_rank_profile(B, y), []).append(y)
-    gens, words, values = _generating_words(A)
+    gens = _generators(A)
     candidates = [by_profile.get(_rank_profile(A, g), []) for g in gens]
     tuples = 1
     for c in candidates:
         tuples *= len(c)
     if tuples > modules.VECTOR_ENUM_BUDGET:
         return None, False
-    basis_inv = invert_matrix(Matrix.from_columns(F, values))
+    ads, ad_B = [A.ad(g) for g in gens], functools.cache(B.ad)
     for images in itertools.product(*candidates):
-        T = Matrix.from_columns(F, _evaluate_words(B, words, images)).matmul(basis_inv)
-        if _check_algebra_iso(A, B, T):
+        T = _graph_hom(F, gens, images, [(x, ad_B(y)) for x, y in zip(ads, images)])
+        if T is not None and _check_algebra_iso(A, B, T):
             return T, True
     return None, exhaustive
+
+
+def _graph_hom(F: Field, gens: list, images, ads: list) -> Optional[Matrix]:
+    """The homomorphism T: A -> B with T g_k = y_k, for generators g_k of A,
+    read from the spin of the pairs (g_k, y_k) in A + B under ``ads``, the
+    pairs (ad g_k, ad y_k), with pivots in A; None when the spin meets a
+    relation.  The spin maps onto the subalgebra that the g_k generate, A,
+    so without a relation it is the graph of a linear T, its rows
+    (e_i, T e_i), with T ad g_k = ad y_k T; the x with T ad x = ad(Tx) T
+    form a subalgebra, so T is a homomorphism.  Conversely the graph of a
+    homomorphism holds the spin."""
+    n = len(gens[0])
+    action = [a + b for a, b in (modules._action(F, *pair) for pair in ads)]
+    seeds = [g + y for g, y in zip(gens, images)]
+    rows, _, relations = modules._spin_rows(F, action, n, lambda _: seeds)
+    return None if relations else Matrix.from_columns(F, [r[n:] for r in rows])
 
 
 def _table_ratio(A: LieAlgebra, B: LieAlgebra):
@@ -180,57 +198,29 @@ def _rank_profile(L: LieAlgebra, y) -> tuple:
         power = power.matmul(ad)
 
 
-def _spanning_words(A: LieAlgebra, gens: list):
-    """Bracket words whose values form a basis of the subalgebra generated by
-    ``gens``: a word is a generator index k or a pair (a, b) of earlier word
-    indices standing for [w_a, w_b].  Returns ``(words, values)``."""
-    words, values = [], []
-    span = A.zero_space()
-
-    def add(word, v):
-        nonlocal span
-        grown = span.extend(v)
-        if grown is not span:
-            span = grown
-            words.append(word)
-            values.append(v)
-
-    for k, g in enumerate(gens):
-        add(k, g)
-    i = 0
-    while i < len(values):
-        for j in range(i):
-            add((j, i), A.bracket(values[j], values[i]))
-        i += 1
-    return words, values
-
-
-def _generating_words(A: LieAlgebra):
-    """``(generators, words, values)``: a pair of basis vectors that generates
-    A when there is one, else basis vectors taken greedily, with the words of
-    ``_spanning_words`` over them."""
-    import itertools
-
+def _generated(A: LieAlgebra, gens: list) -> Subspace:
+    """The subalgebra generated by ``gens``: their spin under their own ads,
+    which spans the left-normed brackets of the generators."""
     F, n = A.field, A.dim
-    basis = [unit_vec(F, n, i) for i in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        words, values = _spanning_words(A, [basis[i], basis[j]])
-        if len(values) == n:
-            return [basis[i], basis[j]], words, values
-    gens, words, values = [], [], []
+    rows, pivots, _ = modules._spin_rows(F, modules._action(F, *map(A.ad, gens)), n, lambda _: gens)
+    if rows is None:
+        return A.full_space()
+    return Subspace(F, n, tuple(map(tuple, rows)), tuple(pivots))
+
+
+def _generators(A: LieAlgebra) -> list:
+    """A pair of basis vectors that generates A when there is one, else
+    basis vectors taken greedily, each outside the subalgebra that the
+    earlier ones generate."""
+    basis = A.full_space().basis
+    for pair in itertools.combinations(basis, 2):
+        if _generated(A, list(pair)).is_full():
+            return list(pair)
+    gens: list = []
     for e in basis:
-        if not A.span(values).contains(e):
+        if not _generated(A, gens).contains(e):
             gens.append(e)
-            words, values = _spanning_words(A, gens)
-    return gens, words, values
-
-
-def _evaluate_words(B: LieAlgebra, words: list, images) -> list:
-    """The values of the words in B when generator k takes ``images[k]``."""
-    values = []
-    for w in words:
-        values.append(images[w] if isinstance(w, int) else B.bracket(values[w[0]], values[w[1]]))
-    return values
+    return gens
 
 
 def _diagonal_complement(
@@ -372,8 +362,6 @@ def _find_core_free_maximal(L: LieAlgebra, N: Subspace, W: Subspace) -> Optional
     The 2^n - 2 proper nonzero subsets, for n = dim L/N, are checked
     against ``modules.VECTOR_ENUM_BUDGET`` before the walk; over budget,
     None."""
-    import itertools
-
     lifts = QuotientMap(L.full_space(), N).lifts
     n = len(lifts)
     if 2**n - 2 > modules.VECTOR_ENUM_BUDGET:

@@ -19,7 +19,7 @@ from liestruct.cli import build_report
 from liestruct.corpus import load, save
 from liestruct.crowns import all_crowns
 from liestruct.fields import QQ
-from liestruct.linalg import Matrix, Subspace, invert_matrix
+from liestruct.linalg import Matrix, invert_matrix
 from liestruct.modules import LModule, spin
 from liestruct.polys import charpoly, is_irreducible
 
@@ -39,16 +39,6 @@ def test_inverse_of_an_int():
     assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
     assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
     assert QQ.inv(Fraction(-1, 3)) == -3 and type(QQ.inv(Fraction(-1, 3))) is int
-
-
-def test_extend_at_pivot_two():
-    S = Subspace.from_vectors(QQ, 3, [(1, 1, 0)])
-    T = S.extend((0, 2, 1))
-    assert T.basis == ((1, 0, Fraction(-1, 2)), (0, 1, Fraction(1, 2)))
-    assert T == Subspace.from_vectors(QQ, 3, [(1, 1, 0), (0, 2, 1)])
-    assert all_canonical(T.basis)
-    U = S.extend((0, 2, 4))  # the pivot divides: ints throughout
-    assert U.basis == ((1, 0, -2), (0, 1, 2)) and all_canonical(U.basis)
 
 
 def test_spin_at_pivot_three():

@@ -643,27 +643,6 @@ def test_rref_handles_huge_entries_and_signs():
 
 
 @given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_extend_is_the_sum_with_one_vector(data):
-    F = data.draw(fields)
-    A = data.draw(matrices(F))
-    S = Subspace.from_vectors(F, A.cols, A.entries)
-    mode = data.draw(st.sampled_from(["random", "inside", "zero"]))
-    if mode == "random":
-        v = tuple(F.coerce(x) for x in data.draw(st.lists(scalars(F), min_size=A.cols, max_size=A.cols)))
-    elif mode == "inside" and S.dim:
-        cs = [F.coerce(x) for x in data.draw(st.lists(scalars(F), min_size=S.dim, max_size=S.dim))]
-        v = ref_lin_comb(F, A.cols, cs, S.basis)
-    else:
-        v = tuple([F.zero()] * A.cols)
-    T = S.extend(v)
-    want = S.sum(Subspace.from_vectors(F, A.cols, [v]))
-    assert T == want and T.pivots == want.pivots
-    assert (T is S) == S.contains(v)
-    assert all(canonical(F, r) for r in T.basis)
-
-
-@given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_reduce_matches_the_generic_loop(data):
     F = data.draw(fields)
