@@ -271,8 +271,9 @@ def save(L: LieAlgebra) -> str:
 
 def _index(x, what: str, bound: int) -> int:
     """A JSON integer (not a boolean) in [0, bound), else ``ParseError``;
-    a string of digits is accepted, as coefficient keys are strings."""
-    if isinstance(x, str) and x.isdecimal():
+    a string of digits is accepted, as coefficient keys are strings, and
+    converted only when no longer than the bound (``int`` refuses long ones)."""
+    if isinstance(x, str) and x.isdecimal() and len(x.lstrip("0")) <= len(str(bound)):
         x = int(x)
     if type(x) is not int or not 0 <= x < bound:
         raise ParseError(f"{what} {x!r} is not an integer in [0, {bound})")
@@ -340,6 +341,6 @@ def load(text: str) -> LieAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ParseError("JSON nested too deeply") from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting, or an integer too long
+        raise ParseError(f"unreadable JSON: {exc}") from exc
     return from_doc(doc)

@@ -197,10 +197,11 @@ class PrimeField(Field):
     kind = "GF"
 
     def __init__(self, p: int):
+        # the bound comes first: trial division of a huge modulus never ends
+        if isinstance(p, int) and p >= MAX_PRIME:
+            raise FieldError(f"modulus exceeds the supported bound {MAX_PRIME}")
         if not isinstance(p, int) or not _is_prime(p):
             raise FieldError(f"modulus {p!r} is not prime")
-        if p >= MAX_PRIME:
-            raise FieldError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
         self.p = p
 
     def zero(self):

@@ -41,10 +41,12 @@ bracket with a lift straight from the structure constants and projects all
 of them with one ``QuotientMap.project_all``, and the memoized
 ``restrict_module`` and ``quotient_module`` take a module's submodules and
 quotients from ``QuotientMap.induced`` of its action matrices.  One loop,
-``_spin_rows``, spins submodules, hom spaces and the graphs of the type-3
-search (``primitive._graph_hom``), a hom space with t unknowns per
-generator of M1 (``_hom_basis``, once per pair of modules);
-``complement_in_semisimple`` reads its projection from the same basis.
+``_spin_rows``, spins submodules, hom spaces (t unknowns per generator of
+M1, ``_hom_basis``, once per pair of modules), generated subalgebras
+(``_generated``) and the graphs of the type-3 search (``_graph_hom``) into
+a ``Subspace`` finished by ``_rref``; its action tables, seeds and
+relations stay in this module.  ``complement_in_semisimple`` reads its
+projection from the hom basis.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .algebra import (
     memoized,
     section_action,
 )
-from .fields import Field, PrimeField, div_q
+from .fields import Field, PrimeField
 from .linalg import (
     Matrix,
     QuotientMap,
@@ -201,8 +203,7 @@ class ModuleMap:
     def is_isomorphism(self) -> bool:
         if self.source.dim != self.target.dim or self.source.dim == 0:
             return self.source.dim == self.target.dim
-        _, rank, _, _ = rref_solve(self.matrix)
-        return rank == self.source.dim
+        return len(_rref(self.matrix.field, self.matrix.entries)[1]) == self.source.dim
 
 
 @dataclass(frozen=True)
@@ -262,14 +263,14 @@ def _action(F: Field, *matrices) -> list:
 
 
 def _spin_rows(F: Field, action, s: int, seeds) -> tuple:
-    """``(rows, pivots, relations)`` of the spin under ``action`` (tables of
+    """``(span, relations)`` of the spin under ``action`` (tables of
     ``_action``), with pivots among the first s coordinates.  A seed of
-    ``seeds(pivots)`` is drawn once all earlier images are in, and sees the
-    pivots so far; a longer seed pads the vectors before it with zeros.  An
-    insert, reduced by ``_reduce`` (fraction-free over Q), is a new queued
-    row when nonzero on the first s coordinates, else a relation when
-    nonzero.  When the rows fill the space (s = d), rows is None; else they
-    are in reduced row echelon form."""
+    ``seeds(pivots)``, which yields one or more, is drawn once all earlier
+    images are in and sees the pivots so far; a longer seed pads the vectors
+    before it with zeros.  An insert, reduced by ``_reduce`` (fraction-free
+    over Q), is a new queued semi-echelon row when nonzero on the first s
+    coordinates, else a relation when nonzero.  The span is ``Subspace.full``
+    once the rows fill the space (s = d), else their ``Subspace._of``."""
     p = _modulus(F)
     zero = F.zero()
     nzs: list = []  # the rows, as their nonzero (index, value) pairs
@@ -304,30 +305,40 @@ def _spin_rows(F: Field, action, s: int, seeds) -> tuple:
                         image[j + o] += a * x
                 insert(image)
                 if len(nzs) == d:
-                    return None, pivots, relations
-    rows = []
-    for nz in nzs:
-        rows.append([zero] * d)
+                    return Subspace.full(F, d), relations
+    rows = [[zero] * d for _ in nzs]
+    for row, nz in zip(rows, nzs):
         for j, x in nz:
-            rows[-1][j] = x
-    relations = [w + [zero] * (d - len(w)) for w in relations]
-    for k in range(len(rows) - 2, -1, -1):
-        rows[k] = _reduce(p, rows[k], nzs[k + 1 :], pivots[k + 1 :])
-        nzs[k] = _nonzeros(rows[k])
-    if not p:
-        rows = [[div_q(x, w[c]) for x in w] if w[c] != 1 else w for w, c in zip(rows, pivots)]
-    order = sorted(range(len(rows)), key=pivots.__getitem__)
-    return [rows[k] for k in order], [pivots[k] for k in order], relations
+            row[j] = x
+    return Subspace._of(F, d, rows), [w + [zero] * (d - len(w)) for w in relations]
 
 
 def spin(M: LModule, v: Vector) -> Subspace:
-    """Smallest action-invariant subspace containing v: ``_spin_rows`` with
-    s = d, which stops once the span is full."""
-    F, d = M.field, M.dim
-    rows, pivots, _ = _spin_rows(F, M.nonzero_entries(), d, lambda _: [vec(F, v)])
-    if rows is None:
-        return M.full_space()
-    return Subspace(F, d, tuple(map(tuple, rows)), tuple(pivots))
+    """Smallest action-invariant subspace containing v: the span of
+    ``_spin_rows`` with s = d, which stops once it is full."""
+    return _spin_rows(M.field, M.nonzero_entries(), M.dim, lambda _: [vec(M.field, v)])[0]
+
+
+def _generated(A: LieAlgebra, gens: list) -> Subspace:
+    """The subalgebra of A generated by ``gens`` (one or more): their spin
+    under their own ads, which spans their left-normed brackets."""
+    return _spin_rows(A.field, _action(A.field, *map(A.ad, gens)), A.dim, lambda _: gens)[0]
+
+
+def _graph_hom(F: Field, gens: list, images, ads: list) -> Optional[Matrix]:
+    """The homomorphism T: A -> B with T g_k = y_k, for generators g_k of A,
+    read from the spin of the pairs (g_k, y_k) in A + B under ``ads``, the
+    pairs (ad g_k, ad y_k), with pivots in A; None when the spin meets a
+    relation.  The spin maps onto the subalgebra that the g_k generate, A,
+    so without a relation it is the graph of a linear T, its rows
+    (e_i, T e_i), with T ad g_k = ad y_k T; the x with T ad x = ad(Tx) T
+    form a subalgebra, so T is a homomorphism.  Conversely the graph of a
+    homomorphism holds the spin."""
+    n = len(gens[0])
+    action = [a + b for a, b in (_action(F, *pair) for pair in ads)]
+    seeds = [g + y for g, y in zip(gens, images)]
+    span, relations = _spin_rows(F, action, n, lambda _: seeds)
+    return None if relations else Matrix.from_columns(F, [r[n:] for r in span.basis])
 
 
 def _annihilator(F: Field, dual_space: Subspace) -> Subspace:
@@ -386,10 +397,9 @@ def _norton_kernel(M: LModule):
     if theta is None or p**k > VECTOR_ENUM_BUDGET:
         return None
     ker = _nullspace(F, d, *echelon)  # the kernel from the rank search's echelon form
-    for c in _nonzero_vectors(F, k):
-        W = spin(M, lin_comb(F, c, ker.basis))
-        if W.dim < d:
-            return "red", W
+    W = _first_proper_spin(M, ker)
+    if W is not None:
+        return "red", W
     kert = _nullspace(F, d, *_rref_gf(p, list(zip(*theta))))
     Wd = spin(M.dual(), kert.basis[0])
     if Wd.dim < d:
@@ -403,13 +413,14 @@ def _irreducible_charpoly(M: LModule) -> bool:
     return any(is_irreducible(M.field, charpoly(rho)) for rho in M.mats if not rho.is_zero())
 
 
-def _first_proper_spin(M: LModule) -> Optional[Subspace]:
-    """The spin of the first projective point, in ``_nonzero_vectors``
-    order, that is a proper submodule; None when every point spins to M."""
-    for v in _nonzero_vectors(M.field, M.dim):
-        W = spin(M, v)
-        if W.dim < M.dim:
-            return W
+def _first_proper_spin(M: LModule, W: Optional[Subspace] = None) -> Optional[Subspace]:
+    """The first proper spin of a projective point of W (default: all of M),
+    in ``_nonzero_vectors`` order on W's basis; None when every point spins to M."""
+    F, basis = M.field, (M.full_space() if W is None else W).basis
+    for c in _nonzero_vectors(F, len(basis)):
+        U = spin(M, lin_comb(F, c, basis))
+        if U.dim < M.dim:
+            return U
     return None
 
 
@@ -493,8 +504,8 @@ def enveloping_basis(M: LModule) -> list[Matrix]:
         for cols in M.nonzero_entries()
     ]
     ident = [F.one() if i == j else F.zero() for i in range(d) for j in range(d)]
-    rows = _spin_rows(F, action, d * d, lambda _: [ident])[0] or Subspace.full(F, d * d).basis
-    return [Matrix._of(F, [r[i * d : (i + 1) * d] for i in range(d)], d) for r in rows]
+    span = _spin_rows(F, action, d * d, lambda _: [ident])[0]
+    return [Matrix._of(F, [r[i * d : (i + 1) * d] for i in range(d)], d) for r in span.basis]
 
 
 def _composition_factors(M: LModule):
@@ -710,8 +721,8 @@ def _hom_basis(M1: LModule, M2: LModule) -> tuple:
                 gens.append(c)
                 yield seed
 
-    rows, _, relations = _spin_rows(F, action, s, seeds)
-    n = t * len(gens)
+    span, relations = _spin_rows(F, action, s, seeds)
+    rows, n = span.basis, t * len(gens)
     equations = [rel[s + r :: t] for rel in relations for r in range(t)]
     null = _nullspace(F, n, *_rref(F, equations)).basis
     # X at u = e_k, flattened by rows: column c is block k of the row with pivot c

@@ -16,8 +16,8 @@ nilpotent.  Type 3 is decided when the two minimal ideals are
 complementary: they are then simple, and the algebra is primitive exactly
 when they are isomorphic, which ``isomorphism_search`` decides over GF(p)
 within ``modules.VECTOR_ENUM_BUDGET``: a tuple of images of generators is
-kept when the graph of the map it fixes, spun by the module layer's one
-spin loop, meets no relation.  A found isomorphism and its graph, the
+kept when the graph of the map it fixes meets no relation, as the module
+layer's ``_graph_hom`` spins it.  A found isomorphism and its graph, the
 common complement, are verified.  The exhaustive oracle is asked only
 about two nonabelian minimal ideals with a proper sum, in characteristic
 p; where a socle or a search is over budget, so is the oracle.
@@ -48,14 +48,14 @@ from .algebra import (
     sub_algebra,
     unipotent_conjugator,
 )
-from .fields import Field, PrimeField
+from .fields import PrimeField
 from .linalg import (
     Matrix,
     QuotientMap,
     Subspace,
+    _rref,
     invert_matrix,
     lin_comb,
-    rref_solve,
     unit_vec,
     vec_add,
     vec_sub,
@@ -63,6 +63,8 @@ from .linalg import (
 from . import modules
 from .modules import (
     LModule,
+    _generated,
+    _graph_hom,
     certify_irreducible,
     factor_module,
     socle_and_minimal_ideals,
@@ -150,22 +152,6 @@ def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], 
     return None, exhaustive
 
 
-def _graph_hom(F: Field, gens: list, images, ads: list) -> Optional[Matrix]:
-    """The homomorphism T: A -> B with T g_k = y_k, for generators g_k of A,
-    read from the spin of the pairs (g_k, y_k) in A + B under ``ads``, the
-    pairs (ad g_k, ad y_k), with pivots in A; None when the spin meets a
-    relation.  The spin maps onto the subalgebra that the g_k generate, A,
-    so without a relation it is the graph of a linear T, its rows
-    (e_i, T e_i), with T ad g_k = ad y_k T; the x with T ad x = ad(Tx) T
-    form a subalgebra, so T is a homomorphism.  Conversely the graph of a
-    homomorphism holds the spin."""
-    n = len(gens[0])
-    action = [a + b for a, b in (modules._action(F, *pair) for pair in ads)]
-    seeds = [g + y for g, y in zip(gens, images)]
-    rows, _, relations = modules._spin_rows(F, action, n, lambda _: seeds)
-    return None if relations else Matrix.from_columns(F, [r[n:] for r in rows])
-
-
 def _table_ratio(A: LieAlgebra, B: LieAlgebra):
     """The scalar lam with table_B = lam * table_A, or None when there is
     none or both tables are zero."""
@@ -189,23 +175,13 @@ def _rank_profile(L: LieAlgebra, y) -> tuple:
     ad = L.ad(y)
     power, ranks = ad, []
     while True:
-        r = rref_solve(power)[1]
+        r = len(_rref(L.field, power.entries)[1])
         if ranks and ranks[-1] == r:
             return tuple(ranks)
         ranks.append(r)
         if r == 0:
             return tuple(ranks)
         power = power.matmul(ad)
-
-
-def _generated(A: LieAlgebra, gens: list) -> Subspace:
-    """The subalgebra generated by ``gens``: their spin under their own ads,
-    which spans the left-normed brackets of the generators."""
-    F, n = A.field, A.dim
-    rows, pivots, _ = modules._spin_rows(F, modules._action(F, *map(A.ad, gens)), n, lambda _: gens)
-    if rows is None:
-        return A.full_space()
-    return Subspace(F, n, tuple(map(tuple, rows)), tuple(pivots))
 
 
 def _generators(A: LieAlgebra) -> list:
@@ -216,8 +192,8 @@ def _generators(A: LieAlgebra) -> list:
     for pair in itertools.combinations(basis, 2):
         if _generated(A, list(pair)).is_full():
             return list(pair)
-    gens: list = []
-    for e in basis:
+    gens = list(basis[:1])
+    for e in basis[1:]:
         if not _generated(A, gens).contains(e):
             gens.append(e)
     return gens

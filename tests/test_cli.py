@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -73,6 +74,18 @@ class TestExitCodes:
         f.write_text(json.dumps({"field": {"kind": "Q"}, "dim": MAX_DIM + 1}))
         code, _, err = run(capsys, "report", "--input", str(f))
         assert code == EXIT_PARSE and "exceeds" in err
+
+    def test_a_huge_modulus_exits_with_parse_code_at_once(self, capsys, tmp_path):
+        """p = 2^127 - 1 in a document and 2^61 - 1 as ``--field``: refused
+        by the bound before any trial division."""
+        f = tmp_path / "huge_p.json"
+        f.write_text(json.dumps({"field": {"kind": "GF", "p": 2**127 - 1}, "dim": 1}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "validate", "--input", str(f))
+        assert code == EXIT_PARSE and "exceeds" in err
+        code, _, err = run(capsys, "validate", "--builtin", "r2", "--field", f"gf{2**61 - 1}")
+        assert code == EXIT_PARSE and "exceeds" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_validation_error(self, capsys, tmp_path):
         doc = {

@@ -1,3 +1,4 @@
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,6 +24,15 @@ class TestFieldConstruction:
         with pytest.raises(FieldError):
             GF(65537)  # prime, but beyond the enumeration-friendly bound
         assert GF(65521).p == 65521
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**127 - 1, 10**39 + 1])
+    def test_a_huge_modulus_is_refused_at_once(self, p):
+        """Two Mersenne primes and a 40-digit composite: the bound is checked
+        before trial division, which would take about sqrt(p) / 2 steps."""
+        start = time.perf_counter()
+        with pytest.raises(FieldError, match="exceeds the supported bound"):
+            GF(p)
+        assert time.perf_counter() - start < 0.1
 
     def test_equality_and_hash(self):
         assert GF(3) == GF(3) and hash(GF(3)) == hash(GF(3))

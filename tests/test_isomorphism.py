@@ -23,13 +23,12 @@ from liestruct.algebra import (
 )
 from liestruct.fields import GF, QQ, FieldError, PrimeField
 from liestruct.linalg import Matrix, QuotientMap, Subspace, invert_matrix, unit_vec
-from liestruct.modules import VECTOR_ENUM_BUDGET, socle_and_minimal_ideals
+from liestruct.modules import VECTOR_ENUM_BUDGET, _graph_hom, socle_and_minimal_ideals
 from liestruct.primitive import (
     NOT_PRIMITIVE,
     TYPE3,
     _check_algebra_iso,
     _generators,
-    _graph_hom,
     _rank_profile,
     _table_ratio,
     classify_primitive,
