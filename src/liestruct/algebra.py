@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import functools
 import inspect
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .fields import Field, canon_q
 from .linalg import (
@@ -159,7 +159,7 @@ class LieAlgebra:
             out[k] = c
         return tuple(out)
 
-    def _bracket_sum(self, u: Sequence, v: Sequence, out: Optional[list] = None) -> list:
+    def _bracket_sum(self, u: Sequence, v: Sequence, out: list | None = None) -> list:
         """[u, v] as the sum of a b [e_i, e_j] over the nonzero (i, a) pairs
         ``u`` and (j, b) pairs ``v`` of two vectors, read from ``_sparse``
         and added into ``out`` (a new zero list when None; the Jacobi check
@@ -582,7 +582,7 @@ def section_algebra(L: LieAlgebra, qm: QuotientMap) -> LieAlgebra:
     return LieAlgebra(L.field, qm.dim, section_table(L, qm), validate=False)
 
 
-def bracket_law_failure(L: LieAlgebra, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
+def bracket_law_failure(L: LieAlgebra, mats: Sequence[Matrix]) -> tuple[int, int] | None:
     """The first basis pair (i, j), i < j, on which ``mats`` (one square
     matrix per basis element of L) break the bracket law
     sum_k c_k mats[k] = mats[i] mats[j] - mats[j] mats[i], where

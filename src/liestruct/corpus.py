@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import AlgebraError, LieAlgebra, _antisymmetric_table, semidirect_sum
-from .fields import Field, FieldError, PrimeField, QQ, field_from_doc, field_to_doc
+from .fields import Field, FieldError, PrimeField, QQ, _shown, field_from_doc, field_to_doc
 from .linalg import Matrix, zero_vec
 
 
@@ -276,7 +276,7 @@ def _index(x, what: str, bound: int) -> int:
     if isinstance(x, str) and x.isdecimal() and len(x.lstrip("0")) <= len(str(bound)):
         x = int(x)
     if type(x) is not int or not 0 <= x < bound:
-        raise ParseError(f"{what} {x!r} is not an integer in [0, {bound})")
+        raise ParseError(f"{what} {_shown(x)} is not an integer in [0, {bound})")
     return x
 
 
@@ -292,9 +292,9 @@ def from_doc(doc: dict) -> LieAlgebra:
     except (KeyError, FieldError) as exc:
         raise ParseError(f"malformed algebra document: {exc}") from exc
     if type(dim) is not int or dim < 0:
-        raise ParseError(f"dim {dim!r} is not a non-negative integer")
+        raise ParseError(f"dim {_shown(dim)} is not a non-negative integer")
     if dim > MAX_DIM:
-        raise ParseError(f"dim {dim} exceeds the supported bound {MAX_DIM}")
+        raise ParseError(f"dim {_shown(dim)} exceeds the supported bound {MAX_DIM}")
     basis = doc.get("basis") or [f"e{i}" for i in range(dim)]
     entries = doc.get("brackets", [])
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
@@ -307,7 +307,7 @@ def from_doc(doc: dict) -> LieAlgebra:
     given = set()
     for entry in entries:
         if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
-            raise ParseError(f"malformed bracket entry {entry!r}")
+            raise ParseError(f"malformed bracket entry {_shown(entry)}")
         i = _index(entry["i"], "bracket index", dim)
         j = _index(entry["j"], "bracket index", dim)
         if (i, j) in given:
@@ -319,11 +319,11 @@ def from_doc(doc: dict) -> LieAlgebra:
         for k, s in coeffs.items():
             ki = _index(k, "coefficient index", dim)
             if not isinstance(s, (str, int)) or isinstance(s, bool):
-                raise ParseError(f"bad coefficient {s!r}: not a string or an integer")
+                raise ParseError(f"bad coefficient {_shown(s)}: not a string or an integer")
             try:
                 v[ki] = F.scalar_from_str(s)
             except (ValueError, FieldError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad coefficient {s!r}: {exc}") from exc
+                raise ParseError(f"bad coefficient {_shown(s)}: {exc}") from exc
         full[i][j] = v
         given.add((i, j))
     for i in range(dim):

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Union
 
-Scalar = Union[Fraction, int]
+Scalar = Fraction | int
 
 # Prime moduli are capped so exhaustive finite-field enumeration stays sane.
 MAX_PRIME = 1 << 16
@@ -55,26 +54,35 @@ def div_q(a, b) -> Scalar:
     return canon_q(Fraction(a, b))
 
 
+def _shown(x) -> str:
+    """``repr(x)`` for an error message, cut to 80 characters.  An
+    integer past the integer-string limit has no ``repr`` (``ValueError``),
+    so such a value, or a container holding one, is shown by its type."""
+    try:
+        text = repr(x)
+    except ValueError:
+        return f"<unprintable {type(x).__name__}>"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _fraction_from_str(s) -> Fraction:
-    """``Fraction(s)`` for a string or an integer.  A string is refused when
-    the numerator or the denominator it gives has more digits than the
+    """``Fraction(s)`` for a string or an integer, refused when the
+    numerator or the denominator it gives has more digits than the
     integer-string limit ``sys.get_int_max_str_digits()`` (0: no limit), so
-    that every coefficient loaded can be printed back; its decimal exponent
-    is bounded by that limit before ``Fraction`` sees it, because
+    that every coefficient loaded can be printed back.  A string's decimal
+    exponent is bounded by that limit before ``Fraction`` sees it, because
     ``Fraction`` expands ``"1e10000000"`` into a ten-million-digit integer."""
-    if not isinstance(s, str):
-        return Fraction(s)
     limit = sys.get_int_max_str_digits()
-    if "e" in s.lower():
+    if isinstance(s, str) and "e" in s.lower():
         try:
             size = abs(int(s.lower().rpartition("e")[2]))
         except ValueError:  # malformed, or more digits than the limit
             size = None
         if size is None or (limit and size > limit):
-            raise FieldError(f"exponent in {s!r} is malformed or exceeds {limit}")
+            raise FieldError(f"exponent in {_shown(s)} is malformed or exceeds {limit}")
     x = Fraction(s)
     if limit and any(_has_more_digits(n, limit) for n in (x.numerator, x.denominator)):
-        raise FieldError(f"coefficient {s!r} has more than {limit} digits")
+        raise FieldError(f"coefficient {_shown(s)} has more than {limit} digits")
     return x
 
 
@@ -148,7 +156,7 @@ class Rationals(Field):
             return canon_q(x)
         if isinstance(x, str):
             return canon_q(_fraction_from_str(x))
-        raise FieldError(f"cannot coerce {x!r} into Q")
+        raise FieldError(f"cannot coerce {_shown(x)} into Q")
 
     def add(self, a, b):
         return canon_q(a + b)
@@ -175,7 +183,7 @@ class Rationals(Field):
 
     def scalar_to_str(self, a):
         if type(a) is not int and type(a) is not Fraction:
-            raise FieldError(f"{a!r} is not a rational scalar")
+            raise FieldError(f"{_shown(a)} is not a rational scalar")
         return str(a)
 
     def scalar_from_str(self, s):
@@ -201,7 +209,7 @@ class PrimeField(Field):
         if isinstance(p, int) and p >= MAX_PRIME:
             raise FieldError(f"modulus exceeds the supported bound {MAX_PRIME}")
         if not isinstance(p, int) or not _is_prime(p):
-            raise FieldError(f"modulus {p!r} is not prime")
+            raise FieldError(f"modulus {_shown(p)} is not prime")
         self.p = p
 
     def zero(self):
@@ -220,7 +228,7 @@ class PrimeField(Field):
             return x.numerator * pow(den, -1, self.p) % self.p
         if isinstance(x, str):
             return self.coerce(_fraction_from_str(x))
-        raise FieldError(f"cannot coerce {x!r} into GF({self.p})")
+        raise FieldError(f"cannot coerce {_shown(x)} into GF({self.p})")
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -288,6 +296,6 @@ def field_from_doc(doc: dict) -> Field:
     if kind == "GF":
         p = doc.get("p")
         if type(p) is not int:
-            raise FieldError(f"field modulus {p!r} is not an integer")
+            raise FieldError(f"field modulus {_shown(p)} is not an integer")
         return GF(p)
-    raise FieldError(f"unknown field document {doc!r}")
+    raise FieldError(f"unknown field document {_shown(doc)}")

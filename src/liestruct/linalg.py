@@ -52,9 +52,9 @@ do not depend on how a kernel gets there.
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence
 
 from .fields import Field, Scalar, canon_q
 
@@ -499,7 +499,7 @@ def _rref_q(rows) -> tuple[list, list[int]]:
     return out, pivots
 
 
-def rref_solve(A: Matrix, b: Optional[Vector] = None):
+def rref_solve(A: Matrix, b: Vector | None = None):
     """Reduce A; optionally solve A x = b.
 
     Returns ``(rref, rank, particular, nullspace)``; ``particular`` is a
@@ -825,7 +825,7 @@ class QuotientMap:
         return Subspace._of(self.field, self.W.ambient_dim, vecs)
 
 
-def invert_matrix(M: Matrix) -> Optional[Matrix]:
+def invert_matrix(M: Matrix) -> Matrix | None:
     """Inverse of a square matrix, or None when singular."""
     F = M.field
     n = M.rows

@@ -284,6 +284,27 @@ class TestSerialization:
         with pytest.raises(ParseError, match="exceeds"):
             load(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"field": {"kind": "Q"}, "dim": 10**5000},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 10**5000, "j": 1}]},
+            {"field": {"kind": "GF", "p": -10**5000}, "dim": 2},
+            {"field": {"kind": "Q"}, "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": 10**5000}}]},
+        ],
+        ids=["dim", "bracket-index", "gf-modulus", "coefficient"],
+    )
+    def test_an_over_long_integer_is_a_parse_error(self, doc):
+        """``repr`` of an integer past the 4,300-digit limit raises
+        ``ValueError``; no error message may format one.  JSON text cannot
+        carry such an integer, but ``from_doc`` is public."""
+        with pytest.raises(ParseError):
+            from_doc(doc)
+
+    def test_an_over_long_modulus_is_a_field_error(self):
+        with pytest.raises(FieldError, match="not prime"):
+            GF(-10**5000)
+
     def test_non_finite_and_deep_json_are_parse_errors(self):
         with pytest.raises(ParseError):
             load('{"field": {"kind": "Q"}, "dim": 2, "brackets": '

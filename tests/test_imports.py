@@ -13,16 +13,32 @@ attribute or imports it, other than from inside the name's own definition
 in the same way, so an export from ``__init__.py`` or a call from ``cli``
 names it.  A route that is deleted must take its imports and its helpers
 with it.
+
+``import liestruct`` loads the algebra layer (``EAGER``) and no more: the
+eager modules import only from each other outside their functions, and a
+fresh interpreter that imports liestruct and loads a document has imported
+none of the analysis layer (``ANALYSIS``) and not ``typing``.  The package
+``__getattr__`` and ``__dir__`` serve the analysis layer's exports on
+demand, and ``liestruct.cli`` still imports all of it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import liestruct
+from liestruct import builtin, save
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "liestruct"
 SOURCES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+EAGER = {"fields", "linalg", "algebra", "status", "corpus"}
+ANALYSIS = {"modules", "polys", "chief", "crowns", "primitive", "oracle"}
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -199,3 +215,116 @@ def test_a_dead_public_name_is_found():
         "cli": ast.parse("from .a import called_by_cli\n"),
     }
     assert sorted(dead_public_names(trees)) == ["a.Unused", "a.recursive"]
+
+
+def eager_imports(tree: ast.Module):
+    """(package module, line) for each relative import that runs when
+    ``tree`` is imported: every one outside a function body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for name in [node.module] if node.module else [alias.name for alias in node.names]:
+                yield name.split(".")[0], node.lineno
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def stray_imports(trees: dict) -> list:
+    """``module: .target (line n)`` for each eager import of ``trees``
+    (module name -> ``ast.Module``) from outside the eager layer."""
+    return sorted(
+        f"{m}: .{target} (line {line})"
+        for m, tree in trees.items()
+        for target, line in eager_imports(tree)
+        if target not in EAGER
+    )
+
+
+def test_the_eager_layer_imports_only_itself():
+    trees = {
+        p.stem: ast.parse(p.read_text(), filename=str(p))
+        for p in SOURCES
+        if p.stem in EAGER or p.stem == "__init__"
+    }
+    assert len(trees) == len(EAGER) + 1
+    stray = stray_imports(trees)
+    assert not stray, f"the eager layer imports the analysis layer: {', '.join(stray)}"
+
+
+def test_a_stray_eager_import_is_found():
+    trees = {
+        "a": ast.parse(
+            "from .fields import Field\n"
+            "from . import linalg, oracle\n"
+            "from .chief import chief_series\n"
+            "class C:\n"
+            "    from .crowns import Crown\n"
+            "def f():\n"
+            "    from .modules import spin\n"
+        ),
+    }
+    assert stray_imports(trees) == ["a: .chief (line 3)", "a: .crowns (line 5)", "a: .oracle (line 2)"]
+
+
+def run_fresh(code: str) -> str:
+    """The output of ``code`` run by a fresh interpreter, without ``site``
+    and with ``PYTHONPATH=src``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def fresh_imports(code: str) -> set:
+    """The modules that a fresh interpreter imports while it runs ``code``."""
+    probe = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(*sorted(set(sys.modules) - before))\n"
+    return set(run_fresh(probe).split())
+
+
+def test_import_and_load_leave_the_analysis_layer_unloaded():
+    doc = save(builtin("sl2"))
+    new = fresh_imports(f"import liestruct\nliestruct.load({doc!r})")
+    assert {f"liestruct.{m}" for m in EAGER} <= new
+    assert not {f"liestruct.{m}" for m in ANALYSIS} & new
+    assert "typing" not in new
+
+
+def test_importing_cli_loads_the_analysis_layer():
+    assert {f"liestruct.{m}" for m in ANALYSIS} <= fresh_imports("import liestruct.cli")
+
+
+def exports() -> dict:
+    """Each name an import statement of ``__init__.py`` binds, with the
+    module it comes from."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+# Each sets ``missing`` to the exports that a cold package does not serve
+# by attribute access, by ``dir`` or by a star import.
+EXPORT_PROBES = {
+    "getattr": "missing = [n for n, m in EXPORTS.items()"
+    " if getattr(liestruct, n) is not getattr(importlib.import_module('liestruct.' + m), n)]",
+    "dir": "missing = sorted(set(EXPORTS) - set(dir(liestruct)))",
+    "star": "ns = {}\nexec('from liestruct import *', ns)\nmissing = sorted(set(EXPORTS) - set(ns))",
+}
+
+
+@pytest.mark.parametrize("probe", EXPORT_PROBES)
+def test_every_export_resolves_from_a_cold_package(probe):
+    assert set(exports().values()) == EAGER | ANALYSIS - {"polys"}
+    code = f"import importlib, json, liestruct\nEXPORTS = {exports()!r}\n{EXPORT_PROBES[probe]}\nprint(json.dumps(missing))"
+    assert json.loads(run_fresh(code)) == []
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        liestruct.no_such_name
+    assert not hasattr(liestruct, "no_such_name")

@@ -7,12 +7,13 @@ import typing
 
 import pytest
 
-from liestruct import algebra, builtin, chief, crowns, modules, oracle
+from liestruct import algebra, builtin, chief, crowns, linalg, modules, oracle
 from liestruct.algebra import AlgebraError, LieAlgebra, quotient_algebra
 from liestruct.chief import chief_series
 from liestruct.cli import build_report
 from liestruct.crowns import Crown, all_crowns, prefrattini
 from liestruct.fields import GF, QQ, Rationals
+from liestruct.linalg import Matrix, Subspace
 from liestruct.modules import (
     adjoint_module,
     factor_module,
@@ -112,8 +113,23 @@ class TestCachedValues:
         assert not H._memo
 
 
-def test_crown_type_hints_resolve():
-    assert typing.get_type_hints(Crown)["status"] is Status
+# (annotated object, annotated name, the members of its resolved hint)
+HINTS = [
+    (Crown, "status", {Status}),
+    (algebra.IdealFlag, "subspace", {Subspace}),
+    (algebra.NilpotentAutomorphism, "matrix", {Matrix}),
+    (linalg.rref_solve, "b", {tuple, type(None)}),
+    (linalg.invert_matrix, "return", {Matrix, type(None)}),
+    (algebra.bracket_law_failure, "return", {tuple[int, int], type(None)}),
+]
+
+
+@pytest.mark.parametrize("target, name, members", HINTS, ids=[f"{t.__name__}.{n}" for t, n, _ in HINTS])
+def test_crown_type_hints_resolve(target, name, members):
+    """String annotations (``X | None``, ``collections.abc`` generics)
+    resolve at run time; a union is compared by its members."""
+    hint = typing.get_type_hints(target)[name]
+    assert (set(typing.get_args(hint)) or {hint}) == members
 
 
 def _rebind(monkeypatch, orig, replacement):
