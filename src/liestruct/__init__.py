@@ -9,10 +9,11 @@ validate algebras.  The analysis layer (``modules``, ``polys``, ``chief``,
 ``crowns``, ``primitive`` and ``oracle``) is about half of the package's
 source; it loads on the first access to one of its exports as an attribute
 of this package, through the module ``__getattr__`` (PEP 562), or on
-``dir(liestruct)`` and ``from liestruct import *``.  Importing one of its
-modules, or ``liestruct.cli``, loads it as usual: ``cli`` keeps its imports
-at the top, so a caller that imports it before timing a report does not pay
-for compiling that layer inside the report.
+``dir(liestruct)`` and ``from liestruct import *``.  An analysis module
+named as an attribute, such as ``liestruct.chief``, is imported on its own.
+Importing one of its modules, or ``liestruct.cli``, loads it as usual:
+``cli`` keeps its imports at the top, so a caller that imports it before
+timing a report does not pay for compiling that layer inside the report.
 """
 
 from .fields import GF, QQ, Field, FieldError, PrimeField, Rationals
@@ -49,15 +50,17 @@ from .corpus import FixtureFact, ParseError, builtin, facts_for, load, save
 
 __version__ = "0.1.0"
 
-_analysis_loaded = False
+# The analysis layer's modules.  ``__getattr__`` imports just the one named,
+# so ``from . import modules`` inside a half-imported analysis module does
+# not start a load of the whole layer that would import that module again.
+_ANALYSIS_MODULES = frozenset({"modules", "polys", "chief", "crowns", "primitive", "oracle"})
 
 
 def _load_analysis_layer() -> None:
-    """Bind the analysis layer's exports into this namespace, once."""
-    global _analysis_loaded
-    if _analysis_loaded:
-        return
-    _analysis_loaded = True
+    """Bind the analysis layer's exports into this namespace.  Each call runs
+    the imports again: ``sys.modules`` makes a repeat cheap, the import locks
+    make a second thread wait for a load in progress, and a load that failed
+    part way raises its error again instead of leaving names unbound."""
     from .modules import (
         FactorModule,
         LModule,
@@ -125,7 +128,10 @@ def _load_analysis_layer() -> None:
 
 
 def __getattr__(name: str):
-    _load_analysis_layer()
+    if name in _ANALYSIS_MODULES:
+        __import__(f"{__name__}.{name}")
+    else:
+        _load_analysis_layer()
     try:
         return globals()[name]
     except KeyError:

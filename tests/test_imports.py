@@ -328,3 +328,38 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         liestruct.no_such_name
     assert not hasattr(liestruct, "no_such_name")
+
+
+@pytest.mark.parametrize("module", sorted(ANALYSIS) + ["cli"])
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    """``from . import modules`` in a half-imported ``primitive`` asks the
+    package for ``modules``; that must import the one module, not start a
+    load of the layer that would import ``primitive`` again."""
+    for code in (f"import liestruct.{module}", f"from liestruct import {module}"):
+        run_fresh(code)
+
+
+@pytest.mark.parametrize("module", sorted(ANALYSIS))
+def test_an_analysis_module_resolves_as_an_attribute(module):
+    code = f"import sys, liestruct\nprint(liestruct.{module} is sys.modules['liestruct.{module}'])"
+    assert run_fresh(code).split() == ["True"]
+
+
+def test_a_failed_load_raises_its_error_again():
+    """A load that fails part way leaves no half-bound layer behind: the
+    next access retries it and raises the real error, or succeeds."""
+    code = (
+        "import sys, liestruct\n"
+        "class RefuseOnce:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'liestruct.oracle':\n"
+        "            sys.meta_path.remove(self)\n"
+        "            raise ImportError('refused')\n"
+        "sys.meta_path.insert(0, RefuseOnce())\n"
+        "for _ in range(2):\n"
+        "    try:\n"
+        "        print(liestruct.prefrattini_bf.__module__)\n"
+        "    except ImportError as e:\n"
+        "        print(e)\n"
+    )
+    assert run_fresh(code).split() == ["refused", "liestruct.oracle"]
