@@ -5,7 +5,8 @@ oracle for ground truth.
 
 ``import liestruct`` loads the algebra layer only: ``fields``, ``linalg``,
 ``algebra``, ``status`` and ``corpus``, enough to build, load, save and
-validate algebras.  The analysis layer (``modules``, ``polys``, ``chief``,
+validate algebras, and imports neither ``typing``, ``inspect`` nor
+``dataclasses``.  The analysis layer (``modules``, ``polys``, ``chief``,
 ``crowns``, ``primitive`` and ``oracle``) is about half of the package's
 source; it loads on the first access to one of its exports as an attribute
 of this package, through the module ``__getattr__`` (PEP 562), or on

@@ -35,9 +35,8 @@ carrying the quotient ``algebra``, whose basis vectors lift to the map's
 from __future__ import annotations
 
 import functools
-import inspect
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .fields import Field, canon_q
 from .linalg import (
@@ -264,18 +263,25 @@ def memoized(fn):
     Every call is keyed by its full positional form: an argument passed by
     keyword as if passed by position, and an omitted trailing argument by
     its default, so ``all_crowns(L)`` and ``all_crowns(L, None)`` share one
-    value; a missing required argument raises ``TypeError``.
+    value; a missing required argument, or an unexpected or repeated one,
+    raises ``TypeError``.  The parameter names and defaults are read from
+    ``fn.__code__`` and ``fn.__defaults__``, so that importing the package
+    does not import ``inspect``.
     """
 
-    sig = inspect.signature(fn)
-    arity = len(sig.parameters)
+    code = fn.__code__
+    names = code.co_varnames[1 : code.co_argcount]  # the parameters after the first
+    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
 
     @functools.wraps(fn)
     def cached(first, *args, **kwargs):
-        if kwargs or len(args) + 1 < arity:  # key a call as its full positional form
-            bound = sig.bind(first, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
+        if kwargs or len(args) < len(names):  # key a call as its full positional form
+            rest = names[len(args) :]
+            extra = kwargs.keys() - rest
+            missing = [n for n in rest if n not in kwargs and n not in defaults]
+            if extra or missing:
+                raise TypeError(f"{fn.__name__}() got unexpected or repeated {sorted(extra)}, lacks {missing}")
+            args = (*args, *(kwargs[n] if n in kwargs else defaults[n] for n in rest))
         if isinstance(first, LieAlgebra):
             memo, key = first._memo, (fn, *args)
         else:
@@ -359,8 +365,8 @@ def is_ideal(L: LieAlgebra, U: Subspace) -> bool:
     return brackets_inside(L, L.full_space(), U, U)
 
 
-@dataclass(frozen=True)
-class IdealFlag:
+class IdealFlag(namedtuple("IdealFlag", "subspace is_subalgebra is_ideal")):
+    __slots__ = ()
     subspace: Subspace
     is_subalgebra: bool
     is_ideal: bool
@@ -653,8 +659,8 @@ def semidirect_sum(B: LieAlgebra, Q: LieAlgebra, action: Sequence[Matrix]) -> Li
     return LieAlgebra(F, n, table, basis_names=names)
 
 
-@dataclass(frozen=True)
-class NilpotentAutomorphism:
+class NilpotentAutomorphism(namedtuple("NilpotentAutomorphism", "generator matrix")):
+    __slots__ = ()
     generator: Vector
     matrix: Matrix
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraError, LieAlgebra, _antisymmetric_table, semidirect_sum
 from .fields import Field, FieldError, PrimeField, QQ, _shown, field_from_doc, field_to_doc
@@ -27,8 +27,7 @@ class ParseError(ValueError):
 MAX_DIM = 1 << 6
 
 
-@dataclass(frozen=True)
-class FixtureFact:
+class FixtureFact(namedtuple("FixtureFact", "algebra kind payload provenance")):
     """One expected structural fact about a builtin algebra.
 
     ``kind`` selects the replay check; ``payload`` holds coordinate data
@@ -36,6 +35,7 @@ class FixtureFact:
     value was obtained (a hand derivation, a finite-field enumeration, or a
     published example)."""
 
+    __slots__ = ()
     algebra: str
     kind: str
     payload: dict

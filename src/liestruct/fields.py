@@ -184,6 +184,9 @@ class Rationals(Field):
     def scalar_to_str(self, a):
         if type(a) is not int and type(a) is not Fraction:
             raise FieldError(f"{_shown(a)} is not a rational scalar")
+        limit = sys.get_int_max_str_digits()
+        if limit and any(_has_more_digits(n, limit) for n in (a.numerator, a.denominator)):
+            raise FieldError(f"a scalar with more than {limit} digits cannot be written")
         return str(a)
 
     def scalar_from_str(self, s):

@@ -394,7 +394,7 @@ def _norton_kernel(M: LModule):
     F = M.field
     p, d = F.p, M.dim
     k, theta, echelon = _least_singular(M)
-    if theta is None or p**k > VECTOR_ENUM_BUDGET:
+    if theta is None or (p**k - 1) // (p - 1) > VECTOR_ENUM_BUDGET:  # the points of ker theta
         return None
     ker = _nullspace(F, d, *echelon)  # the kernel from the rank search's echelon form
     W = _first_proper_spin(M, ker)
@@ -439,7 +439,8 @@ def certify_irreducible(M: LModule):
     irreducible iff every projective point of ker theta spins to M and one
     vector of ker theta^T spins to the dual, since a proper submodule U
     with U cap ker theta = 0 has theta(U) = U and so ker theta^T inside its
-    annihilator.  It needs p^k within ``VECTOR_ENUM_BUDGET``.  Then an
+    annihilator.  It needs the (p^k - 1)/(p - 1) projective points of
+    ker theta within ``VECTOR_ENUM_BUDGET``.  Then an
     action matrix with an irreducible characteristic polynomial certifies
     irreducibility, and otherwise the projective points of M itself are
     spun while p^dim is within budget.

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Status:
+class Status(namedtuple("Status", "level reason", defaults=("",))):
+    __slots__ = ()
     level: str  # "certified" | "heuristic" | "undecided"
-    reason: str = ""
+    reason: str
 
     @property
     def certified(self) -> bool:

@@ -305,6 +305,15 @@ class TestSerialization:
         with pytest.raises(FieldError, match="not prime"):
             GF(-10**5000)
 
+    def test_an_over_long_coefficient_is_not_saved(self):
+        """An algebra built in code may hold a coefficient that no string can
+        carry; ``save`` refuses it with the limit instead of ``str``'s
+        ``ValueError``."""
+        limit = sys.get_int_max_str_digits()
+        L = LieAlgebra(QQ, 2, {(0, 1): (0, 10 ** max(limit, 4300))})
+        with pytest.raises(FieldError, match=str(limit)):
+            save(L)
+
     def test_non_finite_and_deep_json_are_parse_errors(self):
         with pytest.raises(ParseError):
             load('{"field": {"kind": "Q"}, "dim": 2, "brackets": '

@@ -11,6 +11,7 @@ from liestruct import algebra, builtin, chief, crowns, linalg, modules, oracle
 from liestruct.algebra import AlgebraError, LieAlgebra, quotient_algebra
 from liestruct.chief import chief_series
 from liestruct.cli import build_report
+from liestruct.corpus import FixtureFact
 from liestruct.crowns import Crown, all_crowns, prefrattini
 from liestruct.fields import GF, QQ, Rationals
 from liestruct.linalg import Matrix, Subspace
@@ -19,7 +20,7 @@ from liestruct.modules import (
     factor_module,
     socle_and_minimal_ideals,
 )
-from liestruct.status import Status
+from liestruct.status import CERTIFIED, Status
 
 
 class TestCachedValues:
@@ -63,6 +64,10 @@ class TestCachedValues:
         assert all_crowns(L, series=None) is found
         with pytest.raises(TypeError):  # a missing required argument
             factor_module(L, L.zero_space())
+        with pytest.raises(TypeError):  # an unexpected keyword
+            all_crowns(L, crowns=None)
+        with pytest.raises(TypeError):  # an argument given by position and by keyword
+            all_crowns(L, None, series=None)
 
     def test_exceptions_are_not_cached(self):
         H = builtin("heis", QQ)
@@ -130,6 +135,44 @@ def test_crown_type_hints_resolve(target, name, members):
     resolve at run time; a union is compared by its members."""
     hint = typing.get_type_hints(target)[name]
     assert (set(typing.get_args(hint)) or {hint}) == members
+
+
+def records():
+    """``(make, a field, hashable)`` for each record on the load path, where
+    ``make`` builds one instance from the same values on every call."""
+    L = builtin("heis", QQ)
+    yield (lambda: Status("heuristic", "a reason")), "level", True
+    yield (lambda: algebra.ideal_flags(L, L.span([(0, 0, 1)]))), "is_ideal", True
+    yield (lambda: algebra.nilpotent_automorphism(L, (1, 0, 0))), "matrix", True
+    yield (lambda: FixtureFact("heis", "crown_count", {"count": 1}, "hand derivation")), "payload", False
+
+
+@pytest.mark.parametrize(
+    "make, field, hashable", records(), ids=["Status", "IdealFlag", "NilpotentAutomorphism", "FixtureFact"]
+)
+def test_records_are_frozen_values(make, field, hashable):
+    """A field cannot be assigned (``AttributeError``, of which
+    ``dataclasses.FrozenInstanceError`` is a subclass), nor a new attribute
+    added; equal values give equal records, with equal hashes where every
+    field is hashable (a ``FixtureFact`` payload is a dict)."""
+    a, b = make(), make()
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        a.extra = None
+    assert a == b and a is not b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_a_status_prints_its_level_and_reason():
+    assert repr(CERTIFIED) == "Status(level='certified', reason='')"
+    assert str(CERTIFIED) == "certified" and CERTIFIED.certified
+    assert Status("heuristic") == Status("heuristic", "")
+    assert str(Status("heuristic", "why")) == "heuristic (why)"
 
 
 def _rebind(monkeypatch, orig, replacement):

@@ -208,6 +208,18 @@ def outer_tensor_square(F) -> LModule:
     )
 
 
+def test_the_budget_counts_the_kernel_points(monkeypatch):
+    """The least nullity of the outer tensor square over GF(3) is 2: its
+    kernel has (3^2 - 1)/2 = 4 projective points, which a budget of 4
+    covers although it is below 3^2."""
+    M = outer_tensor_square(GF(3))
+    assert _least_singular(M)[0] == 2
+    monkeypatch.setattr(modules, "VECTOR_ENUM_BUDGET", 4)
+    assert _norton_kernel(M) == ("irr", None)
+    monkeypatch.setattr(modules, "VECTOR_ENUM_BUDGET", 3)
+    assert _norton_kernel(M) is None
+
+
 def test_every_kernel_point_is_spun_when_the_nullity_exceeds_one():
     """Two copies of the outer tensor square in a random basis: the least
     nullity is 4, and a kernel vector (u1, u2) spins to a proper submodule
