@@ -38,7 +38,7 @@ import functools
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .fields import Field, canon_q
+from .fields import Field
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -182,19 +182,19 @@ class LieAlgebra:
         out = self._bracket_sum(_nonzeros(u), _nonzeros(v))
         p = _modulus(self.field)
         if p:
-            return tuple(x % p for x in out)
-        return tuple(map(canon_q, out))
+            return tuple([x % p for x in out])
+        return tuple(_canon_q_all(out))
 
     def ad(self, a: Vector) -> Matrix:
         """Matrix of x -> [a, x]: column j is ``_bracket_sum`` of the
         nonzeros of a against the unit pair (j, 1), reduced once."""
         n = self.dim
         terms = _nonzeros(a)
-        rows = zip(*(self._bracket_sum(terms, ((j, 1),)) for j in range(n)))
+        rows = zip(*[self._bracket_sum(terms, ((j, 1),)) for j in range(n)])
         p = _modulus(self.field)
         if p:
-            return Matrix._of(self.field, [tuple(x % p for x in r) for r in rows], n)
-        return Matrix._of(self.field, [tuple(map(canon_q, r)) for r in rows], n)
+            return Matrix._of(self.field, [[x % p for x in r] for r in rows], n)
+        return Matrix._of(self.field, [_canon_q_all(r) for r in rows], n)
 
     def full_space(self) -> Subspace:
         """The whole algebra as a subspace, built on first use and kept."""
@@ -240,7 +240,8 @@ def memoized(fn):
       ``core``, ``killing_radical``, ``is_solvable`` and
       ``quotient_algebra``;
     * in ``modules``: ``factor_module``, ``restrict_module``,
-      ``quotient_module``, ``certify_irreducible``, ``socle_space``,
+      ``quotient_module``, ``certify_irreducible``,
+      ``_composition_factors`` (a tuple of factors), ``socle_space``,
       ``socle_and_minimal_ideals``, ``_hom_basis`` (the maps behind
       ``hom_space``, which returns a new list of them on every call) and
       ``split_abelian_extension`` (whose certificate a chief factor's
@@ -391,7 +392,7 @@ def _colon_rows(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> list:
     out = []
     for y in Y._nonzero_rows():
         cols = [_reduce(p, L._bracket_sum(x, y), rows, pivots) for x in xs]
-        out.extend(tuple(col[t] for col in cols) for t in free)
+        out.extend([tuple([col[t] for col in cols]) for t in free])
     return out
 
 

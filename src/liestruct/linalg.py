@@ -31,6 +31,10 @@ stay canonical at every boundary: ``int`` residues over GF(p), and over Q an
   normalize a result once, mapping ``canon_q`` only when it holds a
   ``Fraction`` (``_canon_q_all``).
 
+The per-scalar kernels build a tuple from a list comprehension,
+``tuple([...])``, not from a generator: CPython resumes a generator's frame
+for every element, while a comprehension runs in one frame.
+
 ``QuotientMap`` owns the coordinates on a section W/U: every quotient,
 factor module and semidirect model reads its lift basis ``lifts`` and takes
 the matrix a map induces on W/U from ``induced``, or from one
@@ -74,8 +78,8 @@ def _modulus(field: Field) -> int:
 def vec(field: Field, entries: Iterable) -> Vector:
     if field.kind == "GF":
         p = field.p
-        return tuple(x % p if type(x) is int else field.coerce(x) for x in entries)
-    return tuple(x if type(x) is int else field.coerce(x) for x in entries)
+        return tuple([x % p if type(x) is int else field.coerce(x) for x in entries])
+    return tuple([x if type(x) is int else field.coerce(x) for x in entries])
 
 
 def zero_vec(field: Field, n: int) -> Vector:
@@ -86,22 +90,22 @@ def zero_vec(field: Field, n: int) -> Vector:
 def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
     p = _modulus(field)
     if p:
-        return tuple((a + b) % p for a, b in zip(u, v))
-    return tuple(canon_q(a + b) for a, b in zip(u, v))
+        return tuple([(a + b) % p for a, b in zip(u, v)])
+    return tuple([canon_q(a + b) for a, b in zip(u, v)])
 
 
 def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
     p = _modulus(field)
     if p:
-        return tuple((a - b) % p for a, b in zip(u, v))
-    return tuple(canon_q(a - b) for a, b in zip(u, v))
+        return tuple([(a - b) % p for a, b in zip(u, v)])
+    return tuple([canon_q(a - b) for a, b in zip(u, v)])
 
 
 def vec_scale(field: Field, c: Scalar, u: Vector) -> Vector:
     p = _modulus(field)
     if p:
-        return tuple(c * a % p for a in u)
-    return tuple(canon_q(c * a) for a in u)
+        return tuple([c * a % p for a in u])
+    return tuple([canon_q(c * a) for a in u])
 
 
 def vec_is_zero(field: Field, u: Vector) -> bool:
@@ -113,7 +117,7 @@ def vec_is_zero(field: Field, u: Vector) -> bool:
 
 def unit_vec(field: Field, n: int, i: int) -> Vector:
     zero, one = field.zero(), field.one()
-    return tuple(one if j == i else zero for j in range(n))
+    return tuple([one if j == i else zero for j in range(n)])
 
 
 def _canon_q_all(xs: list) -> list:
@@ -136,13 +140,13 @@ def lin_comb(field: Field, coeffs: Iterable, vecs: Sequence[Vector]) -> Vector:
                 if x:
                     out[j] += c * x
     if p:
-        return tuple(x % p for x in out)
+        return tuple([x % p for x in out])
     return tuple(_canon_q_all(out))
 
 
 def _nonzeros(row) -> tuple:
     """The (index, value) pairs of a row's nonzero entries."""
-    return tuple((j, x) for j, x in enumerate(row) if x)
+    return tuple([(j, x) for j, x in enumerate(row) if x])
 
 
 def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
@@ -245,7 +249,7 @@ class Matrix:
         coercion."""
         M = object.__new__(cls)
         M.field = field
-        M.entries = tuple(tuple(r) for r in rows)
+        M.entries = tuple(map(tuple, rows))
         M.rows = len(M.entries)
         M.cols = cols if M.entries else 0
         M._nz = None
@@ -282,7 +286,7 @@ class Matrix:
         return self._off
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+        return tuple([r[j] for r in self.entries])
 
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, list(zip(*self.entries)), self.rows)
@@ -303,7 +307,7 @@ class Matrix:
                     s += a * b
             out.append(s)
         if p:
-            return tuple(x % p for x in out)
+            return tuple([x % p for x in out])
         return tuple(_canon_q_all(out))
 
     def matmul(self, other: "Matrix") -> "Matrix":
@@ -539,9 +543,14 @@ def rref_solve(A: Matrix, b: Vector | None = None):
 
 
 def _nullspace(F: Field, n: int, rref_rows: Sequence, pivots: Sequence[int]) -> "Subspace":
-    """The kernel of a matrix with n columns, from the nonzero rows of its
-    reduced row echelon form and their pivots: one vector per free column,
-    unit at the free column."""
+    """The kernel of a matrix, as the span of its ``_null_rows``."""
+    return Subspace._of(F, n, _null_rows(F, n, rref_rows, pivots))
+
+
+def _null_rows(F: Field, n: int, rref_rows: Sequence, pivots: Sequence[int]) -> list:
+    """A kernel basis of a matrix with n columns, from the nonzero rows of
+    its reduced row echelon form and their pivots: one list per free column,
+    unit at the free column, of canonical scalars, not in RREF."""
     p = _modulus(F)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
@@ -553,7 +562,7 @@ def _nullspace(F: Field, n: int, rref_rows: Sequence, pivots: Sequence[int]) -> 
             x = rref_rows[i][fc]
             v[pc] = -x % p if p else -x
         null_rows.append(v)
-    return Subspace._of(F, n, null_rows)
+    return null_rows
 
 
 class Subspace:
@@ -623,11 +632,11 @@ class Subspace:
         is v itself."""
         if self._forms is None:
             pivot_set = set(self.pivots)
-            self._forms = tuple(
-                (t, tuple((c, row[t]) for c, row in zip(self.pivots, self.basis) if row[t]))
+            self._forms = tuple([
+                (t, tuple([(c, row[t]) for c, row in zip(self.pivots, self.basis) if row[t]]))
                 for t in range(self.ambient_dim)
                 if t not in pivot_set
-            )
+            ])
         return self._forms
 
     def reduce(self, v: Vector) -> Vector:
@@ -655,7 +664,10 @@ class Subspace:
         if not set(self.pivots).issuperset(other.pivots):
             return False
         p, forms = _modulus(self.field), self._membership_forms()
-        return all(_satisfies(p, forms, v) for v in other.basis)
+        for v in other.basis:
+            if not _satisfies(p, forms, v):
+                return False
+        return True
 
     def _check_ambient(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -799,7 +811,7 @@ class QuotientMap:
                 for c, a in terms:
                     x += a * v[c]
                 coords[f] = x
-            out.append(tuple(x % p for x in coords) if p else tuple(_canon_q_all(coords)))
+            out.append(tuple([x % p for x in coords]) if p else tuple(_canon_q_all(coords)))
         return out
 
     def lift(self, coords: Vector) -> Vector:

@@ -77,6 +77,7 @@ from .linalg import (
     _cleared,
     _modulus,
     _nonzeros,
+    _null_rows,
     _nullspace,
     _reduce,
     _rref,
@@ -262,7 +263,7 @@ def _action(F: Field, *matrices) -> list:
     return [[tuple([(i, (a * den).numerator) for i, a in c]) for c in t] for t in tables]
 
 
-def _spin_rows(F: Field, action, s: int, seeds) -> tuple:
+def _spin_rows(F: Field, action, s: int, seeds, halt: bool = False) -> tuple:
     """``(span, relations)`` of the spin under ``action`` (tables of
     ``_action``), with pivots among the first s coordinates.  A seed of
     ``seeds(pivots)``, which yields one or more, is drawn once all earlier
@@ -270,7 +271,9 @@ def _spin_rows(F: Field, action, s: int, seeds) -> tuple:
     before it with zeros.  An insert, reduced by ``_reduce`` (fraction-free
     over Q), is a new queued semi-echelon row when nonzero on the first s
     coordinates, else a relation when nonzero.  The span is ``Subspace.full``
-    once the rows fill the space (s = d), else their ``Subspace._of``."""
+    once the rows fill the space (s = d), else their ``Subspace._of``.  With
+    ``halt`` the spin stops at its first relation and returns ``(None,
+    [relation])``."""
     p = _modulus(F)
     zero = F.zero()
     nzs: list = []  # the rows, as their nonzero (index, value) pairs
@@ -283,6 +286,7 @@ def _spin_rows(F: Field, action, s: int, seeds) -> tuple:
         if not any(w[:s]):
             if any(w):
                 relations.append(w)
+                return halt
             return
         nz = _nonzeros(w)
         c, b = nz[0]
@@ -295,7 +299,8 @@ def _spin_rows(F: Field, action, s: int, seeds) -> tuple:
 
     for seed in seeds(pivots):
         d = len(seed)
-        insert(_cleared(seed))
+        if insert(_cleared(seed)):
+            return None, relations
         while queue:
             nz = queue.pop()
             for cols in action:
@@ -303,7 +308,8 @@ def _spin_rows(F: Field, action, s: int, seeds) -> tuple:
                 for j, x in nz:
                     for o, a in cols[j]:
                         image[j + o] += a * x
-                insert(image)
+                if insert(image):
+                    return None, relations
                 if len(nzs) == d:
                     return Subspace.full(F, d), relations
     rows = [[zero] * d for _ in nzs]
@@ -329,15 +335,15 @@ def _graph_hom(F: Field, gens: list, images, ads: list) -> Optional[Matrix]:
     """The homomorphism T: A -> B with T g_k = y_k, for generators g_k of A,
     read from the spin of the pairs (g_k, y_k) in A + B under ``ads``, the
     pairs (ad g_k, ad y_k), with pivots in A; None when the spin meets a
-    relation.  The spin maps onto the subalgebra that the g_k generate, A,
-    so without a relation it is the graph of a linear T, its rows
-    (e_i, T e_i), with T ad g_k = ad y_k T; the x with T ad x = ad(Tx) T
-    form a subalgebra, so T is a homomorphism.  Conversely the graph of a
-    homomorphism holds the spin."""
+    relation, where it stops.  The spin maps onto the subalgebra that the
+    g_k generate, A, so without a relation it is the graph of a linear T,
+    its rows (e_i, T e_i), with T ad g_k = ad y_k T; the x with
+    T ad x = ad(Tx) T form a subalgebra, so T is a homomorphism.
+    Conversely the graph of a homomorphism holds the spin."""
     n = len(gens[0])
     action = [a + b for a, b in (_action(F, *pair) for pair in ads)]
     seeds = [g + y for g, y in zip(gens, images)]
-    span, relations = _spin_rows(F, action, n, lambda _: seeds)
+    span, relations = _spin_rows(F, action, n, lambda _: seeds, halt=True)
     return None if relations else Matrix.from_columns(F, [r[n:] for r in span.basis])
 
 
@@ -509,16 +515,18 @@ def enveloping_basis(M: LModule) -> list[Matrix]:
     return [Matrix._of(F, [r[i * d : (i + 1) * d] for i in range(d)], d) for r in span.basis]
 
 
+@memoized
 def _composition_factors(M: LModule):
-    """``(factors, status)``: the composition factors of M, chopped along the
-    proper submodules that ``certify_irreducible`` exhibits, and the worst
-    status met; ``factors`` is None when some piece is undecided."""
+    """``(factors, status)``: the composition factors of M as a tuple,
+    chopped along the proper submodules that ``certify_irreducible``
+    exhibits, and the worst status met; ``factors`` is None when some piece
+    is undecided."""
     verdict, W, status = certify_irreducible(M)
     if verdict is None:
         return None, status
     if verdict:
-        return [M], status
-    factors = []
+        return (M,), status
+    factors = ()
     for piece in (restrict_module(M, W), quotient_module(M, W)):
         sub, st = _composition_factors(piece)
         if sub is None:
@@ -700,7 +708,8 @@ def _hom_basis(M1: LModule, M2: LModule) -> tuple:
     identity on its block) on M1 + M2^n, where (v, W) says X(v) = W u (W is
     t x n, column k at s + k t) and the action is (rho1 v, rho2 W).  Its
     relations W u = 0 are the only equations; the row with pivot c carries
-    X e_c.  The maps (the RREF of the flattened solutions) are not checked."""
+    X e_c.  The maps (the one RREF of the flattened solutions, taken from
+    the raw ``_null_rows`` of the equations) are not checked."""
     F = M1.field
     s, t = M1.dim, M2.dim
     if s == 0 or t == 0:
@@ -725,7 +734,7 @@ def _hom_basis(M1: LModule, M2: LModule) -> tuple:
     span, relations = _spin_rows(F, action, s, seeds)
     rows, n = span.basis, t * len(gens)
     equations = [rel[s + r :: t] for rel in relations for r in range(t)]
-    null = _nullspace(F, n, *_rref(F, equations)).basis
+    null = _null_rows(F, n, *_rref(F, equations))
     # X at u = e_k, flattened by rows: column c is block k of the row with pivot c
     units = [[w[s + k * t + r] for r in range(t) for w in rows] for k in range(n)] if null else []
     flats = [lin_comb(F, u, units) for u in null]

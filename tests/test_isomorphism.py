@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liestruct import builtin, oracle
+from liestruct import builtin, modules, oracle
 from liestruct.algebra import (
     LieAlgebra,
     center,
@@ -457,3 +457,72 @@ def test_the_graph_spin_meets_no_relation_iff_the_word_map_is_a_homomorphism(cas
     T = _graph_hom(A.field, gens, images, [(A.ad(x), B.ad(y)) for x, y in zip(gens, images)])
     assert (T is not None) == hom
     assert T is None or T == W
+
+
+# --- the graph spin stops at its first relation --------------------------------
+
+
+def spun_to_the_end(monkeypatch):
+    """Run every graph spin to its end from here on, as ``_graph_hom`` did
+    before it stopped at the first relation."""
+    real = modules._spin_rows
+    monkeypatch.setattr(modules, "_spin_rows", lambda F, action, s, seeds, halt=False: real(F, action, s, seeds))
+
+
+@pytest.mark.parametrize("F,name", list(reference_algebras()))
+def test_a_search_finds_the_same_map_when_its_spins_halt(F, name, monkeypatch):
+    """``isomorphism_search`` returns the same ``(T, complete)`` whether its
+    graph spins stop at their first relation or run to their end: from each
+    of four bases of the algebra to the next, and from the algebra to every
+    other reference algebra of its dimension over the field."""
+    bases = four_bases(F, name)
+    slow = SLOW_SEARCHES.get((name, field_id(F)), set())
+    pairs = [(A, B) for k, (A, B) in enumerate(zip(bases, bases[1:] + bases[:1])) if k not in slow]
+    for other in REFERENCE_NAMES:
+        try:
+            B = builtin(other, F)
+        except FieldError:
+            continue
+        if other != name and B.dim == bases[0].dim:
+            pairs.append((bases[0], B))
+    halted = [isomorphism_search(A, B) for A, B in pairs]
+    spun_to_the_end(monkeypatch)
+    assert halted == [isomorphism_search(A, B) for A, B in pairs]
+
+
+def reduced_inserts(monkeypatch) -> list:
+    """Every vector that ``_reduce`` returns to ``modules`` from here on:
+    the spin's inserts, as reduced."""
+    real, seen = modules._reduce, []
+
+    def noted(p, w, rows, pivots):
+        seen.append(real(p, w, rows, pivots))
+        return seen[-1]
+
+    monkeypatch.setattr(modules, "_reduce", noted)
+    return seen
+
+
+def test_a_rejected_tuple_stops_at_its_first_relation(monkeypatch):
+    """The generators of h3_plus_r2/GF(3) in a generated basis, sent to
+    themselves in reverse order, fix no homomorphism: the graph spin ends at
+    its third insert, the first to reduce to a relation (zero on A, nonzero
+    on B).  Spun to its end, the same spin makes those inserts first and 21
+    more, among them further relations."""
+    A = rebased(builtin("h3_plus_r2", GF(3)), 1)
+    F, n = A.field, A.dim
+    gens = _generators(A)
+    images = gens[::-1]
+    ads = [(A.ad(x), A.ad(y)) for x, y in zip(gens, images)]
+
+    def relations(inserts):
+        return [k for k, w in enumerate(inserts) if not any(w[:n]) and any(w)]
+
+    seen = reduced_inserts(monkeypatch)
+    assert _graph_hom(F, gens, images, ads) is None
+    halted = list(seen)
+    assert relations(halted) == [len(halted) - 1] == [2]
+    seen.clear()
+    spun_to_the_end(monkeypatch)
+    assert _graph_hom(F, gens, images, ads) is None
+    assert seen[: len(halted)] == halted and len(seen) == 24 and len(relations(seen)) > 1

@@ -23,6 +23,7 @@ from liestruct.linalg import (
     Matrix,
     QuotientMap,
     Subspace,
+    _nonzeros,
     _reduce,
     _rref,
     _rref_gf,
@@ -31,6 +32,10 @@ from liestruct.linalg import (
     lin_comb,
     rref_solve,
     unit_vec,
+    vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 
 from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
@@ -675,6 +680,7 @@ def test_matmul_and_apply_match_the_naive_products(data):
     AB = A.matmul(B)
     assert AB.transpose().entries == tuple(ref_matmul(A, B))
     assert AB.cols == B.cols and all(canonical(F, r) for r in AB.entries)
+    assert [A.col(j) for j in range(A.cols)] == list(zip(*A.entries))
 
 
 @given(st.data())
@@ -686,6 +692,79 @@ def test_lin_comb_matches_the_loop_it_replaced(data):
     got = lin_comb(F, cs, A.entries)
     assert got == ref_lin_comb(F, A.cols, cs, A.entries)
     assert canonical(F, got)
+
+
+# --- vectors, sections and containment ----------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_vector_kernels_match_the_field_operations(data):
+    """``vec`` on entries as a caller passes them (any ints over GF(p),
+    Fractions over Q, integral ones among them), and ``vec_add``,
+    ``vec_sub``, ``vec_scale`` and ``_nonzeros``, entry by entry against
+    the ``Field`` methods; every result a tuple of canonical scalars."""
+    F = data.draw(fields)
+    n = data.draw(st.integers(0, 7))
+    raw = st.lists(scalars(F), min_size=n, max_size=n)
+    xs, ys = data.draw(raw), data.draw(raw)
+    u, v = vec(F, xs), vec(F, ys)
+    c = F.coerce(data.draw(scalars(F)))
+    assert u == tuple(F.coerce(x) for x in xs)
+    for got, want in (
+        (u, u),
+        (vec_add(F, u, v), [F.add(a, b) for a, b in zip(u, v)]),
+        (vec_sub(F, u, v), [F.sub(a, b) for a, b in zip(u, v)]),
+        (vec_scale(F, c, u), [F.mul(c, a) for a in u]),
+    ):
+        assert type(got) is tuple and got == tuple(want) and canonical(F, got)
+    assert _nonzeros(u) == tuple((j, x) for j, x in enumerate(u) if not F.is_zero(x))
+
+
+def unreduced(data, F, v):
+    """v with entries as ``project_all`` may get them: plus a multiple of p
+    over GF(p), an integral entry as a ``Fraction`` over Q."""
+    if F == QQ:
+        return tuple(Fraction(x) if type(x) is int and data.draw(st.booleans()) else x for x in v)
+    return tuple(x + F.p * data.draw(st.integers(-2, 2)) for x in v)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_section_coordinates_and_containment_match_the_generic_loop(data):
+    """``QuotientMap.project_all`` against the generic solve of v = sum of
+    c_f lift_f plus a vector of U, whose c_f are the W/U coordinates of v,
+    on vectors of W with unreduced entries; a vector outside W raises
+    ``ValueError``.  ``contains_space`` both ways against the span of both
+    bases, on subspaces of W and on random ones."""
+    F = data.draw(fields)
+    A = data.draw(matrices(F))
+    n = A.cols
+    W = Subspace.from_vectors(F, n, A.entries)
+
+    def inside(k):  # k random vectors of W
+        lists = st.lists(st.lists(scalars(F), min_size=W.dim, max_size=W.dim), min_size=k, max_size=k)
+        return [ref_lin_comb(F, n, [F.coerce(x) for x in c], W.basis) for c in data.draw(lists)]
+
+    U = Subspace.from_vectors(F, n, inside(data.draw(st.integers(0, 3))))
+    qm = QuotientMap(W, U)
+    vs = inside(3)
+    got = qm.project_all([unreduced(data, F, v) for v in vs])
+    basis = list(qm.lifts) + list(U.basis)
+    if basis:
+        solve = Matrix.from_columns(F, basis)
+        want = [ref_rref_solve(solve, v)[2][: qm.dim] for v in vs]
+    else:
+        want = [()] * len(vs)
+    assert got == want and all(canonical(F, x) for x in got)
+    w = tuple(F.coerce(x) for x in data.draw(st.lists(scalars(F), min_size=n, max_size=n)))
+    if ref_span(F, n, list(W.basis) + [w]) != W:
+        with pytest.raises(ValueError):
+            qm.project_all(vs + [unreduced(data, F, w)])
+    others = [[w], data.draw(matrices(F, cols=n)).entries]
+    for X in [U] + [Subspace.from_vectors(F, n, rows) for rows in others]:
+        assert W.contains_space(X) == (ref_span(F, n, W.basis + X.basis) == W)
+        assert X.contains_space(W) == (ref_span(F, n, X.basis + W.basis) == X)
 
 
 # --- the sparse bracket -------------------------------------------------------

@@ -368,6 +368,21 @@ def test_oracle_computes_each_core_once(monkeypatch):
     assert calls[0] > len(bodies)
 
 
+def test_report_chops_each_module_into_composition_factors_once(monkeypatch):
+    """During the gl3/GF(3) report the body of ``_composition_factors``,
+    which starts by asking ``certify_irreducible``, runs once per distinct
+    (algebra instance, module), although the socle layer and the body's
+    own recursion ask for the factors of a module more often."""
+    bodies = _calls_from_body(
+        monkeypatch, modules, "certify_irreducible", modules._composition_factors
+    )
+    calls = _counted(monkeypatch, modules._composition_factors)
+    build_report(gl3_on_matrix_units(3), "gl3")
+    distinct = {(id(M.algebra), M) for (M,) in bodies}  # each M stays alive in bodies
+    assert len(bodies) == len(distinct) > 0
+    assert calls[0] > len(bodies)
+
+
 def test_oracle_builds_the_maximal_cores_once_per_algebra(monkeypatch):
     """``four_core_intersections`` runs once per crown, and the per-maximal
     cores, minimal ideals above them and socle factors behind it are built

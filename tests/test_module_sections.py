@@ -39,6 +39,7 @@ from liestruct.linalg import (
     Matrix,
     QuotientMap,
     Subspace,
+    _null_rows,
     _nullspace,
     _rref,
     invert_matrix,
@@ -250,9 +251,9 @@ def hom_unknowns(monkeypatch) -> list:
 
     def counted(F, n, rows, pivots):
         counts.append(n)
-        return _nullspace(F, n, rows, pivots)
+        return _null_rows(F, n, rows, pivots)
 
-    monkeypatch.setattr(modules, "_nullspace", counted)
+    monkeypatch.setattr(modules, "_null_rows", counted)
     return counts
 
 

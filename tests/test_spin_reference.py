@@ -96,12 +96,13 @@ def spin_rows_ref(F, action, s: int, seeds) -> tuple:
 @contextlib.contextmanager
 def recorded_spins():
     """Every ``modules._spin_rows`` call made inside the block, as
-    ``(F, s, drawn, result)``: ``drawn`` lists each seed with the action
-    tables as they stood when it was drawn (``_hom_basis`` grows them)."""
+    ``(F, s, drawn, halt, result)``: ``drawn`` lists each seed with the
+    action tables as they stood when it was drawn (``_hom_basis`` grows
+    them)."""
     calls = []
     real = modules._spin_rows
 
-    def recording(F, action, s, seeds):
+    def recording(F, action, s, seeds, halt=False):
         drawn = []
 
         def logged(pivots):
@@ -109,8 +110,8 @@ def recorded_spins():
                 drawn.append((list(seed), [list(table) for table in action]))
                 yield seed
 
-        result = real(F, action, s, logged)
-        calls.append((F, s, drawn, result))
+        result = real(F, action, s, logged, halt)
+        calls.append((F, s, drawn, halt, result))
         return result
 
     modules._spin_rows = recording
@@ -136,10 +137,15 @@ def replayed(F, s: int, drawn: list) -> tuple:
 
 def assert_calls_match(calls: list) -> list:
     """Each recorded call against the reference; returns, per call, whether
-    the span was full and whether it met a relation."""
+    the span was full and whether it met a relation.  A call that halts
+    (the graph spin) returns no span and the reference's first relation."""
     kinds = []
-    for F, s, drawn, (span, relations) in calls:
+    for F, s, drawn, halt, (span, relations) in calls:
         rows, pivots, ref_relations = replayed(F, s, drawn)
+        if halt and ref_relations:
+            assert span is None and [list(w) for w in relations] == ref_relations[:1]
+            kinds.append((False, True))
+            continue
         assert isinstance(span, Subspace) and span.ambient_dim == len(drawn[-1][0])
         if rows is None:
             assert span == Subspace.full(F, span.ambient_dim)
