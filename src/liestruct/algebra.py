@@ -249,8 +249,8 @@ def memoized(fn):
     * in ``chief``: ``chief_series`` (keyed on ``choices``, so a report,
       its crowns and radical and the oracle share one series),
       ``classify_factor``, ``module_isomorphic`` and ``connected``;
-    * in ``crowns``: ``denominator_intersection``, ``crown_of_factor`` and
-      ``all_crowns``;
+    * in ``crowns``: ``denominator_intersection``, ``_classes`` (the
+      connectedness classes), ``crown_of_factor`` and ``all_crowns``;
     * in ``primitive``: ``classify_primitive`` (keyed on the section N, a
       zero N sharing the entry of L/0);
     * in ``oracle``: ``_maximal_cores`` (each maximal core with the minimal

@@ -231,8 +231,8 @@ def connected(F1: ChiefFactor, F2: ChiefFactor):
     verdict and status are those of its type,
     ``classify_primitive(L, N=N)``, type 3 only when they centralize each
     other.  No quotient table is built: the witness's subspaces lie in L
-    and contain N.
-    """
+    and contain N.  A False verdict whose status is not certified means
+    "not shown connected", as when a bounded type-3 search misses."""
     L = F1.algebra
     iso, witness, st = module_isomorphic(F1, F2)
     if iso:

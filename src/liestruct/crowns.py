@@ -2,41 +2,31 @@
 supplemented chief factors, their complements and conjugacy in the solvable
 case, prefrattini subalgebras, and the cover/avoid dichotomy.
 
-For a supplemented factor A/B with centralizer C the crown numerator is
-A + C; the denominator is the intersection, over the supplemented factors
-of a chief series connected to A/B, of each factor's family of ideal
-complement denominators.  Over the rationals an infinite denominator family
-is represented exactly by its base member together with the kernel of the
-full hom space into the factor (a finite certificate of the infinite
-intersection).
+The classes are computed once per series, by ``_classes``.  For a
+supplemented factor A/B with centralizer C the crown numerator is A + C;
+the denominator is the intersection, over its class, of each factor's
+family of ideal complement denominators.  Over the rationals an infinite
+denominator family is represented exactly by its base member together with
+the kernel of the full hom space into the factor (a finite certificate of
+the infinite intersection).  An undecided connectedness test makes crowns
+undecided; only a certified contradiction raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .algebra import (
-    AlgebraError,
-    LieAlgebra,
-    brackets_inside,
-    is_ideal,
-    is_solvable,
-    is_subalgebra,
-    memoized,
+    AlgebraError, LieAlgebra, brackets_inside, is_ideal, is_solvable, is_subalgebra, memoized,
     unipotent_conjugator,
 )
 from .chief import ChiefFactor, ChiefSeries, chief_series, classify_factor, connected
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, lin_comb, rref_solve
+from .linalg import Matrix, Subspace, intersect_many, lin_comb, rref_solve
 from . import modules
-from .modules import (
-    factor_module,
-    hom_space,
-    socle_and_minimal_ideals,
-    split_abelian_extension,
-)
-from .status import CertificationFailure, Status, worst
+from .modules import factor_module, hom_space, socle_and_minimal_ideals, split_abelian_extension
+from .status import CERTIFIED, CertificationFailure, Status, undecided, worst
 
 COVERS = "covers"
 AVOIDS = "avoids"
@@ -149,84 +139,95 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
 
 
 @memoized
+def _classes(L: LieAlgebra, series: ChiefSeries) -> tuple:
+    """The connectedness classes of the supplemented factors of ``series``,
+    in series order, as ``(members, status)`` pairs.  Each unordered pair is
+    tested once, a connected pair joins two classes (the relation is
+    transitive), and a pair certified not connected in one class raises.  A
+    class is certified when its joins are and a certified "not connected"
+    pair parts it from every other class, else it takes the tests between."""
+    factors = [f for f in series.factors if f.supplemented]
+    label = list(range(len(factors)))  # the index of the first member of each factor's class
+    tests = {}
+    for j, g in enumerate(factors):
+        for i in range(j):
+            tests[i, j] = connected(g, factors[i])
+            if tests[i, j][0] and label[i] != label[j]:
+                a, b = sorted((label[i], label[j]))
+                label = [a if x == b else x for x in label]
+    parted = {frozenset((label[i], label[j])) for (i, j), t in tests.items() if not t[0] and t[2].certified}
+    if any(len(pair) == 1 for pair in parted):
+        raise CertificationFailure("factors certified not connected fall in one class")
+    status = dict.fromkeys(label, CERTIFIED)
+    for (i, j), (ok, _, st) in tests.items():
+        pair = frozenset((label[i], label[j]))
+        if ok or len(pair) == 2 and pair not in parted:  # a join, or a test between classes not parted
+            for c in pair:
+                status[c] = worst(status[c], st)
+    return tuple((tuple(f for f, x in zip(factors, label) if x == c), st) for c, st in status.items())
+
+
+def _class_of(F: ChiefFactor, series: ChiefSeries):
+    """``(members, status)`` of the class of F in ``_classes``; for an F
+    outside the series, the factors connected to it and the worst test."""
+    for members, status in _classes(F.algebra, series):
+        if F in members:
+            return members, status
+    tests = [(f, connected(f, F)) for f in series.factors if f.supplemented]
+    return tuple(f for f, t in tests if t[0]), worst(CERTIFIED, *(t[2] for _, t in tests))
+
+
+@memoized
 def crown_of_factor(F: ChiefFactor, series: Optional[ChiefSeries] = None) -> Crown:
-    """The crown of the connectedness class of a supplemented factor, with
-    full certification: the socle of L/R is exactly C/R, each of its minimal
-    ideals is connected to the class, and the section length matches the
-    class multiplicity in the series.  Computed once per factor and series."""
+    """The crown of the class of a supplemented factor F, with class_rep F,
+    rank the class size, and the worst status of the class, the series and
+    the certificate; computed once per factor and series."""
     if not F.supplemented:
         raise AlgebraError("crowns exist only for supplemented factors")
-    L = F.algebra
     if series is None:
-        series = chief_series(L)
-    status = series.status
-    members = []
-    for f in series.factors:
-        if not f.supplemented:
-            continue
-        ok, _, st = connected(f, F)
-        status = worst(status, st)
-        if ok:
-            members.append(f)
-    if not members:
-        raise CertificationFailure("a supplemented factor has no class member in the series")
-    C = F.A.sum(F.centralizer)
-    R = denominator_intersection(F)
-    for f in members:
-        if f != F:
-            R = R.intersect(denominator_intersection(f))
-    rank = len(members)
-    crown = Crown(C, R, rank, F, status)
-    _certify_crown(crown, series)
-    return crown
+        series = chief_series(F.algebra)
+    members, status = _class_of(F, series)
+    others = [denominator_intersection(f) for f in members if f != F]
+    R = intersect_many([denominator_intersection(F), *others])
+    crown = Crown(F.A.sum(F.centralizer), R, len(members), F, worst(series.status, status))
+    return replace(crown, status=_certify_crown(crown, members))
 
 
-def _certify_crown(crown: Crown, series: ChiefSeries):
-    L = crown.class_rep.algebra
-    C, R = crown.C, crown.R
+def _certify_crown(crown: Crown, members) -> Status:
+    """The crown's status after its certificate: each member's A + C is C
+    (connected factors share it: the crown is a class invariant), L/R has
+    socle C/R of dimension rank * dim, whose minimal ideals are connected to
+    class_rep.  A failed test raises if it and the crown are certified."""
+    L, C, R = crown.class_rep.algebra, crown.C, crown.R
     info = socle_and_minimal_ideals(L, R)
-    if info.soc != C:
-        raise CertificationFailure("socle of the crown quotient differs from the numerator")
-    if C.dim - R.dim != crown.rank * crown.class_rep.dim:
-        raise CertificationFailure("crown section has the wrong dimension")
+    tests = [
+        (all(f.A.sum(f.centralizer) == C for f in members), CERTIFIED, "class members differ in A + C"),
+        (info.soc == C, info.status, "socle of L/R differs from the crown numerator"),
+        (C.dim - R.dim == crown.rank * crown.class_rep.dim, CERTIFIED, "wrong crown section dimension"),
+    ]
     for W in info.minimals:
-        f = classify_factor(L, W, R)
-        ok, _, _ = connected(f, crown.class_rep)
-        if not ok:
-            raise CertificationFailure("a minimal ideal of the crown quotient leaves the class")
+        ok, _, st = connected(classify_factor(L, W, R), crown.class_rep)
+        tests.append((ok, st, "a minimal ideal of the crown quotient leaves the class"))
+    failed = [(st, message) for ok, st, message in tests if not ok]
+    for st, message in failed:
+        if worst(crown.status, st).certified:
+            raise CertificationFailure(message)
+    return undecided(failed[0][1]) if failed else worst(crown.status, *(st for _, st, _ in tests))
 
 
 @memoized
 def all_crowns(L: LieAlgebra, series: Optional[ChiefSeries] = None) -> tuple[Crown, ...]:
-    """One crown per connectedness class of supplemented factors, asserting
-    that classes and crowns determine one another; a tuple, computed once
-    per algebra and series."""
+    """One crown per connectedness class, that of its first member, where a
+    class certified distinct from the others may share its crown with none;
+    a tuple, computed once per algebra and series."""
     if series is None:
         series = chief_series(L)
-    crowns: list[Crown] = []
-    reps: list[ChiefFactor] = []
-    for f in series.factors:
-        if not f.supplemented:
-            continue
-        matched = None
-        for idx, rep in enumerate(reps):
-            ok, _, _ = connected(f, rep)
-            if ok:
-                matched = idx
-                break
-        if matched is None:
-            reps.append(f)
-            crowns.append(crown_of_factor(f, series))
-        else:
-            # the crown map must be constant on classes
-            again = crown_of_factor(f, series)
-            if again.key != crowns[matched].key:
-                raise CertificationFailure("connected factors produced different crowns")
-    # and injective across classes
+    classes = _classes(L, series)
+    crowns = tuple(crown_of_factor(members[0], series) for members, _ in classes)
     keys = [c.key for c in crowns]
-    if len(set(keys)) != len(keys):
+    if any(st.certified and keys.count(c.key) > 1 for c, (_, st) in zip(crowns, classes)):
         raise CertificationFailure("distinct classes share a crown")
-    return tuple(crowns)
+    return crowns
 
 
 def crown_complement(L: LieAlgebra, crown: Crown) -> Subspace:
@@ -272,21 +273,20 @@ def prefrattini(
     return acc
 
 
-def cover_avoid_profile(
-    L: LieAlgebra, K: Subspace, crown: Crown, series: ChiefSeries
-) -> list[str]:
+def cover_avoid_profile(L: LieAlgebra, K: Subspace, crown: Crown, series: ChiefSeries) -> list[str]:
     """Tag every series factor as covered or avoided by a crown complement,
-    asserting the dichotomy: class members are avoided, the rest covered."""
+    asserting the dichotomy: class members are avoided, the rest covered.
+    A deviation raises only for a certified class; otherwise the crown's
+    status, which carries its class's, is already not certified."""
+    members, status = _class_of(crown.class_rep, series)
     tags = []
     for f in series.factors:
         covers = f.B.sum(K).contains_space(f.A)
         avoids = K.intersect(f.A) == K.intersect(f.B)
         if covers == avoids:
             raise CertificationFailure("cover/avoid dichotomy failed on a factor")
-        in_class, _, _ = connected(f, crown.class_rep) if f.supplemented else (False, None, None)
-        expected = AVOIDS if in_class else COVERS
         got = COVERS if covers else AVOIDS
-        if got != expected:
+        if got != (AVOIDS if f in members else COVERS) and status.certified:
             raise CertificationFailure("cover/avoid profile deviates from the class prediction")
         tags.append(got)
     return tags

@@ -1,7 +1,10 @@
+import json
+import random
+
 import pytest
 
-from liestruct import builtin
-from liestruct.algebra import AlgebraError, is_subalgebra
+from liestruct import builtin, cli, crowns
+from liestruct.algebra import AlgebraError, LieAlgebra, direct_sum, is_subalgebra
 from liestruct.chief import chief_series, classify_factor, connected
 from liestruct.crowns import (
     AVOIDS,
@@ -14,8 +17,11 @@ from liestruct.crowns import (
     precrowns_of_factor,
     prefrattini,
 )
+from liestruct.corpus import save
 from liestruct.fields import GF, QQ
-from liestruct.linalg import Subspace, unit_vec, vec
+from liestruct.linalg import Matrix, Subspace, invert_matrix, unit_vec, vec
+from liestruct.status import CERTIFIED, CertificationFailure, undecided
+from test_isomorphism import transport
 
 
 def crown_table(L, series=None):
@@ -265,3 +271,95 @@ class TestCoverAvoid:
                 K = crown_complement(L, crown)
                 tags = cover_avoid_profile(L, K, crown, S)
                 assert len(tags) == len(S.factors)
+
+
+def probe_basis(L: LieAlgebra, seed: int) -> LieAlgebra:
+    """L in the basis P e_0, ..., P e_{n-1}, with P drawn row by row, entries
+    in {-1, 0, 1}, from ``random.Random(f"probe:{seed}:{n}")`` until
+    invertible: ``transport(L, P^-1)``, whose table holds P^-1 [P e_a, P e_b]."""
+    F, n = L.field, L.dim
+    rng = random.Random(f"probe:{seed}:{n}")
+    while True:
+        P_inv = invert_matrix(Matrix(F, [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]))
+        if P_inv is not None:
+            return transport(L, P_inv)
+
+
+class TestUndecidedConnectedness:
+    @pytest.mark.parametrize("field,seed", [(GF(13), 1), (QQ, 2)], ids=["gf13-seed1", "q-seed2"])
+    def test_sl2_to_the_fourth_in_a_probe_basis_reports(self, capsys, tmp_path, field, seed):
+        """The four summands are pairwise connected, but a bounded type-3
+        search leaves some pairs undecided in this basis: the classes close
+        under the certified joins, and the report exits 0 instead of failing
+        certification."""
+        sl2 = builtin("sl2", field)
+        L = probe_basis(direct_sum(direct_sum(direct_sum(sl2, sl2), sl2), sl2), seed)
+        doc = tmp_path / "sl2x4.json"
+        doc.write_text(save(L))
+        assert cli.main(["report", "--input", str(doc), "--json"]) == cli.EXIT_OK
+        found = json.loads(capsys.readouterr().out)["crowns"]
+        keys = [(c["numerator"], c["denominator"]) for c in found]
+        assert len(set(map(json.dumps, keys))) == len(keys)
+        assert sum(c["rank"] for c in found) == 4
+
+
+def fixed_relation(monkeypatch, series, relation):
+    """Make ``crowns.connected`` answer ``(verdict, None, status)`` from
+    ``relation``, keyed by pairs i < j of series indices, and run the real
+    test on every other pair."""
+    real = crowns.connected
+    index = {f: k for k, f in enumerate(series.factors)}
+
+    def connected(F1, F2):
+        pair = tuple(sorted((index.get(F1, -1), index.get(F2, -1))))
+        if pair in relation:
+            return relation[pair][0], None, relation[pair][1]
+        return real(F1, F2)
+
+    monkeypatch.setattr(crowns, "connected", connected)
+
+
+class TestClasses:
+    UNSHOWN = undecided("bounded isomorphism search failed")
+
+    def test_certified_joins_close_over_an_undecided_pair(self, monkeypatch):
+        L = builtin("ab(3)")
+        S = chief_series(L)
+        fixed_relation(monkeypatch, S, {(0, 1): (True, CERTIFIED), (0, 2): (True, CERTIFIED),
+                                        (1, 2): (False, self.UNSHOWN)})
+        assert crowns._classes(L, S) == ((S.factors, CERTIFIED),)
+        [crown] = all_crowns(L, S)
+        assert crown.rank == 3 and crown.status == CERTIFIED
+
+    def test_classes_not_told_apart_give_undecided_crowns(self, monkeypatch):
+        """heis's two top factors, connected in truth, made undecided: two
+        undecided classes.  The first crown fails its dimension check and
+        its complement avoids the second top factor, against the class
+        prediction; neither raises, and the crowns are undecided."""
+        H = builtin("heis")
+        S = chief_series(H)
+        fixed_relation(monkeypatch, S, {(1, 2): (False, self.UNSHOWN)})
+        classes = crowns._classes(H, S)
+        assert [members for members, _ in classes] == [(S.factors[1],), (S.factors[2],)]
+        assert all(st == self.UNSHOWN for _, st in classes)
+        found = all_crowns(H, S)
+        assert len(found) == 2 and len({c.key for c in found}) == 2
+        assert found[0].status == undecided("wrong crown section dimension")
+        assert found[1].status == self.UNSHOWN
+        profiles = [cover_avoid_profile(H, crown_complement(H, c), c, S) for c in found]
+        assert profiles == [[COVERS, AVOIDS, AVOIDS], [COVERS, COVERS, AVOIDS]]
+
+    def test_classes_certified_apart_make_the_certificate_raise(self, monkeypatch):
+        H = builtin("heis")
+        S = chief_series(H)
+        fixed_relation(monkeypatch, S, {(1, 2): (False, CERTIFIED)})
+        with pytest.raises(CertificationFailure, match="wrong crown section dimension"):
+            all_crowns(H, S)
+
+    def test_a_pair_certified_apart_inside_a_class_raises(self, monkeypatch):
+        L = builtin("ab(3)")
+        S = chief_series(L)
+        fixed_relation(monkeypatch, S, {(0, 1): (True, CERTIFIED), (0, 2): (True, CERTIFIED),
+                                        (1, 2): (False, CERTIFIED)})
+        with pytest.raises(CertificationFailure, match="one class"):
+            crowns._classes(L, S)

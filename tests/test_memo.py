@@ -504,15 +504,14 @@ def test_oracle_socle_factors_run_no_splitting_test(monkeypatch):
 @pytest.mark.parametrize("name", ["r2", "ex22", "h3_plus_r2"])
 def test_prefrattini_reuses_the_certified_crowns(monkeypatch, name):
     """``all_crowns`` runs the body of ``crown_of_factor``, and so its
-    certificate, once for every supplemented factor of the series (the
-    "constant on classes" check included); ``prefrattini`` on the same
-    series then runs it no more."""
+    certificate, once for every connectedness class of the series;
+    ``prefrattini`` on the same series then runs it no more."""
     bodies = _calls_from_body(monkeypatch, crowns, "_certify_crown", crowns.crown_of_factor)
     L = builtin(name, QQ)
     series = chief_series(L)
     found = all_crowns(L, series)
     assert isinstance(found, tuple) and found
-    assert len(bodies) == sum(f.supplemented for f in series.factors)
+    assert len(bodies) == len(found) == len(crowns._classes(L, series))
     ran = len(bodies)
     prefrattini(L, series=series)
     assert len(bodies) == ran
