@@ -489,7 +489,7 @@ def section_action(L: LieAlgebra, xs: Sequence[Vector], qm: QuotientMap) -> list
     images = []
     for x in xs:
         terms = _nonzeros(x)
-        images.extend(L._bracket_sum(terms, lift) for lift in lifts)
+        images.extend([L._bracket_sum(terms, lift) for lift in lifts])
     cols = qm.project_all(images)
     m = qm.dim
     return [

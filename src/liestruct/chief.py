@@ -9,11 +9,14 @@ ideal of L/B; a factor is Frattini exactly when it has no proper supplement.
 These three flags are facts about the section A/B: a ``ChiefFactor`` holds
 the section, its abelian flag and its centralizer, and reads the flags from
 the section's splitting certificate when they are asked for; the
-certification status belongs to the ``ChiefSeries``.  Two factors are
-*connected* when they are isomorphic as modules, or when, for N the
-intersection of their centralizers, they arise (up to module isomorphism)
-as the two minimal ideals of L/N and L/N is primitive of type 3; that is
-read from the socle and the primitive type of the section L/N alone.
+certification status belongs to the ``ChiefSeries``.  Module isomorphism
+is decided by Schur's hom space, different centralizers parting two
+nonabelian factors first.  Two factors are *connected* when they are
+isomorphic as modules, or when, for N the intersection of their
+centralizers, they arise (up to module isomorphism) as the two minimal
+ideals of L/N and L/N is primitive of type 3; that is read from the socle
+and the primitive type of the section L/N alone.  ``_partition`` splits
+factors into classes under either relation.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .algebra import (
     memoized,
     subspace_is_solvable,
 )
-from .linalg import Matrix, QuotientMap, Subspace, intersect_many, invert_matrix
+from .linalg import Subspace, intersect_many
 from .modules import (
     LModule,
     ModuleMap,
@@ -176,41 +179,26 @@ def chief_series_variants(L: LieAlgebra, limit: int = 6) -> list[ChiefSeries]:
 def module_isomorphic(F1: ChiefFactor, F2: ChiefFactor):
     """Module isomorphism of chief factors: (verdict, witness, status).
 
-    Nonabelian pairs are decided by centralizer equality (with an explicit
-    witness built through the common quotient); abelian pairs go through
-    Schur: the first hom-space map.  Mixed pairs are never isomorphic, by
-    the library's rule, though as L-modules they can be (for sl2 acting on
-    its adjoint module V, both V and L/V are the adjoint module): the crowns
-    need it, as connected factors share one crown, whose numerator A + C is
-    V for V/0 but L for L/V.
+    Different abelian flags or dimensions, and for nonabelian factors
+    different centralizers, are certified rejections; every other pair goes
+    through Schur: the first hom-space map.  Nonabelian factors with one
+    centralizer C are both the minimal ideal (A + C)/C of L/C, so a Schur
+    "no" there raises.  Mixed pairs are never isomorphic, by the library's
+    rule, though as L-modules they can be (for sl2 acting on its adjoint
+    module V, both V and L/V are the adjoint module): the crowns need it, as
+    connected factors share one crown, whose numerator A + C is V for V/0
+    but L for L/V.
     """
-    L = F1.algebra
-    if L != F2.algebra:
+    if F1.algebra != F2.algebra:
         raise AlgebraError("factors of different algebras")
     if F1.abelian != F2.abelian or F1.dim != F2.dim:
         return False, None, CERTIFIED
-    if not F1.abelian:
-        if F1.centralizer != F2.centralizer:
-            return False, None, CERTIFIED
-        return True, _nonabelian_iso_witness(F1, F2), CERTIFIED
+    if not F1.abelian and F1.centralizer != F2.centralizer:
+        return False, None, CERTIFIED
     iso, status = module_isomorphism(F1.module(), F2.module())
+    if iso is None and status.certified and not F1.abelian:
+        raise CertificationFailure("nonabelian factors with one centralizer are not isomorphic")
     return iso is not None, iso, status
-
-
-def _nonabelian_iso_witness(F1: ChiefFactor, F2: ChiefFactor) -> ModuleMap:
-    """Witness for equal-centralizer nonabelian factors through (A_i + C)/C."""
-    L = F1.algebra
-    C = F1.centralizer
-    top = F1.A.sum(C)
-    if F2.A.sum(C) != top:
-        raise CertificationFailure("equal centralizers but distinct common images")
-    fm1, fm2 = factor_module(L, F1.A, F1.B), factor_module(L, F2.A, F2.B)
-    qmC = QuotientMap(top, C)
-    m1, m2 = (Matrix.from_columns(L.field, qmC.project_all(fm.coords.lifts)) for fm in (fm1, fm2))
-    m2_inv = invert_matrix(m2)
-    if m2_inv is None:
-        raise CertificationFailure("factor does not embed isomorphically beside its centralizer")
-    return ModuleMap(fm1.module, fm2.module, m2_inv.matmul(m1))
 
 
 @dataclass(frozen=True)
@@ -260,33 +248,38 @@ class IsoClass:
     member_indices: tuple
 
 
-def _iso_labels(factors) -> tuple[list, list, Status]:
-    """``(reps, labels, status)``: each factor is labelled by the first
-    earlier representative it is module-isomorphic to, else becomes a new
-    representative; ``status`` is the worst status of the tests made."""
-    reps: list[ChiefFactor] = []
-    labels: list[int] = []
-    status = CERTIFIED
-    for f in factors:
-        for ridx, rep in enumerate(reps):
-            ok, _, st = module_isomorphic(rep, f)
-            status = worst(status, st)
-            if ok:
-                labels.append(ridx)
-                break
-        else:
-            reps.append(f)
-            labels.append(len(reps) - 1)
-    return reps, labels, status
+def _partition(factors, related) -> tuple:
+    """The classes of ``factors`` under the equivalence ``related``, in
+    order of first member, as ``(indices, status)`` pairs.  Each unordered
+    pair is tested once, as ``related(later, earlier)``, a related pair
+    joins two classes (the relation is transitive), and a pair certified
+    unrelated in one class raises.  A class is certified when its joins are
+    and a certified unrelated pair parts it from every other class, else it
+    takes the tests between."""
+    label = list(range(len(factors)))  # the index of the first member of each factor's class
+    tests = {}
+    for j, g in enumerate(factors):
+        for i in range(j):
+            tests[i, j] = related(g, factors[i])
+            if tests[i, j][0] and label[i] != label[j]:
+                a, b = sorted((label[i], label[j]))
+                label = [a if x == b else x for x in label]
+    parted = {frozenset((label[i], label[j])) for (i, j), t in tests.items() if not t[0] and t[2].certified}
+    if any(len(pair) == 1 for pair in parted):
+        raise CertificationFailure("factors certified unrelated fall in one class")
+    status = dict.fromkeys(label, CERTIFIED)
+    for (i, j), (ok, _, st) in tests.items():
+        pair = frozenset((label[i], label[j]))
+        if ok or len(pair) == 2 and pair not in parted:  # a join, or a test between classes not parted
+            for c in pair:
+                status[c] = worst(status[c], st)
+    return tuple((tuple(k for k, x in enumerate(label) if x == c), st) for c, st in status.items())
 
 
 def iso_classes(series: ChiefSeries) -> list[IsoClass]:
     """Partition the series factors by module isomorphism."""
-    reps, labels, _ = _iso_labels(series.factors)
-    return [
-        IsoClass(rep, tuple(i for i, l in enumerate(labels) if l == ridx))
-        for ridx, rep in enumerate(reps)
-    ]
+    classes = _partition(series.factors, module_isomorphic)
+    return [IsoClass(series.factors[members[0]], members) for members, _ in classes]
 
 
 @dataclass(frozen=True)
@@ -302,13 +295,13 @@ def jordan_holder_match(S1: ChiefSeries, S2: ChiefSeries) -> ChiefMatch:
         raise AlgebraError("series of different algebras")
     if len(S1) != len(S2):
         raise MatchFailure("series lengths differ")
-    reps, labels, status = _iso_labels(S1.factors + S2.factors)
-    status = worst(S1.status, S2.status, status)
-    labels1, labels2 = labels[: len(S1)], labels[len(S1) :]
+    classes = _partition(S1.factors + S2.factors, module_isomorphic)
+    status = worst(S1.status, S2.status, *(st for _, st in classes))
+    n = len(S1)
     pairs = []
-    for ridx in range(len(reps)):
-        side1 = [i for i, l in enumerate(labels1) if l == ridx]
-        side2 = [j for j, l in enumerate(labels2) if l == ridx]
+    for ridx, (members, _) in enumerate(classes):
+        side1 = [i for i in members if i < n]
+        side2 = [k - n for k in members if k >= n]
         if len(side1) != len(side2):
             raise MatchFailure(f"class {ridx} has unequal multiplicity across the series")
         f1_frat = [i for i in side1 if S1.factors[i].frattini]

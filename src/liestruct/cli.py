@@ -336,7 +336,7 @@ def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
             f"[{i}] dim {f.dim} "
             + ("abelian" if f.abelian else "nonabelian")
             + (", frattini" if f.frattini else "")
-            + (", complemented" if f.complemented else "")
+            + (", complemented" if f.complemented else ", complemented?" if f.complemented is None else "")
             + f": {space_str(L, f.A)} / {space_str(L, f.B)}"
             for i, f in enumerate(series.factors)
         ]
@@ -348,6 +348,7 @@ def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
         payload = {"schema_version": SCHEMA_VERSION, "crowns": crowns_doc(crowns)}
         lines = [
             f"crown C = {space_str(L, c.C)}, R = {space_str(L, c.R)}, rank {c.rank}"
+            + ("" if c.status.certified else f" ({c.status})")
             for c in crowns
         ]
         _emit(args, payload, "\n".join(lines))
@@ -381,8 +382,10 @@ def _dispatch(args, L: LieAlgebra, name: Optional[str]) -> int:
             human = f"connected via N = {space_str(L, witness.kernel)}, type 3 quotient"
         elif ok:
             human = "connected (module-isomorphic)"
-        else:
+        elif status.certified:
             human = "not connected"
+        else:
+            human = f"not shown connected ({status})"
         _emit(args, payload, human)
         return _strict_gate(args, status)
     if cmd == "radical":

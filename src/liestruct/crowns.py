@@ -2,14 +2,16 @@
 supplemented chief factors, their complements and conjugacy in the solvable
 case, prefrattini subalgebras, and the cover/avoid dichotomy.
 
-The classes are computed once per series, by ``_classes``.  For a
-supplemented factor A/B with centralizer C the crown numerator is A + C;
-the denominator is the intersection, over its class, of each factor's
-family of ideal complement denominators.  Over the rationals an infinite
-denominator family is represented exactly by its base member together with
-the kernel of the full hom space into the factor (a finite certificate of
-the infinite intersection).  An undecided connectedness test makes crowns
-undecided; only a certified contradiction raises.
+The classes are computed once per series, by ``_classes``, with the
+routine that also splits factors into module-isomorphism classes,
+``chief._partition``.  For a supplemented factor A/B with centralizer C the
+crown numerator is A + C; the denominator is the intersection, over its
+class, of each factor's family of ideal complement denominators.  Over the
+rationals an infinite denominator family is represented exactly by its base
+member together with the kernel of the full hom space into the factor (a
+finite certificate of the infinite intersection).  An undecided
+connectedness test makes crowns undecided; only a certified contradiction
+raises.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .algebra import (
     AlgebraError, LieAlgebra, brackets_inside, is_ideal, is_solvable, is_subalgebra, memoized,
     unipotent_conjugator,
 )
-from .chief import ChiefFactor, ChiefSeries, chief_series, classify_factor, connected
+from .chief import ChiefFactor, ChiefSeries, _partition, chief_series, classify_factor, connected
 from .fields import PrimeField
 from .linalg import Matrix, Subspace, intersect_many, lin_comb, rref_solve
 from . import modules
@@ -140,31 +142,10 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
 
 @memoized
 def _classes(L: LieAlgebra, series: ChiefSeries) -> tuple:
-    """The connectedness classes of the supplemented factors of ``series``,
-    in series order, as ``(members, status)`` pairs.  Each unordered pair is
-    tested once, a connected pair joins two classes (the relation is
-    transitive), and a pair certified not connected in one class raises.  A
-    class is certified when its joins are and a certified "not connected"
-    pair parts it from every other class, else it takes the tests between."""
+    """The connectedness classes of the supplemented factors of ``series``
+    as ``(members, status)`` pairs, in series order, by ``_partition``."""
     factors = [f for f in series.factors if f.supplemented]
-    label = list(range(len(factors)))  # the index of the first member of each factor's class
-    tests = {}
-    for j, g in enumerate(factors):
-        for i in range(j):
-            tests[i, j] = connected(g, factors[i])
-            if tests[i, j][0] and label[i] != label[j]:
-                a, b = sorted((label[i], label[j]))
-                label = [a if x == b else x for x in label]
-    parted = {frozenset((label[i], label[j])) for (i, j), t in tests.items() if not t[0] and t[2].certified}
-    if any(len(pair) == 1 for pair in parted):
-        raise CertificationFailure("factors certified not connected fall in one class")
-    status = dict.fromkeys(label, CERTIFIED)
-    for (i, j), (ok, _, st) in tests.items():
-        pair = frozenset((label[i], label[j]))
-        if ok or len(pair) == 2 and pair not in parted:  # a join, or a test between classes not parted
-            for c in pair:
-                status[c] = worst(status[c], st)
-    return tuple((tuple(f for f, x in zip(factors, label) if x == c), st) for c, st in status.items())
+    return tuple((tuple(factors[k] for k in idx), st) for idx, st in _partition(factors, connected))
 
 
 def _class_of(F: ChiefFactor, series: ChiefSeries):

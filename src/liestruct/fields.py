@@ -185,7 +185,7 @@ class Rationals(Field):
         if type(a) is not int and type(a) is not Fraction:
             raise FieldError(f"{_shown(a)} is not a rational scalar")
         limit = sys.get_int_max_str_digits()
-        if limit and any(_has_more_digits(n, limit) for n in (a.numerator, a.denominator)):
+        if limit and (_has_more_digits(a.numerator, limit) or _has_more_digits(a.denominator, limit)):
             raise FieldError(f"a scalar with more than {limit} digits cannot be written")
         return str(a)
 

@@ -274,7 +274,7 @@ class Matrix:
         """Per row, the (column, value) pairs of its nonzero entries; built
         on first use and kept on the instance."""
         if self._nz is None:
-            self._nz = tuple(_nonzeros(r) for r in self.entries)
+            self._nz = tuple([_nonzeros(r) for r in self.entries])
         return self._nz
 
     def _offsets(self) -> tuple:
@@ -620,7 +620,7 @@ class Subspace:
         """The basis rows as the (column, value) pairs of their nonzero
         entries, for ``_reduce``; built on first use."""
         if self._nz is None:
-            self._nz = tuple(_nonzeros(r) for r in self.basis)
+            self._nz = tuple([_nonzeros(r) for r in self.basis])
         return self._nz
 
     def _membership_forms(self) -> tuple:
@@ -759,12 +759,12 @@ class QuotientMap:
         self._ucoords = Subspace(
             F,
             W.dim,
-            tuple(tuple(u[c] for c in W.pivots) for u in U.basis),
-            tuple(place[c] for c in U.pivots),
+            tuple([tuple([u[c] for c in W.pivots]) for u in U.basis]),
+            tuple([place[c] for c in U.pivots]),
         )
-        self._free = tuple(j for j in range(W.dim) if j not in self._ucoords.pivots)
+        self._free = tuple([j for j in range(W.dim) if j not in self._ucoords.pivots])
         self.dim = len(self._free)
-        self.lifts = tuple(W.basis[j] for j in self._free)
+        self.lifts = tuple([W.basis[j] for j in self._free])
         self._projector = None
 
     def _projection(self) -> tuple:

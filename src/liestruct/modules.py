@@ -134,8 +134,8 @@ class LModule:
         """The action for ``spin``: ``_action`` of each nonzero action
         matrix; built on first use and kept on the instance."""
         if self._nonzero is None:
-            cols = (_action(self.field, rho)[0] for rho in self.mats)
-            self._nonzero = tuple(c for c in cols if any(c))
+            cols = [_action(self.field, rho)[0] for rho in self.mats]
+            self._nonzero = tuple([c for c in cols if any(c)])
         return self._nonzero
 
     def _validate(self):

@@ -16,11 +16,16 @@ from liestruct.algebra import (
     semidirect_sum,
     subspace_is_solvable,
 )
+from liestruct import chief
 from liestruct.chief import (
+    ChiefMatch,
+    IsoClass,
+    _partition,
     chief_series,
     chief_series_variants,
     classify_factor,
     connected,
+    iso_classes,
     jordan_holder_match,
     module_isomorphic,
     radical_centralizer_formula,
@@ -32,8 +37,9 @@ from liestruct.linalg import unit_vec
 from liestruct.modules import module_isomorphism, socle_and_minimal_ideals
 from liestruct.oracle import oracle_check
 from liestruct.primitive import associated_primitive_algebra, classify_primitive
-from liestruct.status import CERTIFIED, CertificationFailure, worst
+from liestruct.status import CERTIFIED, CertificationFailure, undecided, worst
 
+from conftest import CORPUS_Q
 from test_bracket_constructions import semidirect_sums_in_a_random_basis
 from test_larger_primes import matrix_units
 from test_socle import natural_module
@@ -477,3 +483,98 @@ class TestIsoClasses:
                 for i in cls.member_indices:
                     ok, _, _ = module_isomorphic(cls.representative, S.factors[i])
                     assert ok
+
+
+def old_iso_labels(factors):
+    """The greedy labelling that split factors into module-isomorphism
+    classes before ``_partition``: ``(reps, labels, status)``, each factor
+    labelled by the first earlier representative it is isomorphic to."""
+    reps, labels, status = [], [], CERTIFIED
+    for f in factors:
+        for ridx, rep in enumerate(reps):
+            ok, _, st = module_isomorphic(rep, f)
+            status = worst(status, st)
+            if ok:
+                labels.append(ridx)
+                break
+        else:
+            reps.append(f)
+            labels.append(len(reps) - 1)
+    return reps, labels, status
+
+
+def old_iso_classes(series):
+    reps, labels, _ = old_iso_labels(series.factors)
+    return [
+        IsoClass(rep, tuple(i for i, l in enumerate(labels) if l == ridx))
+        for ridx, rep in enumerate(reps)
+    ]
+
+
+def old_jordan_holder_match(S1, S2):
+    reps, labels, status = old_iso_labels(S1.factors + S2.factors)
+    status = worst(S1.status, S2.status, status)
+    labels1, labels2 = labels[: len(S1)], labels[len(S1) :]
+    pairs = []
+    for ridx in range(len(reps)):
+        side1 = [i for i, l in enumerate(labels1) if l == ridx]
+        side2 = [j for j, l in enumerate(labels2) if l == ridx]
+        assert len(side1) == len(side2)
+        f1_frat = [i for i in side1 if S1.factors[i].frattini]
+        f1_rest = [i for i in side1 if not S1.factors[i].frattini]
+        f2_frat = [j for j in side2 if S2.factors[j].frattini]
+        f2_rest = [j for j in side2 if not S2.factors[j].frattini]
+        for i, j in list(zip(f1_frat, f2_frat)) + list(zip(f1_rest, f2_rest)):
+            ok, wit, st = module_isomorphic(S1.factors[i], S2.factors[j])
+            status = worst(status, st)
+            pairs.append((i, j, wit))
+    pairs.sort()
+    return ChiefMatch(tuple(pairs), status)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "gf3"])
+@pytest.mark.parametrize("name", CORPUS_Q)
+def test_the_partition_matches_the_greedy_labels(name, field):
+    """``iso_classes`` and ``jordan_holder_match`` give the classes and
+    pairs of the greedy labelling on every series variant."""
+    variants = chief_series_variants(builtin(name, field))
+    for S in variants:
+        assert iso_classes(S) == old_iso_classes(S)
+        for T in variants:
+            assert jordan_holder_match(S, T) == old_jordan_holder_match(S, T)
+
+
+class TestPartition:
+    UNSHOWN = undecided("a bounded search failed")
+
+    @staticmethod
+    def residues(undecided_pairs, asked):
+        """Congruence mod 3, answered undecided on the pairs named."""
+
+        def related(a, b):
+            asked.append((a, b))
+            if frozenset((a, b)) in undecided_pairs:
+                return False, None, TestPartition.UNSHOWN
+            return a % 3 == b % 3, None, CERTIFIED
+
+        return related
+
+    def test_residues_mod_three_with_one_undecided_pair(self):
+        asked = []
+        classes = _partition([0, 1, 2, 3], self.residues({frozenset((1, 2))}, asked))
+        assert classes == (((0, 3), CERTIFIED), ((1,), self.UNSHOWN), ((2,), self.UNSHOWN))
+        assert asked == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+
+    def test_a_certified_parting_outweighs_an_undecided_test_between(self):
+        classes = _partition([0, 1, 2, 3, 4], self.residues({frozenset((1, 2))}, []))
+        assert classes == (((0, 3), CERTIFIED), ((1, 4), CERTIFIED), ((2,), CERTIFIED))
+
+
+def test_schur_refusing_a_nonabelian_factor_itself_raises(monkeypatch):
+    """Nonabelian factors with one centralizer are isomorphic, so a
+    certified "no" from the Schur route is a fault, not a verdict."""
+    monkeypatch.setattr(chief, "module_isomorphism", lambda M1, M2: (None, CERTIFIED))
+    [f] = chief_series(builtin("sl2")).factors
+    assert not f.abelian
+    with pytest.raises(CertificationFailure, match="one centralizer"):
+        module_isomorphic(f, f)

@@ -1,10 +1,11 @@
+import itertools
 import json
 import time
 
 import pytest
 
 from liestruct import cli
-from liestruct.algebra import AlgebraError, LieAlgebra
+from liestruct.algebra import AlgebraError, LieAlgebra, direct_sum
 from liestruct.cli import (
     EXIT_BUDGET,
     EXIT_CERT,
@@ -400,3 +401,60 @@ def test_human_output_matches_the_old_renderer(monkeypatch, capsys, name, field)
             m.setattr(cli, "space_str", old_space_str)
             m.setattr(cli, "render_report", old_render_report)
             assert run(capsys, *argv) == new
+
+
+class TestUndecidedVerdictsAreShown:
+    """A verdict that is not certified is printed with its status, never as
+    a certified one: on sl2+sl2+sl2+sl2 in the probe basis over GF(13) at
+    seed 1 a bounded type-3 search leaves some factor pairs undecided, and
+    the sl3/Z factor of gl3/GF(3) has an undecided complemented flag."""
+
+    @pytest.fixture(scope="class")
+    def sl2_fourth(self, tmp_path_factory):
+        from test_crowns import probe_basis
+
+        sl2 = builtin("sl2", GF(13))
+        f = tmp_path_factory.mktemp("sl2x4") / "sl2x4.json"
+        f.write_text(save(probe_basis(direct_sum(direct_sum(direct_sum(sl2, sl2), sl2), sl2), 1)))
+        return str(f)
+
+    def test_connected_prints_an_undecided_pair_with_its_status(self, capsys, sl2_fourth):
+        shown = []
+        for i, j in itertools.combinations(range(4), 2):
+            code, out, _ = run(capsys, "connected", "--input", sl2_fourth, str(i), str(j), "--json")
+            payload = json.loads(out)
+            _, human, _ = run(capsys, "connected", "--input", sl2_fourth, str(i), str(j))
+            assert code == EXIT_OK
+            if not payload["connected"]:
+                assert human.strip() == f"not shown connected ({payload['status']})"
+                shown.append((i, j))
+        assert shown == [(0, 3), (1, 2), (1, 3), (2, 3)]
+        assert payload["status"] == "undecided (bounded isomorphism search failed)"
+
+    def test_crowns_prints_the_status_of_a_crown_not_certified(self, capsys, sl2_fourth):
+        _, out, _ = run(capsys, "crowns", "--input", sl2_fourth, "--json")
+        found = json.loads(out)["crowns"]
+        _, human, _ = run(capsys, "crowns", "--input", sl2_fourth)
+        lines = human.splitlines()
+        assert len(lines) == len(found) == 2
+        for line, crown in zip(lines, found):
+            assert crown["status"] != "certified"
+            assert line.endswith(f"rank {crown['rank']} ({crown['status']})")
+
+    def test_a_certified_crown_is_printed_without_a_status(self, capsys):
+        _, human, _ = run(capsys, "crowns", "--builtin", "heis")
+        assert human.strip().endswith("rank 2")
+
+    @pytest.mark.parametrize("cmd", ["chief-series", "factors"])
+    def test_an_undecided_complemented_flag_is_marked(self, capsys, tmp_path, cmd):
+        from test_memo import gl3_on_matrix_units
+
+        f = tmp_path / "gl3.json"
+        f.write_text(save(gl3_on_matrix_units(3)))
+        _, out, _ = run(capsys, cmd, "--input", str(f), "--json")
+        flags = [factor["complemented"] for factor in json.loads(out)["factors"]]
+        assert flags == [False, None, True]
+        _, human, _ = run(capsys, cmd, "--input", str(f))
+        lines = human.splitlines()
+        assert lines[1].startswith("[1] dim 7 nonabelian, complemented?:")
+        assert "complemented" not in lines[0] and "complemented:" in lines[2]
