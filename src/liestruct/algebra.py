@@ -2,20 +2,21 @@
 centralizers, cores, characteristic series, quotients, semidirect sums and
 unipotent automorphisms.
 
-A ``LieAlgebra`` stores the bracket table densely over index pairs i < j;
-antisymmetry is reconstructed, and the Jacobi identity is validated at
-construction time on every basis triple through a nonzero pair of the
-table.  Brackets are computed from a sparse copy
-of the table built once per algebra by one kernel,
-``LieAlgebra._bracket_sum``, which sums a b [e_i, e_j] over the nonzero
-entries of two vectors and leaves the sum unreduced.  ``LieAlgebra.bracket``,
-``LieAlgebra.ad``, the Jacobi check, ``section_action`` and the subspace
-builders ``brackets_inside``, ``bracket_colon`` (through ``_colon_rows``)
-and ``bracket_spaces`` all call it; the builders read their bases as each
-``Subspace``'s cached nonzero rows and reduce each sum once, by
-``linalg._reduce`` against W's rows.  All values are immutable and every
-operation is a pure function; ``memoized`` keeps the results of the costly
-structural ones on the algebra they were computed for.
+A ``LieAlgebra`` stores the bracket table densely over index pairs i < j,
+as ``_antisymmetric_table`` reads it from brackets given on ordered pairs
+for ``validate_algebra`` and ``corpus.load``; the Jacobi identity is
+validated at construction time on every basis triple through a nonzero pair
+of the table.  Brackets are computed from a sparse copy of the table built
+once per algebra by one kernel, ``LieAlgebra._bracket_sum``, which sums a b
+[e_i, e_j] over the nonzero entries of two vectors and leaves the sum
+unreduced.  ``LieAlgebra.bracket``, ``LieAlgebra.ad``, the Jacobi check,
+``section_action`` and the subspace builders ``brackets_inside``,
+``bracket_colon`` (through ``_colon_rows``) and ``bracket_spaces`` all call
+it; the builders read their bases as each ``Subspace``'s cached nonzero
+rows and reduce each sum once, by ``linalg._reduce`` against W's rows.  All
+values are immutable and every operation is a pure function; ``memoized``
+keeps the results of the costly structural ones on the algebra they were
+computed for.
 
 Each linear system built from brackets has one builder here:
 ``bracket_colon`` solves {x in X : [x, Y] <= W}, which is the centralizer,
@@ -298,25 +299,27 @@ def memoized(fn):
 def validate_algebra(field: Field, dim: int, sc_table) -> LieAlgebra:
     """Build a LieAlgebra from a full dim x dim x dim table, reporting the
     first violated identity with its indices."""
-    return LieAlgebra(field, dim, _antisymmetric_table(field, dim, sc_table))
+    pairs = {(i, j): vec(field, sc_table[i][j]) for i in range(dim) for j in range(dim)}
+    return LieAlgebra(field, dim, _antisymmetric_table(field, pairs))
 
 
-def _antisymmetric_table(F: Field, dim: int, sc_table) -> dict:
-    """The pairs i < j of a full table, raising ``AntisymmetryViolation`` at
-    the first pair that breaks antisymmetry; ``LieAlgebra`` checks Jacobi."""
-    full = [[vec(F, sc_table[i][j]) for j in range(dim)] for i in range(dim)]
-    for i in range(dim):
-        if not vec_is_zero(F, full[i][i]):
+def _antisymmetric_table(F: Field, pairs: dict) -> dict:
+    """The nonzero pairs i < j of the canonical vectors ``pairs[i, j]``: a
+    pair not given is zero, one given only as (j, i) is negated.  Raises
+    ``AntisymmetryViolation`` at the first bad pair i <= j, in the order
+    (0, 0), (0, 1), ..., (1, 1), ...: [e_i, e_i] nonzero, or both orders
+    given and not opposite.  ``LieAlgebra`` checks Jacobi."""
+    table = {}
+    for i, j in sorted({(min(k), max(k)) for k in pairs}):
+        u, w = pairs.get((i, j)), pairs.get((j, i))
+        if i == j and not vec_is_zero(F, u):
             raise AntisymmetryViolation(i, i)
-        for j in range(i + 1, dim):
-            if not vec_is_zero(F, vec_add(F, full[i][j], full[j][i])):
-                raise AntisymmetryViolation(i, j)
-    return {
-        (i, j): full[i][j]
-        for i in range(dim)
-        for j in range(i + 1, dim)
-        if not vec_is_zero(F, full[i][j])
-    }
+        if i < j and None not in (u, w) and not vec_is_zero(F, vec_add(F, u, w)):
+            raise AntisymmetryViolation(i, j)
+        v = vec_scale(F, -1, w) if u is None else u
+        if i < j and not vec_is_zero(F, v):
+            table[i, j] = v
+    return table
 
 
 def bracket_spaces(L: LieAlgebra, U: Subspace, V: Subspace) -> Subspace:

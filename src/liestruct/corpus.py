@@ -1,10 +1,11 @@
 """Built-in fixture algebras with documented expected facts, and the
 structure-constant file format.
 
-The document format stores only pairs i < j, rationals as "num/den"
-strings, and the field as {"kind": "Q"} or {"kind": "GF", "p": p}; saving
-is canonical (sorted keys, lowest terms), so saved documents are bit-stable
-under round trips.
+The document format stores the pairs i < j, rationals as "num/den"
+strings, and the field as {"kind": "Q"} or {"kind": "GF", "p": p}; loading
+takes a pair in either order and builds the table from the pairs given
+(``algebra._antisymmetric_table``); saving is canonical (sorted keys,
+lowest terms), so saved documents are bit-stable under round trips.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ class ParseError(ValueError):
     pass
 
 
-# Documents are refused above this dimension before anything is allocated:
-# loading builds a dim x dim x dim table, and the analyses are desk-scale.
+# Documents are refused above this dimension before anything is allocated,
+# because the analyses are desk-scale; loading itself holds only the pairs
+# a document gives.
 MAX_DIM = 1 << 6
 
 
@@ -303,14 +305,13 @@ def from_doc(doc: dict) -> LieAlgebra:
         raise ParseError("basis name count differs from dim")
     if not isinstance(entries, list):
         raise ParseError("brackets is not a list")
-    full = [[list(zero_vec(F, dim)) for _ in range(dim)] for _ in range(dim)]
-    given = set()
+    pairs = {}
     for entry in entries:
         if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
             raise ParseError(f"malformed bracket entry {_shown(entry)}")
         i = _index(entry["i"], "bracket index", dim)
         j = _index(entry["j"], "bracket index", dim)
-        if (i, j) in given:
+        if (i, j) in pairs:
             raise ParseError(f"bracket ({i}, {j}) is given twice")
         coeffs = entry.get("coeffs", {})
         if not isinstance(coeffs, dict):
@@ -324,16 +325,9 @@ def from_doc(doc: dict) -> LieAlgebra:
                 v[ki] = F.scalar_from_str(s)
             except (ValueError, FieldError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad coefficient {_shown(s)}: {exc}") from exc
-        full[i][j] = v
-        given.add((i, j))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if (j, i) in given and (i, j) not in given:
-                full[i][j] = [F.neg(x) for x in full[j][i]]
-            elif (i, j) in given and (j, i) not in given:
-                full[j][i] = [F.neg(x) for x in full[i][j]]
+        pairs[i, j] = tuple(v)
     # antisymmetry and Jacobi violations are reported with their indices
-    return LieAlgebra(F, dim, _antisymmetric_table(F, dim, full), basis_names=basis)
+    return LieAlgebra(F, dim, _antisymmetric_table(F, pairs), basis_names=basis)
 
 
 def load(text: str) -> LieAlgebra:

@@ -16,6 +16,7 @@ raises.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -103,11 +104,11 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
     """The precrowns attached to a supplemented factor.
 
     Nonabelian: the unique precrown (A + C)/C.  Abelian over a small finite
-    field: the full finite family, one graph over N0/B plus B per map h of
-    Hom_L(N0/B, A/B) (each meets A in B, so distinct maps give distinct
-    denominators), each double-checked to be a genuine maximal-subalgebra
-    core by the splitting test.  Abelian over the rationals: the base
-    precrown only, with the exact intersection.
+    field: the full finite family, the graph over N0/B plus B of each map h
+    of Hom_L(N0/B, A/B), by ``QuotientMap.graph`` (each meets A in B, so
+    distinct maps give distinct denominators), each double-checked to be a
+    genuine maximal-subalgebra core by the splitting test.  Abelian over
+    the rationals: the base precrown only, with the exact intersection.
     """
     if not F.supplemented:
         raise AlgebraError("precrowns exist only for supplemented factors")
@@ -121,17 +122,13 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
     FLD = L.field
     inter = denominator_intersection(F)
     if isinstance(FLD, PrimeField) and FLD.p ** max(len(homs), 1) <= modules.VECTOR_ENUM_BUDGET:
-        import itertools
-
-        # per lift b_i of N0/B: b_i and its images under the homs, lifted from A/B
-        lift_a = factor_module(L, F.A, F.B).coords.lift
-        graphs = [
-            [b] + [lift_a(h.matrix.col(i)) for h in homs] for i, b in enumerate(fm.coords.lifts)
-        ]
+        # the graph over N0/B, lifted from A/B, of each combination of the homs
+        target = factor_module(L, F.A, F.B).coords
+        rows = list(zip(*(h.matrix.entries for h in homs)))  # row t of every hom
         denominators = []
         for coeffs in itertools.product(range(FLD.p), repeat=len(homs)):
-            vecs = [lin_comb(FLD, (1,) + coeffs, g) for g in graphs]
-            N = Subspace.from_vectors(FLD, L.dim, vecs + list(F.B.basis))
+            T = Matrix._of(FLD, [lin_comb(FLD, coeffs, r) for r in rows], fm.coords.dim)
+            N = fm.coords.graph(target, T)
             # admit only genuine cores: C/N must be complemented in L/N
             if split_abelian_extension(L, C, N) is not None:
                 denominators.append(N)

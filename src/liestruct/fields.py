@@ -81,7 +81,7 @@ def _fraction_from_str(s) -> Fraction:
         if size is None or (limit and size > limit):
             raise FieldError(f"exponent in {_shown(s)} is malformed or exceeds {limit}")
     x = Fraction(s)
-    if limit and any(_has_more_digits(n, limit) for n in (x.numerator, x.denominator)):
+    if limit and (_has_more_digits(x.numerator, limit) or _has_more_digits(x.denominator, limit)):
         raise FieldError(f"coefficient {_shown(s)} has more than {limit} digits")
     return x
 

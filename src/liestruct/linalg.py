@@ -38,7 +38,8 @@ for every element, while a comprehension runs in one frame.
 ``QuotientMap`` owns the coordinates on a section W/U: every quotient,
 factor module and semidirect model reads its lift basis ``lifts`` and takes
 the matrix a map induces on W/U from ``induced``, or from one
-``project_all`` of the images of the lifts (``algebra.section_action``).
+``project_all`` of the images of the lifts (``algebra.section_action``);
+each witness that is the graph of a map between two sections is ``graph``.
 
 Membership in a ``Subspace`` is read off its RREF basis once, as its
 membership forms: per column t off the pivots, the (pivot c, row entry at
@@ -724,8 +725,9 @@ class QuotientMap:
     exactly U), and ``project_all`` a batch of them; ``lift`` is a right
     inverse built from the canonical RREF complement, so lifted
     representatives are deterministic.  ``lifts`` is the lift basis, the
-    lifts of the unit coordinate vectors, and ``induced`` the matrix on W/U
-    of a map leaving W and U invariant.
+    lifts of the unit coordinate vectors, ``induced`` the matrix on W/U
+    of a map leaving W and U invariant, and ``graph`` the lifted graph of a
+    map from W/U to another section.
 
     Projection is one linear map on ambient vectors, built on first use:
     each W/U coordinate is a fixed combination of the entries of v at W's
@@ -826,6 +828,14 @@ class QuotientMap:
         must leave W and U invariant."""
         cols = self.project_all([op(v) for v in self.lifts])
         return Matrix._of(self.field, list(zip(*cols)), self.dim)
+
+    def graph(self, target: "QuotientMap", T: Matrix) -> Subspace:
+        """The graph of the matrix ``T`` from W/U coordinates to ``target``'s,
+        lifted to the ambient space: the span of each lift x_i plus
+        ``target.lift(T e_i)``, together with ``target.U``."""
+        F, one = self.field, self.field.one()
+        vecs = [lin_comb(F, (one, *T.col(i)), (x, *target.lifts)) for i, x in enumerate(self.lifts)]
+        return Subspace._of(F, self.W.ambient_dim, vecs + list(target.U.basis))
 
     def project_space(self, X: Subspace) -> Subspace:
         """Image of a subspace of W in quotient coordinates."""

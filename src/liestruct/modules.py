@@ -794,9 +794,9 @@ def split_abelian_extension(
 
     Works on the section A/B in the coordinates of ``factor_module(L, A, B)``
     and on the lifts of ``QuotientMap(L.full_space(), A)``, a linear section
-    of L/A: the section is corrected by a cochain solving the coboundary
-    equation against its 2-cocycle with values in A/B.  The system is
-    linear, so an unsolvable system certifies non-splitting.
+    of L/A: the complement is the graph (``QuotientMap.graph``) of a cochain
+    solving the coboundary equation against the section's 2-cocycle in A/B.
+    The system is linear, so an unsolvable system certifies non-splitting.
     """
     fm = factor_module(L, A, B)
     if not brackets_inside(L, A, A, B):
@@ -840,10 +840,7 @@ def split_abelian_extension(
         phi = Matrix._of(F, [particular[t * q : (t + 1) * q] for t in range(a)], q)
     else:
         phi = Matrix.zero(F, a, q)
-    comp_vecs = [
-        lin_comb(F, (F.one(),) + phi.col(i), (section[i],) + fm.coords.lifts) for i in range(q)
-    ]
-    K = Subspace.from_vectors(F, L.dim, comp_vecs + list(B.basis))
+    K = top.graph(fm.coords, phi)
     # hard postcondition
     if not is_subalgebra(L, K):
         raise AlgebraError("splitting produced a non-subalgebra")

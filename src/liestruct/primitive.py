@@ -17,10 +17,11 @@ complementary: they are then simple, and the algebra is primitive exactly
 when they are isomorphic, which ``isomorphism_search`` decides over GF(p)
 within ``modules.VECTOR_ENUM_BUDGET``: a tuple of images of generators is
 kept when the graph of the map it fixes meets no relation, as the module
-layer's ``_graph_hom`` spins it.  A found isomorphism and its graph, the
-common complement, are verified.  The exhaustive oracle is asked only
-about two nonabelian minimal ideals with a proper sum, in characteristic
-p; where a socle or a search is over budget, so is the oracle.
+layer's ``_graph_hom`` spins it.  A found isomorphism and its graph
+(``QuotientMap.graph``), the common complement, are verified.  The
+exhaustive oracle is asked only about two nonabelian minimal ideals with a
+proper sum, in characteristic p; where a socle or a search is over budget,
+so is the oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .linalg import (
     invert_matrix,
     lin_comb,
     unit_vec,
-    vec_add,
     vec_sub,
 )
 from . import modules
@@ -199,19 +199,6 @@ def _generators(A: LieAlgebra) -> list:
     return gens
 
 
-def _diagonal_complement(
-    L: LieAlgebra, qm1: QuotientMap, qm2: QuotientMap, iso: Matrix
-) -> Subspace:
-    """The graph of an algebra isomorphism M1/N -> M2/N between two
-    complementary minimal sections, lifted to L: it contains N."""
-    F = L.field
-    vecs = [
-        vec_add(F, v, qm2.lift(iso.apply(unit_vec(F, qm1.dim, i))))
-        for i, v in enumerate(qm1.lifts)
-    ]
-    return Subspace.from_vectors(F, L.dim, vecs + list(qm1.U.basis))
-
-
 @memoized
 def classify_primitive(L: LieAlgebra, N: Optional[Subspace] = None) -> PrimitiveWitness:
     """Decide the primitivity and type of L/N, for an ideal N of L (0 by
@@ -286,7 +273,7 @@ def classify_primitive(L: LieAlgebra, N: Optional[Subspace] = None) -> Primitive
         A1, A2 = section_algebra(L, qm1), section_algebra(L, qm2)
         iso, complete = isomorphism_search(A1, A2)
         if iso is not None:
-            U = _diagonal_complement(L, qm1, qm2, iso)
+            U = qm1.graph(qm2, iso)
             _verify_common_complement(L, U, M1, M2, N)
             return PrimitiveWitness(
                 TYPE3,

@@ -122,6 +122,25 @@ class TestCrownValues:
         tables = {frozenset(crown_table(H, S)) for S in chief_series_variants(H, limit=4)}
         assert len(tables) == 1
 
+    def test_a_factor_of_another_series_reads_its_crown_in_this_one(self, corpus_q, corpus_gf3):
+        """``crown_of_factor(F, S)`` for F taken from another chief series
+        finds F's class among the factors of S connected to it: the crown
+        is certified and is one of S's crowns."""
+        from liestruct.chief import chief_series_variants
+
+        outside = 0
+        for L in [*corpus_q.values(), *corpus_gf3.values()]:
+            S = chief_series(L)
+            table = crown_table(L, S)
+            for V in chief_series_variants(L):
+                for f in V.factors:
+                    if f.supplemented:
+                        outside += f not in S.factors
+                        c = crown_of_factor(f, S)
+                        assert c.status.certified
+                        assert (c.C.basis, c.R.basis, c.rank) in table
+        assert outside > 0
+
     def test_same_crown_iff_connected(self, corpus_q):
         for L in corpus_q.values():
             S = chief_series(L)
