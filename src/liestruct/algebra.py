@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from collections.abc import Sequence
+from math import factorial
 
 from .fields import Field
 from .linalg import (
@@ -51,6 +52,8 @@ from .linalg import (
     _nonzeros,
     _reduce,
     lin_comb,
+    mat_comb,
+    nullspace,
     rref_solve,
     unit_vec,
     vec,
@@ -408,8 +411,7 @@ def bracket_colon(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> Subsp
     rows = _colon_rows(L, X, Y, W)
     if not rows or X.is_zero():
         return X
-    F = L.field
-    null = rref_solve(Matrix._of(F, rows, X.dim))[3]
+    null = nullspace(L.field, X.dim, rows)
     if X.is_full():
         return null
     return QuotientMap(X, L.zero_space()).lift_space(null)
@@ -515,7 +517,7 @@ def killing_radical(L: LieAlgebra) -> tuple[Subspace, Subspace]:
         [sum(c * ad_y[j][k] for j in range(n) for k, c in L._sparse[i][j]) for i in range(n)]
         for ad_y in (L.ad(y).entries for y in D.basis)
     ]
-    R = rref_solve(Matrix._of(L.field, [_canon_q_all(r) for r in rows], n))[3]
+    R = nullspace(L.field, n, [_canon_q_all(r) for r in rows])
     return R, R.intersect(D)
 
 
@@ -597,13 +599,9 @@ def bracket_law_failure(L: LieAlgebra, mats: Sequence[Matrix]) -> tuple[int, int
     matrix per basis element of L) break the bracket law
     sum_k c_k mats[k] = mats[i] mats[j] - mats[j] mats[i], where
     [e_i, e_j] = sum_k c_k e_k; None when they represent L."""
-    F = L.field
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = Matrix.zero(F, mats[i].rows, mats[i].cols)
-            for k, c in enumerate(L.basis_bracket(i, j)):
-                if c:
-                    lhs = lhs.add(mats[k].scale(c))
+            lhs = mat_comb(L.field, L.basis_bracket(i, j), mats)
             if lhs != mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i])):
                 return i, j
     return None
@@ -699,13 +697,7 @@ def nilpotent_automorphism(L: LieAlgebra, a: Vector) -> NilpotentAutomorphism:
             f"nilpotency index {index} is not below the characteristic {char}; "
             "exp(ad a) is undefined"
         )
-    mat = Matrix.zero(F, n, n)
-    fact = 1
-    for k in range(index):
-        if k > 0:
-            fact *= k
-        inv = F.inv(F.coerce(fact))
-        mat = mat.add(powers[k].scale(inv))
+    mat = mat_comb(F, [F.inv(F.coerce(factorial(k))) for k in range(index)], powers)
     if not preserves_brackets(L, L, mat):  # hard postcondition
         raise AlgebraError("exp(ad a) failed bracket preservation")
     return NilpotentAutomorphism(a, mat)

@@ -191,6 +191,7 @@ def render_report(L: LieAlgebra, report: dict) -> str:
     for c in report["crowns"]:
         lines.append(
             f"  C = {_rows_str(L, c['numerator'])}, R = {_rows_str(L, c['denominator'])}, rank {c['rank']}"
+            + ("" if c["status"] == "certified" else f" ({c['status']})")
         )
     prim = report["primitive"]
     lines.append(f"primitive: {prim['verdict']}" + (f" ({prim['reason']})" if prim["reason"] else ""))
@@ -207,6 +208,8 @@ def _load_algebra(args) -> tuple[LieAlgebra, Optional[str]]:
         raise UsageError("give either --builtin or --input, not both")
     if not (args.builtin or args.input):
         raise UsageError("an algebra is required: --builtin NAME or --input FILE")
+    if args.field is not None and args.input:
+        raise UsageError("--field is for --builtin; a document names its own field")
     try:
         if args.builtin:
             field = parse_field(args.field) if args.field else QQ
@@ -262,7 +265,7 @@ def main(argv: Optional[list] = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="algebra document file")
     common.add_argument("--builtin", help="builtin fixture name")
-    common.add_argument("--field", help="field for builtins: q or gfP", default="q")
+    common.add_argument("--field", help="field for --builtin: q (the default) or gfP")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--strict", action="store_true",
                         help="nonzero exit on heuristic or undecided results")

@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .chief import ChiefFactor, ChiefSeries, _partition, chief_series, classify_factor, connected
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, intersect_many, lin_comb, rref_solve
+from .linalg import Subspace, intersect_many, mat_comb, nullspace
 from . import modules
 from .modules import factor_module, hom_space, socle_and_minimal_ideals, split_abelian_extension
 from .status import CERTIFIED, CertificationFailure, Status, undecided, worst
@@ -91,13 +91,8 @@ def denominator_intersection(F: ChiefFactor) -> Subspace:
     if not F.abelian:
         return F.centralizer
     _, fm, homs = _abelian_denominator_data(F)
-    FLD = L.field
-    if homs:  # the common kernel of the hom maps, as one nullspace
-        rows = [row for h in homs for row in h.matrix.entries]
-        common = rref_solve(Matrix._of(FLD, rows, fm.coords.dim))[3]
-    else:
-        common = Subspace.full(FLD, fm.coords.dim)
-    return fm.coords.lift_space(common)
+    rows = [row for h in homs for row in h.matrix.entries]  # the common kernel of the homs
+    return fm.coords.lift_space(nullspace(L.field, fm.coords.dim, rows))
 
 
 def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
@@ -123,12 +118,12 @@ def precrowns_of_factor(F: ChiefFactor) -> PrecrownFamily:
     inter = denominator_intersection(F)
     if isinstance(FLD, PrimeField) and FLD.p ** max(len(homs), 1) <= modules.VECTOR_ENUM_BUDGET:
         # the graph over N0/B, lifted from A/B, of each combination of the homs
+        # (N0 itself, the graph of the zero map, when there are no homs)
         target = factor_module(L, F.A, F.B).coords
-        rows = list(zip(*(h.matrix.entries for h in homs)))  # row t of every hom
+        mats = [h.matrix for h in homs]
         denominators = []
         for coeffs in itertools.product(range(FLD.p), repeat=len(homs)):
-            T = Matrix._of(FLD, [lin_comb(FLD, coeffs, r) for r in rows], fm.coords.dim)
-            N = fm.coords.graph(target, T)
+            N = fm.coords.graph(target, mat_comb(FLD, coeffs, mats)) if mats else N0
             # admit only genuine cores: C/N must be complemented in L/N
             if split_abelian_extension(L, C, N) is not None:
                 denominators.append(N)

@@ -41,6 +41,12 @@ the matrix a map induces on W/U from ``induced``, or from one
 ``project_all`` of the images of the lifts (``algebra.section_action``);
 each witness that is the graph of a map between two sections is ``graph``.
 
+Spaces of matrices have two owners.  ``nullspace`` is the one solution
+space of a homogeneous system: common kernels of maps, annihilators of dual
+subspaces and joint kernels of an action all take it, and ``rref_solve`` is
+left for particular solutions.  ``mat_comb`` is the one linear combination
+of matrices, sum c * M, row by row with ``lin_comb``.
+
 Membership in a ``Subspace`` is read off its RREF basis once, as its
 membership forms: per column t off the pivots, the (pivot c, row entry at
 t) pairs, and v lies inside exactly when v[t] is their combination of v at
@@ -143,6 +149,15 @@ def lin_comb(field: Field, coeffs: Iterable, vecs: Sequence[Vector]) -> Vector:
     if p:
         return tuple([x % p for x in out])
     return tuple(_canon_q_all(out))
+
+
+def mat_comb(field: Field, coeffs: Iterable, mats: Sequence["Matrix"]) -> "Matrix":
+    """The matrix sum of c * M over the pairs of ``coeffs`` and ``mats``,
+    row by row with ``lin_comb``.  ``mats`` must not be empty: its first
+    matrix gives the shape."""
+    coeffs = tuple(coeffs)
+    rows = [lin_comb(field, coeffs, r) for r in zip(*(M.entries for M in mats))]
+    return Matrix._of(field, rows, mats[0].cols)
 
 
 def _nonzeros(row) -> tuple:
@@ -540,12 +555,16 @@ def rref_solve(A: Matrix, b: Vector | None = None):
         particular = None
     rref_mat = Matrix._of(F, rref_rows, n) if rref_rows else Matrix.zero(F, 0, n)
 
-    return rref_mat, rank, particular, _nullspace(F, n, rref_rows, pivots_a)
+    return rref_mat, rank, particular, Subspace._of(F, n, _null_rows(F, n, rref_rows, pivots_a))
 
 
-def _nullspace(F: Field, n: int, rref_rows: Sequence, pivots: Sequence[int]) -> "Subspace":
-    """The kernel of a matrix, as the span of its ``_null_rows``."""
-    return Subspace._of(F, n, _null_rows(F, n, rref_rows, pivots))
+def nullspace(F: Field, n: int, rows: Sequence) -> "Subspace":
+    """The x in F^n with r . x = 0 for every row r, F^n when there are no
+    rows: the span of the ``_null_rows`` of one ``_rref``.  The rows have
+    length n and canonical scalars, as ``Subspace._of`` takes them."""
+    if not rows:
+        return Subspace.full(F, n)
+    return Subspace._of(F, n, _null_rows(F, n, *_rref(F, rows)))
 
 
 def _null_rows(F: Field, n: int, rref_rows: Sequence, pivots: Sequence[int]) -> list:

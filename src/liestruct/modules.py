@@ -78,11 +78,12 @@ from .linalg import (
     _modulus,
     _nonzeros,
     _null_rows,
-    _nullspace,
     _reduce,
     _rref,
     _rref_gf,
     lin_comb,
+    mat_comb,
+    nullspace,
     rref_solve,
     unit_vec,
     vec,
@@ -163,15 +164,8 @@ class LModule:
 
     def kernel_of_action(self) -> Subspace:
         """Elements of the algebra acting as zero."""
-        F = self.field
-        if self.dim == 0:
-            return Subspace.full(F, self.algebra.dim)
-        rows = []
-        for r in range(self.dim):
-            for c in range(self.dim):
-                rows.append(tuple(M.entries[r][c] for M in self.mats))
-        _, _, _, null = rref_solve(Matrix._of(F, rows, self.algebra.dim))
-        return null
+        rows = list(zip(*(sum(M.entries, ()) for M in self.mats)))  # entry (r, c) of each rho
+        return nullspace(self.field, self.algebra.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -347,14 +341,6 @@ def _graph_hom(F: Field, gens: list, images, ads: list) -> Optional[Matrix]:
     return None if relations else Matrix.from_columns(F, [r[n:] for r in span.basis])
 
 
-def _annihilator(F: Field, dual_space: Subspace) -> Subspace:
-    """Vectors killed by every functional of a coordinate dual subspace."""
-    if dual_space.is_zero():
-        return Subspace.full(F, dual_space.ambient_dim)
-    _, _, _, null = rref_solve(Matrix._of(F, dual_space.basis, dual_space.ambient_dim))
-    return null
-
-
 def _nonzero_vectors(field: PrimeField, dim: int):
     """One representative per projective point (first nonzero entry is 1),
     in lexicographic order: leading position from last to first, then every
@@ -367,10 +353,10 @@ def _nonzero_vectors(field: PrimeField, dim: int):
 
 
 def _least_singular(M: LModule):
-    """``(k, theta rows, theta echelon)``, else ``(d, None, None)``, for the
-    theta = rho - lambda of least positive nullity k < d over the action
-    matrices rho and the roots lambda of their characteristic polynomials
-    (increasing lambda, each with the rho in order, stopping at nullity 1)."""
+    """``(k, theta rows)``, else ``(d, None)``, for the theta = rho - lambda
+    of least positive nullity k < d over the action matrices rho and the
+    roots lambda of their characteristic polynomials (increasing lambda,
+    each with the rho in order, stopping at nullity 1)."""
     p, d = M.field.p, M.dim
     actions = {rho.entries: rho for rho in M.mats if not rho.is_zero()}
     # rho - lambda is singular exactly at the roots of charpoly(rho)
@@ -381,15 +367,14 @@ def _least_singular(M: LModule):
         for rows in actions
         if lam in roots[rows]
     )
-    k, found = d, (d, None, None)
+    k, theta = d, None
     for rows in candidates:
-        red, pivots = _rref_gf(p, rows)
-        if 0 < d - len(pivots) < k:
-            k = d - len(pivots)
-            found = k, rows, (red, pivots)
+        nullity = d - len(_rref_gf(p, rows)[1])
+        if 0 < nullity < k:
+            k, theta = nullity, rows
             if k == 1:
                 break
-    return found
+    return k, theta
 
 
 def _norton_kernel(M: LModule):
@@ -399,17 +384,15 @@ def _norton_kernel(M: LModule):
     one vector of ker theta^T."""
     F = M.field
     p, d = F.p, M.dim
-    k, theta, echelon = _least_singular(M)
+    k, theta = _least_singular(M)
     if theta is None or (p**k - 1) // (p - 1) > VECTOR_ENUM_BUDGET:  # the points of ker theta
         return None
-    ker = _nullspace(F, d, *echelon)  # the kernel from the rank search's echelon form
-    W = _first_proper_spin(M, ker)
+    W = _first_proper_spin(M, nullspace(F, d, theta))
     if W is not None:
         return "red", W
-    kert = _nullspace(F, d, *_rref_gf(p, list(zip(*theta))))
-    Wd = spin(M.dual(), kert.basis[0])
+    Wd = spin(M.dual(), nullspace(F, d, list(zip(*theta))).basis[0])
     if Wd.dim < d:
-        return "red", _annihilator(F, Wd)
+        return "red", nullspace(F, d, Wd.basis)  # the annihilator of Wd
     return "irr", None
 
 
@@ -494,7 +477,7 @@ def certify_irreducible(M: LModule):
         if hm == ident.scale(hm.entries[0][0]):
             continue
         for lam in rational_roots(charpoly(hm)):
-            ker = rref_solve(hm.sub(ident.scale(lam)))[3]
+            ker = nullspace(F, d, hm.sub(ident.scale(lam)).entries)
             if 0 < ker.dim < d:
                 return False, ker, CERTIFIED
     if _irreducible_charpoly(M):
@@ -577,18 +560,12 @@ def _socle_char0(M: LModule) -> Subspace:
     once per cut."""
     F, d = M.field, M.dim
     R, K = killing_radical(M.algebra)
-    flat = [tuple(x for row in rho.entries for x in row) for rho in M.mats]
-
-    def act(x) -> Matrix:  # rho(x), the sum of x_i rho(e_i)
-        v = lin_comb(F, x, flat)
-        return Matrix._of(F, [v[i * d : (i + 1) * d] for i in range(d)], d)
-
-    rows = [row for k in K.basis for row in act(k).entries]
-    soc = rref_solve(Matrix._of(F, rows, d))[3] if rows else M.full_space()
+    rows = [row for k in K.basis for row in mat_comb(F, k, M.mats).entries]
+    soc = nullspace(F, d, rows)
     zero = Subspace.zero(F, d)
     qm, ident = QuotientMap(soc, zero), Matrix.identity(F, soc.dim)
     for r in QuotientMap(R, K).lifts:  # K acts as 0 on M^K
-        A = qm.induced(act(r).apply)
+        A = qm.induced(mat_comb(F, r, M.mats).apply)
         if A == ident.scale(A.entries[0][0]):
             continue
         f = charpoly(A)
@@ -598,7 +575,7 @@ def _socle_char0(M: LModule) -> Subspace:
         S = ident  # s is monic; Horner's rule gives s(A)
         for c in reversed(s[:-1]):
             S = S.matmul(A).add(ident.scale(c))
-        soc = qm.lift_space(rref_solve(S)[3])
+        soc = qm.lift_space(nullspace(F, soc.dim, S.entries))
         qm, ident = QuotientMap(soc, zero), Matrix.identity(F, soc.dim)
     return soc
 
@@ -632,8 +609,7 @@ def complement_in_semisimple(M: LModule, V: Subspace, U: Subspace) -> Subspace:
     c = rref_solve(Matrix._of(F, rows, len(Hs)), rhs)[2]
     if c is None:
         raise AlgebraError("no equivariant projection: subspace is not a direct summand")
-    X = [lin_comb(F, c, rows_i) for rows_i in zip(*(H.entries for H in Hs))]
-    return qm.lift_space(rref_solve(Matrix._of(F, X, v))[3])
+    return qm.lift_space(nullspace(F, v, mat_comb(F, c, Hs).entries))
 
 
 def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):

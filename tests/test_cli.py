@@ -11,6 +11,7 @@ from liestruct.cli import (
     EXIT_CERT,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_UNDECIDED,
     EXIT_USAGE,
     main,
     parse_field,
@@ -162,6 +163,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "load", failing)
         code, _, err = run(capsys, "report", "--input", __file__)
         assert code == EXIT_PARSE and err == "invalid input: no such algebra\n"
+
+    def test_field_with_input_is_a_usage_error(self, capsys, tmp_path):
+        """A document names its own field, so ``--field`` beside ``--input``
+        is refused rather than ignored."""
+        f = tmp_path / "heis.json"
+        f.write_text(save(builtin("heis")))
+        code, out, err = run(capsys, "report", "--input", str(f), "--field", "gf5")
+        assert code == EXIT_USAGE and out == "" and err.startswith("usage error:")
+        code, out, _ = run(capsys, "report", "--input", str(f))
+        assert code == EXIT_OK and out.splitlines()[0].endswith("over Q")
+
+    def test_a_builtin_without_field_is_over_q(self, capsys):
+        code, out, _ = run(capsys, "report", "--builtin", "heis")
+        assert code == EXIT_OK and out.splitlines()[0] == "algebra heis of dimension 3 over Q"
 
     def test_strict_passes_on_certified_corpus(self, capsys):
         code, _, _ = run(capsys, "report", "--builtin", "heis", "--field", "gf3", "--strict")
@@ -440,6 +455,19 @@ class TestUndecidedVerdictsAreShown:
         for line, crown in zip(lines, found):
             assert crown["status"] != "certified"
             assert line.endswith(f"rank {crown['rank']} ({crown['status']})")
+
+    def test_report_prints_the_status_of_a_crown_not_certified(self, capsys, sl2_fourth):
+        """``report`` prints each crown as ``crowns`` does, status included,
+        and ``--strict`` fails on them."""
+        _, out, _ = run(capsys, "crowns", "--input", sl2_fourth)
+        want = out.splitlines()
+        code, human, _ = run(capsys, "report", "--input", sl2_fourth, "--strict")
+        lines = human.splitlines()
+        start = lines.index("crowns:") + 1
+        assert [f"crown {line.strip()}" for line in lines[start : start + len(want)]] == want
+        assert lines[start + len(want)].startswith("primitive:")
+        assert all(line.endswith("(undecided (bounded isomorphism search failed))") for line in want)
+        assert code == EXIT_UNDECIDED
 
     def test_a_certified_crown_is_printed_without_a_status(self, capsys):
         _, human, _ = run(capsys, "crowns", "--builtin", "heis")

@@ -30,6 +30,8 @@ from liestruct.linalg import (
     _rref_q,
     invert_matrix,
     lin_comb,
+    mat_comb,
+    nullspace,
     rref_solve,
     unit_vec,
     vec,
@@ -476,7 +478,7 @@ def test_every_gf_elimination_gets_canonical_rows(monkeypatch):
         "ModuleMap.is_isomorphism",
         "_hom_basis",
         "_least_singular",
-        "_norton_kernel",
+        "nullspace",
     }
 
 
@@ -529,7 +531,7 @@ def test_every_q_elimination_gets_canonical_rows(monkeypatch):
     that the splitting test, the crown denominators and the Killing radical
     build."""
     calls = Counter()
-    skip = {linalg._rref.__code__, linalg.rref_solve.__code__}
+    skip = {linalg._rref.__code__, linalg.rref_solve.__code__, linalg.nullspace.__code__}
 
     def checked_rref(rows):
         assert all(canonical(QQ, r) for r in rows), rows
@@ -643,6 +645,61 @@ def test_rref_handles_huge_entries_and_signs():
     want, want_pivots = ref_rref(QQ, rows)
     assert pivots == want_pivots == [0, 2]
     assert [list(r) for r in red] == want[:2]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_nullspace_matches_the_reference_solve(data):
+    """``nullspace`` is the null space of the reference loop of
+    ``rref_solve``, on drawn matrices and on all-zero rows; with no rows, or
+    only zero rows, or no columns, it is F^n."""
+    F = data.draw(fields)
+    kind = data.draw(st.sampled_from(["matrix", "zero rows", "no rows", "no columns"]))
+    if kind == "matrix":
+        A = data.draw(matrices(F))
+        rows, n = list(A.entries), A.cols
+    else:
+        n = 0 if kind == "no columns" else data.draw(st.integers(0, 6))
+        m = 0 if kind == "no rows" else data.draw(st.integers(1, 3))
+        rows = [(F.zero(),) * n] * m
+    got = nullspace(F, n, rows)
+    if rows:
+        want = ref_rref_solve(Matrix(F, rows))[3]
+    else:
+        want = ref_span(F, n, [unit_vec(F, n, i) for i in range(n)])
+    assert got == want and got.pivots == want.pivots and got.ambient_dim == n
+    if kind != "matrix":
+        assert got == Subspace.full(F, n)
+    for v in got.basis:
+        assert canonical(F, v) and not any(ref_apply(Matrix(F, rows), v))
+
+
+def add_scale_comb(F, coeffs, mats):
+    """The loop ``bracket_law_failure`` summed its left side with: a zero
+    matrix, plus ``scale(c)`` of each matrix with a nonzero coefficient."""
+    out = Matrix.zero(F, mats[0].rows, mats[0].cols)
+    for k, c in enumerate(coeffs):
+        if c:
+            out = out.add(mats[k].scale(c))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mat_comb_matches_the_add_and_scale_loop(data):
+    """``mat_comb`` equals ``add_scale_comb``, also with zero coefficients,
+    with fewer coefficients than matrices, and with the coefficients given
+    by an iterator; over Q the coefficients are ints and Fractions."""
+    F = data.draw(fields)
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5))
+    mats = [data.draw(matrices(F, rows=m, cols=n)) for _ in range(data.draw(st.integers(1, 4)))]
+    coeff = scalars(F) if F != QQ else st.one_of(st.integers(-9, 9), scalars(F))
+    drawn = data.draw(st.lists(st.one_of(st.just(0), coeff), max_size=len(mats)))
+    cs = [F.coerce(c) for c in drawn]
+    got = mat_comb(F, iter(cs), mats)
+    assert got == add_scale_comb(F, cs, mats)
+    assert (got.rows, got.cols) == (mats[0].rows, mats[0].cols)
+    assert all(canonical(F, r) for r in got.entries)
 
 
 # --- subspaces ---------------------------------------------------------------

@@ -40,9 +40,8 @@ from liestruct.linalg import (
     QuotientMap,
     Subspace,
     _null_rows,
-    _nullspace,
-    _rref,
     invert_matrix,
+    nullspace,
     unit_vec,
     vec,
     vec_add,
@@ -175,8 +174,7 @@ def old_hom_space(M1, M2) -> list:
     s, t = M1.dim, M2.dim
     if s == 0 or t == 0:
         return []
-    red, pivots = _rref(F, old_equivariance_rows(M1, M2))
-    null = _nullspace(F, s * t, red, pivots)
+    null = nullspace(F, s * t, old_equivariance_rows(M1, M2))
     return [
         ModuleMap(M1, M2, Matrix._of(F, [flatv[i * s : (i + 1) * s] for i in range(t)], s))
         for flatv in null.basis
