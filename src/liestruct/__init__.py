@@ -42,6 +42,7 @@ from .algebra import (
     is_subalgebra,
     lower_central_series,
     nilpotent_automorphism,
+    nilpotent_residual,
     quotient_algebra,
     semidirect_sum,
     validate_algebra,

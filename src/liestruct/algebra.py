@@ -241,8 +241,8 @@ def memoized(fn):
     exception is not cached.  Applied to:
 
     * in ``algebra``: ``is_ideal``, ``centralizer``, ``factor_centralizer``,
-      ``core``, ``killing_radical``, ``is_solvable`` and
-      ``quotient_algebra``;
+      ``core``, ``killing_radical``, ``is_solvable``, ``nilpotent_residual``
+      and ``quotient_algebra``;
     * in ``modules``: ``factor_module``, ``restrict_module``,
       ``quotient_module``, ``certify_irreducible``,
       ``_composition_factors`` (a tuple of factors), ``socle_space``,
@@ -542,8 +542,15 @@ def is_solvable(L: LieAlgebra) -> bool:
     return derived_series(L)[-1].is_zero()
 
 
+@memoized
+def nilpotent_residual(L: LieAlgebra) -> Subspace:
+    """The last term of the lower central series: the least ideal of L with
+    a nilpotent quotient."""
+    return lower_central_series(L)[-1]
+
+
 def is_nilpotent(L: LieAlgebra) -> bool:
-    return lower_central_series(L)[-1].is_zero()
+    return nilpotent_residual(L).is_zero()
 
 
 def subspace_is_solvable(L: LieAlgebra, U: Subspace) -> bool:

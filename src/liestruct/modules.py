@@ -31,7 +31,11 @@ acting algebra: its solvable radical R and K = R cap [L, L]
 (``algebra.killing_radical``) give the common kernel of the nilpotent action
 of K, cut down by the squarefree part of the characteristic polynomial of
 each basis element of R (``_socle_char0``).  L/I is read as the L-module
-``factor_module(L, L, I)``, so the socle layer builds no quotient algebra.
+``factor_module(L, L, I)``, so the socle layer builds no quotient algebra;
+when L/I is nilpotent (I contains ``algebra.nilpotent_residual(L)``), ad
+acts on it by nilpotent maps, so by Engel's theorem every simple L-module
+inside it is a trivial line, and its socle is its centre, read with no
+module at all (``socle_and_minimal_ideals``).
 The projective-point enumeration of a socle is kept in the oracle as
 ground truth (``oracle.socle_bf``).
 
@@ -61,10 +65,12 @@ from .algebra import (
     LieAlgebra,
     bracket_law_failure,
     brackets_inside,
+    factor_centralizer,
     is_ideal,
     is_subalgebra,
     killing_radical,
     memoized,
+    nilpotent_residual,
     section_action,
 )
 from .fields import Field, PrimeField
@@ -664,11 +670,26 @@ class SocleInfo:
 
 @memoized
 def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
-    """The minimal ideals of L/I and their sum, lifted to L, read from the
-    L-module ``factor_module(L, L, I)``.  Its action matrices span ad(L/I),
-    one per basis vector of L, so a GF(p) search that stops at the first
-    matrix found may meet another one than on the adjoint module of the
-    quotient algebra; the values were compared on samples only."""
+    """The minimal ideals of L/I and their sum, lifted to L.
+
+    When I contains ``nilpotent_residual(L)``, L/I is nilpotent and, by
+    Engel's theorem, its minimal ideals are the lines of its centre: the
+    socle is ``factor_centralizer(L, L, I)``, and the minimal ideals are
+    I + <x> for the lifts x of its RREF basis in L/I coordinates, which are
+    the summands that the module route spins, in its order.  That status is
+    ``CERTIFIED`` by the theorem, and no module is built.
+
+    Otherwise they are read from the L-module ``factor_module(L, L, I)``.
+    Its action matrices span ad(L/I), one per basis vector of L, so a GF(p)
+    search that stops at the first matrix found may meet another one than
+    on the adjoint module of the quotient algebra; the values were compared
+    on samples only."""
+    if I.contains_space(nilpotent_residual(L)):
+        if not is_ideal(L, I):
+            raise AlgebraError("factor module requires a pair of ideals")
+        Z = factor_centralizer(L, L.full_space(), I)
+        minimals = tuple(Subspace._of(L.field, L.dim, [*I.basis, x]) for x in QuotientMap(Z, I).lifts)
+        return SocleInfo(minimals, Z, CERTIFIED)
     fm = factor_module(L, L.full_space(), I)
     summands, soc, status = socle_decomposition(fm.module)
     minimals = tuple(fm.coords.lift_space(W) for W in summands)

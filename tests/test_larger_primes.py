@@ -7,14 +7,14 @@ import pytest
 from liestruct.algebra import LieAlgebra, direct_sum, semidirect_sum
 from liestruct.cli import EXIT_OK, build_report, main
 from liestruct.corpus import builtin, save
-from liestruct.fields import GF
+from liestruct.fields import GF, QQ
 from liestruct.linalg import Matrix
 
 
 def matrix_units(p: int, n: int, strict: bool) -> LieAlgebra:
-    """gl(n) (or n(n), the strictly upper-triangular part) over GF(p) on the
-    matrix units E_ij in row-major order, with [E_ij, E_kl] = delta_jk E_il
-    - delta_li E_kj."""
+    """gl(n) (or n(n), the strictly upper-triangular part) over GF(p), or Q
+    when p is 0, on the matrix units E_ij in row-major order, with
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj."""
     units = [(i, j) for i in range(n) for j in range(n) if i < j or not strict]
     index = {u: k for k, u in enumerate(units)}
     d = len(units)
@@ -29,7 +29,8 @@ def matrix_units(p: int, n: int, strict: bool) -> LieAlgebra:
                 v[index[(k, j)]] -= 1
             if any(v):
                 table[(a, b)] = tuple(v)
-    return LieAlgebra(GF(p), d, table, basis_names=[f"E{i + 1}{j + 1}" for i, j in units])
+    names = [f"E{i + 1}{j + 1}" for i, j in units]
+    return LieAlgebra(GF(p) if p else QQ, d, table, basis_names=names)
 
 
 def gl3_on_its_natural_module(p: int) -> LieAlgebra:

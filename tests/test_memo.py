@@ -8,7 +8,7 @@ import typing
 import pytest
 
 from liestruct import algebra, builtin, chief, crowns, linalg, modules, oracle
-from liestruct.algebra import AlgebraError, LieAlgebra, quotient_algebra
+from liestruct.algebra import AlgebraError, LieAlgebra, nilpotent_residual, quotient_algebra
 from liestruct.chief import chief_series
 from liestruct.cli import build_report
 from liestruct.corpus import FixtureFact
@@ -187,9 +187,11 @@ def _rebind(monkeypatch, orig, replacement):
 @pytest.mark.parametrize("name", ["sl2_plus_sl2", "h3_plus_r2"])
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "gf3"])
 def test_report_computes_each_socle_once(monkeypatch, name, field):
-    """socle_space runs once per distinct (algebra instance, ideal) passed to
-    socle_and_minimal_ideals; calls that certify_irreducible makes on its own
-    modules are not socles of ideals and are not counted."""
+    """socle_space runs once per distinct (algebra instance, ideal I) passed
+    to socle_and_minimal_ideals whose quotient L/I is not nilpotent, and
+    never for the others, whose socle is the centre of L/I; calls that
+    certify_irreducible makes on its own modules are not socles of ideals
+    and are not counted."""
     asked = {}  # (id of the algebra, ideal) -> algebra, which stays alive
     socles = []
     inside_certify = [0]
@@ -220,11 +222,16 @@ def test_report_computes_each_socle_once(monkeypatch, name, field):
     def report_json(L):  # as ``liestruct report --json`` prints it
         return json.dumps(build_report(L, name), sort_keys=True, indent=2)
 
+    def nilpotent_quotients():
+        return sum(I.contains_space(nilpotent_residual(K)) for (_, I), K in asked.items())
+
     L = builtin(name, field)
     first = report_json(L)
-    assert len(socles) == len(asked) > 0
+    engel = nilpotent_quotients()
+    assert engel == {"sl2_plus_sl2": 0, "h3_plus_r2": 2}[name]  # still asked
+    assert len(socles) == len(asked) - engel > 0
     assert report_json(L) == first
-    assert len(socles) == len(asked)
+    assert len(socles) == len(asked) - nilpotent_quotients()
     assert report_json(builtin(name, field)) == first
 
 
@@ -250,6 +257,32 @@ def test_report_runs_each_module_socle_once(monkeypatch):
     build_report(builtin("sl2_plus_sl2", QQ), "sl2_plus_sl2")
     assert len(bodies) == len(set(bodies)) > 0
     assert calls[0] > len(bodies)
+
+
+@pytest.mark.parametrize("name", ["heis", "n4"])
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "gf3"])
+def test_a_nilpotent_report_builds_no_socle(monkeypatch, name, field):
+    """Every quotient of a nilpotent algebra is nilpotent, so by Engel's
+    theorem the socle of each is its centre: a report on heis or on n(4)
+    (the strictly upper-triangular 4 x 4 matrix units) builds no module
+    socle, composition series or socle decomposition, and its one lower
+    central series, read by ``nilpotent_residual``, serves the socles and
+    the nilpotent flag alike."""
+    from test_larger_primes import matrix_units
+
+    counts = [
+        _counted(monkeypatch, fn)
+        for fn in (modules.socle_space, modules._composition_factors, modules.socle_decomposition)
+    ]
+    series = _counted(monkeypatch, algebra.lower_central_series)
+    bodies = _calls_from_body(
+        monkeypatch, algebra, "lower_central_series", algebra.nilpotent_residual
+    )
+    L = builtin(name, field) if name == "heis" else matrix_units(field.characteristic(), 4, True)
+    report = build_report(L, name)
+    assert report["nilpotent"] and len(report["chief_series"]["factors"]) == L.dim
+    assert [c[0] for c in counts] == [0, 0, 0]
+    assert series[0] == 1 and bodies == [(L,)]
 
 
 def gl3_on_matrix_units(p):

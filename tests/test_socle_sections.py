@@ -10,6 +10,12 @@ and sl2 + sl2 + sl2 over GF(5) (whose modules are too large to enumerate),
 and on Hypothesis algebras in random bases.  Reading each section as a
 module of L builds no ``LieAlgebra`` during a report, and a chief factor's
 module is certified once, on L's memo, by the socle that found it.
+
+When L/I is nilpotent, the minimal ideals are read from the centre of L/I
+(Engel's theorem) with no module; the module route stays here as the
+reference on every such ideal of the chief series variants, over Q, GF(2),
+GF(3) and GF(5), on the corpus and on matrix-unit algebras in two bases,
+and on Hypothesis closures of upper-triangular matrices.
 """
 
 import ast
@@ -18,16 +24,26 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liestruct
 from liestruct import builtin
-from liestruct.algebra import LieAlgebra, brackets_inside, direct_sum, quotient_algebra
-from liestruct.chief import chief_series
+from liestruct.algebra import (
+    AlgebraError,
+    LieAlgebra,
+    brackets_inside,
+    direct_sum,
+    nilpotent_residual,
+    quotient_algebra,
+    sub_algebra,
+)
+from liestruct.chief import chief_series, chief_series_variants
 from liestruct.cli import build_report
-from liestruct.fields import GF, QQ
-from liestruct.linalg import Subspace, unit_vec
+from liestruct.fields import GF, QQ, FieldError
+from liestruct.linalg import Subspace, unit_vec, vec
 from liestruct.modules import (
     LModule,
+    _generated,
     adjoint_module,
     certify_irreducible,
     factor_module,
@@ -37,6 +53,7 @@ from liestruct.modules import (
 
 from conftest import CORPUS_GF2, CORPUS_Q
 from test_bracket_constructions import semidirect_sums_in_a_random_basis
+from test_isomorphism import rebased
 from test_larger_primes import matrix_units
 from test_socle import natural_module
 from test_socle_char0 import rebased_corpus_algebras
@@ -177,9 +194,12 @@ def test_a_report_builds_no_algebra(monkeypatch, name, build):
 
 @pytest.mark.parametrize("name,build", REPORTS[:2], ids=["borel3-q", "ex22-q"])
 def test_a_chief_factor_is_certified_by_its_socle(name, build):
-    """The socle that finds a chief factor A/B certifies the restriction of
-    the L-module L/B to A/B, which is the factor's own module: asking for
-    its certificate again adds nothing to L's memo."""
+    """The module socle that finds a chief factor A/B certifies the
+    restriction of the L-module L/B to A/B, which is the factor's own
+    module: asking for its certificate again adds nothing to L's memo.  A
+    factor whose B contains the nilpotent residual of L is a line of the
+    centre of the nilpotent L/B, found with no module; it is certified on
+    request."""
     L = build()
     series = chief_series(L)
     body = certify_irreducible.__wrapped__
@@ -187,7 +207,10 @@ def test_a_chief_factor_is_certified_by_its_socle(name, build):
         before = sum(key[0] is body for key in L._memo)
         verdict, _, status = certify_irreducible(f.module())
         assert verdict is True and status.certified
-        assert sum(key[0] is body for key in L._memo) == before
+        if f.B.contains_space(nilpotent_residual(L)):
+            assert f.dim == 1
+        else:
+            assert sum(key[0] is body for key in L._memo) == before
 
 
 SRC = Path(liestruct.__file__).resolve().parent
@@ -206,3 +229,88 @@ def test_the_section_layers_never_name_quotient_algebra(module):
             names.add(node.name)
     assert "quotient_algebra" not in names
     assert "quotient_algebra" not in vars(sys.modules[f"liestruct.{module}"])
+
+
+def module_route(L: LieAlgebra, I: Subspace):
+    """The minimal ideals, socle and status of L/I read from the L-module
+    L/I, lifted to L: the route of every ideal before the Engel route."""
+    fm = factor_module(L, L.full_space(), I)
+    summands, soc, status = socle_decomposition(fm.module)
+    return tuple(fm.coords.lift_space(W) for W in summands), fm.coords.lift_space(soc), status
+
+
+def assert_engel_route_matches(L: LieAlgebra):
+    """Every ideal I of the chief series variants of L whose quotient is
+    nilpotent, L itself among them, the Engel route on L against the module
+    route on a value-equal copy of L, so that no memo is shared."""
+    old = LieAlgebra(L.field, L.dim, L.table, validate=False)
+    R = nilpotent_residual(L)
+    chains = [S.chain for S in chief_series_variants(L, 4)]
+    ideals = [I for I in dict.fromkeys(I for chain in chains for I in chain) if I.contains_space(R)]
+    for I in ideals:
+        info = socle_and_minimal_ideals(L, I)
+        assert (info.minimals, info.soc, info.status) == module_route(old, I)
+
+
+ENGEL_ALGEBRAS = {
+    **{name: lambda F, name=name: builtin(name, F) for name in
+       ("ab(3)", "r2", "heis", "ex22", "gl2", "h3_plus_r2")},
+    "borel3": lambda F: borel3(F.characteristic()),
+    "n4": lambda F: matrix_units(F.characteristic(), 4, True),
+    "n5": lambda F: matrix_units(F.characteristic(), 5, True),
+    "gl3": lambda F: matrix_units(F.characteristic(), 3, False),
+}
+
+
+def engel_cases():
+    """``(name, field)`` for each algebra of ``ENGEL_ALGEBRAS`` over Q,
+    GF(2), GF(3) and GF(5), where the field allows it."""
+    for F, fid in ((QQ, "q"), (GF(2), "gf2"), (GF(3), "gf3"), (GF(5), "gf5")):
+        for name, build in ENGEL_ALGEBRAS.items():
+            try:
+                build(F)
+            except FieldError:
+                continue
+            yield pytest.param(name, F, id=f"{name}-{fid}")
+
+
+@pytest.mark.parametrize("name,field", list(engel_cases()))
+def test_the_engel_route_matches_the_module_route(name, field):
+    """On the algebra in its own basis and in ``rebased(L, 1)``."""
+    L = ENGEL_ALGEBRAS[name](field)
+    for K in (L, rebased(L, 1)):
+        assert_engel_route_matches(K)
+
+
+def test_the_engel_route_refuses_a_subspace_that_is_not_an_ideal():
+    """heis is nilpotent, so every subspace contains its nilpotent residual
+    0; the line of x is no ideal, as [x, y] = z."""
+    L = builtin("heis", QQ)
+    assert nilpotent_residual(L).is_zero()
+    with pytest.raises(AlgebraError):
+        socle_and_minimal_ideals(L, L.span([(1, 0, 0)]))
+
+
+@st.composite
+def upper_triangular_closures(draw):
+    """The Lie closure inside gl(n), n <= 4, over GF(2), GF(3) or Q, of one
+    to three upper-triangular n x n matrices with entries in {-1, 0, 1}:
+    ``modules._generated`` on the matrix units, read with ``sub_algebra``."""
+    p = draw(st.sampled_from([2, 3, 0]))
+    n = draw(st.integers(1, 4))
+    gl = matrix_units(p, n, False)
+    upper = [n * i + j for i in range(n) for j in range(i, n)]
+    entries = st.lists(st.sampled_from([-1, 0, 1]), min_size=len(upper), max_size=len(upper))
+    gens = []
+    for values in draw(st.lists(entries, min_size=1, max_size=3)):
+        g = [0] * (n * n)
+        for k, c in zip(upper, values):
+            g[k] = c
+        gens.append(vec(gl.field, g))
+    return sub_algebra(gl, _generated(gl, gens))
+
+
+@given(upper_triangular_closures())
+@settings(max_examples=100, deadline=None)
+def test_the_engel_route_matches_on_upper_triangular_closures(L):
+    assert_engel_route_matches(L)
