@@ -25,7 +25,11 @@ Minimality of submodules is *certified*, never assumed:
 When no certificate applies, the verdict stays open with a heuristic status.
 
 Socles are exact: over GF(p) as the sum of the images of all module maps
-from the composition factors (chopped off with ``certify_irreducible``), in
+from the composition factors (chopped off with ``certify_irreducible``):
+for L/I from those of the adjoint module of L, chopped once per algebra,
+which by Jordan-Hoelder hold every composition factor of L/I, and a
+spun summand inside the isotypic component of a factor S, of dimension
+dim S, needs no certificate of its own (``_isotypic``, ``_decompose``); in
 characteristic zero, on any L-module, from the Killing radical of the
 acting algebra: its solvable radical R and K = R cap [L, L]
 (``algebra.killing_radical``) give the common kernel of the nilpotent action
@@ -49,8 +53,9 @@ quotients from ``QuotientMap.induced`` of its action matrices.  One loop,
 M1, ``_hom_basis``, once per pair of modules), generated subalgebras
 (``_generated``) and the graphs of the type-3 search (``_graph_hom``) into
 a ``Subspace`` finished by ``_rref``; its action tables, seeds and
-relations stay in this module.  ``complement_in_semisimple`` reads its
-projection from the hom basis.
+relations stay in this module.  Maps from a 1-dimensional module are a
+joint eigenspace, one ``nullspace`` with no spin.
+``complement_in_semisimple`` reads its projection from the hom basis.
 """
 
 from __future__ import annotations
@@ -533,19 +538,29 @@ def socle_space(M: LModule):
     if d == 0:
         return Subspace.zero(F, 0), CERTIFIED
     if isinstance(F, PrimeField):
-        # every minimal submodule is the image of a map from an isomorphic
-        # composition factor, and every nonzero such image is simple
         factors, status = _composition_factors(M)
         if factors is None:
             return M.full_space(), status
-        images = [
-            phi.matrix.col(j)
-            for S in dict.fromkeys(factors)
-            for phi in hom_space(S, M)
-            for j in range(S.dim)
-        ]
-        return Subspace.from_vectors(F, d, images), status
+        return _isotypic(M, factors)[0], status
     return _socle_char0(M), CERTIFIED
+
+
+def _isotypic(M: LModule, simples: tuple) -> tuple:
+    """``(socle, components)`` of M over simple modules ``simples`` among
+    which every composition factor of M occurs (M's own, or those of a
+    module that has M as a section, by Jordan-Hoelder).  Every minimal
+    submodule is the image of a map from an isomorphic S, and every nonzero
+    such image is simple; so for each distinct S, in ``dict.fromkeys``
+    order, the span X_S of the images of ``hom_space(S, M)`` is the
+    isotypic component of S, and the socle is their sum.  ``components``
+    holds the pairs (dim S, X_S) with X_S nonzero."""
+    F, d = M.field, M.dim
+    components = []
+    for S in dict.fromkeys(simples):
+        images = [phi.matrix.col(j) for phi in hom_space(S, M) for j in range(S.dim)]
+        if images:
+            components.append((S.dim, Subspace._of(F, d, images)))
+    return Subspace._of(F, d, [v for _, X in components for v in X.basis]), components
 
 
 def _socle_char0(M: LModule) -> Subspace:
@@ -644,18 +659,33 @@ def _minimal_inside(M: LModule, V: Subspace, avoid: Subspace):
 
 def socle_decomposition(M: LModule):
     """(summands, socle, status): a direct-sum decomposition of the socle
-    into certified minimal submodules, deterministic in the basis order."""
-    F = M.field
+    into certified minimal submodules, deterministic in the basis order.
+    Over GF(p) the socle is read from the isotypic components of M's own
+    composition factors (``_isotypic``)."""
+    if isinstance(M.field, PrimeField) and M.dim:
+        factors, status = _composition_factors(M)
+        if factors is not None:
+            return _decompose(M, *_isotypic(M, factors), status)
     soc, status = socle_space(M)
+    return _decompose(M, soc, (), status)
+
+
+def _decompose(M: LModule, soc: Subspace, components, status):
+    """``socle_decomposition`` of the socle ``soc``: the spin W of the first
+    socle basis vector outside the summands so far is a summand when it lies
+    in an isotypic component X_S of ``components`` with dim W = dim S (every
+    submodule of S^m is some S^k), and otherwise descends through
+    ``_minimal_inside``, which returns W itself when W is simple."""
     summands: list[Subspace] = []
-    acc = Subspace.zero(F, M.dim)
+    acc = Subspace.zero(M.field, M.dim)
     while acc.dim < soc.dim:
         seed = next(v for v in soc.basis if not acc.contains(v))
         W = spin(M, seed)
-        piece, st = _minimal_inside(M, W, acc)
-        status = worst(status, st)
-        summands.append(piece)
-        acc = acc.sum(piece)
+        if not any(k == W.dim and X.contains_space(W) for k, X in components):
+            W, st = _minimal_inside(M, W, acc)
+            status = worst(status, st)
+        summands.append(W)
+        acc = acc.sum(W)
     return summands, soc, status
 
 
@@ -680,10 +710,20 @@ def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
     ``CERTIFIED`` by the theorem, and no module is built.
 
     Otherwise they are read from the L-module ``factor_module(L, L, I)``.
-    Its action matrices span ad(L/I), one per basis vector of L, so a GF(p)
-    search that stops at the first matrix found may meet another one than
-    on the adjoint module of the quotient algebra; the values were compared
-    on samples only."""
+    Over GF(p) its socle is the sum of the images of the maps into it from
+    the composition factors of ``adjoint_module(L)`` (``_isotypic``): L/I
+    is a quotient of the adjoint module, so by Jordan-Hoelder each of its
+    composition factors, and so each of its minimal submodules, is
+    isomorphic to one of those, and the one composition series of the
+    adjoint module, memoized, serves every I.  The summands are spun as in
+    ``socle_decomposition`` (``_decompose``), with the status of that
+    series.  When the adjoint module's series is undecided,
+    ``socle_decomposition`` chops L/I itself.
+
+    The action matrices of L/I span ad(L/I), one per basis vector of L, so
+    a GF(p) search that stops at the first matrix found may meet another
+    one than on the adjoint module of the quotient algebra; the values were
+    compared on samples only."""
     if I.contains_space(nilpotent_residual(L)):
         if not is_ideal(L, I):
             raise AlgebraError("factor module requires a pair of ideals")
@@ -691,7 +731,13 @@ def socle_and_minimal_ideals(L: LieAlgebra, I: Subspace) -> SocleInfo:
         minimals = tuple(Subspace._of(L.field, L.dim, [*I.basis, x]) for x in QuotientMap(Z, I).lifts)
         return SocleInfo(minimals, Z, CERTIFIED)
     fm = factor_module(L, L.full_space(), I)
-    summands, soc, status = socle_decomposition(fm.module)
+    factors = None
+    if isinstance(L.field, PrimeField):
+        factors, status = _composition_factors(adjoint_module(L))
+    if factors is None:
+        summands, soc, status = socle_decomposition(fm.module)
+    else:
+        summands, soc, status = _decompose(fm.module, *_isotypic(fm.module, factors), status)
     minimals = tuple(fm.coords.lift_space(W) for W in summands)
     return SocleInfo(minimals, fm.coords.lift_space(soc), status)
 
@@ -706,11 +752,23 @@ def _hom_basis(M1: LModule, M2: LModule) -> tuple:
     t x n, column k at s + k t) and the action is (rho1 v, rho2 W).  Its
     relations W u = 0 are the only equations; the row with pivot c carries
     X e_c.  The maps (the one RREF of the flattened solutions, taken from
-    the raw ``_null_rows`` of the equations) are not checked."""
+    the raw ``_null_rows`` of the equations) are not checked.
+
+    A 1-dimensional M1 needs no spin: with rho1(e_i) = (lambda_i), X is a
+    vector x with rho2(e_i) x = lambda_i x for every i, so the maps are
+    the RREF basis of the ``nullspace`` of the stacked rho2(e_i) - lambda_i,
+    as t x 1 matrices: the same basis as the spin system gives."""
     F = M1.field
     s, t = M1.dim, M2.dim
     if s == 0 or t == 0:
         return ()
+    if s == 1:
+        ident, rows = Matrix.identity(F, t), []
+        for r1, r2 in zip(M1.mats, M2.mats):
+            lam = r1.entries[0][0]
+            rows += (mat_comb(F, (1, -lam), (r2, ident)) if lam else r2).entries
+        maps = nullspace(F, t, rows).basis
+        return tuple(ModuleMap._solved(M1, M2, Matrix._of(F, [[x] for x in v], 1)) for v in maps)
     zero, one = F.zero(), F.one()
     pairs = [_action(F, r1, r2) for r1, r2 in zip(M1.mats, M2.mats)]
     pairs = [(c1, c2) for c1, c2 in pairs if any(c1) or any(c2)]

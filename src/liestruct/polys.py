@@ -146,12 +146,14 @@ def squarefree_part(f: list) -> list:
 
 def gf_roots(p: int, f: list) -> list[int]:
     """The distinct roots in GF(p) of f, of positive degree, in increasing
-    order: g = gcd(x^p - x, f) is split by gcd(h, (x + a)^((p - 1)/2) - 1)
-    for a = 0, 1, ... into linear factors (Cantor and Zassenhaus, with the
-    shifts in order so the search is deterministic); GF(2) is tried out."""
+    order: when p <= deg f every residue is tried by Horner's rule, which
+    costs less than x^p mod f; otherwise g = gcd(x^p - x, f) is split by
+    gcd(h, (x + a)^((p - 1)/2) - 1) for a = 0, 1, ... into linear factors
+    (Cantor and Zassenhaus, with the shifts in order so the search is
+    deterministic)."""
     f = gcd(p, f, [])
-    if p == 2:
-        return [lam for lam in (0, 1) if not sum(c * lam**i for i, c in enumerate(f)) % 2]
+    if p < len(f):
+        return [lam for lam in range(p) if not _horner(f, lam) % p]
     xp = _powmod(p, [0, 1], p, f) + [0, 0]
     xp[1] = (xp[1] - 1) % p
     todo, roots, a = [gcd(p, f, xp)], [], 0

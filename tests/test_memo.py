@@ -187,17 +187,22 @@ def _rebind(monkeypatch, orig, replacement):
 @pytest.mark.parametrize("name", ["sl2_plus_sl2", "h3_plus_r2"])
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "gf3"])
 def test_report_computes_each_socle_once(monkeypatch, name, field):
-    """socle_space runs once per distinct (algebra instance, ideal I) passed
-    to socle_and_minimal_ideals whose quotient L/I is not nilpotent, and
-    never for the others, whose socle is the centre of L/I; calls that
-    certify_irreducible makes on its own modules are not socles of ideals
-    and are not counted."""
+    """Over Q, socle_space runs once per distinct (algebra instance, ideal
+    I) passed to socle_and_minimal_ideals whose quotient L/I is not
+    nilpotent, and never for the others, whose socle is the centre of L/I;
+    calls that certify_irreducible makes on its own modules are not socles
+    of ideals and are not counted.  Over GF(3) the socle layer chops one
+    module, the adjoint module of L, into composition factors, never a
+    quotient L/I, and sums the images of maps from those factors
+    (``_isotypic``) once per such ideal, with no call of socle_space."""
     asked = {}  # (id of the algebra, ideal) -> algebra, which stays alive
-    socles = []
-    inside_certify = [0]
+    socles, chopped, summed = [], [], []
+    inside_certify, inside_chop = [0], [0]
     orig_socles = modules.socle_and_minimal_ideals
     orig_space = modules.socle_space
     orig_certify = modules.certify_irreducible
+    orig_chop = modules._composition_factors
+    orig_isotypic = modules._isotypic
 
     def noted(L, I):
         asked[(id(L), I)] = L
@@ -215,9 +220,24 @@ def test_report_computes_each_socle_once(monkeypatch, name, field):
         finally:
             inside_certify[0] -= 1
 
+    def chop(M):  # the pieces of a chop are chopped inside it, uncounted
+        if not inside_chop[0]:
+            chopped.append(M)
+        inside_chop[0] += 1
+        try:
+            return orig_chop(M)
+        finally:
+            inside_chop[0] -= 1
+
+    def isotypic(M, simples):
+        summed.append(M)
+        return orig_isotypic(M, simples)
+
     _rebind(monkeypatch, orig_socles, noted)
     monkeypatch.setattr(modules, "socle_space", counted)
     _rebind(monkeypatch, orig_certify, certify)
+    monkeypatch.setattr(modules, "_composition_factors", chop)
+    monkeypatch.setattr(modules, "_isotypic", isotypic)
 
     def report_json(L):  # as ``liestruct report --json`` prints it
         return json.dumps(build_report(L, name), sort_keys=True, indent=2)
@@ -225,13 +245,18 @@ def test_report_computes_each_socle_once(monkeypatch, name, field):
     def nilpotent_quotients():
         return sum(I.contains_space(nilpotent_residual(K)) for (_, I), K in asked.items())
 
+    def socle_bodies():  # the socles of ideals computed so far
+        return socles if field == QQ else summed
+
     L = builtin(name, field)
     first = report_json(L)
     engel = nilpotent_quotients()
     assert engel == {"sl2_plus_sl2": 0, "h3_plus_r2": 2}[name]  # still asked
-    assert len(socles) == len(asked) - engel > 0
+    assert len(socle_bodies()) == len(asked) - engel > 0
+    if field != QQ:
+        assert socles == [] and set(chopped) == {adjoint_module(L)}
     assert report_json(L) == first
-    assert len(socles) == len(asked) - nilpotent_quotients()
+    assert len(socle_bodies()) == len(asked) - nilpotent_quotients()
     assert report_json(builtin(name, field)) == first
 
 
@@ -306,9 +331,12 @@ def borel3_over_gf3():
 def test_report_certifies_each_module_once(monkeypatch):
     """certify_irreducible is cached per module value: during the gl3/GF(3)
     report its body, which spins vectors of every module of dimension at
-    least 2, runs once per distinct module although the function is called
-    more often.  A run of the body is told by its frame, kept alive here so
-    that no two runs share an id."""
+    least 2, runs once per distinct module.  There every module is asked
+    for once, since the socles of the quotients are read from the adjoint
+    module's composition factors; on gl3/Q, where the socle of a semisimple
+    module is certified through its endomorphisms, the memo serves the
+    repeats of a module asked for more often.  A run of the body is told by
+    its frame, kept alive here so that no two runs share an id."""
     asked = []
     bodies = {}  # id of a body frame -> (frame, module)
     orig_certify = modules.certify_irreducible
@@ -333,6 +361,9 @@ def test_report_certifies_each_module_once(monkeypatch):
     certified = [M for _, M in bodies.values()]
     distinct = {M for M in asked if M.dim >= 2}
     assert len(certified) == len(set(certified)) == len(distinct) > 0
+    assert len(asked) == len(set(asked))
+    asked.clear()
+    build_report(gl3_on_matrix_units(0), "gl3")
     assert len(asked) > len(set(asked))
 
 

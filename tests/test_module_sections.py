@@ -41,6 +41,7 @@ from liestruct.linalg import (
     Subspace,
     _null_rows,
     invert_matrix,
+    lin_comb,
     nullspace,
     unit_vec,
     vec,
@@ -48,6 +49,7 @@ from liestruct.linalg import (
     vec_is_zero,
 )
 from liestruct.modules import (
+    LModule,
     ModuleMap,
     adjoint_module,
     factor_module,
@@ -242,6 +244,60 @@ def test_hom_space_matches_the_unfiltered_system_in_a_random_basis(sum_and_ideal
     assert_homs_match(list(dict.fromkeys(factor_module(L, A, B).module for A, B in sections)))
 
 
+@st.composite
+def lines_and_targets(draw):
+    """A natural module M (``natural_modules``) and a 1-dimensional module S
+    of its algebra L, given by a character: a combination, with
+    coefficients in {-1, 0, 1}, of a basis of the functionals vanishing on
+    [L, L] (the zero character, the trivial module, included)."""
+    M = draw(natural_modules())
+    L, F = M.algebra, M.field
+    full = L.full_space()
+    characters = nullspace(F, L.dim, bracket_spaces(L, full, full).basis).basis
+    coeffs = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(characters), max_size=len(characters)))
+    lam = lin_comb(F, coeffs, characters) if characters else (F.zero(),) * L.dim
+    return LModule(L, [Matrix(F, [[x]]) for x in lam]), M
+
+
+@given(lines_and_targets())
+@settings(max_examples=60, deadline=None)
+def test_hom_from_a_line_matches_the_unfiltered_system(case):
+    """Maps from a 1-dimensional module are a joint eigenspace, solved with
+    no spin: from the character S and from the 1-dimensional sections of M,
+    into M, its dual, a submodule and its quotient, the zero module and
+    those lines."""
+    S, M = case
+    W = spin(M, unit_vec(M.field, M.dim, M.dim - 1))
+    sections = [restrict_module(M, W), quotient_module(M, W)]
+    lines = [S] + [N for N in sections if N.dim == 1]
+    zero = restrict_module(M, Subspace.zero(M.field, M.dim))
+    for S1 in lines:
+        for T in [M, M.dual(), zero, *sections, *lines]:
+            new = [h.matrix for h in hom_space(S1, T)]
+            assert new == [h.matrix for h in old_hom_space(S1, T)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=["q", "gf2", "gf3", "gf5"])
+def test_hom_from_a_character_of_r2(field):
+    """r2, [x, y] = y, and the characters lambda(x) = a, lambda(y) = 0 for
+    every a in {0, 1, 2, -1} (residues mod p): only y is an eigenvector of
+    the adjoint action, with eigenvalue 1, and L/[L, L] is the trivial line."""
+    L = builtin("r2", field)
+    M = adjoint_module(L)
+    full = L.full_space()
+    top = factor_module(L, full, bracket_spaces(L, full, full)).module
+    for a in (0, 1, 2, -1):
+        S = LModule(L, [Matrix(field, [[a]]), Matrix(field, [[0]])])
+        into = [hom_space(S, T) for T in (M, top, S)]
+        assert [[h.matrix for h in homs] for homs in into] == [
+            [h.matrix for h in old_hom_space(S, T)] for T in (M, top, S)
+        ]
+        a_is = field.coerce(a)
+        assert [len(homs) for homs in into] == [a_is == 1, a_is == 0, 1]
+        if a_is == 1:
+            assert into[0][0].matrix == Matrix(field, [[0], [1]])
+
+
 def hom_unknowns(monkeypatch) -> list:
     """The number of unknowns (columns) of every system ``_hom_basis``
     solves from here on."""
@@ -255,12 +311,27 @@ def hom_unknowns(monkeypatch) -> list:
     return counts
 
 
+def spin_sources(monkeypatch) -> list:
+    """The pivot count s of every ``_spin_rows`` call from here on: in a
+    hom space system, the dimension of the source."""
+    sources = []
+    orig = modules._spin_rows
+
+    def counted(F, action, s, seeds, halt=False):
+        sources.append(s)
+        return orig(F, action, s, seeds, halt)
+
+    monkeypatch.setattr(modules, "_spin_rows", counted)
+    return sources
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=["q", "gf2", "gf3", "gf5"])
 def test_hom_space_on_zero_modules_generators_and_idle_elements(field, monkeypatch):
     """A zero source or target (s = 0 or t = 0), sources that need several
-    generators, each with t unknowns, and elements acting as 0 on the source
-    but not on the target."""
-    counts = hom_unknowns(monkeypatch)
+    generators, each with t unknowns, elements acting as 0 on the source
+    but not on the target, and 1-dimensional sources, whose maps are a joint
+    eigenspace solved with no spin system."""
+    counts, sources = hom_unknowns(monkeypatch), spin_sources(monkeypatch)
     perfect = ["sl2_plus_sl2"] if field.characteristic() != 2 else []
     for name in ["ab(3)", "r2"] + perfect:
         L = builtin(name, field)
@@ -273,11 +344,13 @@ def test_hom_space_on_zero_modules_generators_and_idle_elements(field, monkeypat
     # unit vectors is a generator and every map is equivariant
     assert counts[:1] == [3 * 3]
     # r2, [x, y] = y: y spans a submodule, so M needs e_1 and e_0; every
-    # element acts as 0 on L/[L, L] but not on M, which has no invariants
-    assert counts[1:5] == [2 * 2, 2 * 1, 1 * 2, 1 * 1]
+    # element acts as 0 on L/[L, L] but not on M, which has no invariants;
+    # the maps from the line L/[L, L] are solved without a spin
+    assert counts[1:3] == [2 * 2, 2 * 1]
     # sl2 + sl2 (not over GF(2)) is perfect, and e_5 spins only its second
     # summand, so End(M) has two generators
-    assert counts[5:] == [2 * 6] * len(perfect)
+    assert counts[3:] == [2 * 6] * len(perfect)
+    assert sources == [3, 2, 2] + [6] * len(perfect)
 
 
 def test_the_end_system_of_a_rebased_factor_has_t_unknowns_per_generator(monkeypatch):

@@ -15,6 +15,7 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -284,6 +285,23 @@ def test_squarefree_part_over_q(factors, powers):
 def test_gf_roots_are_the_zeros(case):
     p, f = case
     assert gf_roots(p, f) == [x for x in range(p) if not sum(c * x**i for i, c in enumerate(f)) % p]
+
+
+@pytest.mark.parametrize(
+    "p,f,roots",
+    [
+        (2, [0, 1, 1], [0, 1]),  # x(x + 1): p = deg f, every residue tried
+        (2, [1, 1, 1], []),  # x^2 + x + 1, irreducible
+        (3, [0, 2, 0, 1], [0, 1, 2]),  # x^3 - x, p = deg f
+        (3, [1, 0, 0, 1], [2]),  # x^3 + 1 = (x + 1)^3
+        (3, [0, 1, 1], [0, 2]),  # x(x + 1): p = deg f + 1, Cantor-Zassenhaus
+        (5, [0, 4, 0, 0, 0, 1], [0, 1, 2, 3, 4]),  # x^5 - x, p = deg f
+        (5, [0, 4, 0, 0, 1], [0, 1]),  # x^4 - x = x(x - 1)(x^2 + x + 1), p = deg f + 1
+        (5, [2, 0, 0, 0, 1], []),  # x^4 + 2, p = deg f + 1
+    ],
+)
+def test_gf_roots_at_the_degree_boundary(p, f, roots):
+    assert gf_roots(p, f) == roots
 
 
 def test_gf_roots_of_split_and_rootless_polynomials():

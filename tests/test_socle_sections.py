@@ -16,6 +16,16 @@ When L/I is nilpotent, the minimal ideals are read from the centre of L/I
 reference on every such ideal of the chief series variants, over Q, GF(2),
 GF(3) and GF(5), on the corpus and on matrix-unit algebras in two bases,
 and on Hypothesis closures of upper-triangular matrices.
+
+Otherwise, over GF(p), the socle of L/I is read from the composition
+factors of the adjoint module of L, which holds every composition factor
+of L/I.  The route that chopped L/I itself is kept here
+(``old_socle_decomposition``, on L/I's own factors) and must give the same
+minimal ideals, socle and status on every ideal of the chief series
+variants whose quotient is not nilpotent: on the corpus and the benchmark
+ladder's matrix-unit and sl2 + sl2 + sl2 algebras over GF(2), GF(3) and
+GF(5), each in two bases, and on Hypothesis closures of upper-triangular
+matrices; where the adjoint module's chop is undecided, that route runs.
 """
 
 import ast
@@ -35,21 +45,27 @@ from liestruct.algebra import (
     direct_sum,
     nilpotent_residual,
     quotient_algebra,
+    semidirect_sum,
     sub_algebra,
 )
 from liestruct.chief import chief_series, chief_series_variants
 from liestruct.cli import build_report
 from liestruct.fields import GF, QQ, FieldError
-from liestruct.linalg import Subspace, unit_vec, vec
+from liestruct.linalg import Matrix, Subspace, invert_matrix, unit_vec, vec
+from liestruct import modules
 from liestruct.modules import (
     LModule,
     _generated,
+    _minimal_inside,
     adjoint_module,
     certify_irreducible,
     factor_module,
     socle_and_minimal_ideals,
     socle_decomposition,
+    socle_space,
+    spin,
 )
+from liestruct.status import heuristic, worst
 
 from conftest import CORPUS_GF2, CORPUS_Q
 from test_bracket_constructions import semidirect_sums_in_a_random_basis
@@ -314,3 +330,138 @@ def upper_triangular_closures(draw):
 @settings(max_examples=100, deadline=None)
 def test_the_engel_route_matches_on_upper_triangular_closures(L):
     assert_engel_route_matches(L)
+
+
+def old_socle_decomposition(M: LModule):
+    """``socle_decomposition`` as it was before the isotypic summands: every
+    spun W descends through ``_minimal_inside``."""
+    soc, status = socle_space(M)
+    summands = []
+    acc = Subspace.zero(M.field, M.dim)
+    while acc.dim < soc.dim:
+        seed = next(v for v in soc.basis if not acc.contains(v))
+        piece, st = _minimal_inside(M, spin(M, seed), acc)
+        status = worst(status, st)
+        summands.append(piece)
+        acc = acc.sum(piece)
+    return summands, soc, status
+
+
+def own_factors_route(L: LieAlgebra, I: Subspace):
+    """The minimal ideals, socle and status of L/I from the composition
+    factors of the L-module L/I itself, lifted to L."""
+    fm = factor_module(L, L.full_space(), I)
+    summands, soc, status = old_socle_decomposition(fm.module)
+    return tuple(fm.coords.lift_space(W) for W in summands), fm.coords.lift_space(soc), status
+
+
+def non_nilpotent_quotients(L: LieAlgebra) -> list:
+    """Every ideal I of the chief series variants of L with L/I not
+    nilpotent."""
+    R = nilpotent_residual(L)
+    chains = [S.chain for S in chief_series_variants(L, 4)]
+    return [I for I in dict.fromkeys(I for chain in chains for I in chain) if not I.contains_space(R)]
+
+
+def assert_adjoint_route_matches(L: LieAlgebra):
+    """The adjoint route on L against L/I's own factors on a value-equal
+    copy of L, so that no memo is shared."""
+    old = LieAlgebra(L.field, L.dim, L.table, validate=False)
+    for I in non_nilpotent_quotients(L):
+        info = socle_and_minimal_ideals(L, I)
+        assert (info.minimals, info.soc, info.status) == own_factors_route(old, I)
+
+
+ADJOINT_ALGEBRAS = {
+    **{name: lambda F, name=name: builtin(name, F) for name in CORPUS_Q},
+    "borel3": lambda F: borel3(F.characteristic()),
+    "n4": lambda F: matrix_units(F.characteristic(), 4, True),
+    "gl3": lambda F: matrix_units(F.characteristic(), 3, False),
+    "sl2^3": sl2_cubed,
+}
+
+
+def adjoint_cases():
+    """``(name, field)`` for each algebra of ``ADJOINT_ALGEBRAS`` over GF(2),
+    GF(3) and GF(5), where the field allows it."""
+    for F, fid in ((GF(2), "gf2"), (GF(3), "gf3"), (GF(5), "gf5")):
+        for name, build in ADJOINT_ALGEBRAS.items():
+            try:
+                build(F)
+            except FieldError:
+                continue
+            yield pytest.param(name, F, id=f"{name}-{fid}")
+
+
+@pytest.mark.parametrize("name,field", list(adjoint_cases()))
+def test_the_adjoint_route_matches_the_own_factors_route(name, field):
+    """On the algebra in its own basis and in ``rebased(L, 1)``."""
+    L = ADJOINT_ALGEBRAS[name](field)
+    for K in (L, rebased(L, 1)):
+        assert_adjoint_route_matches(K)
+
+
+@given(upper_triangular_closures())
+@settings(max_examples=60, deadline=None)
+def test_the_adjoint_route_matches_on_upper_triangular_closures(L):
+    assert_adjoint_route_matches(L)
+
+
+def sl2_on_two_planes(p: int) -> LieAlgebra:
+    """sl2 + (V + V) over GF(p), V the natural module, with V + V abelian
+    and moved by a basis change P under which e_0 is (v_0, v_1): the
+    first socle vector spins to all of V + V, which is S^2, not simple."""
+    F = GF(p)
+    V = natural_module(p, 2, [(0, 1, 0, 0), (0, 0, 1, 0)])
+    P = Matrix(F, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]])
+    blocks = [Matrix(F, [[*r, 0, 0] for r in rho.entries] + [[0, 0, *r] for r in rho.entries]) for rho in V.mats]
+    action = [invert_matrix(P).matmul(B).matmul(P) for B in blocks]
+    return semidirect_sum(builtin("ab(4)", F), V.algebra, action)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_an_isotypic_spin_of_twice_the_dimension_descends(p):
+    """A spun W inside the isotypic component X_S is a summand only when
+    dim W = dim S: here W = X_S = S^2 descends through _minimal_inside."""
+    L = sl2_on_two_planes(p)
+    info = socle_and_minimal_ideals(L, L.zero_space())
+    assert [W.dim for W in info.minimals] == [2, 2] and info.status.certified
+    assert spin(adjoint_module(L), info.soc.basis[0]) == info.soc
+    for K in (L, rebased(L, 1)):
+        assert_adjoint_route_matches(K)
+
+
+@pytest.mark.parametrize("name", ["gl2", "aff_sl2", "sl2_plus_sl2", "h3_plus_r2"])
+def test_an_undecided_adjoint_chop_takes_the_own_factors_route(monkeypatch, name):
+    """With the adjoint module's chop forced undecided, the socle of each
+    L/I, I nonzero, is read from ``socle_decomposition`` of L/I, which
+    chops L/I itself, and no images are summed over the adjoint factors."""
+    L = builtin(name, GF(3))
+    old = LieAlgebra(L.field, L.dim, L.table, validate=False)
+    ideals = [I for I in non_nilpotent_quotients(old) if not I.is_zero()]
+    assert ideals
+    adjoint = adjoint_module(L)
+    orig_chop, orig_decomposition = modules._composition_factors, modules.socle_decomposition
+    orig_isotypic = modules._isotypic
+    decomposed, summed = [], []
+
+    def chop(M):
+        return (None, heuristic("forced")) if M == adjoint else orig_chop(M)
+
+    def decomposition(M):
+        decomposed.append(M)
+        return orig_decomposition(M)
+
+    def isotypic(M, simples):
+        summed.append(simples)
+        return orig_isotypic(M, simples)
+
+    monkeypatch.setattr(modules, "_composition_factors", chop)
+    monkeypatch.setattr(modules, "socle_decomposition", decomposition)
+    monkeypatch.setattr(modules, "_isotypic", isotypic)
+    for I in ideals:
+        info = socle_and_minimal_ideals(L, I)
+        assert (info.minimals, info.soc, info.status) == own_factors_route(old, I)
+        assert decomposed[-1] == factor_module(L, L.full_space(), I).module
+    assert len(decomposed) == len(ideals)
+    assert all(simples != orig_chop(adjoint)[0] for simples in summed)
