@@ -13,10 +13,11 @@ unreduced.  ``LieAlgebra.bracket``, ``LieAlgebra.ad``, the Jacobi check,
 ``section_action`` and the subspace builders ``brackets_inside``,
 ``bracket_colon`` (through ``_colon_rows``) and ``bracket_spaces`` all call
 it; the builders read their bases as each ``Subspace``'s cached nonzero
-rows and reduce each sum once, by ``linalg._reduce`` against W's rows.  All
-values are immutable and every operation is a pure function; ``memoized``
-keeps the results of the costly structural ones on the algebra they were
-computed for.
+rows.  ``brackets_inside`` tests each sum against W's membership forms and
+``_colon_rows`` reads its coordinates on L/W by ``QuotientMap.project_all``.
+All values are immutable and every operation is a pure function;
+``memoized`` keeps the results of the costly structural ones on the algebra
+they were computed for.
 
 Each linear system built from brackets has one builder here:
 ``bracket_colon`` solves {x in X : [x, Y] <= W}, which is the centralizer,
@@ -50,7 +51,7 @@ from .linalg import (
     _canon_q_all,
     _modulus,
     _nonzeros,
-    _reduce,
+    _satisfies,
     lin_comb,
     mat_comb,
     nullspace,
@@ -94,7 +95,9 @@ class LieAlgebra:
     from the support of a against the unit pair (j, 1); the Jacobi check
     adds [[e_i, e_j], e_k] over the nonzeros of [e_i, e_j]; and
     ``section_action``, ``brackets_inside``, ``_colon_rows`` and
-    ``bracket_spaces`` call it on the cached nonzero rows of their bases.
+    ``bracket_spaces`` call it on the cached nonzero rows of their bases,
+    and read the sums modulo a subspace by its membership forms or by
+    ``QuotientMap.project_all``.
     The hash is computed once, in the constructor, since every memo key on
     a chief factor or a module hashes the algebra.
     """
@@ -167,7 +170,7 @@ class LieAlgebra:
         ``u`` and (j, b) pairs ``v`` of two vectors, read from ``_sparse``
         and added into ``out`` (a new zero list when None; the Jacobi check
         sums three brackets into one).  The entries are left unreduced: a
-        caller reduces them once, or hands them to ``_reduce`` or
+        caller reduces them once, or hands them to ``linalg._satisfies`` or
         ``QuotientMap.project_all``, which take unreduced entries."""
         if out is None:
             out = [0] * self.dim
@@ -345,20 +348,19 @@ def brackets_inside(L: LieAlgebra, U: Subspace, V: Subspace, W: Subspace) -> boo
     """Whether [u, v] lies in W for all u in U and v in V.
 
     Each bracket of basis vectors is summed from the nonzero rows of the
-    bases of U and V and reduced by ``_reduce`` against W's RREF rows, and
-    the test stops at the first one outside W; when U == V only the pairs
+    bases of U and V and tested against W's membership forms, and the test
+    stops at the first one outside W; when U == V only the pairs
     a < b are bracketed ([u, u] = 0 and [v, u] = -[u, v]).  No span is
     built: use ``bracket_spaces`` when the span itself is needed."""
     _check_ambient(L, U)
     _check_ambient(L, V)
     _check_ambient(L, W)
-    p = _modulus(L.field)
-    rows, pivots = W._nonzero_rows(), W.pivots
+    p, forms = _modulus(L.field), W._membership_forms()
     us, vs = U._nonzero_rows(), V._nonzero_rows()
     same = U == V
     for a, u in enumerate(us):
         for v in vs[a + 1 :] if same else vs:
-            if any(_reduce(p, L._bracket_sum(u, v), rows, pivots)):
+            if not _satisfies(p, forms, L._bracket_sum(u, v)):
                 return False
     return True
 
@@ -384,22 +386,19 @@ def ideal_flags(L: LieAlgebra, U: Subspace) -> IdealFlag:
     return IdealFlag(U, sub, sub and is_ideal(L, U))
 
 
-def _colon_rows(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> list:
+def _colon_rows(L: LieAlgebra, X: Subspace, Y: Subspace, quo: QuotientMap) -> list:
     """The matrix of x -> ([x, y] mod W, y over the basis of Y) in the
-    coordinates of X: for each y, the residues of [x_i, y] by ``_reduce``
-    against W's RREF rows at W's non-pivot columns, one row per column (a
-    residue is zero at the pivots, and zero exactly when the vector lies in
-    W).  Each bracket is summed from the nonzero rows of the bases."""
-    p = _modulus(L.field)
-    rows, pivots = W._nonzero_rows(), W.pivots
-    pivot_set = set(pivots)
-    free = [t for t in range(L.dim) if t not in pivot_set]
-    xs = X._nonzero_rows()
-    out = []
-    for y in Y._nonzero_rows():
-        cols = [_reduce(p, L._bracket_sum(x, y), rows, pivots) for x in xs]
-        out.extend([tuple([col[t] for col in cols]) for t in free])
-    return out
+    coordinates of X, for ``quo`` the map of L onto L/W: for each y, one row
+    of width dim X per coordinate of L/W, read by one ``quo.project_all``
+    of all the brackets [x_i, y], each summed from the nonzero rows of the
+    bases."""
+    xs, ys, k = X._nonzero_rows(), Y._nonzero_rows(), X.dim
+    cols = quo.project_all([L._bracket_sum(x, y) for y in ys for x in xs])
+    return [
+        tuple([col[f] for col in cols[i * k : (i + 1) * k]])
+        for i in range(len(ys))
+        for f in range(quo.dim)
+    ]
 
 
 def bracket_colon(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> Subspace:
@@ -408,7 +407,7 @@ def bracket_colon(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> Subsp
     of ``core`` are its instances."""
     for U in (X, Y, W):
         _check_ambient(L, U)
-    rows = _colon_rows(L, X, Y, W)
+    rows = _colon_rows(L, X, Y, QuotientMap(L.full_space(), W))
     if not rows or X.is_zero():
         return X
     null = nullspace(L.field, X.dim, rows)
@@ -455,16 +454,17 @@ def core(L: LieAlgebra, U: Subspace) -> Subspace:
 def unipotent_conjugator(L: LieAlgebra, C: Subspace, K1: Subspace, K2: Subspace) -> Vector:
     """An a in C with (1 + ad a)(K1) = K2 and (ad a)^2 = 0, so that 1 + ad a
     is an automorphism.  [a, k] + k in K2 for the basis k of K1 is the
-    system ``_colon_rows(L, C, K1, K2)`` against the residues of -k; its
+    system ``_colon_rows`` of C and K1 modulo K2 against the L/K2
+    coordinates of -k, both read from one map of L onto L/K2; its
     particular solution is tried first, then the particular solution plus
     1, -1, 2 or -2 times each nullspace basis vector, and the first
     candidate that is square-zero and maps K1 onto K2 is returned."""
     F = L.field
     if K1 == K2:
         return zero_vec(F, L.dim)
-    rows = _colon_rows(L, C, K1, K2)
-    pivots = set(K2.pivots)
-    rhs = [-x for k in K1.basis for t, x in enumerate(K2.reduce(k)) if t not in pivots]
+    quo = QuotientMap(L.full_space(), K2)
+    rows = _colon_rows(L, C, K1, quo)
+    rhs = [-x for coords in quo.project_all(K1.basis) for x in coords]
     _, _, particular, null = rref_solve(Matrix._of(F, rows, C.dim), rhs)
     if particular is None:
         raise CertificationFailure("no conjugating element; solvable hypothesis violated?")

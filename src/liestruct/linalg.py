@@ -16,8 +16,8 @@ stay canonical at every boundary: ``int`` residues over GF(p), and over Q an
   canonical and copies them without reducing; it clears a pivot column in
   place, updating only the columns where the normalised pivot row is
   nonzero, with one ``% p`` per updated entry.  The other kernels reduce
-  once at the end of an accumulation (``Subspace.reduce``,
-  ``Matrix.apply``, ``Matrix.matmul``, ``lin_comb``).
+  once at the end of an accumulation (``_reduce``, ``Matrix.apply``,
+  ``Matrix.matmul``, ``lin_comb``).
 * Q: ``_rref`` is fraction-free (after Bareiss, Math. Comp. 22, 1968).
   An all-``int`` row is copied as it is, any other is scaled by the lcm of
   its denominators to an integer row.  Each pivot column is cleared in
@@ -51,7 +51,9 @@ Membership in a ``Subspace`` is read off its RREF basis once, as its
 membership forms: per column t off the pivots, the (pivot c, row entry at
 t) pairs, and v lies inside exactly when v[t] is their combination of v at
 the pivots.  ``contains``, ``contains_space`` and ``QuotientMap.project_all``
-test vectors against them, copying and reducing nothing.
+test vectors against them, copying and reducing nothing.  These forms and
+``QuotientMap.project_all`` are the only readers of a vector modulo an RREF
+subspace; ``_reduce`` serves the spin loop, whose rows are not in RREF.
 
 The reduced row echelon form of a row space is unique: whatever pivot rows
 and row scalings lead to it, the normalised rows are the same.  So the
@@ -174,8 +176,9 @@ def _reduce(p: int, w: list, rows: Sequence, pivots: Sequence) -> list:
     its entry a); a row has zeros at the pivots of the rows before it.  ``w``
     is changed in place but for such scalings; the result is reduced mod p
     over GF(p) (``p > 0``), or normalized by ``_canon_q_all``, once, at the
-    end.  This is the one row-reduction loop of the library:
-    ``Subspace.reduce`` and ``modules._spin_rows``."""
+    end.  This is the kernel of the spin loop ``modules._spin_rows``, whose
+    rows are never in RREF; a vector modulo an RREF subspace is read by
+    ``_satisfies`` or ``QuotientMap.project_all``."""
     if p:
         for nz, c in zip(rows, pivots):
             a = w[c] % p
@@ -638,7 +641,8 @@ class Subspace:
 
     def _nonzero_rows(self) -> tuple:
         """The basis rows as the (column, value) pairs of their nonzero
-        entries, for ``_reduce``; built on first use."""
+        entries, for the bracket kernel (``algebra``); built on first
+        use."""
         if self._nz is None:
             self._nz = tuple([_nonzeros(r) for r in self.basis])
         return self._nz
@@ -658,17 +662,6 @@ class Subspace:
                 if t not in pivot_set
             ])
         return self._forms
-
-    def reduce(self, v: Vector) -> Vector:
-        """Residue of v after elimination by the basis (zero iff v is inside)."""
-        return tuple(_reduce(_modulus(self.field), list(v), self._nonzero_rows(), self.pivots))
-
-    def coords(self, v: Vector) -> Vector:
-        """Coefficients of v on the RREF basis; raises if v is outside."""
-        cs = tuple(v[p] for p in self.pivots)
-        if not (self.is_full() or self.contains(v)):
-            raise ValueError("vector not contained in the subspace")
-        return cs
 
     def contains(self, v: Vector) -> bool:
         """Whether v lies inside, by the membership forms; the entries of v
@@ -790,11 +783,11 @@ class QuotientMap:
 
     def _projection(self) -> tuple:
         """``(lead, extra)``, the linear forms of the W/U coordinates.  The
-        coordinate f is the entry of ``_ucoords.reduce`` at the free
-        W-coordinate j = ``_free[f]``, written on the ambient entries at W's
-        pivots: v[lead[f]], for lead[f] the pivot of W's row j, plus the
-        pairs that ``extra`` holds for f, if any.  Membership in W is W's
-        own test, its membership forms."""
+        coordinate f is the residue of v's W-coordinates modulo ``_ucoords``
+        at the free W-coordinate j = ``_free[f]``, written on the ambient
+        entries at W's pivots: v[lead[f]], for lead[f] the pivot of W's row
+        j, plus the pairs that ``extra`` holds for f, if any.  Membership in
+        W is W's own test, its membership forms."""
         if self._projector is None:
             wp, ucoords = self.W.pivots, self._ucoords
             p = _modulus(self.field)

@@ -488,7 +488,7 @@ def certify_irreducible(M: LModule):
         if hm == ident.scale(hm.entries[0][0]):
             continue
         for lam in rational_roots(charpoly(hm)):
-            ker = nullspace(F, d, hm.sub(ident.scale(lam)).entries)
+            ker = nullspace(F, d, mat_comb(F, (1, -lam), (hm, ident)).entries)
             if 0 < ker.dim < d:
                 return False, ker, CERTIFIED
     if _irreducible_charpoly(M):
@@ -595,7 +595,7 @@ def _socle_char0(M: LModule) -> Subspace:
             continue
         S = ident  # s is monic; Horner's rule gives s(A)
         for c in reversed(s[:-1]):
-            S = S.matmul(A).add(ident.scale(c))
+            S = mat_comb(F, (1, c), (S.matmul(A), ident))
         soc = qm.lift_space(nullspace(F, soc.dim, S.entries))
         qm, ident = QuotientMap(soc, zero), Matrix.identity(F, soc.dim)
     return soc

@@ -77,7 +77,7 @@ from liestruct.primitive import (
 )
 from liestruct.status import CertificationFailure
 
-from conftest import CORPUS_GF2, CORPUS_Q
+from conftest import CORPUS_GF2, CORPUS_Q, coords
 from test_isomorphism import transport
 from test_socle import natural_module
 
@@ -160,7 +160,7 @@ def old_semidirect_action(L: LieAlgebra, C: Subspace, B: Subspace) -> list:
     action = []
     for i in range(Q.dim):
         lift = qa.lift(unit_vec(F, Q.dim, i))
-        cols = [B.coords(L.bracket(lift, b)) for b in B.basis]
+        cols = [coords(B, L.bracket(lift, b)) for b in B.basis]
         action.append(Matrix.from_columns(F, cols))
     return action
 
@@ -170,7 +170,7 @@ def old_inflation_action(L: LieAlgebra, D: Subspace) -> list:
     F = L.field
     action = []
     for i in range(L.dim):
-        cols = [D.coords(L.bracket(unit_vec(F, L.dim, i), d)) for d in D.basis]
+        cols = [coords(D, L.bracket(unit_vec(F, L.dim, i), d)) for d in D.basis]
         action.append(Matrix.from_columns(F, cols))
     return action
 
@@ -405,7 +405,7 @@ def old_split_abelian_extension(
 
     # action of Q on Abar in Abar-coordinates
     def act(x: Vector, acoords: Vector) -> Vector:
-        return Abar.coords(Q.bracket(x, lin_comb(F, acoords, Abar.basis)))
+        return coords(Abar, Q.bracket(x, lin_comb(F, acoords, Abar.basis)))
 
     nvar = a * q  # cochain phi: q-coords -> Abar-coords
     rows, rhs = [], []
@@ -414,7 +414,7 @@ def old_split_abelian_extension(
             br = Q.bracket(section[i], section[j])
             br_q = qm.project(br)
             s_br = qm.lift(br_q)
-            g = Abar.coords(vec_sub(F, br, s_br))  # the 2-cocycle value
+            g = coords(Abar, vec_sub(F, br, s_br))  # the 2-cocycle value
             # closure of {s + phi} forces
             #   x_i . phi(x_j) - x_j . phi(x_i) - phi([x_i, x_j]) = -g(i, j)
             ei = [act(section[i], unit_vec(F, a, k)) for k in range(a)]
@@ -472,7 +472,7 @@ def old_theta(L: LieAlgebra) -> Matrix:
     cols = []
     for i in range(L.dim):
         b, u = old_decompose(L, B, U, unit_vec(F, L.dim, i))
-        cols.append(tuple(B.coords(b)) + tuple(qa.project(u)))
+        cols.append(coords(B, b) + tuple(qa.project(u)))
     return Matrix.from_columns(F, cols)
 
 

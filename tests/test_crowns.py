@@ -1,10 +1,18 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from liestruct import builtin, cli, crowns
-from liestruct.algebra import AlgebraError, LieAlgebra, direct_sum, is_subalgebra
+from liestruct.algebra import (
+    AlgebraError,
+    LieAlgebra,
+    direct_sum,
+    is_subalgebra,
+    nilpotent_automorphism,
+    unipotent_conjugator,
+)
 from liestruct.chief import chief_series, classify_factor, connected
 from liestruct.crowns import (
     AVOIDS,
@@ -19,9 +27,71 @@ from liestruct.crowns import (
 )
 from liestruct.corpus import save
 from liestruct.fields import GF, QQ
-from liestruct.linalg import Matrix, Subspace, invert_matrix, unit_vec, vec
+from liestruct.linalg import (
+    Matrix,
+    Subspace,
+    invert_matrix,
+    lin_comb,
+    rref_solve,
+    unit_vec,
+    vec,
+    vec_add,
+    vec_scale,
+    zero_vec,
+)
+from liestruct.oracle import complements_bf
 from liestruct.status import CERTIFIED, CertificationFailure, undecided
-from test_isomorphism import transport
+from conftest import residue
+from test_isomorphism import rebased, transport
+from test_sparse_brackets import old_colon_rows
+
+
+def old_unipotent_conjugator(L: LieAlgebra, C: Subspace, K1: Subspace, K2: Subspace):
+    """``algebra.unipotent_conjugator`` as it read L/K2 by elimination: the
+    rows of ``old_colon_rows`` against the residues of -k (test-local
+    ``residue``) at K2's non-pivot columns, then the same candidates."""
+    F = L.field
+    if K1 == K2:
+        return zero_vec(F, L.dim)
+    rows = old_colon_rows(L, C, K1, K2)
+    pivots = set(K2.pivots)
+    rhs = [-x for k in K1.basis for t, x in enumerate(residue(K2, k)) if t not in pivots]
+    _, _, particular, null = rref_solve(Matrix._of(F, rows, C.dim), rhs)
+    if particular is None:
+        raise CertificationFailure("no conjugating element; solvable hypothesis violated?")
+    candidates = [particular]
+    for nv in null.basis:
+        for scale in (1, -1, 2, -2):
+            candidates.append(vec_add(F, particular, vec_scale(F, scale, nv)))
+    for coeffs in candidates:
+        a = lin_comb(F, coeffs, C.basis)
+        ada = L.ad(a)
+        if not ada.matmul(ada).is_zero():
+            continue
+        image = Subspace.from_vectors(F, L.dim, [vec_add(F, k, ada.apply(k)) for k in K1.basis])
+        if image == K2:
+            return a
+    raise CertificationFailure("no square-nilpotent conjugator found in the solution family")
+
+
+def translated_complements(L: LieAlgebra, crown) -> list:
+    """The canonical complement of a crown and its images under 1 + ad a
+    for the square-zero a among c and c/2 + c' over basis vectors c, c' of
+    the numerator: complements over Q, where they cannot be enumerated."""
+    F = L.field
+    K = crown_complement(L, crown)
+    cs = crown.C.basis
+    elements = list(cs) + [
+        vec_add(F, vec_scale(F, Fraction(1, 2), c), d) for c in cs for d in cs if c != d
+    ]
+    out = [K]
+    for a in elements:
+        ada = L.ad(a)
+        if ada.matmul(ada).is_zero():
+            image = nilpotent_automorphism(L, a).apply_space(K)
+            if image not in out:
+                out.append(image)
+    return out
 
 
 def crown_table(L, series=None):
@@ -206,8 +276,6 @@ class TestConjugator:
         assert all(x == 0 for x in complement_conjugator(H, crown, K, K))
 
     def test_all_pairs_over_gf3(self):
-        from liestruct.oracle import complements_bf
-
         for name in ("r2", "heis", "ex22"):
             L = builtin(name, GF(3))
             S = chief_series(L)
@@ -224,6 +292,37 @@ class TestConjugator:
                              for k in K1.basis],
                         )
                         assert image == K2
+
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=["gf3", "q-rebased"])
+    def test_the_projected_system_finds_the_eliminated_witness(self, field):
+        """The same element as ``old_unipotent_conjugator`` on every pair of
+        crown complements that criterion 9 and ``test_all_pairs_over_gf3``
+        walk over GF(3), and on translated complements of the same algebras
+        in ``rebased(L, 1)`` over Q."""
+        pairs = 0
+        for name in ("r2", "heis", "ex22"):
+            L = builtin(name, field)
+            if field == QQ:
+                L = rebased(L, 1)
+            for crown in all_crowns(L, chief_series(L)):
+                if field == QQ:
+                    comps = translated_complements(L, crown)
+                else:
+                    comps = complements_bf(L, crown.C, crown.R)
+                for K1 in comps:
+                    for K2 in comps:
+                        a = unipotent_conjugator(L, crown.C, K1, K2)
+                        assert a == old_unipotent_conjugator(L, crown.C, K1, K2)
+                        pairs += K1 != K2
+        assert pairs >= 20
+
+    def test_a_zero_numerator_cannot_move_a_complement(self):
+        R = builtin("r2")
+        zero, K1, K2 = R.zero_space(), R.span([(1, 0)]), R.span([(1, 1)])
+        for conjugator in (unipotent_conjugator, old_unipotent_conjugator):
+            with pytest.raises(CertificationFailure):
+                conjugator(R, zero, K1, K2)
+        assert unipotent_conjugator(R, zero, K1, K1) == zero_vec(QQ, 2)
 
     def test_non_complement_rejected(self):
         R = builtin("r2")

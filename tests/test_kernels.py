@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liestruct import algebra, builtin, linalg, modules, oracle
+from liestruct import builtin, linalg, modules, oracle
 from liestruct.cli import build_report
 from liestruct.fields import GF, QQ, FieldError, canon_q
 from liestruct.linalg import (
@@ -40,7 +40,7 @@ from liestruct.linalg import (
     vec_sub,
 )
 
-from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
+from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, coords, residue
 from test_isomorphism import transport
 from test_larger_primes import matrix_units
 from test_memo import borel3_over_gf3, gl3_on_matrix_units
@@ -523,13 +523,14 @@ def test_q_rref_builds_no_fraction_on_integral_systems(system):
 def test_every_q_elimination_gets_canonical_rows(monkeypatch):
     """Every Q elimination and row reduction made by the report, on the Q
     corpus, borel3, n4 and a corpus algebra in a half-integer basis, gets
-    rows of ``canon_q`` values and returns canonical rows.  ``_reduce`` may
-    be handed an unreduced sum (``LieAlgebra._bracket_sum``) as the vector
-    it reduces; its semi-echelon rows and its result are canonical.  The
-    eliminations are counted by the function asking for them (through
-    ``_rref`` and ``rref_solve``), so the check is seen to reach the systems
-    that the splitting test, the crown denominators and the Killing radical
-    build."""
+    rows of ``canon_q`` values and returns canonical rows.  ``_reduce``, in
+    the spin loop, may be handed an unreduced vector; its semi-echelon rows
+    and its result are canonical.  ``QuotientMap.project_all`` may be
+    handed unreduced sums (``LieAlgebra._bracket_sum``) and returns
+    canonical coordinates.  The eliminations are counted by the function
+    asking for them (through ``_rref`` and ``rref_solve``), so the check is
+    seen to reach the systems that the splitting test, the crown
+    denominators and the Killing radical build."""
     calls = Counter()
     skip = {linalg._rref.__code__, linalg.rref_solve.__code__, linalg.nullspace.__code__}
 
@@ -551,8 +552,18 @@ def test_every_q_elimination_gets_canonical_rows(monkeypatch):
             calls["_reduce"] += 1
         return out
 
+    project_all = QuotientMap.project_all
+
+    def checked_project_all(qm, vectors):
+        out = project_all(qm, vectors)
+        if qm.field == QQ:
+            assert all(canonical(QQ, c) for c in out), out
+            calls["project_all"] += 1
+        return out
+
     monkeypatch.setattr(linalg, "_rref_q", checked_rref)
-    for namespace in (linalg, algebra, modules):
+    monkeypatch.setattr(QuotientMap, "project_all", checked_project_all)
+    for namespace in (linalg, modules):
         monkeypatch.setattr(namespace, "_reduce", checked_reduce)
     half = Fraction(1, 2)
     L = builtin("h3_plus_r2", QQ)
@@ -566,7 +577,7 @@ def test_every_q_elimination_gets_canonical_rows(monkeypatch):
     ]
     for name, L in cases:
         build_report(L, name)
-    assert calls["_reduce"]
+    assert calls["_reduce"] and calls["project_all"]
     assert {
         "Subspace._of",
         "split_abelian_extension",
@@ -589,7 +600,7 @@ def test_quotient_coordinates_of_the_denominator_are_in_rref(data):
         F, A.cols, [ref_lin_comb(F, A.cols, [F.coerce(x) for x in c], W.basis) for c in cs if W.dim]
     )
     ucoords = QuotientMap(W, U)._ucoords
-    for rows in (ucoords.basis, [W.coords(u) for u in U.basis]):
+    for rows in (ucoords.basis, [coords(W, u) for u in U.basis]):
         want = Subspace._of(F, W.dim, list(rows))
         assert ucoords.basis == want.basis and ucoords.pivots == want.pivots
 
@@ -717,8 +728,8 @@ def test_reduce_matches_the_generic_loop(data):
         c = want[p]
         if not F.is_zero(c):
             want = [F.sub(x, F.mul(c, y)) for x, y in zip(want, row)]
-    assert S.reduce(v) == tuple(want)
-    assert canonical(F, S.reduce(v))
+    assert residue(S, v) == tuple(want)
+    assert canonical(F, residue(S, v))
     assert S == ref_span(F, A.cols, A.entries)
 
 

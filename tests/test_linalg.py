@@ -16,6 +16,8 @@ from liestruct.linalg import (
     vec_sub,
 )
 
+from conftest import residue
+
 
 def span(F, n, rows):
     return Subspace.from_vectors(F, n, rows)
@@ -242,14 +244,14 @@ def spaces_and_vectors(draw):
 @settings(max_examples=300, deadline=None)
 def test_membership_forms_agree_with_reduction(case):
     """``contains`` (the membership forms) against the residue of
-    ``reduce``, and ``project_all`` raises exactly on the vectors outside."""
+    ``_reduce``, and ``project_all`` raises exactly on the vectors outside."""
     U, inside, outside, anywhere = case
     F, n = U.field, U.ambient_dim
     assert all(U.contains(v) for v in inside)
     assert not any(U.contains(v) for v in outside)
     denominators = [Subspace.zero(F, n)] + [span(F, n, U.basis[:1])] * (U.dim > 0)
     for v in inside + outside + anywhere:
-        inside_u = not any(U.reduce(v))
+        inside_u = not any(residue(U, v))
         assert U.contains(v) == inside_u
         for D in denominators:
             qm = QuotientMap(U, D)

@@ -4,7 +4,8 @@ replaced, and the memo of the module layer.
 ``section_action`` sums every [x, lift] straight from the structure
 constants and projects all of them with one ``QuotientMap.project_all``;
 it replaced ``qm.induced(functools.partial(L.bracket, x))`` per x, which
-projected each bracket through ``W.coords`` and ``_ucoords.reduce``.
+projected each bracket through its coordinates on W and their residue
+modulo ``_ucoords`` (the test-local ``coords`` and ``residue``).
 ``hom_space`` spins the generators of the source with unknowns for their
 images; it replaced the nullspace of the equations X rho1 = rho2 X on all
 entries of X, whose literal dense builder is the reference here, basis for
@@ -60,7 +61,7 @@ from liestruct.modules import (
     spin,
 )
 
-from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
+from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, coords, residue
 from test_bracket_constructions import (
     semidirect_sums,
     semidirect_sums_in_a_random_basis,
@@ -79,8 +80,8 @@ CORPORA = (
 
 
 def old_project(qm: QuotientMap, v):
-    c = qm.W.coords(v)
-    red = qm._ucoords.reduce(c)
+    c = coords(qm.W, v)
+    red = residue(qm._ucoords, c)
     return tuple(red[j] for j in qm._free)
 
 

@@ -24,7 +24,7 @@ from liestruct.modules import (
 )
 from liestruct.oracle import socle_bf
 
-from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
+from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, coords
 
 FINITE_CORPUS = [(name, 2) for name in CORPUS_GF2] + [(name, 3) for name in CORPUS_GF3]
 
@@ -68,7 +68,7 @@ def natural_module(p: int, n: int, generators) -> LModule:
         closure.append(A)
     mats = [Matrix(F, [b[i * n : (i + 1) * n] for i in range(n)]) for b in span.basis]
     table = {
-        (i, j): span.coords(flat(mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i]))))
+        (i, j): coords(span, flat(mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i]))))
         for i in range(len(mats))
         for j in range(i + 1, len(mats))
     }

@@ -3,15 +3,18 @@
 ``LieAlgebra._bracket_sum`` sums a b [e_i, e_j] over the nonzero entries of
 two vectors straight from the sparse structure constants.  ``brackets_inside``,
 ``_colon_rows`` and ``bracket_spaces`` read their bases as the cached
-nonzero rows of each ``Subspace`` and reduce the unreduced sums once, by
-``linalg._reduce`` against W's rows; ``LieAlgebra.ad`` reads its columns
-from the support of its argument.  The former bodies, one ``L.bracket`` per
-basis pair, are kept here as references (``old_*``) and must give the same
-verdicts, the same rows (down to the type of each scalar) and the same
+nonzero rows of each ``Subspace``; ``brackets_inside`` tests each unreduced
+sum against W's membership forms and ``_colon_rows`` projects all of them
+onto L/W with one ``QuotientMap.project_all``; ``LieAlgebra.ad`` reads its
+columns from the support of its argument.  The former bodies, one
+``L.bracket`` per basis pair, are kept here as references (``old_*``),
+reading a vector modulo W by the test-local ``residue`` (``linalg._reduce``),
+and must give the same verdicts, the same rows (down to the type of each scalar) and the same
 spans: on every triple of ideals met by the chief series variants of the
 corpora over Q, GF(2), GF(3) and GF(5), on Hypothesis semidirect sums and
 on random subspaces of rebased corpus algebras.  ``L.bracket`` itself is
-checked against a dense sum over the bracket table.
+checked against a dense sum over the bracket table.  AST checks keep one
+bracket kernel in ``algebra`` and keep ``_reduce`` out of it.
 """
 
 import ast
@@ -33,9 +36,9 @@ from liestruct.algebra import (
 )
 from liestruct.chief import chief_series_variants
 from liestruct.fields import GF, QQ
-from liestruct.linalg import DimensionMismatch, Matrix, Subspace, unit_vec, vec
+from liestruct.linalg import DimensionMismatch, Matrix, QuotientMap, Subspace, unit_vec, vec
 
-from conftest import CORPUS_GF2, CORPUS_Q
+from conftest import CORPUS_GF2, CORPUS_Q, residue
 from test_bracket_constructions import colon_inputs, semidirect_sums
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "liestruct"
@@ -59,7 +62,7 @@ def old_colon_rows(L: LieAlgebra, X: Subspace, Y: Subspace, W: Subspace) -> list
     free = [t for t in range(L.dim) if t not in pivots]
     rows = []
     for y in Y.basis:
-        cols = [W.reduce(L.bracket(x, y)) for x in X.basis]
+        cols = [residue(W, L.bracket(x, y)) for x in X.basis]
         rows.extend(tuple(col[t] for col in cols) for t in free)
     return rows
 
@@ -97,7 +100,8 @@ def assert_builders_match(L: LieAlgebra, spaces) -> None:
         assert bracket_spaces(L, U, V) == old_bracket_spaces(L, U, V)
         for W in spaces:
             assert brackets_inside(L, U, V, W) == old_brackets_inside(L, U, V, W)
-            assert typed(_colon_rows(L, U, V, W)) == typed(old_colon_rows(L, U, V, W))
+            rows = _colon_rows(L, U, V, QuotientMap(L.full_space(), W))
+            assert typed(rows) == typed(old_colon_rows(L, U, V, W))
     for x in {x for U in spaces for x in U.basis} | set(L.full_space().basis):
         M, ref = L.ad(x), old_ad(L, x)
         assert (M, M.rows, M.cols) == (ref, ref.rows, ref.cols)
@@ -211,3 +215,49 @@ def test_one_function_sums_brackets_from_the_table():
     assert [name for name, fn in functions.items() if _sums_in_a_loop(fn)] == [
         "LieAlgebra._bracket_sum"
     ]
+
+
+def _reduce_names(node) -> list:
+    """The ``_reduce`` names under ``node``: variables, attributes and the
+    names an import binds."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id == "_reduce":
+            out.append(sub)
+        elif isinstance(sub, ast.Attribute) and sub.attr == "_reduce":
+            out.append(sub)
+        elif isinstance(sub, ast.ImportFrom):
+            out.extend(alias for alias in sub.names if alias.name == "_reduce")
+    return out
+
+
+def test_one_reader_of_a_vector_modulo_a_subspace():
+    """No function of ``algebra`` reduces a vector by elimination, by
+    ``_reduce`` or a ``.reduce(`` method: a bracket modulo W is read by W's
+    membership forms or by ``QuotientMap.project_all``.  In the whole
+    package ``_reduce`` is named only where it is defined, where ``modules``
+    imports it and in the spin loop ``modules._spin_rows``."""
+    functions = _function_bodies(ast.parse((SRC / "algebra.py").read_text()))
+    for name, fn in functions.items():
+        calls = [
+            node
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reduce"
+        ]
+        assert (_reduce_names(fn), calls) == ([], []), name
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        seen = 0
+        for name, fn in _function_bodies(tree).items():
+            if name == "_reduce" or _reduce_names(fn):
+                named.append((path.stem, name))
+                seen += len(_reduce_names(fn))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and _reduce_names(node):
+                named.append((path.stem, "import"))
+                seen += 1
+        assert len(_reduce_names(tree)) == seen, path.name
+    assert named == [("linalg", "_reduce"), ("modules", "_spin_rows"), ("modules", "import")]
