@@ -58,9 +58,7 @@ from .linalg import (
     rref_solve,
     unit_vec,
     vec,
-    vec_add,
     vec_is_zero,
-    vec_scale,
     zero_vec,
 )
 from .status import CertificationFailure
@@ -306,6 +304,8 @@ def validate_algebra(field: Field, dim: int, sc_table) -> LieAlgebra:
     """Build a LieAlgebra from a full dim x dim x dim table, reporting the
     first violated identity with its indices."""
     pairs = {(i, j): vec(field, sc_table[i][j]) for i in range(dim) for j in range(dim)}
+    if any(len(v) != dim for v in pairs.values()):
+        raise DimensionMismatch("structure constant vector has wrong length")
     return LieAlgebra(field, dim, _antisymmetric_table(field, pairs))
 
 
@@ -320,9 +320,9 @@ def _antisymmetric_table(F: Field, pairs: dict) -> dict:
         u, w = pairs.get((i, j)), pairs.get((j, i))
         if i == j and not vec_is_zero(F, u):
             raise AntisymmetryViolation(i, i)
-        if i < j and None not in (u, w) and not vec_is_zero(F, vec_add(F, u, w)):
+        if i < j and None not in (u, w) and not vec_is_zero(F, lin_comb(F, (1, 1), (u, w))):
             raise AntisymmetryViolation(i, j)
-        v = vec_scale(F, -1, w) if u is None else u
+        v = lin_comb(F, (-1,), (w,)) if u is None else u
         if i < j and not vec_is_zero(F, v):
             table[i, j] = v
     return table
@@ -471,14 +471,14 @@ def unipotent_conjugator(L: LieAlgebra, C: Subspace, K1: Subspace, K2: Subspace)
     candidates = [particular]
     for nv in null.basis:
         for scale in (1, -1, 2, -2):
-            candidates.append(vec_add(F, particular, vec_scale(F, scale, nv)))
+            candidates.append(lin_comb(F, (1, scale), (particular, nv)))
     for coeffs in candidates:
         a = lin_comb(F, coeffs, C.basis)
         ada = L.ad(a)
         if not ada.matmul(ada).is_zero():
             continue
-        image = Subspace.from_vectors(F, L.dim, [vec_add(F, k, ada.apply(k)) for k in K1.basis])
-        if image == K2:
+        images = [lin_comb(F, (1, 1), (k, ada.apply(k))) for k in K1.basis]
+        if Subspace.from_vectors(F, L.dim, images) == K2:
             return a
     raise CertificationFailure("no square-nilpotent conjugator found in the solution family")
 
@@ -606,10 +606,12 @@ def bracket_law_failure(L: LieAlgebra, mats: Sequence[Matrix]) -> tuple[int, int
     matrix per basis element of L) break the bracket law
     sum_k c_k mats[k] = mats[i] mats[j] - mats[j] mats[i], where
     [e_i, e_j] = sum_k c_k e_k; None when they represent L."""
+    F = L.field
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = mat_comb(L.field, L.basis_bracket(i, j), mats)
-            if lhs != mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i])):
+            lhs = mat_comb(F, L.basis_bracket(i, j), mats)
+            commutator = (mats[i].matmul(mats[j]), mats[j].matmul(mats[i]))
+            if lhs != mat_comb(F, (1, -1), commutator):
                 return i, j
     return None
 
@@ -658,7 +660,7 @@ def semidirect_sum(B: LieAlgebra, Q: LieAlgebra, action: Sequence[Matrix]) -> Li
         for b in range(B.dim):
             w = action[i].apply(unit_vec(F, B.dim, b))
             # pair (b, B.dim + i) with b < B.dim + i: [e_b, q_i] = -q_i . e_b
-            table[(b, B.dim + i)] = emb_b(vec_scale(F, -1, w))
+            table[(b, B.dim + i)] = emb_b(lin_comb(F, (-1,), (w,)))
     for i in range(Q.dim):
         for j in range(i + 1, Q.dim):
             table[(B.dim + i, B.dim + j)] = emb_q(Q.basis_bracket(i, j))

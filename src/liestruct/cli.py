@@ -269,8 +269,9 @@ def main(argv: Optional[list] = None) -> int:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--strict", action="store_true",
                         help="nonzero exit on heuristic or undecided results")
-    common.add_argument("--max-subspaces", type=positive_int, default=500_000)
-    common.add_argument("--max-field-order", type=positive_int, default=4)
+    budget = EnumBudget()
+    common.add_argument("--max-subspaces", type=positive_int, default=budget.max_subspaces)
+    common.add_argument("--max-field-order", type=positive_int, default=budget.max_field_order)
     parser = argparse.ArgumentParser(
         prog="liestruct",
         description="chief-factor structure reports for finite-dimensional Lie algebras",

@@ -14,7 +14,7 @@ import json
 import re
 from collections import namedtuple
 
-from .algebra import AlgebraError, LieAlgebra, _antisymmetric_table, semidirect_sum
+from .algebra import AlgebraError, LieAlgebra, _antisymmetric_table, direct_sum, semidirect_sum
 from .fields import Field, FieldError, PrimeField, QQ, _shown, field_from_doc, field_to_doc
 from .linalg import Matrix, zero_vec
 
@@ -126,13 +126,9 @@ def builtin(name: str, field: Field = QQ) -> LieAlgebra:
         )
     if name == "sl2_plus_sl2":
         _needs_odd_char(field, name)
-        table = {}
-        for block in (0, 3):
-            table[(block, block + 1)] = _emb(field, 6, block, (-2, 0, 0))
-            table[(block, block + 2)] = _emb(field, 6, block, (0, 1, 0))
-            table[(block + 1, block + 2)] = _emb(field, 6, block, (0, 0, -2))
+        X = direct_sum(_sl2(field), _sl2(field))
         return LieAlgebra(
-            field, 6, table, basis_names=("e1", "h1", "f1", "e2", "h2", "f2")
+            field, 6, X.table, basis_names=("e1", "h1", "f1", "e2", "h2", "f2")
         )
     if name == "h3_plus_r2":
         return LieAlgebra(
@@ -151,13 +147,6 @@ def _sl2(field: Field) -> LieAlgebra:
         {(0, 1): (-2, 0, 0), (0, 2): (0, 1, 0), (1, 2): (0, 0, -2)},
         basis_names=("e", "h", "f"),
     )
-
-
-def _emb(field: Field, n: int, offset: int, v) -> tuple:
-    out = [0] * n
-    for i, x in enumerate(v):
-        out[offset + i] = x
-    return tuple(out)
 
 
 FIXTURE_FACTS: tuple = (

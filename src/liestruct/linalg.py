@@ -41,11 +41,13 @@ the matrix a map induces on W/U from ``induced``, or from one
 ``project_all`` of the images of the lifts (``algebra.section_action``);
 each witness that is the graph of a map between two sections is ``graph``.
 
-Spaces of matrices have two owners.  ``nullspace`` is the one solution
-space of a homogeneous system: common kernels of maps, annihilators of dual
-subspaces and joint kernels of an action all take it, and ``rref_solve`` is
-left for particular solutions.  ``mat_comb`` is the one linear combination
-of matrices, sum c * M, row by row with ``lin_comb``.
+``nullspace`` is the one solution space of a homogeneous system: common
+kernels of maps, annihilators of dual subspaces and joint kernels of an
+action all take it, and ``rref_solve`` is left for particular solutions.
+``lin_comb``, and ``mat_comb`` row by row on it, are the one linear
+combination: every sum c * v of vectors and c * M of matrices, a sum, a
+difference or a scalar multiple among them, is one call with its
+coefficients, such as ``(1, -1)`` or ``(c,)``.
 
 Membership in a ``Subspace`` is read off its RREF basis once, as its
 membership forms: per column t off the pivots, the (pivot c, row entry at
@@ -69,7 +71,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import Field, Scalar, canon_q
+from .fields import Field, canon_q
 
 
 class DimensionMismatch(ValueError):
@@ -94,27 +96,6 @@ def vec(field: Field, entries: Iterable) -> Vector:
 def zero_vec(field: Field, n: int) -> Vector:
     z = field.zero()
     return (z,) * n
-
-
-def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
-    p = _modulus(field)
-    if p:
-        return tuple([(a + b) % p for a, b in zip(u, v)])
-    return tuple([canon_q(a + b) for a, b in zip(u, v)])
-
-
-def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
-    p = _modulus(field)
-    if p:
-        return tuple([(a - b) % p for a, b in zip(u, v)])
-    return tuple([canon_q(a - b) for a, b in zip(u, v)])
-
-
-def vec_scale(field: Field, c: Scalar, u: Vector) -> Vector:
-    p = _modulus(field)
-    if p:
-        return tuple([c * a % p for a in u])
-    return tuple([canon_q(c * a) for a in u])
 
 
 def vec_is_zero(field: Field, u: Vector) -> bool:
@@ -345,27 +326,6 @@ class Matrix:
                     acc[j] += a * b
             out.append([x % p for x in acc] if p else _canon_q_all(acc))
         return Matrix._of(F, out, n)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch")
-        F = self.field
-        return Matrix._of(
-            F, [vec_add(F, a, b) for a, b in zip(self.entries, other.entries)], self.cols
-        )
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch")
-        F = self.field
-        return Matrix._of(
-            F, [vec_sub(F, a, b) for a, b in zip(self.entries, other.entries)], self.cols
-        )
-
-    def scale(self, c) -> "Matrix":
-        F = self.field
-        c = F.coerce(c)
-        return Matrix._of(F, [vec_scale(F, c, r) for r in self.entries], self.cols)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))

@@ -98,7 +98,6 @@ from .linalg import (
     rref_solve,
     unit_vec,
     vec,
-    vec_sub,
 )
 from .polys import charpoly, gf_roots, is_irreducible, rational_roots, squarefree_part
 from .status import CERTIFIED, Status, heuristic, worst
@@ -485,7 +484,7 @@ def certify_irreducible(M: LModule):
     for h in endos:
         hm = h.matrix
         # skip scalars: they never split anything
-        if hm == ident.scale(hm.entries[0][0]):
+        if hm == mat_comb(F, (hm.entries[0][0],), (ident,)):
             continue
         for lam in rational_roots(charpoly(hm)):
             ker = nullspace(F, d, mat_comb(F, (1, -lam), (hm, ident)).entries)
@@ -587,7 +586,7 @@ def _socle_char0(M: LModule) -> Subspace:
     qm, ident = QuotientMap(soc, zero), Matrix.identity(F, soc.dim)
     for r in QuotientMap(R, K).lifts:  # K acts as 0 on M^K
         A = qm.induced(mat_comb(F, r, M.mats).apply)
-        if A == ident.scale(A.entries[0][0]):
+        if A == mat_comb(F, (A.entries[0][0],), (ident,)):
             continue
         f = charpoly(A)
         s = squarefree_part(f)
@@ -875,7 +874,7 @@ def split_abelian_extension(
         for j in range(i + 1, q):
             br = L.bracket(section[i], section[j])
             br_q = top.project(br)
-            g = fm.coords.project(vec_sub(F, br, top.lift(br_q)))  # the 2-cocycle value
+            g = fm.coords.project(lin_comb(F, (1, -1), (br, top.lift(br_q))))  # 2-cocycle value
             # closure of {s + phi} forces
             #   x_i . phi(x_j) - x_j . phi(x_i) - phi([x_i, x_j]) = -g(i, j)
             ei, ej = action[i].entries, action[j].entries

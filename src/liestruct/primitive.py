@@ -57,8 +57,8 @@ from .linalg import (
     _rref,
     invert_matrix,
     lin_comb,
+    mat_comb,
     unit_vec,
-    vec_sub,
 )
 from . import modules
 from .modules import (
@@ -126,7 +126,7 @@ def isomorphism_search(A: LieAlgebra, B: LieAlgebra) -> tuple[Optional[Matrix], 
     lam = _table_ratio(A, B)
     T = Matrix.identity(F, n)
     if lam is not None:
-        T = T.scale(F.inv(lam))
+        T = mat_comb(F, (F.inv(lam),), (T,))
     if _check_algebra_iso(A, B, T):
         return T, True
     exhaustive = isinstance(F, PrimeField)
@@ -475,7 +475,7 @@ def type_equivalence_witnesses(L: LieAlgebra) -> TypeEquivalenceReport:
         cols = []
         for i in range(L.dim):
             bc = inv.col(i)[: B.dim]
-            u = vec_sub(F, unit_vec(F, L.dim, i), lin_comb(F, bc, B.basis))
+            u = lin_comb(F, (1, -1), (unit_vec(F, L.dim, i), lin_comb(F, bc, B.basis)))
             cols.append(bc + qa.project(u))
         theta = Matrix.from_columns(F, cols)
         if not _check_algebra_iso(L, X, theta):

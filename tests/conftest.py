@@ -3,7 +3,7 @@ from hypothesis import settings
 
 from liestruct import builtin
 from liestruct.fields import GF, QQ
-from liestruct.linalg import _modulus, _reduce
+from liestruct.linalg import Matrix, _modulus, _reduce
 
 CORPUS_Q = ("ab(1)", "ab(2)", "ab(3)", "r2", "heis", "ex22", "sl2", "gl2",
             "aff_sl2", "sl2_plus_sl2", "h3_plus_r2")
@@ -33,6 +33,35 @@ def coords(S, v) -> tuple:
     if any(residue(S, v)):
         raise ValueError("vector not contained in the subspace")
     return tuple(v[c] for c in S.pivots)
+
+
+# Sums, differences and multiples entry by entry through the ``Field``
+# methods: references that do not go through ``linalg.lin_comb`` or
+# ``linalg.mat_comb``, the library's one linear combination.
+
+
+def ref_add(F, u, v) -> tuple:
+    return tuple(F.add(a, b) for a, b in zip(u, v))
+
+
+def ref_sub(F, u, v) -> tuple:
+    return tuple(F.sub(a, b) for a, b in zip(u, v))
+
+
+def ref_scale(F, c, u) -> tuple:
+    return tuple(F.mul(c, a) for a in u)
+
+
+def ref_mat_add(A, B) -> Matrix:
+    return Matrix(A.field, [ref_add(A.field, a, b) for a, b in zip(A.entries, B.entries)])
+
+
+def ref_mat_sub(A, B) -> Matrix:
+    return Matrix(A.field, [ref_sub(A.field, a, b) for a, b in zip(A.entries, B.entries)])
+
+
+def ref_mat_scale(c, A) -> Matrix:
+    return Matrix(A.field, [ref_scale(A.field, c, a) for a in A.entries])
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from liestruct.algebra import (
     validate_algebra,
 )
 from liestruct.fields import GF, QQ
-from liestruct.linalg import Matrix, unit_vec, vec
+from liestruct.linalg import DimensionMismatch, Matrix, unit_vec, vec
 
 
 def full_table(dim, entries):
@@ -70,6 +70,15 @@ class TestValidation:
         with pytest.raises(AntisymmetryViolation) as exc:
             validate_algebra(QQ, 2, tbl)
         assert exc.value.indices == (0, 1)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_a_vector_of_the_wrong_length_is_a_dimension_mismatch(self, k):
+        """In either order of the pair, also where the entries up to dim
+        are antisymmetric."""
+        tbl = full_table(2, {(0, 1): (0, 1)})
+        tbl[k][1 - k] = list(tbl[k][1 - k]) + [5]
+        with pytest.raises(DimensionMismatch):
+            validate_algebra(QQ, 2, tbl)
 
     def test_diagonal_violation(self):
         tbl = full_table(2, {})

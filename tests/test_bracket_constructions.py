@@ -54,7 +54,6 @@ from liestruct.linalg import (
     lin_comb,
     rref_solve,
     unit_vec,
-    vec_sub,
     zero_vec,
 )
 from liestruct.modules import (
@@ -77,7 +76,7 @@ from liestruct.primitive import (
 )
 from liestruct.status import CertificationFailure
 
-from conftest import CORPUS_GF2, CORPUS_Q, coords
+from conftest import CORPUS_GF2, CORPUS_Q, coords, ref_mat_scale, ref_sub
 from test_isomorphism import transport
 from test_socle import natural_module
 
@@ -366,8 +365,8 @@ def test_bracket_law_failure_names_the_first_failing_pair():
 def test_preserves_brackets_is_the_homomorphism_test():
     L = builtin("heis", QQ)
     assert preserves_brackets(L, L, nilpotent_automorphism(L, (1, 0, 0)).matrix)
-    assert preserves_brackets(L, L, Matrix.identity(QQ, 3).scale(0))
-    assert not preserves_brackets(L, L, Matrix.identity(QQ, 3).scale(2))  # [2x, 2y] = 4z
+    assert preserves_brackets(L, L, Matrix.zero(QQ, 3, 3))
+    assert not preserves_brackets(L, L, ref_mat_scale(2, Matrix.identity(QQ, 3)))  # [2x, 2y] = 4z
 
 
 def old_section_module(M: LModule, qm: QuotientMap) -> LModule:
@@ -414,7 +413,7 @@ def old_split_abelian_extension(
             br = Q.bracket(section[i], section[j])
             br_q = qm.project(br)
             s_br = qm.lift(br_q)
-            g = coords(Abar, vec_sub(F, br, s_br))  # the 2-cocycle value
+            g = coords(Abar, ref_sub(F, br, s_br))  # the 2-cocycle value
             # closure of {s + phi} forces
             #   x_i . phi(x_j) - x_j . phi(x_i) - phi([x_i, x_j]) = -g(i, j)
             ei = [act(section[i], unit_vec(F, a, k)) for k in range(a)]
@@ -458,7 +457,7 @@ def old_decompose(L: LieAlgebra, B: Subspace, U: Subspace, v):
     if sol is None:
         raise CertificationFailure("vector does not decompose along the complement")
     b = lin_comb(F, sol[: B.dim], B.basis) if B.dim else zero_vec(F, L.dim)
-    return b, vec_sub(F, v, b)
+    return b, ref_sub(F, v, b)
 
 
 def old_theta(L: LieAlgebra) -> Matrix:

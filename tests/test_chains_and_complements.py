@@ -32,7 +32,7 @@ from liestruct.algebra import (
 )
 from liestruct.chief import solvable_radical
 from liestruct.fields import GF, QQ
-from liestruct.linalg import Matrix, QuotientMap, Subspace, invert_matrix, rref_solve, vec_add
+from liestruct.linalg import Matrix, QuotientMap, Subspace, invert_matrix, rref_solve
 from liestruct.modules import (
     LModule,
     adjoint_module,
@@ -43,7 +43,7 @@ from liestruct.modules import (
 )
 from liestruct.oracle import enum_structures
 
-from conftest import CORPUS_GF2, CORPUS_Q
+from conftest import CORPUS_GF2, CORPUS_Q, ref_add
 from test_bracket_constructions import (
     basis_subalgebras,
     semidirect_sums,
@@ -171,7 +171,7 @@ def assert_complements_match(M: LModule):
     """For each submodule U spun from a basis vector of the socle, or from
     the sum of two, the complement of U in the socle."""
     soc, _ = socle_space(M)
-    seeds = list(soc.basis) + [vec_add(M.field, a, b) for a, b in zip(soc.basis, soc.basis[1:])]
+    seeds = list(soc.basis) + [ref_add(M.field, a, b) for a, b in zip(soc.basis, soc.basis[1:])]
     for w in seeds:
         U = spin(M, w)
         assert complement_in_semisimple(M, soc, U) == old_complement_in_semisimple(M, soc, U)

@@ -20,6 +20,7 @@ from liestruct.corpus import MAX_DIM, save
 from liestruct import builtin
 from liestruct.fields import GF, QQ, FieldError
 from liestruct.linalg import DimensionMismatch
+from liestruct.oracle import EnumBudget
 
 from conftest import CORPUS_Q
 
@@ -116,6 +117,12 @@ class TestExitCodes:
                              flag, value)
         assert code == EXIT_USAGE and out == ""
         assert "not a positive integer" in err and "internal failure" not in err
+
+    def test_the_budget_options_default_to_the_enum_budget(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(cli, "_dispatch", lambda args, L, name: parsed.append(args) or EXIT_OK)
+        assert main(["oracle-check", "--builtin", "heis", "--field", "gf3"]) == EXIT_OK
+        assert cli._budget(parsed[0]) == EnumBudget()
 
     def test_a_builtin_above_the_dimension_bound_exits_with_parse_code(self, capsys):
         code, _, err = run(capsys, "validate", "--builtin", "ab(200)")

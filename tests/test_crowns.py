@@ -35,13 +35,11 @@ from liestruct.linalg import (
     rref_solve,
     unit_vec,
     vec,
-    vec_add,
-    vec_scale,
     zero_vec,
 )
 from liestruct.oracle import complements_bf
 from liestruct.status import CERTIFIED, CertificationFailure, undecided
-from conftest import residue
+from conftest import ref_add, ref_scale, residue
 from test_isomorphism import rebased, transport
 from test_sparse_brackets import old_colon_rows
 
@@ -62,13 +60,13 @@ def old_unipotent_conjugator(L: LieAlgebra, C: Subspace, K1: Subspace, K2: Subsp
     candidates = [particular]
     for nv in null.basis:
         for scale in (1, -1, 2, -2):
-            candidates.append(vec_add(F, particular, vec_scale(F, scale, nv)))
+            candidates.append(ref_add(F, particular, ref_scale(F, scale, nv)))
     for coeffs in candidates:
         a = lin_comb(F, coeffs, C.basis)
         ada = L.ad(a)
         if not ada.matmul(ada).is_zero():
             continue
-        image = Subspace.from_vectors(F, L.dim, [vec_add(F, k, ada.apply(k)) for k in K1.basis])
+        image = Subspace.from_vectors(F, L.dim, [ref_add(F, k, ada.apply(k)) for k in K1.basis])
         if image == K2:
             return a
     raise CertificationFailure("no square-nilpotent conjugator found in the solution family")
@@ -82,7 +80,7 @@ def translated_complements(L: LieAlgebra, crown) -> list:
     K = crown_complement(L, crown)
     cs = crown.C.basis
     elements = list(cs) + [
-        vec_add(F, vec_scale(F, Fraction(1, 2), c), d) for c in cs for d in cs if c != d
+        ref_add(F, ref_scale(F, Fraction(1, 2), c), d) for c in cs for d in cs if c != d
     ]
     out = [K]
     for a in elements:

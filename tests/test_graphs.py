@@ -18,11 +18,11 @@ from liestruct.algebra import section_algebra
 from liestruct.chief import chief_series
 from liestruct.crowns import _abelian_denominator_data, precrowns_of_factor
 from liestruct.fields import GF, QQ
-from liestruct.linalg import Matrix, QuotientMap, Subspace, lin_comb, unit_vec, vec_add
+from liestruct.linalg import Matrix, QuotientMap, Subspace, lin_comb, unit_vec
 from liestruct.modules import factor_module, socle_and_minimal_ideals, split_abelian_extension
 from liestruct.primitive import classify_primitive, isomorphism_search
 
-from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q
+from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, ref_add, ref_mat_add, ref_mat_scale
 
 
 def old_split_complement(L, A, B, phi) -> Subspace:
@@ -39,7 +39,7 @@ def old_split_complement(L, A, B, phi) -> Subspace:
 def old_diagonal_complement(L, qm1, qm2, iso) -> Subspace:
     F = L.field
     vecs = [
-        vec_add(F, v, qm2.lift(iso.apply(unit_vec(F, qm1.dim, i))))
+        ref_add(F, v, qm2.lift(iso.apply(unit_vec(F, qm1.dim, i))))
         for i, v in enumerate(qm1.lifts)
     ]
     return Subspace.from_vectors(F, L.dim, vecs + list(qm1.U.basis))
@@ -105,7 +105,8 @@ def test_precrown_denominators_are_the_graphs_of_the_hom_combinations(name):
         target = factor_module(L, f.A, f.B).coords
         zero = Matrix.zero(L.field, target.dim, fm.coords.dim)
         for coeffs, N in zip(itertools.product(range(3), repeat=len(homs)), candidates):
-            T = functools.reduce(Matrix.add, [h.matrix.scale(c) for c, h in zip(coeffs, homs)], zero)
+            terms = [ref_mat_scale(c, h.matrix) for c, h in zip(coeffs, homs)]
+            T = functools.reduce(ref_mat_add, terms, zero)
             assert fm.coords.graph(target, T) == N
         admitted = [N for N in candidates if split_abelian_extension(L, f.centralizer, N) is not None]
         assert [pc.denominator for pc in precrowns_of_factor(f).precrowns] == admitted

@@ -35,6 +35,7 @@ from liestruct.primitive import (
     isomorphism_search,
 )
 
+from conftest import ref_mat_scale, ref_scale
 from test_socle import natural_module
 
 
@@ -183,6 +184,17 @@ def test_search_finds_an_isomorphism_after_a_change_of_basis(case):
     assert T is not None and is_isomorphism(A, B, T)
 
 
+@pytest.mark.parametrize("F", [QQ, GF(5)])
+def test_a_table_times_lam_is_matched_first_by_the_identity_over_lam(F):
+    """B has A's table times lam; [x/lam, y/lam] in B is [x, y]/lam, so the
+    first map tried, the identity scaled by 1/lam, is the isomorphism
+    returned."""
+    A, lam = builtin("sl2", F), F.coerce(2)
+    B = LieAlgebra(F, A.dim, {k: ref_scale(F, lam, v) for k, v in A.table.items()})
+    T = ref_mat_scale(F.inv(lam), Matrix.identity(F, A.dim))
+    assert isomorphism_search(A, B) == (T, True)
+
+
 def brute_force_isomorphic(A: LieAlgebra, B: LieAlgebra) -> bool:
     """Try every d x d matrix over GF(p), in plain integer arithmetic."""
     p, d = A.field.p, A.dim
@@ -311,7 +323,7 @@ def isomorphism_search_ref(A: LieAlgebra, B: LieAlgebra):
     lam = _table_ratio(A, B)
     T = Matrix.identity(F, n)
     if lam is not None:
-        T = T.scale(F.inv(lam))
+        T = ref_mat_scale(F.inv(lam), T)
     if _check_algebra_iso(A, B, T):
         return T, True
     exhaustive = isinstance(F, PrimeField)

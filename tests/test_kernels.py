@@ -6,11 +6,13 @@ content, the dense bracket over the i < j table, naive matrix products and
 the zero-vector-then-add linear combination.  Each reference below is that
 loop, kept here as ground truth."""
 
+import ast
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,12 +37,17 @@ from liestruct.linalg import (
     rref_solve,
     unit_vec,
     vec,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 
-from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, coords, residue
+from conftest import (
+    CORPUS_GF2,
+    CORPUS_GF3,
+    CORPUS_Q,
+    coords,
+    ref_mat_add,
+    ref_mat_scale,
+    residue,
+)
 from test_isomorphism import transport
 from test_larger_primes import matrix_units
 from test_memo import borel3_over_gf3, gl3_on_matrix_units
@@ -48,6 +55,7 @@ from test_socle import natural_module
 from test_socle_sections import borel3
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
+SRC = Path(__file__).resolve().parents[1] / "src" / "liestruct"
 
 
 # --- reference loops -------------------------------------------------------
@@ -687,11 +695,12 @@ def test_nullspace_matches_the_reference_solve(data):
 
 def add_scale_comb(F, coeffs, mats):
     """The loop ``bracket_law_failure`` summed its left side with: a zero
-    matrix, plus ``scale(c)`` of each matrix with a nonzero coefficient."""
+    matrix, plus c times each matrix with a nonzero coefficient, entry by
+    entry through the ``Field`` methods."""
     out = Matrix.zero(F, mats[0].rows, mats[0].cols)
     for k, c in enumerate(coeffs):
         if c:
-            out = out.add(mats[k].scale(c))
+            out = ref_mat_add(out, ref_mat_scale(c, mats[k]))
     return out
 
 
@@ -762,6 +771,30 @@ def test_lin_comb_matches_the_loop_it_replaced(data):
     assert canonical(F, got)
 
 
+def test_one_linear_combination_kernel():
+    """``lin_comb``, and ``mat_comb`` row by row on it, are the one linear
+    combination: ``linalg`` defines no ``vec_add``, ``vec_sub`` or
+    ``vec_scale`` and ``Matrix`` no ``add``, ``sub`` or ``scale`` method,
+    and no module of the package names the three vector kernels (in a def,
+    an import, a name or an attribute) or reads a ``.scale`` attribute."""
+    kernels = {"vec_add", "vec_sub", "vec_scale"}
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    (matrix,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Matrix"]
+    methods = {n.name for n in matrix.body if isinstance(n, ast.FunctionDef)}
+    assert not methods & {"add", "sub", "scale"}
+    assert not any(hasattr(Matrix, m) for m in ("add", "sub", "scale"))
+    for path in sorted(SRC.glob("*.py")):
+        names, attrs = set(), set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.alias)):
+                names.add(node.name)
+        assert not (names | attrs) & kernels and "scale" not in attrs, path.name
+
+
 # --- vectors, sections and containment ----------------------------------------
 
 
@@ -769,9 +802,10 @@ def test_lin_comb_matches_the_loop_it_replaced(data):
 @settings(max_examples=200, deadline=None)
 def test_vector_kernels_match_the_field_operations(data):
     """``vec`` on entries as a caller passes them (any ints over GF(p),
-    Fractions over Q, integral ones among them), and ``vec_add``,
-    ``vec_sub``, ``vec_scale`` and ``_nonzeros``, entry by entry against
-    the ``Field`` methods; every result a tuple of canonical scalars."""
+    Fractions over Q, integral ones among them), ``lin_comb`` with the
+    coefficients (1, 1), (1, -1) and (c,), and ``_nonzeros``, entry by entry
+    against the ``Field`` methods; every result a tuple of canonical
+    scalars."""
     F = data.draw(fields)
     n = data.draw(st.integers(0, 7))
     raw = st.lists(scalars(F), min_size=n, max_size=n)
@@ -781,9 +815,9 @@ def test_vector_kernels_match_the_field_operations(data):
     assert u == tuple(F.coerce(x) for x in xs)
     for got, want in (
         (u, u),
-        (vec_add(F, u, v), [F.add(a, b) for a, b in zip(u, v)]),
-        (vec_sub(F, u, v), [F.sub(a, b) for a, b in zip(u, v)]),
-        (vec_scale(F, c, u), [F.mul(c, a) for a in u]),
+        (lin_comb(F, (1, 1), (u, v)), [F.add(a, b) for a, b in zip(u, v)]),
+        (lin_comb(F, (1, -1), (u, v)), [F.sub(a, b) for a, b in zip(u, v)]),
+        (lin_comb(F, (c,), (u,)), [F.mul(c, a) for a in u]),
     ):
         assert type(got) is tuple and got == tuple(want) and canonical(F, got)
     assert _nonzeros(u) == tuple((j, x) for j, x in enumerate(u) if not F.is_zero(x))

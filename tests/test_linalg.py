@@ -13,10 +13,9 @@ from liestruct.linalg import (
     invert_matrix,
     rref_solve,
     vec,
-    vec_sub,
 )
 
-from conftest import residue
+from conftest import ref_sub, residue
 
 
 def span(F, n, rows):
@@ -257,7 +256,7 @@ def test_membership_forms_agree_with_reduction(case):
             qm = QuotientMap(U, D)
             if inside_u:
                 coords = qm.project_all([v])[0]
-                assert D.contains(vec_sub(F, vec(F, v), qm.lift(coords)))
+                assert D.contains(ref_sub(F, vec(F, v), qm.lift(coords)))
             else:
                 with pytest.raises(ValueError):
                     qm.project_all([v])

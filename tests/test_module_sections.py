@@ -46,7 +46,6 @@ from liestruct.linalg import (
     nullspace,
     unit_vec,
     vec,
-    vec_add,
     vec_is_zero,
 )
 from liestruct.modules import (
@@ -61,7 +60,7 @@ from liestruct.modules import (
     spin,
 )
 
-from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, coords, residue
+from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, coords, ref_add, residue
 from test_bracket_constructions import (
     semidirect_sums,
     semidirect_sums_in_a_random_basis,
@@ -415,8 +414,8 @@ def old_jacobi_failure(L: LieAlgebra):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 s = L.bracket(L.basis_bracket(i, j), unit_vec(F, n, k))
-                s = vec_add(F, s, L.bracket(L.basis_bracket(j, k), unit_vec(F, n, i)))
-                s = vec_add(F, s, L.bracket(L.basis_bracket(k, i), unit_vec(F, n, j)))
+                s = ref_add(F, s, L.bracket(L.basis_bracket(j, k), unit_vec(F, n, i)))
+                s = ref_add(F, s, L.bracket(L.basis_bracket(k, i), unit_vec(F, n, j)))
                 if not vec_is_zero(F, s):
                     return i, j, k
     return None

@@ -31,7 +31,7 @@ from liestruct.modules import (
     spin,
 )
 
-from conftest import CORPUS_GF2, CORPUS_GF3
+from conftest import CORPUS_GF2, CORPUS_GF3, ref_mat_scale, ref_mat_sub
 from test_chains_and_complements import old_complement_in_semisimple
 from test_modules import x_acting_by_companion
 from test_socle import natural_module, transposed
@@ -230,7 +230,7 @@ def test_every_kernel_point_is_spun_when_the_nullity_exceeds_one():
     F = GF(3)
     S = outer_tensor_square(F)
     nullities = {
-        S.dim - rref_solve(rho.sub(Matrix.identity(F, S.dim).scale(lam)))[1]
+        S.dim - rref_solve(ref_mat_sub(rho, ref_mat_scale(lam, Matrix.identity(F, S.dim))))[1]
         for rho in S.mats
         for lam in range(3)
     }

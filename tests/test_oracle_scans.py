@@ -30,7 +30,7 @@ from liestruct.algebra import brackets_inside, core, is_ideal, quotient_algebra
 from liestruct.chief import chief_series, chief_series_variants, classify_factor
 from liestruct.crowns import all_crowns
 from liestruct.fields import GF, QQ
-from liestruct.linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec, vec_scale
+from liestruct.linalg import Matrix, Subspace, lin_comb, rref_solve, unit_vec
 from liestruct.modules import _nonzero_vectors, adjoint_module, spin
 from liestruct.oracle import (
     EnumBudget,
@@ -50,7 +50,7 @@ from liestruct.oracle import (
 )
 from liestruct.primitive import TYPE1, TYPE2, TYPE3
 
-from conftest import CORPUS_GF2, CORPUS_GF3
+from conftest import CORPUS_GF2, CORPUS_GF3, ref_scale
 from test_isomorphism import permute_basis
 from test_larger_primes import matrix_units
 from test_memo import borel3_over_gf3
@@ -124,7 +124,7 @@ def intersect_ref(U, V):
     if V.is_full():
         return U
     minus_one = F.neg(F.one())
-    cols = list(U.basis) + [vec_scale(F, minus_one, v) for v in V.basis]
+    cols = list(U.basis) + [ref_scale(F, minus_one, v) for v in V.basis]
     _, _, _, null = rref_solve(Matrix.from_columns(F, cols))
     vecs = [lin_comb(F, coeffs[: U.dim], U.basis) for coeffs in null.basis]
     return Subspace.from_vectors(F, U.ambient_dim, vecs)

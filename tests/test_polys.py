@@ -33,6 +33,8 @@ from liestruct.polys import (
     squarefree_part,
 )
 
+from conftest import ref_mat_add, ref_mat_scale
+
 SMALL_PRIMES = (2, 3, 5, 7)
 
 
@@ -48,7 +50,7 @@ def ref_leverrier(M: Matrix) -> list:
     ck_list = []
     for k in range(1, n + 1):
         if k > 1:
-            Mk = M.matmul(Mk.add(Matrix.identity(F, n).scale(ck_list[-1])))
+            Mk = M.matmul(ref_mat_add(Mk, ref_mat_scale(ck_list[-1], Matrix.identity(F, n))))
         ck = F.neg(F.div(Mk.trace(), F.coerce(k)))
         ck_list.append(ck)
         coeffs[n - k] = ck

@@ -24,7 +24,7 @@ from liestruct.modules import (
 )
 from liestruct.oracle import socle_bf
 
-from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, coords
+from conftest import CORPUS_GF2, CORPUS_GF3, CORPUS_Q, coords, ref_mat_sub
 
 FINITE_CORPUS = [(name, 2) for name in CORPUS_GF2] + [(name, 3) for name in CORPUS_GF3]
 
@@ -64,11 +64,11 @@ def natural_module(p: int, n: int, generators) -> LModule:
         if span.contains(flat(A)):
             continue
         span = span.sum(Subspace.from_vectors(F, n * n, [flat(A)]))
-        todo.extend(A.matmul(B).sub(B.matmul(A)) for B in closure)
+        todo.extend(ref_mat_sub(A.matmul(B), B.matmul(A)) for B in closure)
         closure.append(A)
     mats = [Matrix(F, [b[i * n : (i + 1) * n] for i in range(n)]) for b in span.basis]
     table = {
-        (i, j): coords(span, flat(mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i]))))
+        (i, j): coords(span, flat(ref_mat_sub(mats[i].matmul(mats[j]), mats[j].matmul(mats[i]))))
         for i in range(len(mats))
         for j in range(i + 1, len(mats))
     }
